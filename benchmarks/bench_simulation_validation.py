@@ -17,24 +17,23 @@ import pytest
 from conftest import run_once
 
 from repro import analyze_latency, analyze_twca
-from repro.kernel import HAVE_NUMPY, kernel_name, using_kernel
 from repro.report import format_table
-from repro.sim import simulate_worst_case, trace_json
+from repro.sim import (Simulator, simulate_worst_case, trace_json,
+                       worst_case_activations)
 from repro.synth import GeneratorConfig, figure4_system, \
     generate_feasible_system
 
 
 def simulate_checked(system, horizon):
-    """Critical-instant simulation under the active kernel, asserted
-    byte-identical (full JSON trace) against the other kernel's engine
-    — the validation bench doubles as a backend parity check."""
+    """Critical-instant simulation through the numpy event calendar,
+    asserted byte-identical (full JSON trace) against the scalar event
+    loop over the whole horizon — the validation bench doubles as a
+    calendar parity check."""
     result = simulate_worst_case(system, horizon)
-    if HAVE_NUMPY:
-        other = "python" if kernel_name() == "numpy" else "numpy"
-        with using_kernel(other):
-            reference = simulate_worst_case(system, horizon)
-        assert trace_json(result) == trace_json(reference), \
-            "simulation backends diverged"
+    reference = Simulator(system)._run_python(
+        worst_case_activations(system, horizon), horizon)
+    assert trace_json(result) == trace_json(reference), \
+        "the calendar diverged from the scalar loop"
     return result
 
 
@@ -90,13 +89,14 @@ def test_validation_random_population(benchmark, bench_horizon):
     assert max(ratios) <= 1 + 1e-9
 
 
-@pytest.mark.parametrize("kernel", ("python", "numpy"))
-def test_simulation_speed(benchmark, bench_horizon, kernel):
+@pytest.mark.parametrize("path", ("scalar", "calendar"))
+def test_simulation_speed(benchmark, bench_horizon, path):
     """Microbenchmark: simulating the case study's critical instant,
-    once per simulation backend."""
-    if kernel == "numpy" and not HAVE_NUMPY:
-        pytest.skip("numpy not installed")
+    through the scalar event loop and through the numpy calendar."""
     system = figure4_system()
-    with using_kernel(kernel):
-        result = benchmark(simulate_worst_case, system, bench_horizon / 4)
+    horizon = bench_horizon / 4
+    simulator = Simulator(system)
+    run = simulator.run if path == "calendar" else simulator._run_python
+    activations = worst_case_activations(system, horizon)
+    result = benchmark(run, activations, horizon)
     assert result.latencies("sigma_c")

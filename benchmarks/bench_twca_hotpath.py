@@ -14,21 +14,12 @@ monotone ``Omega`` schedule, and the batched Eq. (5) ``criterion_load``
 evaluation.  Everything is exported to ``BENCH_twca_hotpath.json`` at
 the repository root, extending the PR-over-PR trajectory.
 
-Since the vectorized-kernel rework it also tracks the two hot spots that
-rework attacked: the per-``q`` Theorem 1 fixed points of the Def. 10
-exact check (``multiq_fixed_point``: all ``q`` advanced as one masked
-Kleene iteration vs the historic scalar per-step loop) and the dense
-simplex tableau (``simplex_pivots``: the numpy ndarray tableau vs the
-pure-Python list tableau on an incremental rhs schedule).
-
-The 2-D batching rework extends both measurements one dimension up:
-``signature_block_fixed_point`` advances a whole *block* of candidate
-signatures as one (signature x q) masked Kleene iteration and compares
-it against the per-signature 1-D path and the historic scalar loop;
-``bb_batched_nodes`` drives the best-first branch-and-bound whose open
-frontier resolves through ``IncrementalLp.solve_many`` (plus a shared
+``bb_batched_nodes`` drives the best-first branch-and-bound (open
+frontier resolved through ``IncrementalLp.solve_many`` plus a shared
 ``BranchBoundState``) against the historic recursion with one cold
-two-phase relaxation per node.
+two-phase relaxation per node; it is informational.  ``sim_soak``
+times the simulator's numpy event calendar (``Simulator.run``) against
+the scalar event loop it replays (``Simulator._run_python``).
 
 Gates (0 disables each):
 
@@ -37,17 +28,6 @@ Gates (0 disables each):
 * ``REPRO_BENCH_PACKING_GATE`` (default 3): the stateful packing engine
   must evaluate the fat-frontier capacity schedule >= 3x faster than
   per-point cold solves through the historic two-phase relaxation;
-* ``REPRO_BENCH_MULTIQ_GATE`` (default 3): the batched multi-q Def. 10
-  exact check must run >= 3x faster than the scalar reference;
-* ``REPRO_BENCH_SIMPLEX_GATE`` (default 1.5): the numpy tableau must
-  beat the pure-Python tableau on the pivot-heavy schedule;
-* ``REPRO_BENCH_SIG_BLOCK_GATE`` (default 3): the 2-D signature-block
-  Def. 10 evaluator must run >= 3x faster than the per-signature 1-D
-  path (numpy kernel only — under ``REPRO_KERNEL=python`` the section
-  is informational);
-* ``REPRO_BENCH_BB_BATCH_GATE`` (default 3): the batched best-first
-  branch-and-bound must evaluate the capacity schedule >= 3x faster
-  than per-point recursive cold solves (numpy kernel only);
 * ``REPRO_BENCH_SERVICE_GATE`` (default 2): the ``--workers 4`` compute
   pool must serve N distinct-system requests >= 2x faster than the
   serialized workers=1 baseline — enforced only on machines with >= 2
@@ -59,17 +39,15 @@ Gates (0 disables each):
   machines with >= 4 cores (shard processes need real parallelism; the
   section always runs, records the core count, asserts the merged
   export byte-identical to the serial run, and asserts the corpus
-  manifest digest reproducible under both kernels);
-* ``REPRO_BENCH_SIM_GATE`` (default 3): the numpy event-calendar
-  simulation backend must run the ``REPRO_BENCH_SIM_SOAK_EVENTS``
-  soak workload (default 10^6 activations) >= 3x faster than the
-  scalar python event loop, with identical latencies, miss flags,
-  (m,k) windows and busy windows at full scale and byte-identical
-  trace exports on a sub-run (numpy installs only);
-* DMM curves, packing optima, exact verdicts, pivot sequences and
-  deterministic batch exports must be byte-identical between the
-  optimized and the reference paths (always asserted — identity is
-  never noise).
+  manifest digest reproducible);
+* ``REPRO_BENCH_SIM_GATE`` (default 3): the numpy event calendar must
+  run the ``REPRO_BENCH_SIM_SOAK_EVENTS`` soak workload (default 10^6
+  activations) >= 3x faster than the scalar event loop, with identical
+  latencies, miss flags, (m,k) windows and busy windows at full scale
+  and byte-identical trace exports on a sub-run;
+* DMM curves, packing optima and deterministic batch exports must be
+  byte-identical between the optimized and the reference paths (always
+  asserted — identity is never noise).
 """
 
 from __future__ import annotations
@@ -80,20 +58,15 @@ import os
 import random
 import threading
 import time
-from itertools import islice
 from pathlib import Path
 
 from conftest import run_once
 
 from repro import PeriodicModel, SporadicModel, SystemBuilder, analyze_twca
-from repro.analysis import analyze_latency
 from repro.analysis.busy_window import criterion_load, criterion_loads
-from repro.analysis.combinations import iter_combinations, overload_active_segments
-from repro.analysis.twca import _build_verdict
 from repro.ilp import PackingInstance
 from repro.ilp.branch_bound import BranchBoundState, solve_branch_bound
-from repro.ilp.simplex import IncrementalLp
-from repro.kernel import HAVE_NUMPY, kernel_name, using_kernel
+from repro.kernel import kernel_name
 from repro.report import format_table
 from repro.runner import BatchRunner, run_sharded
 from repro.service import AnalysisRequest, AnalysisService
@@ -114,28 +87,12 @@ DEFAULT_GATE = 5.0
 #: historic per-point cold solves (``REPRO_BENCH_PACKING_GATE``).
 DEFAULT_PACKING_GATE = 3.0
 
-#: Acceptance floor for the batched multi-q Def. 10 exact check over the
-#: scalar per-step reference (``REPRO_BENCH_MULTIQ_GATE``).
-DEFAULT_MULTIQ_GATE = 3.0
-
-#: Acceptance floor for the numpy tableau over the pure-Python tableau
-#: (``REPRO_BENCH_SIMPLEX_GATE``).
-DEFAULT_SIMPLEX_GATE = 1.5
-
-#: Acceptance floor for the 2-D signature-block Def. 10 evaluator over
-#: the per-signature 1-D path (``REPRO_BENCH_SIG_BLOCK_GATE``).
-DEFAULT_SIG_BLOCK_GATE = 3.0
-
-#: Acceptance floor for the batched best-first branch-and-bound over
-#: per-point recursive cold solves (``REPRO_BENCH_BB_BATCH_GATE``).
-DEFAULT_BB_BATCH_GATE = 3.0
-
 #: Acceptance floor for the pooled service over the serialized baseline
 #: (``REPRO_BENCH_SERVICE_GATE``); engaged only when >= 2 cores exist.
 DEFAULT_SERVICE_GATE = 2.0
 
-#: Acceptance floor for the numpy event-calendar simulation backend
-#: over the scalar python event loop (``REPRO_BENCH_SIM_GATE``).
+#: Acceptance floor for the numpy event calendar over the scalar event
+#: loop (``REPRO_BENCH_SIM_GATE``).
 DEFAULT_SIM_GATE = 3.0
 
 #: Acceptance floor for the 4-shard coordinator over the serial runner
@@ -207,9 +164,6 @@ def time_best_of(make, repeats=3):
 
 
 def numpy_version():
-    """The installed numpy version, or ``None`` on the pure-Python leg."""
-    if not HAVE_NUMPY:
-        return None
     import numpy
 
     return numpy.__version__
@@ -285,134 +239,13 @@ def run_criterion_load_section(system, chain, q_max=400):
     }
 
 
-def deep_window_system(overload_count=8):
-    """A victim whose busy window spans ~90 activations: one heavy
-    long-period interferer keeps ``B(q)`` above ``delta(q+1)`` for a
-    long stretch, so the Def. 10 exact check iterates a ~90-deep ``q``
-    range per signature — the regime the ROADMAP names as the per-``q``
-    fixed-point hot spot, where the scalar reference pays one
-    interference-structure evaluation per ``q`` per Kleene step."""
-    builder = SystemBuilder("twca-deepwindow", allow_shared_priorities=True)
-    builder.chain("victim", PeriodicModel(100), deadline=9000)
-    builder.task("victim.a", priority=2, wcet=25)
-    builder.task("victim.b", priority=3, wcet=15)
-    builder.chain("heavy", PeriodicModel(12_000), deadline=12_000)
-    builder.task("heavy.a", priority=5, wcet=5_000)
-    priority = 10
-    for index in range(overload_count):
-        name = f"isr{index:02d}"
-        builder.chain(name, SporadicModel(60_000 + 500 * index), overload=True)
-        builder.task(f"{name}.t", priority=priority, wcet=20 + index)
-        priority += 1
-    return builder.build()
-
-
-def run_multiq_section(system, chain, sample_step=2):
-    """The batched multi-q Def. 10 exact check vs the scalar reference:
-    both evaluate the raw Eq. (3) fixed points (no Eq. (5) pre-filter,
-    no signature memo) over a deterministic sample of combination
-    signatures, across the deep ``q`` range of the window."""
-    full = analyze_latency(system, chain, include_overload=True)
-    deltas = {
-        q: chain.activation.delta_minus(q) for q in range(1, full.max_queue + 1)
-    }
-    loads = criterion_loads(system, chain, tuple(deltas))
-    segments = overload_active_segments(system, chain)
-    signatures = []
-    seen = set()
-    for combo in islice(iter_combinations(segments), 0, None, sample_step):
-        if combo.signature not in seen:
-            seen.add(combo.signature)
-            signatures.append(combo.signature)
-    multi = _build_verdict(
-        system, chain, deltas, loads, segments, exact_criterion=True, multi_q=True
-    )
-    scalar = _build_verdict(
-        system, chain, deltas, loads, segments, exact_criterion=True, multi_q=False
-    )
-    batched, batched_s = time_once(
-        lambda: [multi.exact_check(signature) for signature in signatures]
-    )
-    reference, reference_s = time_once(
-        lambda: [scalar.exact_check(signature) for signature in signatures]
-    )
-    assert batched == reference, "Def. 10 verdicts diverged between paths"
-    return {
-        "kernel": kernel_name(),
-        "system": system.name,
-        "q_range": full.max_queue,
-        "signatures": len(signatures),
-        "batched_seconds": batched_s,
-        "scalar_seconds": reference_s,
-        "speedup": reference_s / batched_s if batched_s > 0 else float("inf"),
-        "identical": True,
-    }
-
-
-def run_signature_block_section(system, chain, sample_step=3):
-    """The 2-D (signature x q) block Def. 10 evaluator vs the
-    per-signature 1-D multi-q path vs the historic scalar loop, over a
-    deterministic sample of combination signatures on the deep-window
-    system.  Each path runs on its own fresh verdict so every timing
-    pays its own typical-fixed-point setup; all three must agree
-    signature-for-signature."""
-    full = analyze_latency(system, chain, include_overload=True)
-    deltas = {
-        q: chain.activation.delta_minus(q) for q in range(1, full.max_queue + 1)
-    }
-    loads = criterion_loads(system, chain, tuple(deltas))
-    segments = overload_active_segments(system, chain)
-    signatures = []
-    seen = set()
-    for combo in islice(iter_combinations(segments), 0, None, sample_step):
-        if combo.signature not in seen:
-            seen.add(combo.signature)
-            signatures.append(combo.signature)
-
-    def fresh(multi_q):
-        return _build_verdict(
-            system, chain, deltas, loads, segments,
-            exact_criterion=True, multi_q=multi_q,
-        )
-
-    def block_run():
-        verdict = fresh(True)
-        return lambda: verdict.exact_check_many(signatures)
-
-    def one_d_run():
-        verdict = fresh(True)
-        return lambda: [verdict.exact_check(signature) for signature in signatures]
-
-    def scalar_run():
-        verdict = fresh(False)
-        return lambda: [verdict.exact_check(signature) for signature in signatures]
-
-    block, block_s = time_best_of(block_run)
-    one_d, one_d_s = time_best_of(one_d_run)
-    reference, reference_s = time_best_of(scalar_run)
-    assert block == one_d == reference, "Def. 10 verdicts diverged between paths"
-    return {
-        "kernel": kernel_name(),
-        "system": system.name,
-        "q_range": full.max_queue,
-        "signatures": len(signatures),
-        "block_seconds": block_s,
-        "per_signature_seconds": one_d_s,
-        "scalar_seconds": reference_s,
-        "speedup": one_d_s / block_s if block_s > 0 else float("inf"),
-        "speedup_vs_scalar": (
-            reference_s / block_s if block_s > 0 else float("inf")
-        ),
-        "identical": True,
-    }
-
-
 def run_bb_batch_section():
     """The best-first branch-and-bound (heap frontier resolved through
     ``IncrementalLp.solve_many``, incumbent and tableau carried in one
     ``BranchBoundState``) vs the historic recursion with a cold
     two-phase relaxation per node, along a fat-frontier capacity
-    schedule.  Optima are asserted identical point-for-point."""
+    schedule.  Optima are asserted identical point-for-point; the
+    timing is informational."""
     instance, schedule = fat_frontier_instance(
         seed=4242, num_vars=26, num_rows=18, points=48
     )
@@ -440,70 +273,12 @@ def run_bb_batch_section():
     cold, cold_s = time_best_of(cold_run)
     assert batched == cold, "branch-and-bound optima diverged between paths"
     return {
-        "kernel": kernel_name(),
         "variables": instance.num_variables,
         "rows": instance.num_rows,
         "schedule_points": len(schedule),
         "batched_seconds": batched_s,
         "cold_seconds": cold_s,
         "speedup": cold_s / batched_s if batched_s > 0 else float("inf"),
-        "identical": True,
-    }
-
-
-def run_simplex_section(seed=2017, num_vars=110, num_rows=70, points=40):
-    """The numpy ndarray tableau vs the pure-Python list tableau on one
-    pivot-heavy incremental LP: a dense random packing-shaped matrix
-    re-solved along a growing rhs schedule through
-    :class:`repro.ilp.simplex.IncrementalLp`.  Pivot sequences are
-    bit-identical by design, so statuses, objectives, values and pivot
-    counts are asserted equal before timing is trusted."""
-    if not HAVE_NUMPY:
-        return {"skipped": True, "reason": "numpy not installed"}
-    rng = random.Random(seed)
-    objective = [1.0 + rng.random() for _ in range(num_vars)]
-    rows = [
-        [1.0 if rng.random() < 0.35 else 0.0 for _ in range(num_vars)]
-        for _ in range(num_rows)
-    ]
-    for j in range(num_vars):
-        if not any(row[j] for row in rows):
-            rows[rng.randrange(num_rows)][j] = 1.0
-    caps = [float(rng.randint(1, 4)) for _ in range(num_rows)]
-    schedule = []
-    for _ in range(points):
-        schedule.append(list(caps))
-        caps = [c + rng.randint(0, 2) for c in caps]
-
-    outcomes = {}
-    timings = {}
-    pivots = {}
-    for kernel in ("python", "numpy"):
-        with using_kernel(kernel):
-            lp = IncrementalLp(objective, rows)
-            results, seconds = time_once(
-                lambda: [lp.solve(rhs) for rhs in schedule]
-            )
-            outcomes[kernel] = [
-                (r.status, r.objective, r.values, r.pivots) for r in results
-            ]
-            timings[kernel] = seconds
-            pivots[kernel] = max(r.pivots for r in results)
-    assert outcomes["python"] == outcomes["numpy"], (
-        "tableau outcomes diverged between kernels"
-    )
-    return {
-        "variables": num_vars,
-        "rows": num_rows,
-        "schedule_points": points,
-        "total_pivots": pivots["numpy"],
-        "python_seconds": timings["python"],
-        "numpy_seconds": timings["numpy"],
-        "speedup": (
-            timings["python"] / timings["numpy"]
-            if timings["numpy"] > 0
-            else float("inf")
-        ),
         "identical": True,
     }
 
@@ -566,16 +341,15 @@ def run_service_section(count=8, workers=4):
 
 
 def run_sim_soak_section():
-    """Soak-scale simulation: the numpy event-calendar backend vs the
-    scalar python event loop on the deterministic ``soak_workload``
+    """Soak-scale simulation: the numpy event calendar
+    (``Simulator.run``) vs the scalar event loop over the whole horizon
+    (``Simulator._run_python``) on the deterministic ``soak_workload``
     (co-prime periodic streams, ~10^6 activations by default, low
     enough utilization that most instances retire in batch while
     contention clusters still exercise the scalar-stretch path).  Both
     engines must produce identical latencies, miss flags, ``dmm(10)``
     windows and busy windows at full scale, and byte-identical JSON
     trace exports on a sub-run small enough to materialize twice."""
-    if not HAVE_NUMPY:
-        return {"skipped": True, "reason": "numpy not installed"}
     events = int(os.environ.get("REPRO_BENCH_SIM_SOAK_EVENTS", "1000000"))
     system, activations, horizon = soak_workload(events=events)
     released = sum(len(times) for times in activations.values())
@@ -592,16 +366,14 @@ def run_sim_soak_section():
             for chain in system.chains
         }
 
-    with using_kernel("numpy"):
-        fast_metrics, fast_s = time_best_of(
-            lambda: (lambda: collect(simulator.run(activations, horizon)))
-        )
-    with using_kernel("python"):
-        reference_metrics, reference_s = time_best_of(
-            lambda: (lambda: collect(simulator.run(activations, horizon)))
-        )
+    fast_metrics, fast_s = time_best_of(
+        lambda: (lambda: collect(simulator.run(activations, horizon)))
+    )
+    reference_metrics, reference_s = time_best_of(
+        lambda: (lambda: collect(simulator._run_python(activations, horizon)))
+    )
     assert fast_metrics == reference_metrics, (
-        "soak metrics diverged between simulation backends"
+        "soak metrics diverged between the calendar and the scalar loop"
     )
     misses = sum(sum(flags) for _, flags, _, _ in reference_metrics.values())
 
@@ -609,17 +381,14 @@ def run_sim_soak_section():
     # the full object trace twice.
     sub_events = max(2_000, min(20_000, events))
     sub_system, sub_acts, sub_horizon = soak_workload(events=sub_events)
-    with using_kernel("numpy"):
-        fast_trace = trace_json(Simulator(sub_system).run(sub_acts, sub_horizon))
-    with using_kernel("python"):
-        reference_trace = trace_json(
-            Simulator(sub_system).run(sub_acts, sub_horizon)
-        )
+    fast_trace = trace_json(Simulator(sub_system).run(sub_acts, sub_horizon))
+    reference_trace = trace_json(
+        Simulator(sub_system)._run_python(sub_acts, sub_horizon)
+    )
     assert fast_trace == reference_trace, (
-        "trace exports diverged between simulation backends"
+        "trace exports diverged between the calendar and the scalar loop"
     )
     return {
-        "kernel": "numpy",
         "requested_events": events,
         "events": released,
         "horizon": horizon,
@@ -640,8 +409,7 @@ def run_shard_section(tmp_base: Path, count=12, shards=4):
 
     The merged deterministic export is asserted byte-identical to the
     serial run (the sharding contract), and the corpus is generated
-    twice — under both kernels when numpy is installed — asserting the
-    manifest digest reproduces exactly.  The >= 2x speedup gate only
+    twice, asserting the manifest digest reproduces exactly.  The >= 2x speedup gate only
     engages on machines with >= 4 cores: shard processes need real
     parallelism; on fewer cores the measurement is informational.
     """
@@ -651,13 +419,6 @@ def run_shard_section(tmp_base: Path, count=12, shards=4):
     assert manifest.manifest_digest == again.manifest_digest, (
         "corpus manifest digest not reproducible for the same spec"
     )
-    other_kernel = "python" if kernel_name() == "numpy" else None
-    if other_kernel is not None:
-        with using_kernel(other_kernel):
-            cross = generate_corpus(spec, tmp_base / "corpus-c")
-        assert cross.manifest_digest == manifest.manifest_digest, (
-            "corpus manifest digest diverged between kernels"
-        )
 
     systems = list(manifest.systems())
     runner = BatchRunner(workers=1, ks=KS)
@@ -672,7 +433,6 @@ def run_shard_section(tmp_base: Path, count=12, shards=4):
     return {
         "corpus_systems": count,
         "corpus_digest": manifest.manifest_digest,
-        "digest_kernel_independent": other_kernel is not None,
         "jobs": len(jobs),
         "shards": shards,
         "cores": os.cpu_count() or 1,
@@ -763,21 +523,16 @@ def run_hotpath(tmp_base: Path):
 
     cold_total = pruned_s + pruned_dmm_s
     eager_total = exhaustive_s + eager_dmm_s
-    deep = deep_window_system()
     return {
         "env": {
             "cpu_count": os.cpu_count(),
             "numpy": numpy_version(),
+            "kernel": kernel_name(),
         },
         "packing": run_packing_section(),
         "criterion_load": run_criterion_load_section(system, chain),
         "curve": run_curve_section(system, chain),
-        "multiq_fixed_point": run_multiq_section(deep, deep["victim"]),
-        "signature_block_fixed_point": run_signature_block_section(
-            deep, deep["victim"]
-        ),
         "bb_batched_nodes": run_bb_batch_section(),
-        "simplex_pivots": run_simplex_section(),
         "service_concurrency": run_service_section(),
         "sim_soak": run_sim_soak_section(),
         "shard_throughput": run_shard_section(tmp_base),
@@ -831,28 +586,16 @@ def test_twca_hotpath_speedup(benchmark, tmp_path):
          f"{report['curve']['speedup']:.1f}x vs per-k cold"),
         ("criterion loads", f"{report['criterion_load']['batched_seconds']:.3f}s",
          f"{report['criterion_load']['speedup']:.1f}x vs per-q"),
-        ("multi-q exact", f"{report['multiq_fixed_point']['batched_seconds']:.3f}s",
-         f"{report['multiq_fixed_point']['speedup']:.1f}x vs scalar, gate >= 3x"),
-        ("sig-block exact",
-         f"{report['signature_block_fixed_point']['block_seconds']:.3f}s",
-         f"{report['signature_block_fixed_point']['speedup']:.1f}x vs "
-         "per-signature, gate >= 3x"),
         ("batched b&b", f"{report['bb_batched_nodes']['batched_seconds']:.3f}s",
-         f"{report['bb_batched_nodes']['speedup']:.1f}x vs recursive cold, "
-         "gate >= 3x"),
-        ("simplex tableau",
-         f"{report['simplex_pivots'].get('numpy_seconds', 0):.3f}s",
-         ("skipped (no numpy)" if report['simplex_pivots'].get('skipped')
-          else f"{report['simplex_pivots']['speedup']:.1f}x vs python tableau")),
+         f"{report['bb_batched_nodes']['speedup']:.1f}x vs recursive cold "
+         "(informational)"),
         ("service pool",
          f"{report['service_concurrency']['concurrent_seconds']:.3f}s",
          f"{report['service_concurrency']['speedup']:.1f}x vs serialized "
          f"({report['service_concurrency']['cores']} core(s))"),
-        ("sim soak",
-         f"{report['sim_soak'].get('numpy_seconds', 0):.3f}s",
-         ("skipped (no numpy)" if report['sim_soak'].get('skipped')
-          else f"{report['sim_soak']['speedup']:.1f}x vs python loop over "
-          f"{report['sim_soak']['events']} activations, gate >= 3x")),
+        ("sim soak", f"{report['sim_soak']['numpy_seconds']:.3f}s",
+         f"{report['sim_soak']['speedup']:.1f}x vs scalar loop over "
+         f"{report['sim_soak']['events']} activations, gate >= 3x"),
         ("shard fan-out",
          f"{report['shard_throughput']['sharded_seconds']:.3f}s",
          f"{report['shard_throughput']['speedup']:.1f}x vs serial with "
@@ -879,45 +622,8 @@ def test_twca_hotpath_speedup(benchmark, tmp_path):
             f"packing engine speedup {report['packing']['speedup']:.2f}x "
             f"below the {packing_gate:.1f}x gate"
         )
-    multiq_gate = float(
-        os.environ.get("REPRO_BENCH_MULTIQ_GATE", str(DEFAULT_MULTIQ_GATE))
-    )
-    # Gate on the *active* kernel: under REPRO_KERNEL=python both paths
-    # run the pure-Python reference and the speedup is informational.
-    if multiq_gate > 0 and report["multiq_fixed_point"]["kernel"] == "numpy":
-        assert report["multiq_fixed_point"]["speedup"] >= multiq_gate, (
-            f"multi-q exact-check speedup "
-            f"{report['multiq_fixed_point']['speedup']:.2f}x "
-            f"below the {multiq_gate:.1f}x gate"
-        )
-    sig_block_gate = float(
-        os.environ.get("REPRO_BENCH_SIG_BLOCK_GATE", str(DEFAULT_SIG_BLOCK_GATE))
-    )
-    sig_block = report["signature_block_fixed_point"]
-    if sig_block_gate > 0 and sig_block["kernel"] == "numpy":
-        assert sig_block["speedup"] >= sig_block_gate, (
-            f"signature-block speedup {sig_block['speedup']:.2f}x "
-            f"below the {sig_block_gate:.1f}x gate"
-        )
-    bb_gate = float(
-        os.environ.get("REPRO_BENCH_BB_BATCH_GATE", str(DEFAULT_BB_BATCH_GATE))
-    )
-    bb_batched = report["bb_batched_nodes"]
-    if bb_gate > 0 and bb_batched["kernel"] == "numpy":
-        assert bb_batched["speedup"] >= bb_gate, (
-            f"batched branch-and-bound speedup {bb_batched['speedup']:.2f}x "
-            f"below the {bb_gate:.1f}x gate"
-        )
-    simplex_gate = float(
-        os.environ.get("REPRO_BENCH_SIMPLEX_GATE", str(DEFAULT_SIMPLEX_GATE))
-    )
-    if simplex_gate > 0 and not report["simplex_pivots"].get("skipped"):
-        assert report["simplex_pivots"]["speedup"] >= simplex_gate, (
-            f"numpy tableau speedup {report['simplex_pivots']['speedup']:.2f}x "
-            f"below the {simplex_gate:.1f}x gate"
-        )
     sim_gate = float(os.environ.get("REPRO_BENCH_SIM_GATE", str(DEFAULT_SIM_GATE)))
-    if sim_gate > 0 and not report["sim_soak"].get("skipped"):
+    if sim_gate > 0:
         assert report["sim_soak"]["speedup"] >= sim_gate, (
             f"sim soak speedup {report['sim_soak']['speedup']:.2f}x "
             f"below the {sim_gate:.1f}x gate"

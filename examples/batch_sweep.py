@@ -11,20 +11,13 @@ cache: run the script twice with the same directory and the second
 sweep serves every busy-window fixed point from disk (watch the hit
 rate and the "served from disk" count in the summary).
 
-The numeric kernel is selected exactly like the CLI's ``--kernel``
-flag: pass ``numpy``/``python``/``auto`` as the fourth argument (it
-calls ``repro.kernel.set_kernel``), or set the ``REPRO_KERNEL``
-environment variable — worker processes inherit the choice, and the
-deterministic export below is byte-identical either way.
-
-Run:  python examples/batch_sweep.py [samples] [workers] [cache-dir] [kernel]
+Run:  python examples/batch_sweep.py [samples] [workers] [cache-dir]
 """
 
 import sys
 import time
 
 from repro import BatchRunner
-from repro.kernel import kernel_name, set_kernel
 from repro.synth import figure4_system, labeled_random_systems
 
 
@@ -33,10 +26,7 @@ def main(
     workers: int = 2,
     cache_dir: str = None,
     seed: int = 2017,
-    kernel: str = None,
 ) -> None:
-    if kernel is not None:
-        set_kernel(kernel)  # the CLI's --kernel; REPRO_KERNEL otherwise
     base = figure4_system(calibrated=True)
     labeled = labeled_random_systems(base, samples, seed)
     systems = [system for _, system in labeled]
@@ -52,10 +42,7 @@ def main(
     schedulable = batch.status_counts.get("schedulable", 0)
     print(f"{schedulable}/{len(batch)} jobs schedulable outright;")
     print(f"{len(batch.errors)} analysis errors (reported as data, not raised)")
-    print(
-        f"{len(batch)} TWCA jobs in {wall:.2f}s with {workers} worker(s), "
-        f"kernel {kernel_name()}"
-    )
+    print(f"{len(batch)} TWCA jobs in {wall:.2f}s with {workers} worker(s)")
     if cache_dir is not None:
         print(
             f"persistent cache {cache_dir!r}: "
@@ -73,5 +60,4 @@ if __name__ == "__main__":
         int(sys.argv[1]) if len(sys.argv) > 1 else 50,
         int(sys.argv[2]) if len(sys.argv) > 2 else 2,
         sys.argv[3] if len(sys.argv) > 3 else None,
-        kernel=sys.argv[4] if len(sys.argv) > 4 else None,
     )

@@ -29,7 +29,7 @@ from .analysis import (ActiveSegment, AnalysisError, BusyWindowDivergence,
                        segments)
 from .arrivals import (ArrivalCurve, EventModel, PeriodicModel,
                        SporadicBurstModel, SporadicModel, StaircaseKernel)
-from .kernel import kernel_name, set_kernel, using_kernel
+from .kernel import kernel_name
 from .model import ChainKind, System, SystemBuilder, Task, TaskChain
 from .model.serialization import load_system_file
 from .runner import (AnalysisCache, AnalysisJob, BatchExecutionError,
@@ -51,8 +51,8 @@ __all__ = [
     # arrivals
     "EventModel", "PeriodicModel", "SporadicModel", "SporadicBurstModel",
     "ArrivalCurve", "StaircaseKernel",
-    # numeric kernel
-    "kernel_name", "set_kernel", "using_kernel",
+    # numeric paths
+    "kernel_name",
     # analysis
     "AnalysisError", "BusyWindowDivergence", "NotAnalyzable",
     "Segment", "ActiveSegment", "segments", "active_segments",

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from ..kernel import numpy_or_none, solve_monotone_fixed_points
 from ..model import System, TaskChain
 from .exceptions import BusyWindowDivergence
 from .interference import is_deferred
@@ -95,6 +94,26 @@ class _InterferenceModel:
             else:
                 crit = critical_segment(chain, target)
                 self.deferred_static[chain.name] = crit.wcet if crit else 0.0
+        # Flat per-component terms, in interferer order, for :meth:`total`.
+        self.base_wcet = target.total_wcet
+        self.self_header = target.is_asynchronous and self.header_cost > 0
+        self.arbitrary_terms = []
+        self.async_terms = []
+        sync_costs = []
+        for chain in self.interferers:
+            if not self.deferred[chain.name]:
+                self.arbitrary_terms.append((chain.activation, chain.total_wcet))
+            elif chain.is_asynchronous:
+                self.async_terms.append(
+                    (
+                        chain.activation,
+                        self.deferred_async_headers[chain.name],
+                        self.deferred_static[chain.name],
+                    )
+                )
+            else:
+                sync_costs.append(self.deferred_static[chain.name])
+        self.sync_total = sum(sync_costs)
 
     def evaluate(
         self,
@@ -145,55 +164,23 @@ class _InterferenceModel:
             total=total,
         )
 
-    def totals_many(
-        self,
-        qs: Sequence[int],
-        horizons: Sequence[float],
-        combination_cost: float = 0.0,
-    ) -> Sequence[float]:
-        """Theorem 1 totals for many ``(q, horizon)`` pairs at once.
-
-        Under the numpy kernel every arrival curve is evaluated once
-        over the whole horizon vector (one ``searchsorted`` per chain
-        instead of one scalar probe per ``q`` per Kleene step), and the
-        five components are accumulated in exactly the order of
-        :meth:`evaluate`, so the totals are value-identical.  Under the
-        pure-Python kernel it simply loops :meth:`evaluate` — the
-        differential reference of the kernel parity tests.
-        """
-        np = numpy_or_none()
-        if np is None:
-            return [
-                self.evaluate(q, horizon, combination_cost).total
-                for q, horizon in zip(qs, horizons)
-            ]
-        target = self.target
-        q_arr = np.asarray(qs, dtype=np.int64)
-        h_arr = np.asarray(horizons, dtype=np.float64)
-        total = q_arr * float(target.total_wcet)
-        if target.is_asynchronous and self.header_cost > 0:
-            backlog = target.activation.eta_plus_many(h_arr) - q_arr
-            total = total + np.maximum(backlog, 0) * float(self.header_cost)
-        arbitrary_sum = 0.0
-        async_sum = 0.0
-        sync_sum = 0.0
-        for chain in self.interferers:
-            if not self.deferred[chain.name]:
-                arbitrary_sum = arbitrary_sum + chain.activation.eta_plus_many(
-                    h_arr
-                ) * float(chain.total_wcet)
-            elif chain.is_asynchronous:
-                async_sum = async_sum + (
-                    chain.activation.eta_plus_many(h_arr)
-                    * float(self.deferred_async_headers[chain.name])
-                    + float(self.deferred_static[chain.name])
-                )
-            else:
-                sync_sum = sync_sum + self.deferred_static[chain.name]
-        total = total + arbitrary_sum + async_sum + sync_sum
-        if combination_cost:
-            total = total + combination_cost
-        return total
+    def total(self, q: int, horizon: float, combination_cost: float = 0.0) -> float:
+        """``evaluate(q, horizon, combination_cost).total`` without the
+        per-chain breakdown: the same float operations in the same
+        order, so the value is bit-identical.  The Kleene sweeps' hot
+        path."""
+        self_interference = 0.0
+        if self.self_header:
+            backlog = max(0, self.target.activation.eta_plus(horizon) - q)
+            self_interference = backlog * self.header_cost
+        return (
+            q * self.base_wcet
+            + self_interference
+            + sum([a.eta_plus(horizon) * wcet for a, wcet in self.arbitrary_terms])
+            + sum([a.eta_plus(horizon) * h + s for a, h, s in self.async_terms])
+            + self.sync_total
+            + combination_cost
+        )
 
 
 def _check_membership(system: System, target: TaskChain) -> None:
@@ -410,15 +397,16 @@ def _busy_times_block(
     combination_cost: float = 0.0,
     seeds: Optional[Mapping[int, float]] = None,
 ) -> Dict[int, BusyOutcome]:
-    """Batched Theorem 1 fixed points with per-``q`` failure capture.
+    """Theorem 1 fixed points of many ``q`` with per-``q`` failure
+    capture.
 
     The engine behind :func:`busy_times` and the block-mode q-scan of
     :func:`repro.analysis.latency.analyze_latency`: one
-    :class:`_InterferenceModel` serves every ``q``, the Kleene iteration
-    advances all of them simultaneously (per-``q`` convergence masking,
-    one batched curve evaluation per interferer per sweep), and a
+    :class:`_InterferenceModel` serves every ``q``, each ``q``'s Kleene
+    iteration starts from the fixed point of ``q - 1`` when the block
+    has it (a sound lower bound, so only the step count changes), and a
     diverging ``q`` becomes a recorded :class:`BusyWindowDivergence`
-    instead of poisoning the batch.  Cache keys, warm-start seeds and
+    instead of poisoning the block.  Cache keys, warm-start seeds and
     the converged breakdowns are exactly those of the scalar
     :func:`busy_time` — the least fixed point is unique, and the final
     breakdown is evaluated through the scalar (type-preserving) path.
@@ -453,46 +441,43 @@ def _busy_times_block(
         return outcomes
 
     model = _InterferenceModel(system, target, include_overload)
-    starts = []
     for q in pending:
         base = q * target.total_wcet
         horizon = base if base > 0 else 1
         seed = None if seeds is None else seeds.get(q)
         if seed is not None and seed > horizon:
             horizon = seed
-        starts.append(
-            _warm_start_horizon(
-                cache, digest, target, q, include_overload, combination_cost,
-                horizon,
-            )
+        # B(q - 1) lower-bounds B(q): the sum is pointwise monotone in q.
+        below = outcomes.get(q - 1)
+        if isinstance(below, BusyTimeBreakdown) and below.total > horizon:
+            horizon = below.total
+        horizon = _warm_start_horizon(
+            cache, digest, target, q, include_overload, combination_cost, horizon
         )
-
-    def totals_many(indices, horizons):
-        return model.totals_many(
-            [pending[i] for i in indices], horizons, combination_cost
-        )
-
-    def totals_one(index, horizon):
-        return model.evaluate(pending[index], horizon, combination_cost).total
-
-    values, iterations, failures = solve_monotone_fixed_points(
-        starts,
-        totals_many,
-        totals_one,
-        max_window=MAX_WINDOW,
-        max_iterations=MAX_ITERATIONS,
-    )
-    for q, value, iters, failure in zip(pending, values, iterations, failures):
+        iterations = 0
+        failure = None
+        while True:
+            try:
+                total = model.total(q, horizon, combination_cost)
+            except OverflowError as exc:
+                # A curve refused a huge window: the fixed point is
+                # running away, which is a divergence, not a curve bug.
+                failure = str(exc)
+                break
+            iterations += 1
+            if total <= horizon:
+                break
+            if total > MAX_WINDOW:
+                failure = f"busy time exceeded {MAX_WINDOW:g} time units"
+                break
+            if iterations > MAX_ITERATIONS:
+                failure = f"no fixed point after {iterations} steps"
+                break
+            horizon = total
         if failure is not None:
-            if failure == "window":
-                message = f"busy time exceeded {MAX_WINDOW:g} time units"
-            elif failure == "iterations":
-                message = f"no fixed point after {iters} steps"
-            else:
-                message = failure[len("overflow: "):]
-            outcomes[q] = BusyWindowDivergence(target.name, q, message)
+            outcomes[q] = BusyWindowDivergence(target.name, q, failure)
             continue
-        final = model.evaluate(q, value, combination_cost)
+        final = model.evaluate(q, total, combination_cost)
         breakdown = BusyTimeBreakdown(
             q=final.q,
             base=final.base,
@@ -502,7 +487,7 @@ def _busy_times_block(
             deferred_sync=final.deferred_sync,
             combination=final.combination,
             total=final.total,
-            iterations=iters,
+            iterations=iterations,
         )
         if digest is not None:
             cache.store(

@@ -388,7 +388,7 @@ def search_combinations(
     three cases partition every cone.
 
     ``batch`` selects the driver.  The default (``None``) batches when
-    ``flagged`` exposes a ``many(signatures)`` hook (the multi-q TWCA
+    ``flagged`` exposes a ``many(signatures)`` hook (the TWCA
     verdict does): the lattice walk then runs as a wavefront of
     suspended node visits whose pending signature stream is decided in
     deduplicated blocks — one 2-D (signature x q) fixed-point sweep per

@@ -46,12 +46,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ilp import IntegerProgram, PackingEngine, PackingInstance, solve
 from ..ilp.branch_bound import solve_branch_bound
-from ..kernel import numpy_or_none, solve_monotone_fixed_points_2d
+from ..kernel import solve_monotone_fixed_points_2d
 from ..model import System, TaskChain
 from .busy_window import (
     _busy_times_block,
     _InterferenceModel,
-    busy_time,
     criterion_loads,
 )
 from .combinations import (
@@ -609,7 +608,6 @@ def _build_verdict(
     segments_by_chain: Dict[str, List[ActiveSegment]],
     *,
     exact_criterion: bool,
-    multi_q: bool = True,
 ) -> Callable[[CostSignature], bool]:
     """The memoized signature -> unschedulable predicate of Step 5.
 
@@ -630,20 +628,12 @@ def _build_verdict(
     category when an :class:`~repro.runner.cache.AnalysisCache` is
     installed.
 
-    ``multi_q`` selects the Def. 10 evaluator: the default advances the
-    Eq. (3) fixed points of *all* ``q`` simultaneously over one
-    interference structure (one batched curve evaluation per chain per
-    Kleene sweep); ``multi_q=False`` keeps the historic one-``q``-at-a-
-    time loop — one scalar ``busy_time`` evaluation per step — as the
-    differential reference for tests and the hot-path benchmark.  Both
-    return identical verdicts for every signature.
-
-    In multi-q mode the returned predicate additionally exposes
-    ``many(signatures)``: the same staged decision for a whole block of
-    signatures, with the undecided remainder advanced as one 2-D
-    (signature x q) masked Kleene iteration.  The pruned frontier
-    search batches its pending signature stream through it; memo and
-    cache entries stay identical to per-signature calls.
+    The returned predicate also exposes ``many(signatures)``: the same
+    staged decision for a whole block of signatures, with the undecided
+    remainder advanced as one 2-D (signature x q) masked Kleene
+    iteration.  A single signature is a block of one, so every exact
+    verdict comes from the one evaluator, and memo and cache entries are
+    identical however the signatures are grouped.
     """
     deadline = target.deadline
     # Within-window overload multiplicities for the fixed Eq. (5)
@@ -660,20 +650,10 @@ def _build_verdict(
 
     typical_fixed: Dict[int, float] = {}
 
-    def typical_fixed_point(q: int) -> float:
-        value = typical_fixed.get(q)
-        if value is None:
-            try:
-                value = busy_time(system, target, q, include_overload=False).total
-            except BusyWindowDivergence:
-                value = math.inf
-            typical_fixed[q] = value
-        return value
-
     def typical_fixed_points_all() -> Dict[int, float]:
         """Every typical fixed point of the q range, computed as one
         batched block on first use (same cache keys as the scalar
-        path)."""
+        ``busy_time``)."""
         if len(typical_fixed) < len(deltas):
             outcomes = _busy_times_block(
                 system, target, tuple(deltas), include_overload=False
@@ -695,83 +675,19 @@ def _build_verdict(
                 return True
         return False
 
-    # Process-local lazies of the multi-q evaluator: one typical
-    # interference structure serves every signature and every sweep.
+    # One typical interference structure serves every signature and
+    # every sweep (built lazily: most chains never reach Def. 10).
     typical_model: List[Optional[_InterferenceModel]] = [None]
-
-    def exact_unschedulable_multi_q(signature: CostSignature) -> bool:
-        """Def. 10 via the Eq. (3) fixed points of all ``q`` advanced
-        simultaneously: per-``q`` convergence masking, miss early-exit,
-        one batched curve evaluation per chain per sweep."""
-        typicals = typical_fixed_points_all()
-        qs = [q for q in deltas]
-        if any(math.isinf(typicals[q]) for q in qs):
-            return True  # typical part diverges: no fixed point
-        if typical_model[0] is None:
-            typical_model[0] = _InterferenceModel(
-                system, target, include_overload=False
-            )
-        model = typical_model[0]
-        np = numpy_or_none()
-        activations = [(system[name].activation, weight) for name, weight in signature]
-        horizons = [
-            max(typicals[q], q * target.total_wcet, 1.0) for q in qs
-        ]
-        sweeps = [0] * len(qs)
-        active = list(range(len(qs)))
-        while active:
-            probe = [horizons[i] for i in active]
-            typical_totals = model.totals_many([qs[i] for i in active], probe)
-            cost = 0.0
-            if np is None:
-                costs = [
-                    sum(
-                        weight * max(1, activation.eta_plus(horizon))
-                        for activation, weight in activations
-                    )
-                    for horizon in probe
-                ]
-                totals = [t + c for t, c in zip(typical_totals, costs)]
-            else:
-                for activation, weight in activations:
-                    cost = cost + weight * np.maximum(
-                        activation.eta_plus_many(probe), 1
-                    )
-                totals = typical_totals + cost
-            next_active = []
-            for i, total in zip(active, totals):
-                total = float(total)
-                q = qs[i]
-                if total <= horizons[i]:
-                    if total - deltas[q] > deadline:
-                        return True  # converged past the deadline; miss
-                    continue  # converged and schedulable for this q
-                if total - deltas[q] > deadline:
-                    return True  # already past the deadline; miss
-                sweeps[i] += 1
-                if sweeps[i] >= 10_000:
-                    return True  # no fixed point: treat as unschedulable
-                horizons[i] = total
-                next_active.append(i)
-            active = next_active
-        return False
 
     def exact_unschedulable_block(signatures: Sequence[CostSignature]) -> List[bool]:
         """Def. 10 for a whole *block* of signatures: every
         ``(signature, q)`` cell is one independent Eq. (3) fixed point,
         advanced together as a 2-D masked Kleene iteration
-        (:func:`~repro.kernel.solve_monotone_fixed_points_2d`).  Each
-        sweep evaluates every arrival curve exactly once over the
-        horizon vector of all still-active cells (the typical part
-        through ``_InterferenceModel.totals_many``, the combination
-        part through a per-signature weight gather over the union of
-        overloading chains — absent chains weigh ``0.0``, which adds
-        exactly nothing, so each cell's arithmetic is bit-identical to
-        the 1-D per-signature path).  A deadline miss at any cell
-        settles its whole signature row (the Def. 10 early exit).
-        Seeds, iteration budget and miss tests mirror the 1-D
-        evaluator, so verdicts — and the memo/cache entries derived
-        from them — are identical for every signature.
+        (:func:`~repro.kernel.solve_monotone_fixed_points_2d`).  A cell
+        starts from the typical fixed point of its ``q``; a deadline
+        miss at any cell settles its whole signature row (the Def. 10
+        early exit), and a cell without a fixed point within 10,000
+        steps counts as a miss.
         """
         if not signatures:
             return []
@@ -784,73 +700,25 @@ def _build_verdict(
                 system, target, include_overload=False
             )
         model = typical_model[0]
-        np = numpy_or_none()
         acts = [
             [(system[name].activation, weight) for name, weight in signature]
             for signature in signatures
         ]
         delta_by_col = [deltas[q] for q in qs]
-        if np is not None:
-            union = sorted({name for signature in signatures for name, _ in signature})
-            union_acts = [system[name].activation for name in union]
-            index = {name: ci for ci, name in enumerate(union)}
-            weights = np.zeros((len(signatures), len(union)), dtype=np.float64)
-            for r, signature in enumerate(signatures):
-                for name, weight in signature:
-                    weights[r, index[name]] = weight
-            q_by_col = np.asarray(qs, dtype=np.int64)
-            delta_arr = np.asarray(delta_by_col, dtype=np.float64)
-
-            def totals_many(rows, cols, horizons):
-                typical_totals = model.totals_many(q_by_col[cols], horizons)
-                cost = np.zeros(rows.size, dtype=np.float64)
-                for ci, activation in enumerate(union_acts):
-                    cell_weights = weights[rows, ci]
-                    # Evaluate each union curve only over the cells
-                    # whose signature actually weights it: a dropped
-                    # term is an exact ``+ 0.0 * eta``, so per-cell
-                    # arithmetic — and therefore every verdict — stays
-                    # bit-identical while the eta work matches the 1-D
-                    # per-signature path.
-                    mask = cell_weights != 0.0
-                    if not mask.any():
-                        continue
-                    if mask.all():
-                        cost += cell_weights * np.maximum(
-                            activation.eta_plus_many(horizons), 1
-                        )
-                    else:
-                        cost[mask] += cell_weights[mask] * np.maximum(
-                            activation.eta_plus_many(horizons[mask]), 1
-                        )
-                return typical_totals + cost
-
-            def stop_row(rows, cols, totals):
-                return totals - delta_arr[cols] > deadline
-
-        else:
-
-            def totals_many(cells, horizons):
-                typical_totals = model.totals_many(
-                    [qs[c] for _, c in cells], horizons
-                )
-                return [
-                    t
-                    + sum(
-                        weight * max(1, activation.eta_plus(horizon))
-                        for activation, weight in acts[r]
-                    )
-                    for t, (r, _), horizon in zip(typical_totals, cells, horizons)
-                ]
-
-            def stop_row(r, c, total):
-                return total - delta_by_col[c] > deadline
 
         def totals_one(r, c, horizon):
-            return model.evaluate(qs[c], horizon).total + sum(
+            return model.total(qs[c], horizon) + sum(
                 weight * max(1, activation.eta_plus(horizon))
                 for activation, weight in acts[r]
             )
+
+        def totals_many(cells, horizons):
+            return [
+                totals_one(r, c, horizon) for (r, c), horizon in zip(cells, horizons)
+            ]
+
+        def stop_row(r, c, total):
+            return total - delta_by_col[c] > deadline
 
         wcet = target.total_wcet
         row_seed = [max(typicals[q], q * wcet, 1.0) for q in qs]
@@ -862,7 +730,6 @@ def _build_verdict(
             max_window=math.inf,
             max_iterations=9_999,
             stop_row=stop_row,
-            cells_as_arrays=np is not None,
         )
         results: List[bool] = []
         for r in range(len(signatures)):
@@ -873,84 +740,26 @@ def _build_verdict(
             for failure in failures[r]:
                 if failure is not None:
                     if failure.startswith("overflow:"):
-                        # The 1-D evaluator propagates curve overflows;
-                        # keep the block path's behaviour identical.
                         raise OverflowError(failure[len("overflow: ") :])
                     value = True  # no fixed point: treat as unschedulable
             results.append(value)
         return results
-
-    def exact_unschedulable_scalar(signature: CostSignature) -> bool:
-        """The historic Def. 10 loop: one ``q`` at a time, one scalar
-        ``busy_time`` window evaluation per Kleene step.  Differential
-        reference of the multi-q path."""
-        for q in deltas:
-            typical_total = typical_fixed_point(q)
-            if math.isinf(typical_total):
-                return True  # typical part diverges: no fixed point
-            horizon = max(typical_total, q * target.total_wcet, 1.0)
-            for _ in range(10_000):
-                typical = busy_time(
-                    system, target, q, include_overload=False, window=horizon
-                ).total
-                cost = sum(
-                    weight * max(1, system[name].activation.eta_plus(horizon))
-                    for name, weight in signature
-                )
-                total = typical + cost
-                if total <= horizon:
-                    break
-                if total - deltas[q] > deadline:
-                    return True  # already past the deadline; miss
-                horizon = total
-            else:
-                return True  # no fixed point: treat as unschedulable
-            if total - deltas[q] > deadline:
-                return True
-        return False
-
-    exact_unschedulable = (
-        exact_unschedulable_multi_q if multi_q else exact_unschedulable_scalar
-    )
-
-    def exact_memoized(signature: CostSignature) -> bool:
-        cache = active_cache()
-        cache_key = None
-        if cache is not None:
-            digest = content_key(system)
-            if digest is not None:
-                cache_key = (digest, target.name, signature)
-                hit = cache.lookup("combo_exact", cache_key)
-                if hit is not None:
-                    return hit
-        value = exact_unschedulable(signature)
-        if cache_key is not None:
-            cache.store("combo_exact", cache_key, value)
-        return value
 
     memo: Dict[CostSignature, bool] = {}
 
     def verdict(signature: CostSignature) -> bool:
         value = memo.get(signature)
         if value is None:
-            if not eq5_flags(signature):
-                value = False
-            elif not exact_criterion:
-                value = True
-            else:
-                value = exact_memoized(signature)
-            memo[signature] = value
+            value = verdict_many([signature])[0]
         return value
 
     def verdict_many(signatures: Sequence[CostSignature]) -> List[bool]:
         """Batched :func:`verdict`: decide a whole block of signatures
         through one 2-D (signature x q) masked Kleene iteration.
 
-        Stages, memo entries and ``combo_exact`` cache interactions are
-        identical to calling ``verdict`` per signature — the Eq. (5)
-        pre-filter, the ``exact_criterion`` switch and the persistent
-        cache lookup run per signature first, and only the remaining
-        undecided signatures form the exact Def. 10 block.
+        The Eq. (5) pre-filter, the ``exact_criterion`` switch and the
+        persistent ``combo_exact`` lookup run per signature first; only
+        the remaining undecided signatures form the exact Def. 10 block.
         """
         cache = active_cache()
         digest = content_key(system) if cache is not None else None
@@ -982,18 +791,11 @@ def _build_verdict(
                 memo[signature] = value
         return [memo[signature] for signature in signatures]
 
-    # Unmemoized stage hooks for the differential tests and the
-    # hot-path benchmark (they bypass the Eq. (5) pre-filter and the
-    # signature memo on purpose).
-    verdict.exact_check = exact_unschedulable
+    verdict.many = verdict_many
+    # Unmemoized stage hooks for the differential tests (they bypass
+    # the Eq. (5) pre-filter and the signature memo on purpose).
     verdict.eq5_flags = eq5_flags
-    if multi_q:
-        # The batched entry points exist only in multi-q mode: the
-        # scalar-reference verdict stays the historic
-        # one-signature-at-a-time pipeline end to end (which also makes
-        # it the sequential-search reference in the differential tests).
-        verdict.many = verdict_many
-        verdict.exact_check_many = exact_unschedulable_block
+    verdict.exact_check_many = exact_unschedulable_block
     return verdict
 
 

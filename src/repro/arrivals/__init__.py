@@ -9,7 +9,7 @@ Public surface:
 * :class:`SporadicBurstModel` — bursty two-level sporadic
 * :class:`ArrivalCurve` — explicit staircase (trace-derived) curves
 * :class:`StaircaseKernel` — compiled breakpoint/value staircase behind
-  every model's ``eta_plus`` / ``eta_plus_many``
+  every model's ``eta_plus`` and batched ``delta_minus_many``
 * :mod:`repro.arrivals.algebra` — curve combinators and duality checks
 """
 

@@ -28,8 +28,17 @@ import math
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
-from ..kernel import numpy_or_none
+import numpy as np
+
 from .staircase import StaircaseKernel
+
+
+def require_finite(value: float, what: str) -> None:
+    """Reject a NaN or infinite model parameter at construction, before
+    it can be analyzed into a plausible-looking answer."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+
 
 #: Sentinel distinguishing "never compiled" from "compiled to None".
 _KERNEL_UNSET = object()
@@ -101,59 +110,31 @@ class EventModel(ABC):
             return kernel.eta_plus(dt)
         return self._eta_plus_search(dt)
 
-    def eta_plus_many(self, dts: Sequence[float]) -> Sequence[int]:
-        """Batched :meth:`eta_plus` over a vector of windows.
-
-        One vectorized ``searchsorted`` under the numpy kernel, a
-        scalar loop otherwise — bit-identical to calling
-        :meth:`eta_plus` per window either way.  Returns an ``int64``
-        ndarray (numpy kernel) or a list of ints.
-        """
-        kernel = self.staircase_kernel()
-        if kernel is not None:
-            return kernel.eta_plus_many(dts)
-        values = [self.eta_plus(dt) for dt in dts]
-        np = numpy_or_none()
-        if np is not None:
-            return np.asarray(values, dtype=np.int64)
-        return values
-
     def delta_minus_many(self, ks: Sequence[int]) -> Sequence[float]:
-        """Batched :meth:`delta_minus` over a vector of event counts.
+        """Batched :meth:`delta_minus` over a vector of event counts, as
+        a ``float64`` ndarray (the simulator's activation streams).
 
-        Kernel-authoritative: when the model has a compiled staircase
-        kernel both ``REPRO_KERNEL`` settings answer from it (the
-        python kernel loops ``StaircaseKernel.delta``, numpy mirrors
-        it with one gather), so batched activation streams are
-        bit-identical across kernels by construction.  Models without
-        a kernel loop :meth:`delta_minus` under both settings.
-        Returns a ``float64`` ndarray (numpy kernel) or a list.
+        Models with a compiled staircase answer from it with one gather
+        (:meth:`StaircaseKernel.delta_many`); the others loop
+        :meth:`delta_minus`.
         """
         kernel = self.staircase_kernel()
         if kernel is not None:
             return kernel.delta_many(ks)
-        values = [self.delta_minus(int(k)) for k in ks]
-        np = numpy_or_none()
-        if np is not None:
-            return np.asarray(values, dtype=np.float64)
-        return values
+        return np.asarray([self.delta_minus(int(k)) for k in ks], dtype=np.float64)
 
     def delta_plus_many(self, ks: Sequence[int]) -> Sequence[float]:
-        """Batched :meth:`delta_plus` (a scalar loop by default; models
-        with a closed form override it with vectorized arithmetic).
-        ``math.inf`` entries are preserved."""
-        values = [self.delta_plus(int(k)) for k in ks]
-        np = numpy_or_none()
-        if np is not None:
-            return np.asarray(values, dtype=np.float64)
-        return values
+        """Batched :meth:`delta_plus` as a ``float64`` ndarray (a scalar
+        loop by default; models with a closed form override it with
+        vectorized arithmetic).  ``math.inf`` entries are preserved."""
+        return np.asarray([self.delta_plus(int(k)) for k in ks], dtype=np.float64)
 
     def _eta_plus_search(self, dt: float) -> int:
         """The generic pseudo-inverse: exponential galloping followed by
         binary search over ``delta_minus`` — logarithmic in the answer,
         which matters for long windows.  Fallback for models without a
-        staircase kernel and the differential reference of the kernel
-        parity tests."""
+        staircase kernel and the differential reference of the
+        staircase parity tests."""
         lo, hi = 1, 2
         while self.delta_minus(hi) < dt:
             lo = hi

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .base import EventModel
+from .base import EventModel, require_finite
 from .staircase import StaircaseKernel
 
 
@@ -45,6 +45,8 @@ class ArrivalCurve(EventModel):
         delta_max_points: Optional[Sequence[float]] = None,
     ):
         points = list(delta_min_points)
+        for point in points:
+            require_finite(point, "delta_min_points entry")
         if len(points) < 2:
             raise ValueError("need at least delta_minus(0) and delta_minus(1)")
         if points[0] != 0 or points[1] != 0:
@@ -62,6 +64,7 @@ class ArrivalCurve(EventModel):
                     )
             else:
                 tail_distance = 0
+        require_finite(tail_distance, "tail_distance")
         if tail_distance < 0:
             raise ValueError("tail_distance must be non-negative")
         if tail_distance == 0 and len(points) > 2:
@@ -75,6 +78,8 @@ class ArrivalCurve(EventModel):
         self._max_points = None
         if delta_max_points is not None:
             maxima = list(delta_max_points)
+            for point in maxima:
+                require_finite(point, "delta_max_points entry")
             if len(maxima) < 2 or maxima[0] != 0 or maxima[1] != 0:
                 raise ValueError("delta_plus(0) and delta_plus(1) must be 0")
             for i in range(1, len(maxima)):

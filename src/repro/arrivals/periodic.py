@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..kernel import numpy_or_none
-from .base import EventModel
+import numpy as np
+
+from .base import EventModel, require_finite
 from .staircase import (
     COMPILE_LIMIT,
     StaircaseKernel,
@@ -34,6 +35,9 @@ class PeriodicModel(EventModel):
     def __init__(
         self, period: float, jitter: float = 0.0, min_distance: float = 0.0
     ):
+        require_finite(period, "period")
+        require_finite(jitter, "jitter")
+        require_finite(min_distance, "min_distance")
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         if jitter < 0:
@@ -67,9 +71,6 @@ class PeriodicModel(EventModel):
         return (k - 1) * self.period + self.jitter
 
     def delta_plus_many(self, ks):
-        np = numpy_or_none()
-        if np is None:
-            return [self.delta_plus(int(k)) for k in ks]
         arr = np.asarray(ks, dtype=np.int64)
         # Same closed form and operation order as delta_plus, evaluated
         # elementwise, so the values are bit-identical to the scalar

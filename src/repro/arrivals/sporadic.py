@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .base import EventModel
+from .base import EventModel, require_finite
 from .staircase import StaircaseKernel, prefix_points
 
 
@@ -19,6 +19,7 @@ class SporadicModel(EventModel):
     """
 
     def __init__(self, min_distance: float):
+        require_finite(min_distance, "min_distance")
         if min_distance <= 0:
             raise ValueError(f"min_distance must be positive, got {min_distance}")
         self.min_distance = min_distance
@@ -74,6 +75,9 @@ class SporadicBurstModel(EventModel):
     """
 
     def __init__(self, inner_distance: float, burst: int, outer_distance: float):
+        require_finite(inner_distance, "inner_distance")
+        require_finite(burst, "burst")
+        require_finite(outer_distance, "outer_distance")
         if inner_distance <= 0:
             raise ValueError("inner_distance must be positive")
         if burst < 1:

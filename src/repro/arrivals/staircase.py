@@ -10,12 +10,10 @@ prefix ``delta_minus(0..L-1)`` followed by a repeating tail that adds
 
 :class:`StaircaseKernel` stores exactly that pair of arrays and answers
 ``eta_plus`` — the pseudo-inverse ``max {k : delta_minus(k) < dt}`` —
-either for one window (:meth:`eta_plus`, a ``bisect`` over the prefix
-plus tail arithmetic, memoized) or for a whole vector of windows
-(:meth:`eta_plus_many`, a single ``numpy.searchsorted`` under the numpy
-kernel).  Both paths run the identical float64 arithmetic and finish
-with an exact fix-up against :meth:`delta`, so scalar and batched
-answers are bit-identical under either ``REPRO_KERNEL`` setting.
+per window (:meth:`eta_plus`, a ``bisect`` over the prefix plus tail
+arithmetic with an exact fix-up against :meth:`delta`, memoized).
+:meth:`delta_many` materializes the staircase over a whole vector of
+event counts with numpy, for the simulator's activation streams.
 
 The kernel is closed under the curve algebra: :meth:`scaled` stretches
 time, :func:`merge_tightest` builds the compiled form of the pointwise
@@ -29,7 +27,7 @@ import bisect
 import math
 from typing import List, Optional, Sequence
 
-from ..kernel import numpy_or_none
+import numpy as np
 
 #: Entry bound of the per-kernel scalar ``eta_plus`` memo table;
 #: reaching it clears the table (analyses probe a bounded set of
@@ -116,17 +114,11 @@ class StaircaseKernel:
     def delta_many(self, ks: Sequence[int]) -> Sequence[float]:
         """``delta`` over a whole vector of event counts.
 
-        Under the numpy kernel this is one gather over the breakpoint
-        array plus vectorized tail arithmetic — the identical float64
-        operations as :meth:`delta`, so batched activation streams are
-        bit-identical to generating them one event at a time.  Under
-        the pure-Python kernel it loops the scalar path (the
-        differential reference).  Returns a ``float64`` ndarray
-        (numpy) or a list (python).
+        One gather over the breakpoint array plus vectorized tail
+        arithmetic — the identical float64 operations as :meth:`delta`,
+        so batched activation streams are bit-identical to generating
+        them one event at a time.  Returns a ``float64`` ndarray.
         """
-        np = numpy_or_none()
-        if np is None:
-            return [self.delta(int(k)) for k in ks]
         arr = np.asarray(ks, dtype=np.int64)
         if arr.size and int(arr.min()) < 0:
             raise ValueError("k must be non-negative")
@@ -153,7 +145,7 @@ class StaircaseKernel:
         return self.tail_events / self.tail_span
 
     # ------------------------------------------------------------------
-    # eta_plus: scalar path
+    # eta_plus
     # ------------------------------------------------------------------
     def eta_plus(self, dt: float) -> int:
         """``max {k : delta_minus(k) < dt}`` for one window ``dt``.
@@ -205,63 +197,6 @@ class StaircaseKernel:
         if k > self.max_events:
             raise OverflowError(self._too_dense(dt))
         return k
-
-    # ------------------------------------------------------------------
-    # eta_plus: batched path
-    # ------------------------------------------------------------------
-    def eta_plus_many(self, dts: Sequence[float]) -> Sequence[int]:
-        """``eta_plus`` over a whole vector of windows.
-
-        Under the numpy kernel this is one ``searchsorted`` over the
-        breakpoint array plus vectorized tail arithmetic — the same
-        float64 operations as the scalar path, so the answers are
-        bit-identical to calling :meth:`eta_plus` per window.  Under the
-        pure-Python kernel it loops the scalar path.  The result is an
-        ``int64`` ndarray (numpy) or a list of ints (python).
-        """
-        np = numpy_or_none()
-        if np is None:
-            return [self.eta_plus(dt) for dt in dts]
-        arr = np.asarray(dts, dtype=np.float64)
-        if np.isinf(arr).any():
-            raise OverflowError("eta_plus(inf) is unbounded for this staircase")
-        if self._np_breaks is None:
-            self._np_breaks = np.asarray(self.breaks, dtype=np.float64)
-        breaks = self._np_breaks
-        last = float(breaks[-1])
-        out = np.zeros(arr.shape, dtype=np.int64)
-        prefix = (arr > 0) & (arr <= last)
-        if prefix.any():
-            out[prefix] = np.searchsorted(breaks, arr[prefix], side="left") - 1
-        beyond = arr > last
-        if beyond.any():
-            s = self.tail_span
-            if s <= 0:
-                raise OverflowError(self._too_dense(float(arr[beyond][0])))
-            e = self.tail_events
-            length = len(self.breaks)
-            d = arr[beyond]
-            cycles = np.ceil((d - last) / s)
-            while True:
-                high = (cycles > 1) & (last + (cycles - 1) * s >= d)
-                if not high.any():
-                    break
-                cycles[high] -= 1
-            while True:
-                low = last + cycles * s < d
-                if not low.any():
-                    break
-                cycles[low] += 1
-            k = (length - 1) + (cycles - 1) * e
-            tail_values = breaks[length - e :]
-            k = k + (tail_values[None, :] + cycles[:, None] * s < d[:, None]).sum(
-                axis=1
-            )
-            if (k > self.max_events).any():
-                index = int(np.argmax(k > self.max_events))
-                raise OverflowError(self._too_dense(float(d[index])))
-            out[beyond] = k.astype(np.int64)
-        return out
 
     def _too_dense(self, dt: float) -> str:
         return (

@@ -5,13 +5,11 @@ independent tasks with arrival curves.  Needed here as the foundation of
 the independent-task TWCA baseline and as a sanity oracle for single-task
 chains (for a chain of one task, Theorem 1 degenerates to this).
 
-The multi-event scan of :func:`analyze_response_time` shares the numeric
-kernel of the chain analysis: the whole ``q`` block advances as one
-masked Kleene iteration (:func:`repro.kernel.solve_monotone_fixed_points`)
-with each interferer's curve evaluated through the batched
-``eta_plus_many`` staircase kernel, replacing the historic copy of the
-one-``q``-at-a-time fixed-point loop.  :func:`busy_time` remains the
-scalar reference; both produce bit-identical busy times.
+The multi-event scan of :func:`analyze_response_time` advances whole
+``q`` blocks as one masked Kleene iteration
+(:func:`repro.kernel.solve_monotone_fixed_points`); :func:`busy_time`
+remains the one-``q``-at-a-time reference, and both produce
+bit-identical busy times.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..arrivals import EventModel
-from ..kernel import numpy_or_none, solve_monotone_fixed_points
+from ..kernel import solve_monotone_fixed_points
 
 #: Iteration / queue-depth guards (mirroring repro.analysis.busy_window).
 MAX_WINDOW = 10.0**12
@@ -80,33 +78,6 @@ def _demand(
     )
 
 
-def _demands_many(
-    higher: Sequence[AnalyzedTask],
-    target: AnalyzedTask,
-    qs: Sequence[int],
-    horizons: Sequence[float],
-    extra_load: float,
-) -> Sequence[float]:
-    """The demand of many ``(q, horizon)`` pairs at once, accumulated in
-    the order of :func:`_demand` — value-identical either way."""
-    np = numpy_or_none()
-    if np is None:
-        return [
-            _demand(higher, target, q, horizon, extra_load)
-            for q, horizon in zip(qs, horizons)
-        ]
-    h_arr = np.asarray(horizons, dtype=np.float64)
-    total = np.asarray(qs, dtype=np.int64) * float(target.wcet)
-    if extra_load:
-        total = total + extra_load
-    interference = 0.0
-    for t in higher:
-        interference = interference + t.activation.eta_plus_many(h_arr) * float(
-            t.wcet
-        )
-    return total + interference
-
-
 def busy_time(
     tasks: Sequence[AnalyzedTask],
     target: AnalyzedTask,
@@ -140,8 +111,8 @@ def analyze_response_time(
     """Multi-event busy-window WCRT analysis (Lehoczky / CPA style).
 
     Bit-identical to iterating :func:`busy_time` per ``q`` (the least
-    fixed point is unique), but whole ``q`` blocks advance together
-    through one batched curve evaluation per interferer per sweep.
+    fixed point is unique), but whole ``q`` blocks advance together as
+    one masked Kleene iteration.
     """
     higher = _higher_priority(tasks, target)
     busy: List[float] = []
@@ -157,9 +128,9 @@ def analyze_response_time(
         seeds = [max(qq * target.wcet, 1.0) for qq in qs]
         values, _, failures = solve_monotone_fixed_points(
             seeds,
-            lambda idx, hs: _demands_many(
-                higher, target, [qs[i] for i in idx], hs, 0.0
-            ),
+            lambda idx, hs: [
+                _demand(higher, target, qs[i], h, 0.0) for i, h in zip(idx, hs)
+            ],
             lambda i, h: _demand(higher, target, qs[i], h, 0.0),
             max_window=MAX_WINDOW,
             max_iterations=100_000,

@@ -27,15 +27,15 @@ Subcommands::
         --serial (and to `repro batch --json`).
     repro corpus {generate,verify}
         Seeded benchmark corpora: generate a reproducible population
-        of systems (same seed, same manifest digest — on any host,
-        under either kernel) or re-verify one against its manifest.
+        of systems (same seed, same manifest digest — on any host)
+        or re-verify one against its manifest.
     repro cache DIR [--prune-older-than AGE]
         Report (and optionally prune by age) a persistent analysis
         cache directory, per category.
 
     Every analyzing subcommand (analyze, experiment, batch, report,
     serve) accepts one shared block of analysis options — --backend,
-    --kernel, --cache-dir, --no-cache, --exhaustive — wired through
+    --cache-dir, --no-cache, --exhaustive — wired through
     :func:`add_analysis_options` into one
     :class:`~repro.service.AnalysisOptions`.  ``analyze`` and ``batch``
     are clients of the same :class:`~repro.service.AnalysisService`
@@ -56,7 +56,6 @@ import urllib.error
 from typing import Any, Dict, List, Optional
 
 from .ilp import BACKENDS, DEFAULT_BACKEND
-from .kernel import KernelUnavailable, kernel_name, set_kernel
 from .model.serialization import load_system_file
 from .report.histogram import figure5_panel
 from .report.tables import (
@@ -90,22 +89,13 @@ from .synth.corpus import CorpusError, CorpusManifest, CorpusSpec, generate_corp
 
 def add_analysis_options(parser: argparse.ArgumentParser) -> None:
     """The shared analysis knobs of every analyzing subcommand — one
-    block instead of five copy-pasted ``add_argument`` calls."""
+    block instead of four copy-pasted ``add_argument`` calls."""
     group = parser.add_argument_group("analysis options")
     group.add_argument(
         "--backend",
         default=DEFAULT_BACKEND,
         choices=sorted(BACKENDS),
         help="ILP backend for the Theorem 3 packing engine",
-    )
-    group.add_argument(
-        "--kernel",
-        default=None,
-        choices=("auto", "numpy", "python"),
-        help="numeric kernel for curves, fixed points and the "
-        "simplex tableau (default: REPRO_KERNEL, else auto = "
-        "numpy when available); results are byte-identical "
-        "either way",
     )
     group.add_argument(
         "--cache-dir",
@@ -133,7 +123,6 @@ def analysis_options(args: argparse.Namespace) -> AnalysisOptions:
     """The :class:`AnalysisOptions` carried by the shared flag block."""
     return AnalysisOptions(
         backend=args.backend,
-        kernel=args.kernel,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         exhaustive=args.exhaustive,
@@ -180,7 +169,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             ks=tuple(args.k) if args.k else DEFAULT_KS,
             backend=options.backend,
             enumeration=options.enumeration,
-            kernel=options.kernel,
             use_cache=options.use_cache,
         )
         payload = _service_client(args).analyze(request)
@@ -285,7 +273,7 @@ def _batch_stderr_report(batch, timings: bool) -> None:
     )
     print(
         f"{len(batch)} jobs in {batch.wall_time:.2f}s with "
-        f"{batch.workers} worker(s), kernel {kernel_name()}, "
+        f"{batch.workers} worker(s), "
         f"cache hit rate {batch.cache_hit_rate:.0%}"
         + (f" [{merged}]" if merged else ""),
         file=sys.stderr,
@@ -308,7 +296,6 @@ def _batch_requests(
         ks=tuple(args.k) if args.k else DEFAULT_KS,
         backend=options.backend,
         enumeration=options.enumeration,
-        kernel=options.kernel,
         use_cache=options.use_cache,
     )
     chains = args.chain or [None]
@@ -725,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--timings",
         action="store_true",
-        help="include timing/cache/kernel fields in the JSON (no "
+        help="include timing/cache/packing fields in the JSON (no "
         "longer worker-count invariant)",
     )
     batch.add_argument("--output", help="write the JSON to a file")
@@ -957,12 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernel", None) is not None:
-        try:
-            set_kernel(args.kernel)
-        except KernelUnavailable as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except ServiceError as exc:

@@ -14,8 +14,8 @@ as its tasks complete.  Semantics mirror :mod:`repro.sim.engine`:
 Used to validate the distributed analysis empirically — leg and
 end-to-end latencies must stay below the converged bounds.
 
-Under the numpy kernel the run is fast-forwarded with the same
-event-calendar classification as :mod:`repro.sim.calendar`: the
+Every run is fast-forwarded with the same numpy event-calendar
+classification as :mod:`repro.sim.calendar`: the
 serialized busy-finish prefix scan remains a sound bound here because
 the multi-resource loop is globally work-conserving (whenever work is
 pending, the earliest unfinished instance of some chain has a ready
@@ -24,7 +24,9 @@ job, so at least one resource is busy and total work drains at rate
 alone across all resources, so their task finishes are the plain
 sequential float sums the scalar loop would compute; contended
 stretches replay through the identical scalar loop seeded with the
-per-task FIFO counters.  Results are bit-identical across kernels.
+per-task FIFO counters.  Results are bit-identical to running the
+scalar loop (:meth:`DistributedSimulator._event_loop`) over the whole
+horizon, which is the oracle of the calendar tests.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..kernel import numpy_or_none
+import numpy as np
+
 from .model import DistributedChain, DistributedSystem
 
 
@@ -147,16 +150,12 @@ class DistributedSimulator:
             releases.extend((t, chain, i) for i, t in enumerate(times))
         releases.sort(key=lambda item: item[0])
 
-        np = numpy_or_none()
-        if np is not None and releases:
-            self._run_calendar(np, records, releases)
-        else:
-            self._event_loop(releases, records, {})
+        if releases:
+            self._run_calendar(records, releases)
         return DistributedSimulationResult(self.system, horizon, records)
 
     def _run_calendar(
         self,
-        np,
         records: Dict[str, List[DistributedInstanceRecord]],
         releases: List[Tuple[float, DistributedChain, int]],
     ) -> None:
@@ -354,7 +353,7 @@ def worst_case_distributed_activations(
 ) -> Dict[str, List[float]]:
     """Critical-instant streams for every chain of a distributed
     system, generated through the batched stream builder (one array op
-    per chain under the numpy kernel)."""
+    per chain)."""
     from ..sim.activations import worst_case_stream
 
     return {

@@ -11,14 +11,8 @@ produced by Theorem 3 (tens of variables / rows), not for scale:
 Problem shape: ``maximize c . x  subject to  A x <= b,  x >= 0``.
 Variable upper bounds must be encoded as explicit rows by the caller.
 
-The tableau itself is kernel-switched (see :mod:`repro.kernel`): under
-the numpy kernel it is one dense ``float64`` ndarray and every pivot row
-update, reduced-cost accumulation and basis-inverse product is a single
-vectorized expression; under the pure-Python kernel it is the historic
-list-of-lists reference.  The two backends run the identical
-elementwise float64 arithmetic and all pivot *selection* (Bland's rule,
-the ratio tests) runs on identical Python floats, so pivot sequences —
-and therefore results — are bit-identical.
+The tableau is a list of Python float rows: at these sizes the
+per-call overhead of array libraries costs more than the row updates.
 
 Besides the one-shot :func:`solve_lp`, the module offers
 :class:`IncrementalLp`: a persistent tableau for *rhs-only* re-solves of
@@ -36,8 +30,6 @@ from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence, Tuple
-
-from ..kernel import numpy_or_none
 
 #: Numerical tolerance for pivoting / optimality tests.
 EPSILON = 1e-9
@@ -71,14 +63,7 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Standard-form dense tableau with the shared pivot machinery.
-
-    Storage is selected at construction from the active kernel: a
-    ``float64`` ndarray (vectorized row operations) or a list of lists
-    (the pure-Python reference).  Rows are materialized as Python float
-    lists for the selection loops either way, which is what keeps the
-    two backends' pivot sequences bit-identical.
-    """
+    """Standard-form dense tableau with the shared pivot machinery."""
 
     def __init__(
         self,
@@ -90,7 +75,7 @@ class _Tableau:
         self.num_rows = len(rows)
         self.objective = objective
         total = self.num_vars + self.num_rows
-        built: List[List[float]] = []
+        self.rows: List[List[float]] = []
         self.basis: List[int] = []
         self.artificial_cols: List[int] = []
         self.pivots = 0
@@ -101,98 +86,59 @@ class _Tableau:
             row[-1] = float(rhs[i])
             if row[-1] < 0:
                 row = [-v for v in row]
-            built.append(row)
+            self.rows.append(row)
 
         # Decide the starting basis: slack when its coefficient stayed
         # +1, otherwise an artificial column appended on the fly.
         for i in range(self.num_rows):
-            if built[i][self.num_vars + i] == 1.0:
+            if self.rows[i][self.num_vars + i] == 1.0:
                 self.basis.append(self.num_vars + i)
             else:
                 column = total + len(self.artificial_cols)
                 self.artificial_cols.append(column)
-                for j, row in enumerate(built):
+                for j, row in enumerate(self.rows):
                     row.insert(-1, 1.0 if j == i else 0.0)
                 self.basis.append(column)
         self.width = total + len(self.artificial_cols)
 
-        self._np = numpy_or_none()
-        if self._np is None:
-            self.rows: Optional[List[List[float]]] = built
-            self._matrix = None
-        else:
-            self.rows = None
-            # The explicit reshape keeps zero-row programs 2-D.
-            self._matrix = self._np.array(built, dtype=self._np.float64).reshape(
-                self.num_rows, self.width + 1
-            )
-
     # ------------------------------------------------------------------
-    # Storage accessors (Python floats for the selection loops)
+    # Column views for the selection loops
     # ------------------------------------------------------------------
-    def _row_values(self, i: int) -> List[float]:
-        if self._matrix is None:
-            return self.rows[i]
-        return self._matrix[i].tolist()
-
     def _column_values(self, k: int) -> List[float]:
-        if self._matrix is None:
-            return [row[k] for row in self.rows]
-        return self._matrix[:, k].tolist()
+        return [row[k] for row in self.rows]
 
     def _rhs_values(self) -> List[float]:
-        if self._matrix is None:
-            return [row[-1] for row in self.rows]
-        return self._matrix[:, -1].tolist()
+        return [row[-1] for row in self.rows]
 
     # ------------------------------------------------------------------
     # Row operations
     # ------------------------------------------------------------------
     def pivot(self, row_index: int, col_index: int) -> None:
         self.pivots += 1
-        if self._matrix is None:
-            pivot_row = self.rows[row_index]
-            factor = pivot_row[col_index]
-            for k in range(len(pivot_row)):
-                pivot_row[k] /= factor
-            for j, row in enumerate(self.rows):
-                if j == row_index:
-                    continue
-                coeff = row[col_index]
-                if abs(coeff) > EPSILON:
-                    for k in range(len(row)):
-                        row[k] -= coeff * pivot_row[k]
-        else:
-            np = self._np
-            matrix = self._matrix
-            matrix[row_index] /= matrix[row_index, col_index]
-            column = matrix[:, col_index].copy()
-            mask = np.abs(column) > EPSILON
-            mask[row_index] = False
-            if mask.any():
-                matrix[mask] -= column[mask, None] * matrix[row_index]
+        pivot_row = self.rows[row_index]
+        factor = pivot_row[col_index]
+        for k in range(len(pivot_row)):
+            pivot_row[k] /= factor
+        for j, row in enumerate(self.rows):
+            if j == row_index:
+                continue
+            coeff = row[col_index]
+            if abs(coeff) > EPSILON:
+                for k in range(len(row)):
+                    row[k] -= coeff * pivot_row[k]
         self.basis[row_index] = col_index
 
     def reduced_costs(self, costs: Sequence[float]) -> List[float]:
         """Reduced cost per column for a *minimization* objective."""
-        if self._matrix is None:
-            rc = list(costs)
-            for i, b_col in enumerate(self.basis):
-                cb = costs[b_col]
-                if cb == 0.0:
-                    continue
-                row = self.rows[i]
-                for k in range(self.width):
-                    rc[k] -= cb * row[k]
-            return rc
-        np = self._np
-        rc = np.array(costs, dtype=np.float64)
+        rc = list(costs)
         for i, b_col in enumerate(self.basis):
             cb = costs[b_col]
             if cb == 0.0:
                 continue
-            rc -= cb * self._matrix[i, : self.width]
-        return rc.tolist()
+            row = self.rows[i]
+            for k in range(self.width):
+                rc[k] -= cb * row[k]
+        return rc
 
     def install_rhs(self, rhs: Sequence[float]) -> None:
         """Re-solve preparation for an rhs-only change: the slack
@@ -200,21 +146,13 @@ class _Tableau:
         are one matrix-vector product away.  Only valid when the
         tableau was built without row negations or artificials."""
         offset = self.num_vars
-        if self._matrix is None:
-            for row in self.rows:
-                total = 0.0
-                for j in range(self.num_rows):
-                    coeff = row[offset + j]
-                    if coeff != 0.0:
-                        total += coeff * float(rhs[j])
-                row[-1] = total
-            return
-        np = self._np
-        matrix = self._matrix
-        total = np.zeros(self.num_rows, dtype=np.float64)
-        for j in range(self.num_rows):
-            total += matrix[:, offset + j] * float(rhs[j])
-        matrix[:, -1] = total
+        for row in self.rows:
+            total = 0.0
+            for j in range(self.num_rows):
+                coeff = row[offset + j]
+                if coeff != 0.0:
+                    total += coeff * float(rhs[j])
+            row[-1] = total
 
     # ------------------------------------------------------------------
     # Phases
@@ -276,7 +214,7 @@ class _Tableau:
             rc = self.reduced_costs(costs)
             entering = -1
             best_ratio = math.inf
-            leaving_row = self._row_values(leaving)
+            leaving_row = self.rows[leaving]
             for k in range(self.width):
                 if k in self.basis:
                     continue
@@ -333,7 +271,7 @@ def _two_phase(tableau: _Tableau) -> SimplexResult:
         # Pivot any artificial still in the basis out (degenerate rows).
         for i in range(tableau.num_rows):
             if tableau.basis[i] in art_set:
-                row = tableau._row_values(i)
+                row = tableau.rows[i]
                 for k in range(tableau.num_vars + tableau.num_rows):
                     if abs(row[k]) > EPSILON and k not in tableau.basis:
                         tableau.pivot(i, k)
@@ -443,8 +381,7 @@ class IncrementalLp:
         ``objective``/``rows``/``rhs``, never on the drifting tableau.
         When every check passes, weak duality brackets the true optimum
         inside ``[c . x, b . y]``, so the answer is right no matter how
-        degraded the factorization is.  Pure-Python arithmetic on
-        purpose: both kernels must reach bit-identical verdicts.
+        degraded the factorization is.
         """
         values = result.values
         tol = CERTIFICATE_TOL * (1.0 + abs(result.objective))
@@ -505,82 +442,7 @@ class IncrementalLp:
         return self._cold(rhs)
 
     def solve_many(self, rhs_list: Sequence[Sequence[float]]) -> List[SimplexResult]:
-        """Maximize against many capacity vectors as one batch.
-
-        The answers equal ``[self.solve(rhs) for rhs in rhs_list]`` —
-        same statuses and optima — but under the numpy kernel the warm
-        tableau serves every rhs whose basis needs no repair in one
-        sweep: ``B^-1 . RHS`` is computed for all columns at once
-        (accumulated slack column by slack column, exactly the
-        :meth:`_Tableau.install_rhs` order, so each basic-value vector
-        is bit-identical to a per-rhs install), dual feasibility of the
-        retained basis is certified once, and every column that lands
-        primal feasible is extracted directly with zero pivots — the
-        same optimality certificate the scalar warm path checks.  Only
-        columns that actually need dual-simplex repair (or any doubt at
-        all: no retained tableau, python kernel, lost dual
-        feasibility, a failed :meth:`_certified` proof) fall back to
-        :meth:`solve` one by one, in order — and the first certificate
-        failure's cold fallback rebuilds the factorization for the
-        columns after it.
-
-        This is what lets branch-and-bound resolve a whole frontier of
-        open-node relaxations sharing one basis per sweep.
-        """
-        rhs_list = [list(rhs) for rhs in rhs_list]
-        for rhs in rhs_list:
-            if len(rhs) != len(self.rows):
-                raise ValueError("rows / rhs length mismatch")
-        tableau = self._tableau
-        if (
-            len(rhs_list) <= 1
-            or not self.objective
-            or tableau is None
-            or tableau._matrix is None
-        ):
-            return [self.solve(rhs) for rhs in rhs_list]
-        np = tableau._np
-        costs = tableau.phase2_costs()
-        reduced = tableau.reduced_costs(costs)
-        basis_set = set(tableau.basis)
-        dual_ok = all(
-            k in basis_set or reduced[k] >= -EPSILON for k in range(tableau.width)
-        )
-        if not dual_ok:
-            # The retained basis lost dual feasibility to roundoff; the
-            # scalar path re-derives everything cold, so do the same.
-            return [self.solve(rhs) for rhs in rhs_list]
-        matrix = tableau._matrix
-        offset = tableau.num_vars
-        basic = np.zeros((tableau.num_rows, len(rhs_list)), dtype=np.float64)
-        for j in range(tableau.num_rows):
-            column_rhs = np.array(
-                [float(rhs[j]) for rhs in rhs_list], dtype=np.float64
-            )
-            basic += matrix[:, offset + j, None] * column_rhs[None, :]
-        feasible = (basic >= -EPSILON).all(axis=0)
-        # Pre-extract every already-feasible column under the current
-        # (untouched) basis; repairs for the rest may pivot the tableau
-        # afterwards without invalidating these certificates.
-        duals = [float(reduced[offset + j]) for j in range(tableau.num_rows)]
-        answers: dict = {}
-        for k in range(len(rhs_list)):
-            if not feasible[k]:
-                continue
-            column = basic[:, k].tolist()
-            values = [0.0] * tableau.num_vars
-            for i, col in enumerate(tableau.basis):
-                if col < tableau.num_vars:
-                    values[col] = column[i]
-            objective_value = sum(c * v for c, v in zip(tableau.objective, values))
-            result = SimplexResult(
-                "optimal", objective_value, tuple(values), tableau.pivots
-            )
-            if not self._certified(result, rhs_list[k], duals):
-                continue
-            answers[k] = result
-            self.warm_solves += 1
-        return [
-            answers[k] if k in answers else self.solve(rhs_list[k])
-            for k in range(len(rhs_list))
-        ]
+        """Maximize against many capacity vectors, in order — exactly
+        ``[self.solve(rhs) for rhs in rhs_list]``.  Branch-and-bound
+        resolves a whole frontier of open-node relaxations through it."""
+        return [self.solve(rhs) for rhs in rhs_list]

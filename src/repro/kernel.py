@@ -1,128 +1,33 @@
-"""Numeric kernel selection and shared array utilities.
+"""Numeric paths of the library and the shared Kleene solvers.
 
-The hot numeric loops of the library — staircase-curve evaluation
-(:mod:`repro.arrivals.staircase`), the batched Theorem 1 Kleene
-iterations (:mod:`repro.analysis.busy_window`) and the dense simplex
-tableau (:mod:`repro.ilp.simplex`) — each have two interchangeable
-implementations: a vectorized numpy one and a pure-Python reference.
-This module owns the switch between them.
+Each layer has one fixed numeric path, picked by end-to-end
+measurement: the analysis (arrival curves, the Theorem 1 fixed points,
+the Def. 10 check and the Theorem 3 packing ILP) runs in pure Python,
+whose per-call cost beats numpy on the small vectors these analyses
+evaluate; the simulator's event calendar (:mod:`repro.sim.calendar`)
+runs on numpy, which pays off at soak scale.  :func:`kernel_name`
+names that combination for environment reports.
 
-Selection is process-wide and resolved once, from the ``REPRO_KERNEL``
-environment variable:
-
-* ``auto`` (default, also the empty string): numpy when importable,
-  pure Python otherwise;
-* ``numpy``: force the vectorized kernel; raises
-  :class:`KernelUnavailable` when numpy is not installed;
-* ``python``: force the pure-Python reference even when numpy is
-  available (the differential baseline of the kernel-parity tests).
-
-:func:`set_kernel` (surfaced as ``--kernel`` on the analyzing CLI
-subcommands) writes the choice back into ``os.environ`` so that batch
-worker processes inherit it; both kernels are bit-identical by design,
-so the switch never changes results, only wall-clock time.
+The masked Kleene solvers below advance many independent monotone
+fixed points as one batch: the 2-D one behind the Def. 10 check, the
+1-D one behind the response-time baseline.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    _numpy = None
-
-#: Whether numpy is importable in this process (independent of the
-#: selected kernel).
-HAVE_NUMPY = _numpy is not None
-
-#: The two concrete kernels (``auto`` resolves to one of these).
-KERNELS: Tuple[str, ...] = ("numpy", "python")
-
-_ENV_VAR = "REPRO_KERNEL"
-
-_active: Optional[str] = None
-
-
-class KernelUnavailable(RuntimeError):
-    """A kernel was requested that this interpreter cannot provide."""
-
-
-def _resolve(name: Optional[str]) -> str:
-    raw = ("auto" if name is None else str(name)).strip().lower()
-    if raw in ("", "auto"):
-        return "numpy" if HAVE_NUMPY else "python"
-    if raw not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {('auto',) + KERNELS}"
-        )
-    if raw == "numpy" and not HAVE_NUMPY:
-        raise KernelUnavailable(
-            "REPRO_KERNEL=numpy requested but numpy is not importable; "
-            "install the 'speed' extra or use --kernel python"
-        )
-    return raw
+#: The numeric paths of this build (see the module docstring).
+KERNEL = "python-analysis+numpy-sim"
 
 
 def kernel_name() -> str:
-    """The active kernel (``"numpy"`` or ``"python"``), resolved from
-    ``REPRO_KERNEL`` on first use."""
-    global _active
-    if _active is None:
-        _active = _resolve(os.environ.get(_ENV_VAR))
-    return _active
-
-
-def numpy_or_none():
-    """The numpy module when the numpy kernel is active, else ``None``.
-
-    The idiom of every dual-implementation site::
-
-        np = numpy_or_none()
-        if np is None:
-            ... pure-Python reference ...
-        ... vectorized path ...
-    """
-    return _numpy if kernel_name() == "numpy" else None
-
-
-def set_kernel(name: Optional[str]) -> str:
-    """Select the kernel for this process and its future workers.
-
-    ``name`` is ``"auto"``/``None``, ``"numpy"`` or ``"python"``.  The
-    request is validated eagerly (``"numpy"`` without numpy raises
-    :class:`KernelUnavailable`), installed process-wide, and mirrored
-    into ``os.environ[REPRO_KERNEL]`` so that spawned batch workers
-    resolve the identical choice.  Returns the resolved kernel name.
-    """
-    global _active
-    resolved = _resolve(name)
-    _active = resolved
-    os.environ[_ENV_VAR] = resolved
-    return resolved
-
-
-@contextmanager
-def using_kernel(name: Optional[str]) -> Iterator[str]:
-    """Context manager: select ``name`` for the duration of the block,
-    restoring the previous selection (and environment) afterwards."""
-    global _active
-    previous_active = _active
-    previous_env = os.environ.get(_ENV_VAR)
-    try:
-        yield set_kernel(name)
-    finally:
-        _active = previous_active
-        if previous_env is None:
-            os.environ.pop(_ENV_VAR, None)
-        else:
-            os.environ[_ENV_VAR] = previous_env
+    """The numeric paths of this build, for environment reports."""
+    return KERNEL
 
 
 # ----------------------------------------------------------------------
-# Array utilities
+# Masked Kleene solvers
 # ----------------------------------------------------------------------
 def solve_monotone_fixed_points(
     seeds: Sequence[float],
@@ -145,9 +50,9 @@ def solve_monotone_fixed_points(
 
     ``totals_many(indices, horizons)`` evaluates the operator for the
     given coordinate indices at the given horizons and returns the
-    totals (list or ndarray).  When it raises ``OverflowError`` the
-    sweep falls back to ``totals_one(index, horizon)`` per coordinate
-    so the offender can be isolated instead of poisoning the batch.
+    totals.  When it raises ``OverflowError`` the sweep falls back to
+    ``totals_one(index, horizon)`` per coordinate so the offender can be
+    isolated instead of poisoning the batch.
 
     Returns ``(values, iterations, failures)``: per-coordinate fixed
     points (``None`` where failed), evaluation counts, and failure
@@ -200,7 +105,6 @@ def solve_monotone_fixed_points_2d(
     max_window: float,
     max_iterations: int,
     stop_row=None,
-    cells_as_arrays: bool = False,
 ):
     """2-D masked Kleene iteration: an ``(S, Q)`` matrix of independent
     monotone fixed points advanced as one batch.
@@ -216,9 +120,9 @@ def solve_monotone_fixed_points_2d(
 
     ``totals_many(cells, horizons)`` evaluates the operator for the
     given ``(row, col)`` cells at the given horizons and returns the
-    totals (list or ndarray).  When it raises ``OverflowError`` the
-    sweep falls back to ``totals_one(row, col, horizon)`` per cell so
-    the offender can be isolated instead of poisoning the batch.
+    totals.  When it raises ``OverflowError`` the sweep falls back to
+    ``totals_one(row, col, horizon)`` per cell so the offender can be
+    isolated instead of poisoning the batch.
 
     ``stop_row(row, col, total)`` (optional) is checked on every fresh
     total *before* the convergence test; returning true settles the
@@ -232,27 +136,7 @@ def solve_monotone_fixed_points_2d(
     ``None`` where unconverged, ``failures[r][c]`` is ``None`` or a
     string starting with ``"window"``, ``"iterations"`` or
     ``"overflow:"``) plus one ``stopped`` flag per row.
-
-    ``cells_as_arrays=True`` (numpy kernel only) switches the driver's
-    bookkeeping to flat int64/float64 arrays and changes the callback
-    contracts: ``totals_many(rows, cols, horizons)`` and
-    ``stop_row(rows, cols, totals)`` receive parallel ndarrays (and the
-    latter returns a boolean ndarray), eliminating the per-cell tuple
-    churn of every sweep.  Per-cell semantics — iteration counting,
-    convergence and failure tests, the within-sweep row stop (cells of
-    a row after its first stopping cell are skipped) — replay the
-    legacy loop exactly, so values, iterations, failures and stop
-    flags are identical cell for cell.
     """
-    if cells_as_arrays:
-        return _solve_2d_arrays(
-            seeds,
-            totals_many,
-            totals_one,
-            max_window=max_window,
-            max_iterations=max_iterations,
-            stop_row=stop_row,
-        )
     shape = [len(row) for row in seeds]
     values: List[List[Optional[float]]] = [[None] * width for width in shape]
     iterations: List[List[int]] = [[0] * width for width in shape]
@@ -296,112 +180,3 @@ def solve_monotone_fixed_points_2d(
                 next_active.append((r, c))
         active = [(r, c) for r, c in next_active if not stopped[r]]
     return values, iterations, failures, stopped
-
-
-def _solve_2d_arrays(
-    seeds,
-    totals_many,
-    totals_one,
-    *,
-    max_window: float,
-    max_iterations: int,
-    stop_row=None,
-):
-    """Array-cells backend of :func:`solve_monotone_fixed_points_2d`.
-
-    The active set lives as parallel ``rows`` / ``cols`` / ``horizons``
-    arrays plus a flat cell id (``offset[row] + col``); every sweep is
-    a handful of boolean masks over those arrays instead of a Python
-    loop over ``(row, col)`` tuples.
-    """
-    np = numpy_or_none()
-    if np is None:
-        raise KernelUnavailable(
-            "cells_as_arrays=True requires the numpy kernel"
-        )
-    shape = [len(row) for row in seeds]
-    num_rows = len(shape)
-    offsets: List[int] = []
-    running = 0
-    for width in shape:
-        offsets.append(running)
-        running += width
-    total_cells = running
-    values_flat = np.full(total_cells, np.nan)
-    iter_flat = np.zeros(total_cells, dtype=np.int64)
-    failures_flat: List[Optional[str]] = [None] * total_cells
-    stopped = np.zeros(num_rows, dtype=bool)
-
-    rows = np.repeat(np.arange(num_rows, dtype=np.int64), shape)
-    cols = np.concatenate(
-        [np.arange(width, dtype=np.int64) for width in shape]
-    ) if total_cells else np.empty(0, dtype=np.int64)
-    ids = np.asarray(offsets, dtype=np.int64)[rows] + cols
-    horizons = np.asarray(
-        [float(seed) for row in seeds for seed in row], dtype=np.float64
-    )
-
-    while rows.size:
-        try:
-            totals = totals_many(rows, cols, horizons)
-        except OverflowError:
-            keep_pos: List[int] = []
-            fallback: List[float] = []
-            for pos in range(rows.size):
-                try:
-                    fallback.append(
-                        totals_one(
-                            int(rows[pos]), int(cols[pos]), float(horizons[pos])
-                        )
-                    )
-                    keep_pos.append(pos)
-                except OverflowError as exc:
-                    iter_flat[ids[pos]] += 1
-                    failures_flat[ids[pos]] = f"overflow: {exc}"
-            keep = np.asarray(keep_pos, dtype=np.int64)
-            rows, cols, ids = rows[keep], cols[keep], ids[keep]
-            horizons = horizons[keep]
-            totals = fallback
-            if not rows.size:
-                break
-        totals = np.asarray(totals, dtype=np.float64)
-        n = rows.size
-        processed = np.ones(n, dtype=bool)
-        stop_now = np.zeros(n, dtype=bool)
-        if stop_row is not None:
-            hits = np.asarray(stop_row(rows, cols, totals), dtype=bool)
-            if hits.any():
-                # Replay the legacy within-sweep order: the first
-                # stopping cell of a row settles it and every later
-                # cell of that row in this sweep is skipped untouched.
-                first = np.full(num_rows, n, dtype=np.int64)
-                np.minimum.at(first, rows[hits], np.flatnonzero(hits))
-                processed = np.arange(n) <= first[rows]
-                stop_now = hits & processed
-                stopped[rows[stop_now]] = True
-        iter_flat[ids[processed]] += 1
-        eligible = processed & ~stop_now
-        converged = eligible & (totals <= horizons)
-        values_flat[ids[converged]] = totals[converged]
-        rest = eligible & ~converged
-        window = rest & (totals > max_window)
-        rest &= ~window
-        exhausted = rest & (iter_flat[ids] > max_iterations)
-        for pos in np.flatnonzero(window).tolist():
-            failures_flat[ids[pos]] = "window"
-        for pos in np.flatnonzero(exhausted).tolist():
-            failures_flat[ids[pos]] = "iterations"
-        keep = rest & ~exhausted & ~stopped[rows]
-        horizons = totals[keep]
-        rows, cols, ids = rows[keep], cols[keep], ids[keep]
-
-    values = []
-    iterations = []
-    failures = []
-    for r, width in enumerate(shape):
-        lo = offsets[r]
-        row_values = values_flat[lo : lo + width].tolist()
-        values.append([None if v != v else v for v in row_values])
-        iterations.append(iter_flat[lo : lo + width].tolist())
-        failures.append(failures_flat[lo : lo + width])
-    return values, iterations, failures, stopped.tolist()

@@ -86,8 +86,11 @@ class TaskChain:
             raise ValueError(
                 f"chain {self.name}: tasks must be distinct, got {names}"
             )
-        if self.deadline <= 0:
-            raise ValueError(f"chain {self.name}: deadline must be positive")
+        # NaN fails the comparison; +inf means "no deadline".
+        if not self.deadline > 0:
+            raise ValueError(
+                f"chain {self.name}: deadline must be positive, got {self.deadline!r}"
+            )
         if not isinstance(self.kind, ChainKind):
             raise TypeError(f"chain {self.name}: kind must be a ChainKind")
 

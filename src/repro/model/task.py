@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..arrivals.base import require_finite
+
 
 @dataclass(frozen=True)
 class Task:
@@ -38,6 +40,9 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("task name must be non-empty")
+        require_finite(self.priority, f"task {self.name}: priority")
+        require_finite(self.wcet, f"task {self.name}: wcet")
+        require_finite(self.bcet, f"task {self.name}: bcet")
         if self.wcet < 0:
             raise ValueError(
                 f"task {self.name}: wcet must be non-negative, got {self.wcet}"

@@ -23,7 +23,6 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from ..analysis.exceptions import AnalysisError
 from ..analysis.memo import content_key
 from ..analysis.twca import analyze_twca
-from ..kernel import kernel_name
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
 from .cache import AnalysisCache
@@ -167,10 +166,8 @@ class JobResult:
     ``error``).  ``dmm`` maps each requested window size to its miss
     bound.  ``elapsed`` (seconds), ``cache`` (counter deltas),
     ``packing`` (the packing-engine solver counters of
-    :meth:`~repro.analysis.twca.ChainTwcaResult.packing_stats`) and the
-    active numeric ``kernel`` are observability fields excluded from
-    deterministic exports — both kernels produce byte-identical
-    deterministic payloads by design.
+    :meth:`~repro.analysis.twca.ChainTwcaResult.packing_stats`) are
+    observability fields excluded from deterministic exports.
     """
 
     label: str
@@ -245,7 +242,6 @@ class JobResult:
             data["elapsed"] = self.elapsed
             data["cache"] = self.cache
             data["packing"] = self.packing
-            data["kernel"] = kernel_name()
         return data
 
 

@@ -93,6 +93,15 @@ def make_chunks(
 # ----------------------------------------------------------------------
 # Local worker processes
 # ----------------------------------------------------------------------
+#: Serializes worker starts across dispatch threads.  ``Process.start()``
+#: opens the child's sentinel pipe, forks, and only then closes the
+#: pipe's write end in the parent; a sibling forked inside that window
+#: inherits the write end, so ``join()`` cannot see the first child
+#: exit until the sibling exits too (``close()`` then waits out its
+#: join timeout).
+_START_LOCK = threading.Lock()
+
+
 def _shard_worker_loop(
     task_queue: Any,
     result_queue: Any,
@@ -190,7 +199,8 @@ class LocalShardWorker:
             name=f"repro-shard-{self.name}",
             daemon=True,
         )
-        self._process.start()
+        with _START_LOCK:
+            self._process.start()
 
     def _discard_process(self) -> None:
         if self._process is not None:

@@ -7,7 +7,7 @@ Two layers:
   ``analyze_twca`` / ``analyze_latency`` / the batch runner behind one
   entrypoint that owns warm state: loaded systems keyed by content
   digest, the (optionally persistent) analysis cache, and the live
-  packing/kernel artifacts it carries.
+  packing artifacts it carries.
 * ``repro serve`` — a stdlib HTTP/JSON server (:func:`serve_forever`,
   :func:`start_server`) exposing ``POST /analyze``, ``POST /batch``,
   ``POST /shard/run``, ``GET /cache/stats`` and ``GET /healthz``,

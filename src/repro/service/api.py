@@ -4,7 +4,7 @@ One analysis — in-process through :class:`~repro.service.core.AnalysisService`
 or over HTTP through ``repro serve`` — is described by an
 :class:`AnalysisRequest`: the system (inline, or referenced by content
 digest once the daemon has it warm), a chain selector, the DMM window
-sizes, the packing backend, the numeric kernel and the cache policy.
+sizes, the packing backend and the cache policy.
 Requests are content-addressed: :attr:`AnalysisRequest.digest` is the
 identity the daemon coalesces identical in-flight work on, and
 :attr:`AnalysisRequest.compat_key` (the digest *minus* the window sizes)
@@ -46,23 +46,19 @@ class UnknownSystemError(RequestError):
 #: Valid ``enumeration`` values (mirrors ``analyze_twca``).
 ENUMERATIONS: Tuple[str, ...] = ("pruned", "exhaustive")
 
-#: Valid per-request kernel selections (``None`` inherits the daemon's).
-KERNELS: Tuple[str, ...] = ("auto", "numpy", "python")
-
 
 @dataclass(frozen=True)
 class AnalysisOptions:
     """The analysis knobs shared by every analyzing entrypoint.
 
-    One dataclass carries what used to be five copy-pasted argparse
-    options (``--backend``/``--kernel``/``--cache-dir``/``--no-cache``/
+    One dataclass carries what used to be four copy-pasted argparse
+    options (``--backend``/``--cache-dir``/``--no-cache``/
     ``--exhaustive``) uniformly through ``analyze``, ``experiment``,
     ``batch``, ``report`` and ``serve`` — and configures an
     :class:`~repro.service.core.AnalysisService` the same way.
     """
 
     backend: str = DEFAULT_BACKEND
-    kernel: Optional[str] = None
     cache_dir: Optional[str] = None
     use_cache: bool = True
     exhaustive: bool = False
@@ -86,9 +82,8 @@ class AnalysisRequest:
     Exactly one of ``system_json`` (the canonical serialization, for
     first contact) and ``system_digest`` (the content digest of a
     system the service already holds warm) identifies the system.
-    ``kernel=None`` inherits the daemon's numeric kernel; either choice
-    is byte-identical by design.  ``use_cache=False`` bypasses the
-    service's memoization for this request only.
+    ``use_cache=False`` bypasses the service's memoization for this
+    request only.
     """
 
     system_json: Optional[str] = None
@@ -97,7 +92,6 @@ class AnalysisRequest:
     ks: Tuple[int, ...] = DEFAULT_KS
     backend: str = DEFAULT_BACKEND
     enumeration: str = "pruned"
-    kernel: Optional[str] = None
     use_cache: bool = True
     label: str = ""
 
@@ -125,10 +119,6 @@ class AnalysisRequest:
             self.enumeration in ENUMERATIONS,
             f"unknown enumeration {self.enumeration!r}; "
             f"choose from {list(ENUMERATIONS)}",
-        )
-        _require(
-            self.kernel is None or self.kernel in KERNELS,
-            f"unknown kernel {self.kernel!r}; choose from {list(KERNELS)}",
         )
         _require(isinstance(self.use_cache, bool), "'use_cache' must be a boolean")
         _require(isinstance(self.label, str), "'label' must be a string")
@@ -159,7 +149,6 @@ class AnalysisRequest:
             "ks",
             "backend",
             "enumeration",
-            "kernel",
             "use_cache",
             "label",
         }
@@ -196,7 +185,6 @@ class AnalysisRequest:
             ks=tuple(ks),
             backend=data.get("backend", DEFAULT_BACKEND),
             enumeration=data.get("enumeration", "pruned"),
-            kernel=data.get("kernel"),
             use_cache=data.get("use_cache", True),
             label=data.get("label", ""),
         )
@@ -210,7 +198,6 @@ class AnalysisRequest:
             "ks": list(self.ks),
             "backend": self.backend,
             "enumeration": self.enumeration,
-            "kernel": self.kernel,
             "use_cache": self.use_cache,
             "label": self.label,
         }
@@ -239,7 +226,6 @@ class AnalysisRequest:
             self.chain,
             self.backend,
             self.enumeration,
-            self.kernel,
             self.use_cache,
             self.label,
         ]

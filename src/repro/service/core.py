@@ -13,7 +13,7 @@ calls:
   ``options.cache_dir``) — memoized Theorem 1 fixed points, Omega
   capacities, segment decompositions, exact Def. 10 verdicts, Theorem 3
   packing optima and whole job results;
-* **live packing/kernel state** — the ``packing`` and ``jobs`` cache
+* **live packing state** — the ``packing`` and ``jobs`` cache
   categories carry the warm-started :class:`~repro.ilp.engine.PackingEngine`
   optima and compiled staircase kernels across requests, so a repeated
   request recomputes zero fixed points.
@@ -30,12 +30,8 @@ overlap: the memoization hook of :mod:`repro.analysis.memo` is a
 ``contextvars.ContextVar`` (each compute thread installs its own
 cache), the shared :class:`~repro.runner.cache.AnalysisCache` is locked
 internally, and every stateful :class:`~repro.ilp.engine.PackingEngine`
-carries a per-engine lock — so nothing is serialized globally anymore.
-The one remaining cross-compute coupling is the process-wide kernel
-switch: computes that *override* the kernel are serialized among
-themselves (both kernels are bit-identical by design, so a concurrent
-default-kernel compute observing the override changes nothing but
-wall-clock time).
+carries a per-engine lock — so nothing is serialized globally, and no
+request changes process-global state.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import ChainTwcaResult, LatencyResult, analyze_latency, analyze_twca
-from ..kernel import kernel_name, using_kernel
 from ..model import System
 from ..model.serialization import system_from_json
 from ..runner.batch import BatchResult, BatchRunner, _build_cache
@@ -70,12 +65,6 @@ from .api import (
 )
 
 
-#: Serializes computes that install a kernel *override*: the kernel
-#: switch is process-wide state, so overriding computes take turns.
-#: Default-kernel computes never touch it — see the module docstring.
-_KERNEL_SWITCH_LOCK = threading.Lock()
-
-
 class _InFlight:
     """One in-flight compute: the leader's window sizes, a completion
     event, and the outcome shared with every coalesced waiter."""
@@ -96,7 +85,7 @@ class AnalysisService:
     Parameters
     ----------
     options:
-        The shared analysis knobs (backend, kernel, cache policy);
+        The shared analysis knobs (backend, cache policy);
         defaults to :class:`AnalysisOptions`'s defaults.
     ks:
         Default DMM window sizes for :meth:`runner`-built batches.
@@ -247,10 +236,10 @@ class AnalysisService:
         """Serve many requests as one batch, merging compatible ones.
 
         Requests sharing a :attr:`~AnalysisRequest.compat_key` (same
-        system, chain selector, backend, enumeration, cache policy,
-        kernel and label — different window sizes) are folded into a
-        single analysis over the union of their windows: one multi-q
-        kernel call instead of one per request.  The result order
+        system, chain selector, backend, enumeration, cache policy and
+        label — different window sizes) are folded into a single
+        analysis over the union of their windows: one multi-q analysis
+        instead of one per request.  The result order
         follows the request order, and the deterministic export is
         byte-identical to running every request separately — which is
         exactly what ``repro batch --json`` does client-side.
@@ -284,7 +273,6 @@ class AnalysisService:
                     ks=merged_ks,
                     backend=leader.backend,
                     enumeration=leader.enumeration,
-                    kernel=leader.kernel,
                     use_cache=leader.use_cache,
                     label=leader.label,
                 )
@@ -348,9 +336,8 @@ class AnalysisService:
 
     def _execute(self, request: AnalysisRequest) -> Tuple[str, List[JobResult]]:
         """One actual compute: resolve the system, select the chains,
-        run the per-chain jobs under the service cache (and the
-        request's kernel, when it names one).  Runs on the compute
-        pool; overlapping computes are safe — see the module
+        run the per-chain jobs under the service cache.  Runs on the
+        compute pool; overlapping computes are safe — see the module
         docstring."""
         system = self.system_for(request)
         if request.chain is not None:
@@ -369,22 +356,18 @@ class AnalysisService:
             self.counters["computes"] += 1
             self._executing += 1
         try:
-            with contextlib.ExitStack() as stack:
-                if request.kernel is not None:
-                    stack.enter_context(_KERNEL_SWITCH_LOCK)
-                    stack.enter_context(using_kernel(request.kernel))
-                jobs = [
-                    run_chain_job(
-                        system,
-                        name,
-                        ks=request.ks,
-                        backend=request.backend,
-                        enumeration=request.enumeration,
-                        label=label,
-                        cache=cache,
-                    )
-                    for name in names
-                ]
+            jobs = [
+                run_chain_job(
+                    system,
+                    name,
+                    ks=request.ks,
+                    backend=request.backend,
+                    enumeration=request.enumeration,
+                    label=label,
+                    cache=cache,
+                )
+                for name in names
+            ]
         finally:
             with self._lock:
                 self._executing -= 1
@@ -442,17 +425,14 @@ class AnalysisService:
     def cache_stats(self) -> Dict[str, Any]:
         """The ``GET /cache/stats`` payload: per-category cache
         counters plus the service-level request accounting, the
-        compute-pool bound (``workers``), the number of computes
-        executing right now (``inflight``) and the active numeric
-        kernel (``kernel`` — how operators tell numpy from pure-python
-        deployments apart)."""
+        compute-pool bound (``workers``) and the number of computes
+        executing right now (``inflight``)."""
         with self._lock:
             service: Dict[str, Any] = dict(self.counters)
             service["systems"] = len(self._systems)
             service["workers"] = self.workers
             service["inflight"] = self._executing
         service["uptime"] = time.time() - self.started_at
-        service["kernel"] = kernel_name()
         return {
             "cache": self.cache.stats_dict() if self.cache is not None else {},
             "service": service,

@@ -18,7 +18,7 @@
   ``repro shard-worker`` is ``repro serve`` under another name.
 * ``GET /cache/stats`` — per-category cache counters plus service
   request accounting (requests, computes, coalesced, merged, systems).
-* ``GET /healthz`` — liveness, version and the active numeric kernel.
+* ``GET /healthz`` — liveness and version.
 
 Malformed requests are answered with structured ``400`` bodies
 (``{"error": ...}``); unknown paths with ``404``; anything else that
@@ -40,7 +40,6 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..kernel import kernel_name
 from ..runner.jobs import AnalysisJob, JobResult
 from ..runner.retry import NO_RETRY, RetryPolicy
 from .api import AnalysisOptions, AnalysisRequest, RequestError
@@ -53,6 +52,10 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; without TCP_NODELAY the
+    # body waits for the client's delayed ACK on a kept-alive
+    # connection (~40 ms per request).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:
@@ -65,10 +68,7 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         if self.path == "/healthz":
             from .. import __version__
 
-            self._send_json(
-                200,
-                {"status": "ok", "version": __version__, "kernel": kernel_name()},
-            )
+            self._send_json(200, {"status": "ok", "version": __version__})
         elif self.path == "/cache/stats":
             self._send_json(200, self.service.cache_stats())
         else:
@@ -254,7 +254,7 @@ def serve_forever(
     )
     print(
         f"repro serve: listening on {server.url} "
-        f"(backend {service.options.backend}, kernel {kernel_name()}, "
+        f"(backend {service.options.backend}, "
         f"{service.workers} compute worker(s), {cache_note}); "
         f"Ctrl-C to stop",
         file=sys.stderr,

@@ -8,10 +8,9 @@ the critical-instant pattern), and randomized sporadic.
 Deterministic streams are generated in batch: an O(log n) galloping
 search over the model's staircase finds the event count that fits the
 horizon, then one ``delta_minus_many`` / ``delta_plus_many`` call
-materializes all timestamps (a single gather over the compiled
-:class:`~repro.arrivals.staircase.StaircaseKernel` under the numpy
-kernel).  Both kernels evaluate the identical float64 operations, so
-the streams are bit-identical across ``REPRO_KERNEL`` settings.
+materializes all timestamps (a single numpy gather over the compiled
+:class:`~repro.arrivals.staircase.StaircaseKernel`), evaluating the
+identical float64 operations as the scalar ``delta_minus``.
 Randomized streams consume a Python ``random.Random`` sequence and stay
 scalar by construction.
 """

@@ -1,4 +1,4 @@
-"""Array-based event calendar: the numpy backend of the simulator.
+"""Array-based event calendar: the numpy path of the simulator.
 
 The scalar event loop advances one scheduling decision at a time; at
 soak scale (millions of activations) almost all of those decisions are
@@ -25,7 +25,8 @@ of array passes and retires them wholesale:
    scalar event loop (:func:`repro.sim.engine.run_event_loop`), seeded
    with the per-task FIFO counters a full scalar run would have reached.
 
-The result is bit-identical to the python backend — same
+The result is bit-identical to the scalar loop run over the whole
+horizon (:meth:`repro.sim.engine.Simulator._run_python`) — same
 ``ExecutionSlice`` sequence, same ``InstanceRecord`` values, so exports
 compare byte-for-byte — but the per-activation Python cost is paid only
 for the contended minority.  Object views are materialized lazily by
@@ -38,7 +39,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from ..kernel import numpy_or_none
+import numpy as np
+
 from ..model import System
 from .engine import (
     ExecutionSlice,
@@ -72,7 +74,6 @@ class TraceArrays:
     """
 
     __slots__ = (
-        "np",
         "system",
         "horizon",
         "activation",
@@ -82,8 +83,7 @@ class TraceArrays:
         "slice_chunks",
     )
 
-    def __init__(self, np, system: System, horizon: float):
-        self.np = np
+    def __init__(self, system: System, horizon: float):
         self.system = system
         self.horizon = horizon
         self.activation: Dict[str, object] = {}
@@ -98,7 +98,6 @@ class TraceArrays:
             self.task_fin[chain.name] = np.empty((len(chain.tasks), 0))
 
     def allocate(self, chain_name: str, times) -> None:
-        np = self.np
         n = times.shape[0]
         tasks = self.task_fin[chain_name].shape[0]
         self.activation[chain_name] = times
@@ -156,7 +155,6 @@ class TraceArrays:
 
     # -- array metric paths -------------------------------------------
     def latencies(self, chain: str) -> List[float]:
-        np = self.np
         finish = self.finish[chain]
         done = ~np.isnan(finish)
         return (finish[done] - self.activation[chain][done]).tolist()
@@ -165,7 +163,6 @@ class TraceArrays:
         return [latency > deadline for latency in self.latencies(chain)]
 
     def empirical_dmm(self, chain: str, deadline: float, k: int) -> int:
-        np = self.np
         finish = self.finish[chain]
         done = ~np.isnan(finish)
         latency = finish[done] - self.activation[chain][done]
@@ -178,7 +175,6 @@ class TraceArrays:
         return int(windows.max())
 
     def busy_windows(self, chain: str) -> List[Tuple[float, float]]:
-        np = self.np
         activation = self.activation[chain]
         if activation.size == 0:
             return []
@@ -218,7 +214,7 @@ class _ArrayStore:
         self.trace.finish[chain][instance] = at
 
 
-def _retire_task(np, release, budget: float):
+def _retire_task(release, budget: float):
     """Finish times of one task executed in isolation, vectorized.
 
     Replays the scalar loop's execution arithmetic elementwise for a
@@ -250,12 +246,9 @@ def _retire_task(np, release, budget: float):
 
 def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
     """Run one simulation through the array event calendar."""
-    np = numpy_or_none()
-    if np is None:  # pragma: no cover - Simulator.run dispatches on this
-        raise RuntimeError("the calendar backend requires the numpy kernel")
     system = simulator.system
     chains = system.chains
-    trace = TraceArrays(np, system, horizon)
+    trace = TraceArrays(system, horizon)
 
     per_chain_times = []
     for chain in chains:
@@ -327,7 +320,7 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
             task_fin = trace.task_fin[chain.name]
             for k, task in enumerate(chain.tasks):
                 segment_start = clock
-                clock = _retire_task(np, clock, exec_times[c][k])
+                clock = _retire_task(clock, exec_times[c][k])
                 task_fin[k, instances] = clock
                 ran = clock > segment_start
                 if ran.any():

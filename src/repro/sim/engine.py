@@ -14,12 +14,12 @@ Implements the execution semantics of Sec. II faithfully:
   regardless of misses (weakly-hard execution model).
 
 The simulator is event-driven and deterministic given the activation
-streams and execution times.  Two backends share the event loop below:
-under ``REPRO_KERNEL=python`` the loop runs the whole horizon; under
-``REPRO_KERNEL=numpy`` the calendar backend (:mod:`repro.sim.calendar`)
-retires isolated activations in batch array operations and runs the
-*same* loop only over the contended stretches, producing bit-identical
-traces (the differential guarantee of the kernel parity tests).
+streams and execution times.  :meth:`Simulator.run` goes through the
+numpy event calendar (:mod:`repro.sim.calendar`), which retires
+isolated activations in batch array operations and runs the event loop
+below only over the contended stretches.  :meth:`Simulator._run_python`
+runs the same loop over the whole horizon; it is the oracle the
+calendar is tested against, trace for trace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..kernel import numpy_or_none
 from ..model import System, TaskChain
 
 
@@ -70,13 +69,13 @@ class InstanceRecord:
 class SimulationResult:
     """Everything a simulation run produced.
 
-    The python backend fills :attr:`instances` and :attr:`slices` with
-    objects directly; the numpy calendar backend carries the trace as
-    arrays and materializes the object views lazily on first access, so
-    soak-scale runs pay for Python objects only when somebody actually
-    iterates them.  Metric queries answer from the arrays when they are
-    present — with value-identical arithmetic, checked by the kernel
-    parity suite.
+    The scalar loop (:meth:`Simulator._run_python`) fills
+    :attr:`instances` and :attr:`slices` with objects directly; the
+    numpy calendar carries the trace as arrays and materializes the
+    object views lazily on first access, so soak-scale runs pay for
+    Python objects only when somebody actually iterates them.  Metric
+    queries answer from the arrays when they are present — with
+    value-identical arithmetic, checked by the calendar parity suite.
     """
 
     def __init__(
@@ -187,7 +186,7 @@ class _Job:
 
 
 class _ObjectStore:
-    """Record sink of the python backend: plain :class:`InstanceRecord`s."""
+    """Record sink of the scalar loop: plain :class:`InstanceRecord`s."""
 
     __slots__ = ("records",)
 
@@ -412,11 +411,9 @@ class Simulator:
         horizon:
             Activations beyond the horizon are ignored.
         """
-        if numpy_or_none() is not None:
-            from .calendar import run_calendar
+        from .calendar import run_calendar
 
-            return run_calendar(self, activations, horizon)
-        return self._run_python(activations, horizon)
+        return run_calendar(self, activations, horizon)
 
     def _run_python(
         self, activations: Dict[str, Sequence[float]], horizon: float

@@ -89,9 +89,9 @@ def instances_csv(result: SimulationResult) -> str:
 def trace_json(result: SimulationResult, indent: int = 2) -> str:
     """Both tables plus run metadata as a JSON document.
 
-    Keys are sorted so the document bytes are deterministic; the kernel
-    parity tests compare the exports of both simulation backends with
-    ``==`` on the raw strings.
+    Keys are sorted so the document bytes are deterministic; the
+    calendar parity tests compare the exports of the calendar and the
+    scalar loop with ``==`` on the raw strings.
     """
     return json.dumps(
         {

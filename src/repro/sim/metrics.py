@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..kernel import numpy_or_none
+import numpy as np
+
 from ..model import System
 from .activations import random_stream, worst_case_stream
 from .engine import SimulationResult, Simulator
@@ -103,25 +104,20 @@ def busy_window_activation_counts(result: SimulationResult, chain: str) -> List[
     """Number of chain activations falling in each observed busy window
     — the empirical counterpart of ``K_b`` (Theorem 2).
 
-    Under the numpy kernel the per-window membership scan collapses to
-    two ``searchsorted`` calls over the sorted activation array; the
-    counts are exact integers either way.
+    The per-window membership scan is two ``searchsorted`` calls over
+    the sorted activation array.
     """
     windows = result.busy_windows(chain)
-    np = numpy_or_none()
     trace = getattr(result, "_trace", None)
-    if np is not None and trace is not None and windows:
+    if trace is not None:
         activations = np.sort(trace.activation[chain])
-        starts = np.asarray([start for start, _ in windows])
-        ends = np.asarray([end for _, end in windows])
-        lo = np.searchsorted(activations, starts, side="left")
-        hi = np.searchsorted(activations, ends, side="right")
-        return (hi - lo).tolist()
-    activations = sorted(rec.activation for rec in result.instances[chain])
-    counts: List[int] = []
-    for start, end in windows:
-        counts.append(sum(1 for t in activations if start <= t <= end))
-    return counts
+    else:
+        activations = np.sort([rec.activation for rec in result.instances[chain]])
+    starts = np.asarray([start for start, _ in windows], dtype=np.float64)
+    ends = np.asarray([end for _, end in windows], dtype=np.float64)
+    lo = np.searchsorted(activations, starts, side="left")
+    hi = np.searchsorted(activations, ends, side="right")
+    return (hi - lo).tolist()
 
 
 def phase_swept_empirical_dmm(

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..kernel import numpy_or_none
+import numpy as np
+
 from .engine import SimulationResult
 
 
@@ -38,11 +39,10 @@ class LatencyStats:
     ) -> "LatencyStats":
         if len(samples) == 0:
             raise ValueError(f"no finished instances for chain {chain!r}")
-        np = numpy_or_none()
-        if np is not None and isinstance(samples, np.ndarray):
+        if isinstance(samples, np.ndarray):
             # One vectorized sort; the mean below still runs the same
             # sequential float summation as the list path, so the
-            # statistics are bit-identical across kernels.
+            # statistics are bit-identical either way.
             ordered = np.sort(samples).tolist()
         else:
             ordered = sorted(samples)
@@ -74,12 +74,10 @@ def latency_stats(
     """Distribution summary of ``chain``'s latencies in ``result``."""
     trace = getattr(result, "_trace", None)
     if trace is not None and getattr(result, "_instances", None) is None:
-        np = numpy_or_none()
-        if np is not None:
-            finish = trace.finish[chain]
-            done = ~np.isnan(finish)
-            samples = finish[done] - trace.activation[chain][done]
-            return LatencyStats.from_samples(chain, samples, marks)
+        finish = trace.finish[chain]
+        done = ~np.isnan(finish)
+        samples = finish[done] - trace.activation[chain][done]
+        return LatencyStats.from_samples(chain, samples, marks)
     return LatencyStats.from_samples(chain, result.latencies(chain), marks)
 
 
@@ -170,27 +168,10 @@ def miss_streaks(result: SimulationResult, chain: str) -> List[int]:
     """Lengths of consecutive-miss runs — the quantity the
     'no more than N consecutive misses' weakly-hard constraint bounds.
 
-    Vectorized as an edge detection over the padded flag vector under
-    the numpy kernel; the run lengths are exact integers either way.
+    Vectorized as an edge detection over the padded flag vector.
     """
-    flags = result.miss_flags(chain)
-    np = numpy_or_none()
-    if np is not None:
-        arr = np.asarray(flags, dtype=np.int8)
-        if arr.size == 0:
-            return []
-        edges = np.diff(np.concatenate((arr[:1] * 0, arr, arr[:1] * 0)))
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        return (ends - starts).tolist()
-    streaks: List[int] = []
-    run = 0
-    for missed in flags:
-        if missed:
-            run += 1
-        elif run:
-            streaks.append(run)
-            run = 0
-    if run:
-        streaks.append(run)
-    return streaks
+    arr = np.asarray(result.miss_flags(chain), dtype=np.int8)
+    edges = np.diff(np.concatenate(([0], arr, [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    return (ends - starts).tolist()

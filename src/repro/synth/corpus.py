@@ -13,10 +13,8 @@ the corpus identity.
 Determinism is the contract: entry ``index`` is drawn from its own
 ``random.Random(f"{seed}:{index}")`` stream, so the same spec produces
 byte-identical system files — and therefore the same
-``manifest_digest`` — regardless of generation order, process count,
-interruption/regeneration, or the active numeric kernel (the
-generators are pure Python; the benchmark suite asserts the digest
-under both kernels).
+``manifest_digest`` — regardless of generation order, process count
+or interruption/regeneration (the generators are pure Python).
 
 :class:`CorpusManifest` reopens a generated corpus: iterate entries,
 materialize systems, or :meth:`~CorpusManifest.verify` the whole tree

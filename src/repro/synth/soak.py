@@ -11,7 +11,7 @@ that most instances run alone while preemption clusters still occur
 whenever the staggered streams drift into alignment.
 
 Used by the ``sim_soak`` section of ``bench_twca_hotpath`` and the
-kernel parity tests; everything is a pure function of the arguments,
+calendar parity tests; everything is a pure function of the arguments,
 so two runs produce byte-identical systems and streams.
 """
 

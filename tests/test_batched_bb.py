@@ -4,9 +4,9 @@ The heap-driven search resolves whole frontiers of open-node
 relaxations through ``IncrementalLp.solve_many``; it must compute
 exactly the optimum of the historic recursive reference
 (``incremental=False``: one cold two-phase relaxation per node), with
-a feasible incumbent, on randomized integer programs — cold, warm
-(state carried across an rhs schedule) and under either kernel — and
-agree with scipy's exact solver when it is installed.
+a feasible incumbent, on randomized integer programs — cold and warm
+(state carried across an rhs schedule) — and agree with scipy's exact
+solver when it is installed.
 """
 
 import math
@@ -22,11 +22,6 @@ from repro.ilp import (
 )
 from repro.ilp.branch_bound import BranchBoundState
 from repro.ilp.simplex import IncrementalLp
-from repro.kernel import HAVE_NUMPY, using_kernel
-
-KERNELS = ("python", "numpy") if HAVE_NUMPY else ("python",)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 def random_program(rng):
@@ -66,29 +61,22 @@ class TestBatchedEqualsRecursive:
         rng = random.Random(seed)
         for round_index in range(25):
             program = random_program(rng)
-            per_kernel = []
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    batched = solve_branch_bound(program)
-                    reference = solve_branch_bound(program, incremental=False)
-                assert batched.status == reference.status
+            batched = solve_branch_bound(program)
+            reference = solve_branch_bound(program, incremental=False)
+            assert batched.status == reference.status
+            assert math.isclose(batched.objective, reference.objective, abs_tol=1e-6)
+            if batched.status == "optimal":
+                assert program.is_feasible(batched.values)
                 assert math.isclose(
-                    batched.objective, reference.objective, abs_tol=1e-6
+                    program.objective_value(batched.values),
+                    batched.objective,
+                    abs_tol=1e-6,
                 )
-                if batched.status == "optimal":
-                    assert program.is_feasible(batched.values)
-                    assert math.isclose(
-                        program.objective_value(batched.values),
-                        batched.objective,
-                        abs_tol=1e-6,
-                    )
-                per_kernel.append((batched.status, batched.objective))
-            assert all(entry == per_kernel[0] for entry in per_kernel)
             if scipy_available() and round_index % 5 == 0:
                 exact = solve_scipy(program)
                 if exact.status == "optimal":
                     assert math.isclose(
-                        per_kernel[0][1], exact.objective, abs_tol=1e-4
+                        batched.objective, exact.objective, abs_tol=1e-4
                     )
 
     @pytest.mark.parametrize("seed", (2, 5, 8, 13))
@@ -127,44 +115,38 @@ class TestSolveMany:
         schedule = [
             [float(rng.randint(0, 9)) for _ in range(num_rows)] for _ in range(12)
         ]
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                lp = IncrementalLp(objective, rows)
-                lp.solve(schedule[0])  # establish a basis to share
-                batch = lp.solve_many(schedule)
-                assert len(batch) == len(schedule)
-                for rhs, result in zip(schedule, batch):
-                    cold = IncrementalLp(objective, rows).solve(rhs)
-                    assert result.status == cold.status
-                    if result.status == "optimal":
-                        assert math.isclose(
-                            result.objective,
-                            cold.objective,
-                            rel_tol=1e-9,
-                            abs_tol=1e-9,
-                        )
-                        for row, b in zip(rows, rhs):
-                            used = sum(
-                                a * v for a, v in zip(row, result.values)
-                            )
-                            assert used <= b + 1e-7
-                        assert all(v >= -1e-9 for v in result.values)
+        lp = IncrementalLp(objective, rows)
+        lp.solve(schedule[0])  # establish a basis to share
+        batch = lp.solve_many(schedule)
+        assert len(batch) == len(schedule)
+        for rhs, result in zip(schedule, batch):
+            cold = IncrementalLp(objective, rows).solve(rhs)
+            assert result.status == cold.status
+            if result.status == "optimal":
+                assert math.isclose(
+                    result.objective,
+                    cold.objective,
+                    rel_tol=1e-9,
+                    abs_tol=1e-9,
+                )
+                for row, b in zip(rows, rhs):
+                    used = sum(a * v for a, v in zip(row, result.values))
+                    assert used <= b + 1e-7
+                assert all(v >= -1e-9 for v in result.values)
 
-    @needs_numpy
     def test_warm_columns_take_no_pivots(self):
         # Identical rhs columns after a solved basis are pure
         # ``B^-1 . RHS`` reads: warm_solves counts them, pivot counts
         # stay frozen at the cold solve's value.
         objective = [3.0, 2.0]
         rows = [[1.0, 1.0], [2.0, 1.0]]
-        with using_kernel("numpy"):
-            lp = IncrementalLp(objective, rows)
-            first = lp.solve([4.0, 6.0])
-            warm_before = lp.warm_solves
-            batch = lp.solve_many([[4.0, 6.0]] * 5)
-            assert [r.objective for r in batch] == [first.objective] * 5
-            assert [r.pivots for r in batch] == [first.pivots] * 5
-            assert lp.warm_solves == warm_before + 5
+        lp = IncrementalLp(objective, rows)
+        first = lp.solve([4.0, 6.0])
+        warm_before = lp.warm_solves
+        batch = lp.solve_many([[4.0, 6.0]] * 5)
+        assert [r.objective for r in batch] == [first.objective] * 5
+        assert [r.pivots for r in batch] == [first.pivots] * 5
+        assert lp.warm_solves == warm_before + 5
 
     def test_rejects_mismatched_rhs_lengths(self):
         lp = IncrementalLp([1.0], [[1.0]])
@@ -178,12 +160,9 @@ def corrupt_inverse(lp, factor):
     accumulates over hundreds of pivots, far past tolerance."""
     tableau = lp._tableau
     offset = tableau.num_vars
-    if tableau._matrix is None:
-        for row in tableau.rows:
-            for j in range(offset, offset + tableau.num_rows):
-                row[j] *= factor
-    else:
-        tableau._matrix[:, offset : offset + tableau.num_rows] *= factor
+    for row in tableau.rows:
+        for j in range(offset, offset + tableau.num_rows):
+            row[j] *= factor
 
 
 class TestDriftCertificates:
@@ -202,33 +181,25 @@ class TestDriftCertificates:
 
     @pytest.mark.parametrize("factor", (0.999, 1.001))
     def test_scalar_warm_heals_to_cold(self, factor):
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                lp = IncrementalLp(self.OBJECTIVE, self.ROWS)
-                lp.solve([4.0, 6.0, 5.0])
-                corrupt_inverse(lp, factor)
-                for rhs in self.SCHEDULE:
-                    warm = lp.solve(rhs)
-                    cold = IncrementalLp(self.OBJECTIVE, self.ROWS).solve(rhs)
-                    assert warm.status == cold.status
-                    assert math.isclose(
-                        warm.objective, cold.objective, abs_tol=1e-9
-                    )
-                # At least one certificate failure re-derived cold and
-                # thereby rebuilt the factorization.
-                assert lp.cold_solves >= 2
+        lp = IncrementalLp(self.OBJECTIVE, self.ROWS)
+        lp.solve([4.0, 6.0, 5.0])
+        corrupt_inverse(lp, factor)
+        for rhs in self.SCHEDULE:
+            warm = lp.solve(rhs)
+            cold = IncrementalLp(self.OBJECTIVE, self.ROWS).solve(rhs)
+            assert warm.status == cold.status
+            assert math.isclose(warm.objective, cold.objective, abs_tol=1e-9)
+        # At least one certificate failure re-derived cold and thereby
+        # rebuilt the factorization.
+        assert lp.cold_solves >= 2
 
     @pytest.mark.parametrize("factor", (0.999, 1.001))
     def test_solve_many_heals_to_cold(self, factor):
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                lp = IncrementalLp(self.OBJECTIVE, self.ROWS)
-                lp.solve([4.0, 6.0, 5.0])
-                corrupt_inverse(lp, factor)
-                batch = lp.solve_many(self.SCHEDULE)
-                for rhs, warm in zip(self.SCHEDULE, batch):
-                    cold = IncrementalLp(self.OBJECTIVE, self.ROWS).solve(rhs)
-                    assert warm.status == cold.status
-                    assert math.isclose(
-                        warm.objective, cold.objective, abs_tol=1e-9
-                    )
+        lp = IncrementalLp(self.OBJECTIVE, self.ROWS)
+        lp.solve([4.0, 6.0, 5.0])
+        corrupt_inverse(lp, factor)
+        batch = lp.solve_many(self.SCHEDULE)
+        for rhs, warm in zip(self.SCHEDULE, batch):
+            cold = IncrementalLp(self.OBJECTIVE, self.ROWS).solve(rhs)
+            assert warm.status == cold.status
+            assert math.isclose(warm.objective, cold.objective, abs_tol=1e-9)

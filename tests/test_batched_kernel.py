@@ -12,8 +12,9 @@ The contracts under test:
   surviving rows;
 * the block Def. 10 verdict (``verdict.many`` /
   ``verdict.exact_check_many``) decides every signature exactly like
-  the historic one-signature-at-a-time pipeline, under either kernel,
-  and writes the identical ``combo_exact`` cache entries;
+  the one-``q``-at-a-time oracle (``tests/oracles/def10.py``), whether
+  the signatures come as one block or as blocks of one, and writes the
+  identical ``combo_exact`` cache entries;
 * the batched wavefront search (``search_combinations(batch=True)``)
   reports the same counts, checks, nodes and minimal combinations as
   the depth-first recursion it replaces.
@@ -34,16 +35,11 @@ from repro.analysis.combinations import (
 )
 from repro.analysis.exceptions import BusyWindowDivergence
 from repro.analysis.twca import _build_verdict
-from repro.kernel import (
-    HAVE_NUMPY,
-    solve_monotone_fixed_points,
-    solve_monotone_fixed_points_2d,
-    using_kernel,
-)
+from repro.kernel import solve_monotone_fixed_points, solve_monotone_fixed_points_2d
 from repro.runner import AnalysisCache
 from repro.synth import GeneratorConfig, figure4_system, generate_feasible_system
 
-KERNELS = ("python", "numpy") if HAVE_NUMPY else ("python",)
+from oracles.def10 import exact_unschedulable_scalar
 
 MAX_WINDOW = 5_000.0
 MAX_ITERATIONS = 60
@@ -239,7 +235,7 @@ class TestMasked2dKleene:
 
 
 # ----------------------------------------------------------------------
-# The block Def. 10 verdict against the scalar pipeline
+# The block Def. 10 verdict against the scalar oracle
 # ----------------------------------------------------------------------
 def random_system(seed, overload_chains=2):
     rng = random.Random(seed)
@@ -272,7 +268,7 @@ def verdict_inputs(system, chain):
     return deltas, loads, segments
 
 
-def build(system, chain, inputs, multi_q):
+def build(system, chain, inputs):
     deltas, loads, segments = inputs
     return _build_verdict(
         system,
@@ -281,7 +277,6 @@ def build(system, chain, inputs, multi_q):
         loads,
         segments,
         exact_criterion=True,
-        multi_q=multi_q,
     )
 
 
@@ -293,17 +288,20 @@ class TestBlockVerdict:
             inputs = verdict_inputs(system, chain)
             if inputs is None:
                 continue
-            _, _, segments = inputs
+            deltas, _, segments = inputs
             signatures = [c.signature for c in iter_combinations(segments)]
-            scalar = build(system, chain, inputs, multi_q=False)
-            assert not hasattr(scalar, "many")
-            reference = [scalar(s) for s in signatures]
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    multi = build(system, chain, inputs, multi_q=True)
-                    assert multi.many(signatures) == reference
-                    # The repeat is answered purely from the memo.
-                    assert multi.many(signatures) == reference
+            verdict = build(system, chain, inputs)
+            # The staged pipeline: the Eq. (5) pre-filter, then Def. 10.
+            reference = [
+                verdict.eq5_flags(s)
+                and exact_unschedulable_scalar(system, chain, deltas, s)
+                for s in signatures
+            ]
+            assert verdict.many(signatures) == reference
+            # The repeat is answered purely from the memo.
+            assert verdict.many(signatures) == reference
+            single = build(system, chain, inputs)
+            assert [single(s) for s in signatures] == reference
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 19))
     def test_exact_check_many_matches_per_signature(self, seed):
@@ -312,14 +310,15 @@ class TestBlockVerdict:
             inputs = verdict_inputs(system, chain)
             if inputs is None:
                 continue
-            _, _, segments = inputs
+            deltas, _, segments = inputs
             signatures = [c.signature for c in iter_combinations(segments)]
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    multi = build(system, chain, inputs, multi_q=True)
-                    block = multi.exact_check_many(signatures)
-                    singles = [multi.exact_check(s) for s in signatures]
-                    assert block == singles
+            verdict = build(system, chain, inputs)
+            block = verdict.exact_check_many(signatures)
+            singles = [verdict.exact_check_many([s])[0] for s in signatures]
+            assert block == singles
+            assert block == [
+                exact_unschedulable_scalar(system, chain, deltas, s) for s in signatures
+            ]
 
     @pytest.mark.parametrize("seed", (4, 16, 28))
     def test_block_calls_write_the_scalar_cache_entries(self, seed):
@@ -332,10 +331,10 @@ class TestBlockVerdict:
             signatures = [c.signature for c in iter_combinations(segments)]
             block_cache = AnalysisCache()
             with block_cache.activate():
-                block_results = build(system, chain, inputs, True).many(signatures)
+                block_results = build(system, chain, inputs).many(signatures)
             single_cache = AnalysisCache()
             with single_cache.activate():
-                single = build(system, chain, inputs, True)
+                single = build(system, chain, inputs)
                 single_results = [single(s) for s in signatures]
             assert block_results == single_results
             assert (
@@ -345,7 +344,7 @@ class TestBlockVerdict:
             # A fresh verdict over the block-filled cache recomputes
             # nothing: the block stored under exactly the scalar keys.
             with block_cache.activate():
-                warm = build(system, chain, inputs, True)
+                warm = build(system, chain, inputs)
                 assert warm.many(signatures) == block_results
             after = block_cache.stats()["combo_exact"]
             assert after.misses == single_cache.stats()["combo_exact"].misses
@@ -363,9 +362,9 @@ class TestBatchedSearch:
             if inputs is None:
                 continue
             _, _, segments = inputs
-            batched = search_combinations(segments, build(system, chain, inputs, True))
+            batched = search_combinations(segments, build(system, chain, inputs))
             sequential = search_combinations(
-                segments, build(system, chain, inputs, False), batch=False
+                segments, build(system, chain, inputs), batch=False
             )
             assert batched.total == sequential.total
             assert batched.unschedulable == sequential.unschedulable

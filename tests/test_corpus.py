@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.kernel import HAVE_NUMPY, using_kernel
 from repro.model.serialization import canonical_system_json
 from repro.synth import CorpusError, CorpusManifest, CorpusSpec, generate_corpus
 from repro.synth.corpus import entry_id, entry_relpath, generate_entry
@@ -84,15 +83,6 @@ class TestGeneratedCorpus:
         first = generate_corpus(SPEC, tmp_path / "a")
         second = generate_corpus(SPEC, tmp_path / "b")
         assert first.manifest_digest == second.manifest_digest
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="only one kernel available")
-    def test_digest_kernel_independent(self, tmp_path):
-        digests = {}
-        for kernel in ("python", "numpy"):
-            with using_kernel(kernel):
-                manifest = generate_corpus(SPEC, tmp_path / kernel)
-                digests[kernel] = manifest.manifest_digest
-        assert len(set(digests.values())) == 1, digests
 
     def test_load_roundtrip(self, tmp_path):
         generated = generate_corpus(SPEC, tmp_path / "c")

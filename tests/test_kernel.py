@@ -1,18 +1,19 @@
-"""Kernel parity: numpy and pure-Python numeric kernels are bit-identical.
+"""Parity of the analysis' batched paths with their scalar references.
 
 The contracts under test:
 
-* ``eta_plus_many`` equals the scalar ``eta_plus`` pointwise, and both
-  equal the generic galloping pseudo-inverse search, for every shipped
-  event model under either kernel (hypothesis property test);
+* the compiled staircase ``eta_plus`` equals the generic galloping
+  pseudo-inverse search pointwise, for every shipped event model
+  (hypothesis property test);
 * the batched multi-q Kleene iteration (``busy_times``, the block-mode
-  latency scan, the multi-q Def. 10 exact check) lands on the
-  bit-identical fixed points and verdicts as the scalar reference, on
-  randomized systems, serial and parallel, cold and cached;
-* the numpy simplex tableau pivots exactly like the pure-Python one on
+  latency scan, the block Def. 10 exact check) lands on the
+  bit-identical fixed points and verdicts as the scalar references, on
+  randomized systems, cold and cached;
+* the incremental simplex pivots exactly like the one-shot solver on
   randomized LPs: same statuses, same objectives, same values, same
-  pivot counts, for cold solves and warm rhs-only re-solve schedules;
-* deterministic batch exports are byte-identical under both kernels.
+  pivot counts, for cold solves and for ``solve_many`` rhs schedules;
+* deterministic batch exports are byte-identical across cache states,
+  worker counts and enumeration modes.
 """
 
 import random
@@ -33,19 +34,11 @@ from repro.analysis.twca import _build_verdict
 from repro.arrivals import ArrivalCurve, SporadicBurstModel, StaircaseKernel
 from repro.arrivals.algebra import scaled, tightest
 from repro.ilp.simplex import IncrementalLp, solve_lp
-from repro.kernel import (
-    HAVE_NUMPY,
-    KernelUnavailable,
-    kernel_name,
-    set_kernel,
-    using_kernel,
-)
+from repro.kernel import kernel_name
 from repro.runner import AnalysisCache, BatchRunner
 from repro.synth import GeneratorConfig, generate_feasible_system
 
-KERNELS = ("python", "numpy") if HAVE_NUMPY else ("python",)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+from oracles.def10 import exact_unschedulable_scalar
 
 
 def random_system(seed, overload_chains=2):
@@ -63,35 +56,16 @@ def random_system(seed, overload_chains=2):
 
 
 # ----------------------------------------------------------------------
-# Kernel selection
+# The fixed numeric paths
 # ----------------------------------------------------------------------
 class TestKernelSwitch:
     def test_resolves_to_a_concrete_kernel(self):
-        assert kernel_name() in ("numpy", "python")
-
-    def test_using_kernel_restores(self):
-        before = kernel_name()
-        with using_kernel("python") as active:
-            assert active == "python"
-            assert kernel_name() == "python"
-        assert kernel_name() == before
-
-    def test_set_kernel_rejects_junk(self):
-        with pytest.raises(ValueError):
-            set_kernel("fortran")
-
-    def test_auto_resolves_by_availability(self):
-        with using_kernel("auto") as active:
-            assert active == ("numpy" if HAVE_NUMPY else "python")
-
-    @pytest.mark.skipif(HAVE_NUMPY, reason="needs a numpy-free interpreter")
-    def test_numpy_request_fails_loud_without_numpy(self):
-        with pytest.raises(KernelUnavailable):
-            set_kernel("numpy")
+        # One fixed path per layer: pure-Python analysis, numpy simulator.
+        assert kernel_name() == "python-analysis+numpy-sim"
 
 
 # ----------------------------------------------------------------------
-# Staircase kernel: eta_plus_many == scalar eta_plus pointwise
+# Staircase kernel: compiled eta_plus == the generic search pointwise
 # ----------------------------------------------------------------------
 periodic_models = (
     st.tuples(
@@ -158,13 +132,8 @@ class TestEtaParity:
     @settings(max_examples=120, deadline=None)
     @given(model=any_model, dts=windows)
     def test_batched_equals_scalar_equals_search(self, model, dts):
-        reference = [
-            model._eta_plus_search(dt) if dt > 0 else 0 for dt in dts
-        ]
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                assert [model.eta_plus(dt) for dt in dts] == reference
-                assert [int(v) for v in model.eta_plus_many(dts)] == reference
+        reference = [model._eta_plus_search(dt) if dt > 0 else 0 for dt in dts]
+        assert [model.eta_plus(dt) for dt in dts] == reference
 
     @settings(max_examples=60, deadline=None)
     @given(model=any_model, k=st.integers(min_value=2, max_value=48))
@@ -183,10 +152,7 @@ class TestEtaParity:
         assert model.staircase_kernel() is None
         dt = 38.790000000000006
         assert model.delta_minus(392) < dt  # 392 events fit strictly below
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                assert model.eta_plus(dt) == 392
-                assert [int(v) for v in model.eta_plus_many([dt])] == [392]
+        assert model.eta_plus(dt) == 392
 
     def test_zero_jitter_float_periodic_still_compiles(self):
         model = PeriodicModel(0.30000000000000004)
@@ -205,13 +171,8 @@ class TestEtaParity:
         assert model.staircase_kernel() is None
         for k in range(2, 40):
             boundary = model.delta_minus(k)
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    assert model.eta_plus(boundary) <= k - 1
-                    assert model.eta_plus(boundary + 1) >= k
-                    assert [int(v) for v in model.eta_plus_many([boundary])] == [
-                        model.eta_plus(boundary)
-                    ]
+            assert model.eta_plus(boundary) <= k - 1
+            assert model.eta_plus(boundary + 1) >= k
 
     def test_integer_scaled_models_compose_exactly(self):
         model = scaled(SporadicModel(700), 3)
@@ -224,10 +185,8 @@ class TestEtaParity:
         curve = ArrivalCurve([0, 0])  # zero tail: infinitely dense
         with pytest.raises(OverflowError):
             curve.eta_plus(1)
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                with pytest.raises(OverflowError):
-                    curve.eta_plus_many([1.0])
+        with pytest.raises(OverflowError):
+            curve.staircase_kernel().eta_plus(1.0)
 
     def test_kernel_validates_breaks(self):
         with pytest.raises(ValueError):
@@ -265,15 +224,10 @@ class TestBatchedKleene:
                 scalar = {q: busy_time(system, chain, q) for q in qs}
             except BusyWindowDivergence:
                 continue
-            per_kernel = {}
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    batched = busy_times(system, chain, qs)
-                per_kernel[kernel] = {q: strip(b) for q, b in batched.items()}
-                assert per_kernel[kernel] == {
-                    q: strip(b) for q, b in scalar.items()
-                }
-            assert len(set(map(str, per_kernel.values()))) == 1
+            batched = busy_times(system, chain, qs)
+            assert {q: strip(b) for q, b in batched.items()} == {
+                q: strip(b) for q, b in scalar.items()
+            }
 
     @pytest.mark.parametrize("seed", (1, 7, 13))
     def test_busy_times_under_cache_matches_and_hits(self, seed):
@@ -297,24 +251,27 @@ class TestBatchedKleene:
 
     @pytest.mark.parametrize("seed", range(0, 24, 5))
     def test_latency_scan_matches_across_kernels(self, seed):
+        """The block-mode latency scan equals per-``q`` scalar fixed
+        points (Theorem 2 over ``q = 1 .. K``)."""
         system = random_system(seed, overload_chains=1 + seed % 2)
         for chain in system.typical_chains:
-            outcomes = {}
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    try:
-                        result = analyze_latency(system, chain)
-                        outcomes[kernel] = (
-                            result.max_queue,
-                            result.wcl,
-                            result.critical_q,
-                            tuple(result.latencies),
-                            tuple(strip(b) for b in result.busy_times),
-                        )
-                    except BusyWindowDivergence:
-                        outcomes[kernel] = "diverged"
-            values = list(outcomes.values())
-            assert all(v == values[0] for v in values)
+            try:
+                result = analyze_latency(system, chain)
+            except BusyWindowDivergence:
+                continue
+            scalar = [
+                busy_time(system, chain, q) for q in range(1, result.max_queue + 1)
+            ]
+            assert tuple(strip(b) for b in result.busy_times) == tuple(
+                strip(b) for b in scalar
+            )
+            latencies = [
+                b.total - chain.activation.delta_minus(q)
+                for q, b in enumerate(scalar, start=1)
+            ]
+            assert tuple(result.latencies) == tuple(latencies)
+            assert result.wcl == max(latencies)
+            assert result.critical_q == latencies.index(result.wcl) + 1
 
     @pytest.mark.parametrize("seed", range(0, 36, 4))
     def test_multi_q_exact_check_matches_scalar_reference(self, seed):
@@ -332,40 +289,39 @@ class TestBatchedKleene:
             }
             loads = criterion_loads(system, chain, tuple(deltas))
             segments = overload_active_segments(system, chain)
-            multi = _build_verdict(
-                system, chain, deltas, loads, segments,
-                exact_criterion=True, multi_q=True,
-            )
-            scalar = _build_verdict(
-                system, chain, deltas, loads, segments,
-                exact_criterion=True, multi_q=False,
+            verdict = _build_verdict(
+                system, chain, deltas, loads, segments, exact_criterion=True
             )
             for combo in iter_combinations(segments):
-                assert multi(combo.signature) == scalar(combo.signature)
+                signature = combo.signature
+                assert verdict.exact_check_many([signature]) == [
+                    exact_unschedulable_scalar(system, chain, deltas, signature)
+                ]
 
     @pytest.mark.parametrize("seed", (2, 9, 21))
     def test_analyze_twca_identical_across_kernels(self, seed):
+        """The pruned search (block Def. 10 checks) and the exhaustive
+        pipeline (one check per combination) agree end to end."""
         system = random_system(seed, overload_chains=2)
         for chain in system.typical_chains:
-            per_kernel = []
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    result = analyze_twca(system, chain)
-                    per_kernel.append(
-                        (
-                            result.status,
-                            result.n_b,
-                            result.min_slack,
-                            result.combination_count,
-                            result.unschedulable_count,
-                            result.dmm_curve((1, 3, 10, 50)),
-                        )
+            outcomes = []
+            for enumeration in ("pruned", "exhaustive"):
+                result = analyze_twca(system, chain, enumeration=enumeration)
+                outcomes.append(
+                    (
+                        result.status,
+                        result.n_b,
+                        result.min_slack,
+                        result.combination_count,
+                        result.unschedulable_count,
+                        result.dmm_curve((1, 3, 10, 50)),
                     )
-            assert all(entry == per_kernel[0] for entry in per_kernel)
+                )
+            assert outcomes[0] == outcomes[1]
 
 
 # ----------------------------------------------------------------------
-# Simplex tableau parity
+# Simplex parity: incremental solves against the one-shot solver
 # ----------------------------------------------------------------------
 def random_lp(rng, num_vars, num_rows):
     objective = [rng.randint(0, 5) + rng.choice([0.0, rng.random()]) for _ in range(num_vars)]
@@ -377,44 +333,38 @@ def random_lp(rng, num_vars, num_rows):
     return objective, rows, rhs
 
 
-@needs_numpy
+def outcome(result):
+    return (result.status, result.objective, result.values, result.pivots)
+
+
 class TestTableauParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_cold_solves_pivot_identically(self, seed):
+        """An incremental LP's first (cold) solve is exactly
+        :func:`solve_lp`: same status, optimum, point and pivots."""
         rng = random.Random(seed)
         for _ in range(25):
             objective, rows, rhs = random_lp(
                 rng, rng.randint(1, 12), rng.randint(1, 10)
             )
-            outcomes = {}
-            for kernel in KERNELS:
-                with using_kernel(kernel):
-                    result = solve_lp(objective, rows, rhs)
-                    outcomes[kernel] = (
-                        result.status,
-                        result.objective,
-                        result.values,
-                        result.pivots,
-                    )
-            assert outcomes["python"] == outcomes["numpy"]
+            lp = IncrementalLp(objective, rows)
+            assert outcome(lp.solve(rhs)) == outcome(solve_lp(objective, rows, rhs))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_warm_rhs_schedules_pivot_identically(self, seed):
+        """``solve_many`` over an rhs schedule pivots exactly like the
+        same schedule solved one rhs at a time."""
         rng = random.Random(1000 + seed)
         objective, rows, _ = random_lp(rng, rng.randint(1, 10), rng.randint(1, 8))
-        schedule = [
-            [float(rng.randint(0, 8)) for _ in rows] for _ in range(15)
-        ]
-        outcomes = {}
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                lp = IncrementalLp(objective, rows)
-                runs = [
-                    (r.status, r.objective, r.values, r.pivots)
-                    for r in (lp.solve(rhs) for rhs in schedule)
-                ]
-                outcomes[kernel] = (runs, lp.warm_solves, lp.cold_solves)
-        assert outcomes["python"] == outcomes["numpy"]
+        schedule = [[float(rng.randint(0, 8)) for _ in rows] for _ in range(15)]
+        one_by_one = IncrementalLp(objective, rows)
+        runs = [outcome(one_by_one.solve(rhs)) for rhs in schedule]
+        batched = IncrementalLp(objective, rows)
+        assert [outcome(r) for r in batched.solve_many(schedule)] == runs
+        assert (batched.warm_solves, batched.cold_solves) == (
+            one_by_one.warm_solves,
+            one_by_one.cold_solves,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -433,34 +383,27 @@ class TestExportIdentity:
         return builder.build()
 
     def test_serial_export_identical_across_kernels(self, tmp_path):
+        """Cold cache directory, warm cache directory and no cache at
+        all export the same bytes."""
         system = self.hotpath_system()
-        exports = {}
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                cache_dir = str(tmp_path / f"cache-{kernel}")
-                batch = BatchRunner(
-                    workers=1, ks=(1, 5, 25), cache_dir=cache_dir
-                ).run_systems([system])
-                exports[kernel] = batch.to_json()
-        assert len(set(exports.values())) == 1
+        exports = []
+        for use_cache in (True, True, False):
+            batch = BatchRunner(
+                workers=1,
+                ks=(1, 5, 25),
+                cache_dir=str(tmp_path / "cache"),
+                use_cache=use_cache,
+            ).run_systems([system])
+            exports.append(batch.to_json())
+        assert len(set(exports)) == 1
 
-    @needs_numpy
     def test_parallel_export_identical_across_kernels(self):
+        """Process fan-out exports the same bytes as the serial run."""
         system = self.hotpath_system()
-        exports = {}
-        for kernel in KERNELS:
-            with using_kernel(kernel):
-                batch = BatchRunner(
-                    workers=2, ks=(1, 10), use_cache=False
-                ).run_systems([system])
-                exports[kernel] = batch.to_json()
-        assert len(set(exports.values())) == 1
-
-    def test_timing_export_names_the_kernel(self):
-        system = self.hotpath_system()
-        with using_kernel("python"):
-            batch = BatchRunner(workers=1, use_cache=False).run_systems([system])
-            payload = batch.jobs[0].to_dict(deterministic=False)
-        assert payload["kernel"] == "python"
-        deterministic = batch.jobs[0].to_dict()
-        assert "kernel" not in deterministic
+        exports = [
+            BatchRunner(workers=workers, ks=(1, 10), use_cache=False)
+            .run_systems([system])
+            .to_json()
+            for workers in (1, 2)
+        ]
+        assert len(set(exports)) == 1

@@ -1,10 +1,13 @@
 """Unit tests for the system model: tasks, chains, systems, builder."""
 
+import math
 
 import pytest
 
 from repro import (ChainKind, PeriodicModel, SporadicModel, System,
                    SystemBuilder, Task, TaskChain)
+from repro.arrivals import ArrivalCurve, SporadicBurstModel
+from repro.model.serialization import system_from_dict, system_to_dict
 
 
 class TestTask:
@@ -212,3 +215,58 @@ class TestBuilder:
         )
         assert built["c"].kind is ChainKind.ASYNCHRONOUS
         assert built["c"].deadline == 50
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+#: One constructor per model parameter, taking the value under test.
+MODEL_PARAMETERS = {
+    "periodic.period": lambda v: PeriodicModel(v),
+    "periodic.jitter": lambda v: PeriodicModel(100, jitter=v),
+    "periodic.min_distance": lambda v: PeriodicModel(100, min_distance=v),
+    "sporadic.min_distance": SporadicModel,
+    "burst.inner_distance": lambda v: SporadicBurstModel(v, 2, 100),
+    "burst.burst": lambda v: SporadicBurstModel(5, v, 100),
+    "burst.outer_distance": lambda v: SporadicBurstModel(5, 2, v),
+    "curve.delta_min_points": lambda v: ArrivalCurve([0, 0, v]),
+    "curve.tail_distance": lambda v: ArrivalCurve([0, 0, 10], tail_distance=v),
+    "curve.delta_max_points": lambda v: ArrivalCurve(
+        [0, 0, 10], delta_max_points=[0, 0, v]),
+}
+
+
+class TestNonFiniteRejected:
+    """NaN and infinities are rejected where the model is built, so bad
+    input can never be analyzed into a plausible-looking answer."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ("priority", "wcet", "bcet"))
+    def test_task_fields(self, field, value):
+        fields = {"priority": 1, "wcet": 2.0, "bcet": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            Task("t", **fields)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("parameter", sorted(MODEL_PARAMETERS))
+    def test_event_model_parameters(self, parameter, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            MODEL_PARAMETERS[parameter](value)
+
+    @pytest.mark.parametrize("value", (math.nan, -math.inf))
+    def test_chain_deadline(self, value):
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            TaskChain("c", [Task("t", 1, 1)], PeriodicModel(10), deadline=value)
+
+    def test_infinite_deadline_means_no_deadline(self):
+        chain = TaskChain("c", [Task("t", 1, 1)], PeriodicModel(10))
+        assert chain.deadline == math.inf
+        data = system_to_dict(System([chain]))
+        assert data["chains"][0]["deadline"] is None
+        assert system_from_dict(data)["c"].deadline == math.inf
+
+    def test_nan_in_serialized_system_is_rejected(self):
+        chain = TaskChain("c", [Task("t", 1, 1)], PeriodicModel(10), deadline=10)
+        data = system_to_dict(System([chain]))
+        data["chains"][0]["tasks"][0]["wcet"] = math.nan
+        with pytest.raises(ValueError, match="wcet must be finite"):
+            system_from_dict(data)

@@ -8,6 +8,7 @@ chunk size, and any amount of stealing or retrying along the way.
 """
 
 import io
+import os
 import random
 import threading
 import time
@@ -510,6 +511,54 @@ class TestLocalWorkerLifecycle:
             ]
         finally:
             worker.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fdinfo"), reason="needs Linux /proc fdinfo"
+    )
+    def test_concurrent_starts_leak_no_sentinel(self):
+        """Two dispatch threads starting their workers at once must not
+        let one child inherit the other's sentinel write end: ``join()``
+        would then wait for the sibling, stalling ``close()``."""
+        for _ in range(20):
+            workers = [LocalShardWorker("a"), LocalShardWorker("b")]
+            barrier = threading.Barrier(len(workers))
+
+            def start(worker):
+                barrier.wait(timeout=30)
+                worker._ensure_process()
+
+            threads = [threading.Thread(target=start, args=(w,)) for w in workers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            try:
+                for worker, sibling in (workers, workers[::-1]):
+                    sentinel = os.fstat(sibling._process.sentinel).st_ino
+                    assert sentinel not in write_pipes(worker._process.pid)
+            finally:
+                for worker in workers:
+                    began = time.perf_counter()
+                    worker.close()
+                    assert time.perf_counter() - began < 1.0
+
+
+def write_pipes(pid):
+    """Inodes of the pipes process ``pid`` holds open for writing."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            with open(f"/proc/{pid}/fdinfo/{fd}") as handle:
+                flags = next(line for line in handle if line.startswith("flags:"))
+        except OSError:
+            continue  # closed while we looked
+        if target.startswith("pipe:[") and (
+            int(flags.split()[1], 8) & os.O_ACCMODE == os.O_WRONLY
+        ):
+            inodes.add(int(target[len("pipe:[") : -1]))
+    return inodes
 
 
 def execute_and_collect(chunk):

@@ -1,7 +1,8 @@
-"""Kernel parity of the simulation backends.
+"""Parity of the simulator's numpy calendar with the scalar event loop.
 
-The numpy event calendar (:mod:`repro.sim.calendar`) promises to be
-*bit-identical* to the scalar python event loop: same
+The numpy event calendar (:mod:`repro.sim.calendar`, behind
+``Simulator.run``) promises to be *bit-identical* to the scalar event
+loop run over the whole horizon (``Simulator._run_python``): same
 ``ExecutionSlice`` sequence, same ``InstanceRecord`` values, and
 byte-identical exports.  This suite enforces that promise over
 hypothesis-randomized feasible systems (synchronous and asynchronous
@@ -21,8 +22,9 @@ from repro import ChainKind, PeriodicModel, SporadicModel, SystemBuilder
 from repro.arrivals import ArrivalCurve, SporadicBurstModel
 from repro.distributed import (DistributedChain, DistributedSystem, on,
                                worst_case_distributed_activations)
-from repro.distributed.sim import DistributedSimulator
-from repro.kernel import HAVE_NUMPY, using_kernel
+from repro.distributed.sim import (DistributedInstanceRecord,
+                                   DistributedSimulationResult,
+                                   DistributedSimulator)
 from repro.model import Task
 from repro.sim import (Simulator, busy_window_activation_counts,
                        instances_csv, latency_stats, miss_streaks,
@@ -30,9 +32,6 @@ from repro.sim import (Simulator, busy_window_activation_counts,
                        worst_case_stream)
 from repro.synth import (GeneratorConfig, generate_feasible_system,
                          soak_workload)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="backend parity needs both kernels")
 
 ZOO_MODELS = (
     PeriodicModel(80),
@@ -59,10 +58,8 @@ def zoo_system():
 
 
 def run_both(system, activations, horizon):
-    with using_kernel("numpy"):
-        fast = Simulator(system).run(activations, horizon)
-    with using_kernel("python"):
-        reference = Simulator(system).run(activations, horizon)
+    fast = Simulator(system).run(activations, horizon)
+    reference = Simulator(system)._run_python(activations, horizon)
     return fast, reference
 
 
@@ -127,9 +124,8 @@ class TestEngineParity:
             chain.name: worst_case_stream(chain.activation, horizon)
             for chain in system.chains
         }
-        with using_kernel("numpy"):
-            first = trace_json(Simulator(system).run(activations, horizon))
-            second = trace_json(Simulator(system).run(activations, horizon))
+        first = trace_json(Simulator(system).run(activations, horizon))
+        second = trace_json(Simulator(system).run(activations, horizon))
         assert first == second
 
     def test_soak_workload_bit_identical(self):
@@ -169,24 +165,38 @@ class TestStreamParity:
                              ids=lambda m: type(m).__name__)
     def test_batched_spacings_match_scalar(self, model):
         ks = list(range(1, 200))
-        with using_kernel("numpy"):
-            batched_minus = list(model.delta_minus_many(ks))
-            batched_plus = list(model.delta_plus_many(ks))
-        with using_kernel("python"):
-            scalar_minus = list(model.delta_minus_many(ks))
-        assert batched_minus == scalar_minus
+        batched_minus = list(model.delta_minus_many(ks))
+        batched_plus = list(model.delta_plus_many(ks))
         assert batched_minus == [model.delta_minus(k) for k in ks]
         assert batched_plus == [model.delta_plus(k) for k in ks]
 
     @pytest.mark.parametrize("model", ZOO_MODELS,
                              ids=lambda m: type(m).__name__)
     def test_worst_case_stream_identical_across_kernels(self, model):
-        with using_kernel("numpy"):
-            fast = worst_case_stream(model, 5000.0, offset=1.25)
-        with using_kernel("python"):
-            reference = worst_case_stream(model, 5000.0, offset=1.25)
+        """The batched stream equals generating it one event at a time:
+        event ``i`` at ``offset + delta_minus(i + 1)``."""
+        fast = worst_case_stream(model, 5000.0, offset=1.25)
+        reference = []
+        while 1.25 + model.delta_minus(len(reference) + 1) <= 5000.0:
+            reference.append(1.25 + model.delta_minus(len(reference) + 1))
         assert fast == reference
         assert all(isinstance(t, float) for t in fast)
+
+
+def scalar_distributed_run(system, streams, horizon):
+    """The scalar event loop over the whole horizon, called directly
+    with the records and the time-sorted releases ``run`` builds."""
+    records = {
+        chain.name: [DistributedInstanceRecord(chain.name, i, t)
+                     for i, t in enumerate(streams[chain.name])]
+        for chain in system.chains
+    }
+    releases = sorted(
+        ((t, chain, i) for chain in system.chains
+         for i, t in enumerate(streams[chain.name])),
+        key=lambda item: item[0])
+    DistributedSimulator(system)._event_loop(releases, records, {})
+    return DistributedSimulationResult(system, horizon, records)
 
 
 class TestDistributedParity:
@@ -213,10 +223,8 @@ class TestDistributedParity:
         system = self._system()
         horizon = 4000.0
         streams = worst_case_distributed_activations(system, horizon)
-        with using_kernel("numpy"):
-            fast = DistributedSimulator(system).run(streams, horizon)
-        with using_kernel("python"):
-            reference = DistributedSimulator(system).run(streams, horizon)
+        fast = DistributedSimulator(system).run(streams, horizon)
+        reference = scalar_distributed_run(system, streams, horizon)
         assert fast.instances == reference.instances
         for chain in system.chains:
             assert fast.latencies(chain.name) == \

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro import analyze_latency, analyze_twca
-from repro.kernel import HAVE_NUMPY, using_kernel
 from repro.sim import (Simulator, randomized_activations,
                        simulate_worst_case, validate_against_analysis,
                        busy_window_activation_counts)
@@ -15,13 +14,15 @@ from repro.synth import (GeneratorConfig, figure4_system,
                          generate_feasible_system, random_systems)
 
 
-@pytest.fixture(autouse=True,
-                params=("numpy", "python") if HAVE_NUMPY else ("python",))
-def sim_kernel(request):
-    """Every soundness check runs once per simulation backend: the
-    analytical bounds must hold for (identical) traces of both."""
-    with using_kernel(request.param):
-        yield request.param
+@pytest.fixture(autouse=True, params=("numpy", "python"))
+def sim_kernel(request, monkeypatch):
+    """Every soundness check runs once per simulation path: the numpy
+    calendar behind ``Simulator.run`` and the scalar event loop over
+    the whole horizon.  The analytical bounds must hold for the
+    (identical) traces of both."""
+    if request.param == "python":
+        monkeypatch.setattr(Simulator, "run", Simulator._run_python)
+    yield request.param
 
 
 class TestCaseStudy:
