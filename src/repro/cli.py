@@ -199,7 +199,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     system = _load_system(args.system, args.calibrated)
-    result = simulate_worst_case(system, args.horizon)
+    try:
+        result = simulate_worst_case(system, args.horizon)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for chain in system.chains:
         finished = result.latencies(chain.name)
         if not finished:

@@ -83,6 +83,8 @@ class DistributedSimulationResult:
         ]
 
     def empirical_dmm(self, chain: str, k: int) -> int:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         flags = self.miss_flags(chain)
         if len(flags) < k:
             return sum(flags)

@@ -46,6 +46,7 @@ from .engine import (
     ExecutionSlice,
     InstanceRecord,
     SimulationResult,
+    release_times,
     run_event_loop,
 )
 
@@ -65,9 +66,9 @@ MARGIN_REL_FLOOR = 1e-9
 class TraceArrays:
     """Simulation trace held as per-chain arrays plus slice chunks.
 
-    ``slice_chunks`` is a chronological mix of array chunks
-    ``(chain, task, instances, starts, ends)`` from batch retirement
-    and lists of :class:`ExecutionSlice` from scalar stretches; slices
+    ``slice_chunks`` mixes array chunks ``(chain, task, instances,
+    starts, ends)`` from batch retirement with one list of
+    :class:`ExecutionSlice` from the scalar stretches; slices
     never overlap and zero-length slices are never emitted, so slice
     start times are globally unique and a sort by start reconstructs
     the exact scalar emission order.
@@ -250,17 +251,10 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
     chains = system.chains
     trace = TraceArrays(system, horizon)
 
-    per_chain_times = []
-    for chain in chains:
-        raw = activations.get(chain.name, ())
-        times = np.asarray(raw, dtype=np.float64)
-        if times.ndim != 1:
-            times = times.reshape(-1)
-        times = times[times <= horizon]
-        if times.size > 1 and bool((np.diff(times) < 0).any()):
-            raise ValueError(f"activations of {chain.name!r} must be sorted")
-        trace.allocate(chain.name, times)
-        per_chain_times.append(times)
+    streams = release_times(system, activations, horizon)
+    for name, times in streams.items():
+        trace.allocate(name, times)
+    per_chain_times = list(streams.values())
 
     counts = [times.size for times in per_chain_times]
     total = int(sum(counts))
@@ -344,22 +338,24 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
     if slow_idx.size:
         store = _ArrayStore(trace)
         chain_list = list(chains)
-        slow_t = t[slow_idx].tolist()
         slow_chain = [chain_list[c] for c in cid[slow_idx].tolist()]
-        slow_inst = inst[slow_idx].tolist()
+        releases = list(zip(t[slow_idx].tolist(), slow_chain, inst[slow_idx].tolist()))
         cuts = np.flatnonzero(np.diff(slow_idx) > 1) + 1
-        bounds = [0, *cuts.tolist(), len(slow_t)]
+        bounds = [0, *cuts.tolist(), len(releases)]
         execution_time = simulator._execution_time
+        # One slice list serves every stretch: a stretch's first slice
+        # never continues the previous stretch's last (no instance
+        # spans two stretches), and build_slices sorts by start.
+        stretch_slices: List[ExecutionSlice] = []
         for lo, hi in zip(bounds, bounds[1:]):
-            pending = list(zip(slow_t[lo:hi], slow_chain[lo:hi], slow_inst[lo:hi]))
+            pending = releases[lo:hi]
             task_turn: Dict[str, int] = {}
             for _, chain, instance in pending:
                 if chain.tasks[0].name not in task_turn:
                     for task in chain.tasks:
                         task_turn[task.name] = instance
-            stretch_slices: List[ExecutionSlice] = []
             run_event_loop(pending, execution_time, store, stretch_slices, task_turn)
-            if stretch_slices:
-                trace.slice_chunks.append(stretch_slices)
+        if stretch_slices:
+            trace.slice_chunks.append(stretch_slices)
 
     return result

@@ -24,9 +24,13 @@ calendar is tested against, trace for trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..model import System, TaskChain
 
@@ -134,6 +138,8 @@ class SimulationResult:
         """Maximum misses observed in any window of ``k`` consecutive
         finished instances of ``chain`` — an empirical lower bound on any
         valid ``dmm(k)``."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         if self._instances is None and self._trace is not None:
             deadline = self.system[chain].deadline
             return self._trace.empirical_dmm(chain, deadline, k)
@@ -166,23 +172,34 @@ class SimulationResult:
         return merged
 
 
-@dataclass
 class _Job:
-    """One task of one chain instance, as seen by the scheduler."""
+    """One task of one chain instance, as seen by the scheduler.
 
-    chain: TaskChain
-    task_index: int
-    instance: int
-    release: float
-    remaining: float
+    Only ``remaining`` changes over a job's life, so the task's
+    priority, name and position in the chain are resolved once, here.
+    """
 
-    @property
-    def priority(self) -> float:
-        return self.chain.tasks[self.task_index].priority
+    __slots__ = (
+        "chain",
+        "task_index",
+        "instance",
+        "release",
+        "remaining",
+        "priority",
+        "task_name",
+        "is_last",
+    )
 
-    @property
-    def task_name(self) -> str:
-        return self.chain.tasks[self.task_index].name
+    def __init__(self, chain, task_index, instance, release, remaining):
+        task = chain.tasks[task_index]
+        self.chain = chain
+        self.task_index = task_index
+        self.instance = instance
+        self.release = release
+        self.remaining = remaining
+        self.priority = task.priority
+        self.task_name = task.name
+        self.is_last = task_index + 1 == len(chain.tasks)
 
 
 class _ObjectStore:
@@ -224,77 +241,72 @@ def run_event_loop(
     first instance index of every chain present in a contended stretch
     (the loop state a full scalar run would have reached at the idle
     point opening the stretch).
+
+    The ready set is a binary heap keyed ``(-priority, release,
+    instance, seq)``: highest priority first, then the earliest release,
+    then the lowest instance.  ``seq`` grows with every push, so full
+    ties go to the job pushed (or re-pushed after preemption) first.
     """
     next_release_index = 0
-    ready: List[_Job] = []
-    chain_names = {chain.name for _, chain, _ in pending_releases}
-    #: Instances of synchronous chains waiting for their predecessor.
-    sync_backlog: Dict[str, List[_Job]] = {name: [] for name in chain_names}
+    release_count = len(pending_releases)
+    ready: List[Tuple[float, float, int, int, _Job]] = []
+    pushes = itertools.count()
     #: Whether an instance of a sync chain is currently in flight.
-    sync_busy: Dict[str, bool] = {name: False for name in chain_names}
+    sync_busy: Dict[str, bool] = {}
+    #: Instances of synchronous chains waiting for their predecessor.
+    sync_backlog: Dict[str, List[_Job]] = {}
     #: Jobs blocked by the per-task FIFO order.
     fifo_backlog: Dict[str, List[_Job]] = {}
+    mark_start, task_finish, finish = store.mark_start, store.task_finish, store.finish
 
     time = 0.0
 
+    def push(job: _Job) -> None:
+        heappush(ready, (-job.priority, job.release, job.instance, next(pushes), job))
+
     def admit(job: _Job) -> None:
         """Place a job into the ready set, honouring per-task FIFO."""
-        turn = task_turn.setdefault(job.task_name, 0)
-        if job.instance == turn:
-            ready.append(job)
+        if job.instance == task_turn.setdefault(job.task_name, 0):
+            push(job)
         else:
             fifo_backlog.setdefault(job.task_name, []).append(job)
 
-    def release_header(chain: TaskChain, instance: int, at: float) -> None:
-        job = _Job(chain, 0, instance, at, execution_time(chain, 0))
-        if chain.is_synchronous:
-            if sync_busy[chain.name]:
-                sync_backlog[chain.name].append(job)
-                return
-            sync_busy[chain.name] = True
-        store.mark_start(chain.name, instance, at)
-        admit(job)
-
     def finish_job(job: _Job, at: float) -> None:
-        store.task_finish(job.chain.name, job.instance, job.task_index, job.task_name, at)
-        task_turn[job.task_name] = job.instance + 1
+        chain, instance, name = job.chain, job.instance, job.task_name
+        task_finish(chain.name, instance, job.task_index, name, at)
+        task_turn[name] = instance + 1
         # Unblock the FIFO successor of this task, if queued.
-        queued = fifo_backlog.get(job.task_name, [])
-        for i, blocked in enumerate(queued):
-            if blocked.instance == job.instance + 1:
-                ready.append(queued.pop(i))
-                break
-        if job.task_index + 1 < len(job.chain.tasks):
-            successor = _Job(
-                job.chain,
-                job.task_index + 1,
-                job.instance,
-                at,
-                execution_time(job.chain, job.task_index + 1),
-            )
-            admit(successor)
+        queued = fifo_backlog.get(name)
+        if queued:
+            for i, blocked in enumerate(queued):
+                if blocked.instance == instance + 1:
+                    push(queued.pop(i))
+                    break
+        if not job.is_last:
+            index = job.task_index + 1
+            admit(_Job(chain, index, instance, at, execution_time(chain, index)))
             return
         # Chain instance complete.
-        store.finish(job.chain.name, job.instance, at)
-        if job.chain.is_synchronous:
-            backlog = sync_backlog[job.chain.name]
+        finish(chain.name, instance, at)
+        if chain.is_synchronous:
+            backlog = sync_backlog.get(chain.name)
             if backlog:
                 nxt = backlog.pop(0)
-                store.mark_start(job.chain.name, nxt.instance, at)
+                mark_start(chain.name, nxt.instance, at)
                 admit(nxt)
             else:
-                sync_busy[job.chain.name] = False
+                sync_busy[chain.name] = False
 
     max_iterations = 10_000_000
     iterations = 0
     while True:
         iterations += 1
         if iterations > max_iterations:
-            preview = [(j.task_name, j.instance, j.remaining) for j in ready[:5]]
+            preview = [(j.task_name, j.instance, j.remaining) for *_, j in ready[:5]]
             raise RuntimeError(
                 "simulation did not terminate: "
                 f"time={time!r}, ready={len(ready)}, "
-                f"released {next_release_index}/{len(pending_releases)}, "
+                f"released {next_release_index}/{release_count}, "
                 f"ready_jobs={preview!r}"
             )
         # Half-open window convention (matches the eta_plus of the
@@ -302,43 +314,46 @@ def run_event_loop(
         # *before* activations arriving exactly at `time` are seen.
         # Zero-remaining ready jobs therefore cascade to completion
         # first — but only while they are the highest-priority work.
-        while ready:
-            top = max(ready, key=lambda j: (j.priority, -j.release, -j.instance))
-            if top.remaining <= 1e-12:
-                ready.remove(top)
-                finish_job(top, time)
-            else:
-                break
+        while ready and ready[0][-1].remaining <= 1e-12:
+            finish_job(heappop(ready)[-1], time)
 
         # Release every activation due at or before `time`.
         while (
-            next_release_index < len(pending_releases)
+            next_release_index < release_count
             and pending_releases[next_release_index][0] <= time
         ):
             at, chain, instance = pending_releases[next_release_index]
-            release_header(chain, instance, at)
             next_release_index += 1
+            job = _Job(chain, 0, instance, at, execution_time(chain, 0))
+            if chain.is_synchronous:
+                if sync_busy.get(chain.name):
+                    sync_backlog.setdefault(chain.name, []).append(job)
+                    continue
+                sync_busy[chain.name] = True
+            mark_start(chain.name, instance, at)
+            admit(job)
 
         if not ready:
-            if next_release_index >= len(pending_releases):
+            if next_release_index >= release_count:
                 break  # no work left and no future releases
             time = pending_releases[next_release_index][0]
             continue
 
-        job = max(ready, key=lambda j: (j.priority, -j.release, -j.instance))
-        ready.remove(job)
+        job = heappop(ready)[-1]
         next_arrival = (
             pending_releases[next_release_index][0]
-            if next_release_index < len(pending_releases)
+            if next_release_index < release_count
             else math.inf
         )
         if next_arrival - time <= 1e-9 and job.remaining > 1e-12:
             # Guard against float-epsilon livelock: an arrival due
             # "now" (within rounding) is drained before executing.
-            ready.append(job)
+            push(job)
             time = next_arrival
             continue
-        run_until = min(time + job.remaining, next_arrival)
+        run_until = time + job.remaining
+        if next_arrival < run_until:
+            run_until = next_arrival
         if run_until <= time and job.remaining > 0:
             # The residue is below float resolution at this time
             # magnitude (time + remaining rounds back to time); the
@@ -365,7 +380,32 @@ def run_event_loop(
         if job.remaining <= 1e-12:
             finish_job(job, time)
         else:
-            ready.append(job)
+            push(job)
+
+
+def release_times(
+    system: System, activations: Dict[str, Sequence[float]], horizon: float
+) -> Dict[str, np.ndarray]:
+    """Every chain's activation timestamps up to ``horizon``, as float64.
+
+    The input check both backends share.  A NaN horizon and NaN or
+    infinite timestamps are rejected: every comparison with NaN is
+    false, so the horizon filter would otherwise drop them silently.
+    Streams must be sorted.  Coercing to float64 here makes both
+    backends run identical arithmetic on integer timestamps.
+    """
+    if math.isnan(horizon):
+        raise ValueError("horizon must not be NaN")
+    streams: Dict[str, np.ndarray] = {}
+    for chain in system.chains:
+        times = np.asarray(activations.get(chain.name, ()), dtype=float).ravel()
+        if not np.isfinite(times).all():
+            raise ValueError(f"activations of {chain.name!r} must be finite")
+        times = times[times <= horizon]
+        if times.size > 1 and bool((np.diff(times) < 0).any()):
+            raise ValueError(f"activations of {chain.name!r} must be sorted")
+        streams[chain.name] = times
+    return streams
 
 
 class Simulator:
@@ -382,19 +422,9 @@ class Simulator:
     def prepare_releases(
         self, activations: Dict[str, Sequence[float]], horizon: float
     ) -> Dict[str, List[float]]:
-        """Filter, float-coerce and validate the activation streams.
-
-        Timestamps are coerced to float on ingestion so both backends
-        run the identical float64 arithmetic regardless of whether a
-        caller supplied integer timestamps.
-        """
-        prepared: Dict[str, List[float]] = {}
-        for chain in self.system.chains:
-            times = [float(t) for t in activations.get(chain.name, ()) if t <= horizon]
-            if sorted(times) != times:
-                raise ValueError(f"activations of {chain.name!r} must be sorted")
-            prepared[chain.name] = times
-        return prepared
+        """The activation streams :func:`release_times` accepts, as lists."""
+        streams = release_times(self.system, activations, horizon)
+        return {name: times.tolist() for name, times in streams.items()}
 
     def run(
         self, activations: Dict[str, Sequence[float]], horizon: float

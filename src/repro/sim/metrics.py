@@ -9,6 +9,7 @@ validation benchmarks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -72,6 +73,8 @@ def simulate_worst_case(
     system: System, horizon: float, use_bcet: bool = False
 ) -> SimulationResult:
     """Run the critical-instant simulation over ``horizon``."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     simulator = Simulator(system, use_bcet=use_bcet)
     return simulator.run(worst_case_activations(system, horizon), horizon)
 

@@ -36,6 +36,13 @@ class TestSimulate:
         assert "max latency" in out
         assert "tau_c^3" in out  # gantt row labels
 
+    @pytest.mark.parametrize("horizon", ["nan", "-5", "inf", "0"])
+    def test_bad_horizon_is_a_usage_error(self, horizon, capsys):
+        assert main(["simulate", "--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        assert "error: horizon must be finite and > 0" in captured.err
+        assert captured.out == ""
+
 
 class TestExperiments:
     def test_table1(self, capsys):

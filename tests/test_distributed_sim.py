@@ -50,6 +50,12 @@ class TestBasicExecution:
         assert record.task_finishes["s.x"] == 10
         assert record.task_finishes["s.y"] == 30
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_empirical_dmm_rejects_k_below_one(self, k):
+        result = simulate(_system())
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            result.empirical_dmm("pipeline", k)
+
     def test_resources_execute_in_parallel(self):
         left = DistributedChain(
             "left", [on("a", Task("l.t", priority=1, wcet=50))],

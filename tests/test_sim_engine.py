@@ -1,9 +1,11 @@
 """Hand-checkable scenarios for the SPP chain simulator."""
 
+import math
+
 import pytest
 
 from repro import ChainKind, PeriodicModel, SporadicModel, SystemBuilder
-from repro.sim import Simulator
+from repro.sim import Simulator, simulate_worst_case
 
 
 def run(system, activations, horizon=10_000):
@@ -220,3 +222,48 @@ class TestBoundaryTieBreak:
             "victim": [0.0],
             "noise": [0.0, 40.0, 80.0, 120.0]})
         assert result.latencies("victim") == [40]
+
+
+class TestInputValidation:
+    """Bad simulator input is rejected at the boundary, by both the
+    calendar (``run``) and the scalar loop (``_run_python``)."""
+
+    def _system(self):
+        return (
+            SystemBuilder("solo")
+            .chain("c", PeriodicModel(100), deadline=100)
+            .task("c.t", priority=1, wcet=10)
+            .build()
+        )
+
+    def _backends(self):
+        simulator = Simulator(self._system())
+        return (simulator.run, simulator._run_python)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_activation_rejected(self, bad):
+        for backend in self._backends():
+            with pytest.raises(ValueError, match="finite"):
+                backend({"c": [0.0, bad, 500.0]}, 1000)
+
+    def test_nan_horizon_rejected(self):
+        for backend in self._backends():
+            with pytest.raises(ValueError, match="NaN"):
+                backend({"c": [0.0, 100.0]}, math.nan)
+
+    def test_infinite_horizon_keeps_every_activation(self):
+        for backend in self._backends():
+            result = backend({"c": [0.0, 100.0]}, math.inf)
+            assert result.latencies("c") == [10, 10]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_empirical_dmm_rejects_k_below_one(self, k):
+        for backend in self._backends():
+            result = backend({"c": [0.0, 100.0]}, 1000)
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                result.empirical_dmm("c", k)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -5.0])
+    def test_worst_case_needs_finite_positive_horizon(self, horizon):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            simulate_worst_case(self._system(), horizon)

@@ -102,6 +102,32 @@ class TestEngineParity:
         }
         assert_identical(*run_both(system, activations, horizon))
 
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000))
+    def test_shared_priorities_bit_identical(self, seed):
+        """Tasks drawn from three priority levels, so the event loop's
+        push-order tie-break decides many picks inside the contended
+        stretches; the calendar must still match the scalar run."""
+        rng = random.Random(seed)
+        builder = SystemBuilder("shared", allow_shared_priorities=True)
+        for index, model in enumerate(ZOO_MODELS[:4]):
+            kind = (ChainKind.SYNCHRONOUS if index % 2
+                    else ChainKind.ASYNCHRONOUS)
+            builder.chain(f"s{index}", model, deadline=40, kind=kind)
+            for k in range(rng.randint(1, 3)):
+                builder.task(f"s{index}.t{k}", priority=rng.randint(1, 3),
+                             wcet=rng.choice((1.5, 3, 4.25)))
+        system = builder.build()
+        horizon = 3000.0
+        for activations in (
+            {chain.name: worst_case_stream(chain.activation, horizon)
+             for chain in system.chains},
+            {chain.name: random_stream(chain.activation, horizon, rng)
+             for chain in system.chains},
+        ):
+            assert_identical(*run_both(system, activations, horizon))
+
     def test_model_zoo_bit_identical(self):
         system = zoo_system()
         horizon = 5000.0
