@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 
 from conftest import run_once
+from oracles.packing import solve_dp, solve_greedy
 
-from repro.ilp import IntegerProgram, solve_branch_bound, solve_dp, \
-    solve_greedy
+from repro.ilp import IntegerProgram, solve_branch_bound
 
 TASKS = ("tau_1", "tau_2", "tau_3")
 BUDGET = 2  # activations available per overload task

@@ -1,8 +1,10 @@
-"""A2 — Ablation: ILP backend comparison on Theorem 3 packings.
+"""A2 — Ablation: the packing solver against its oracles.
 
-Times the exact backends (own branch-and-bound, exact DP, scipy/HiGHS)
-and the greedy heuristic on packing programs harvested from the
-Figure 5 population, and verifies the exact backends agree everywhere.
+Times the production solver (:func:`repro.ilp.solve`: closed form for
+one variable, branch-and-bound otherwise), the branch-and-bound alone,
+and the reference solvers of ``tests/oracles/packing.py`` (exact DP,
+scipy/HiGHS, the greedy heuristic) on packing programs harvested from
+the Figure 5 population, and verifies the exact ones agree everywhere.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ import random
 
 import pytest
 from conftest import run_once
+from oracles.packing import (scipy_available, solve_dp, solve_greedy,
+                             solve_scipy)
 
 from repro import analyze_twca
-from repro.ilp import (IntegerProgram, solve_branch_bound, solve_dp,
-                       solve_greedy, solve_scipy)
+from repro.ilp import IntegerProgram, solve, solve_branch_bound
 from repro.synth import figure4_system, random_systems
 
 
@@ -54,23 +57,30 @@ def programs():
     return harvest_programs()
 
 
-def test_backend_agreement_on_harvest(benchmark, programs):
+def test_solver_agreement_on_harvest(benchmark, programs):
     def solve_all():
         results = []
         for program in programs:
+            ours = solve(program)
             bb = solve_branch_bound(program)
             dp = solve_dp(program)
-            hi = solve_scipy(program)
             gr = solve_greedy(program)
-            assert bb.objective == dp.objective == hi.objective
-            assert gr.objective <= bb.objective
-            results.append(bb.objective)
+            assert ours.objective == bb.objective == dp.objective
+            if scipy_available():
+                assert ours.objective == solve_scipy(program).objective
+            assert gr.objective <= ours.objective
+            results.append(ours.objective)
         return results
 
     optima = run_once(benchmark, solve_all)
     print(f"\n{len(optima)} packings solved; optima histogram: "
           f"{sorted(set(optima))}")
     assert optima  # harvested something
+
+
+def test_solve_speed(benchmark, programs):
+    result = benchmark(lambda: [solve(p).objective for p in programs])
+    assert len(result) == len(programs)
 
 
 def test_branch_bound_speed(benchmark, programs):
@@ -84,6 +94,7 @@ def test_dp_speed(benchmark, programs):
     assert len(result) == len(programs)
 
 
+@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
 def test_scipy_speed(benchmark, programs):
     result = benchmark(lambda: [solve_scipy(p).objective
                                 for p in programs])
@@ -103,7 +114,7 @@ def test_greedy_quality_gap(benchmark, programs):
     def gaps():
         out = []
         for program in programs:
-            exact = solve_branch_bound(program).objective
+            exact = solve(program).objective
             heur = solve_greedy(program).objective
             if exact > 0:
                 out.append(heur / exact)

@@ -1,33 +1,27 @@
 """TWCA hot-path benchmark: pruned frontier search vs exhaustive
-enumeration, cold vs warm-started fixed points, and — since the
-incremental-engine rework — packing re-solves and ``criterion_load``
+enumeration, cold vs warm-started fixed points, and ``criterion_load``
 window scans.
 
 This is the running entry in the perf trajectory started by PR 3: it
 measures the compounding optimisations of the combination-schedulability
 pipeline (lazy dominance-pruned enumeration, signature-memoized exact
 checks, warm-started fixed points) on a case-study-shaped system whose
-exhaustive combination count is >= 10^4, plus the ROADMAP-named next hot
-spots: the Theorem 3 packing ILP on a *fat frontier* (many
-inclusion-minimal combinations, many capacity rows) re-solved along a
-monotone ``Omega`` schedule, and the batched Eq. (5) ``criterion_load``
-evaluation.  Everything is exported to ``BENCH_twca_hotpath.json`` at
-the repository root, extending the PR-over-PR trajectory.
+exhaustive combination count is >= 10^4, plus the batched Eq. (5)
+``criterion_load`` evaluation.  Everything is exported to
+``BENCH_twca_hotpath.json`` at the repository root, extending the
+trajectory of earlier exports.
 
-``bb_batched_nodes`` drives the best-first branch-and-bound (open
-frontier resolved through ``IncrementalLp.solve_many`` plus a shared
-``BranchBoundState``) against the historic recursion with one cold
-two-phase relaxation per node; it is informational.  ``sim_soak``
-times the simulator's numpy event calendar (``Simulator.run``) against
-the scalar event loop it replays (``Simulator._run_python``).
+``fat_frontier_solve`` times :func:`repro.ilp.solve` on a Theorem 3
+packing with a *fat frontier* (24 inclusion-minimal combinations over
+16 capacity rows) along a growing ``Omega`` schedule; it is
+informational.  ``sim_soak`` times the simulator's numpy event calendar
+(``Simulator.run``) against the scalar event loop it replays
+(``Simulator._run_python``).
 
 Gates (0 disables each):
 
 * ``REPRO_BENCH_SPEEDUP_GATE`` (default 5): the pruned pipeline must be
   >= 5x faster than the exhaustive one on the cold path;
-* ``REPRO_BENCH_PACKING_GATE`` (default 3): the stateful packing engine
-  must evaluate the fat-frontier capacity schedule >= 3x faster than
-  per-point cold solves through the historic two-phase relaxation;
 * ``REPRO_BENCH_SERVICE_GATE`` (default 2): the ``--workers 4`` compute
   pool must serve N distinct-system requests >= 2x faster than the
   serialized workers=1 baseline — enforced only on machines with >= 2
@@ -45,9 +39,9 @@ Gates (0 disables each):
   activations) >= 3x faster than the scalar event loop, with identical
   latencies, miss flags, (m,k) windows and busy windows at full scale
   and byte-identical trace exports on a sub-run;
-* DMM curves, packing optima and deterministic batch exports must be
-  byte-identical between the optimized and the reference paths (always
-  asserted — identity is never noise).
+* DMM curves and deterministic batch exports must be byte-identical
+  between the optimized and the reference paths (always asserted —
+  identity is never noise).
 """
 
 from __future__ import annotations
@@ -64,8 +58,7 @@ from conftest import run_once
 
 from repro import PeriodicModel, SporadicModel, SystemBuilder, analyze_twca
 from repro.analysis.busy_window import criterion_load, criterion_loads
-from repro.ilp import PackingInstance
-from repro.ilp.branch_bound import BranchBoundState, solve_branch_bound
+from repro.ilp import IntegerProgram, solve
 from repro.kernel import kernel_name
 from repro.report import format_table
 from repro.runner import BatchRunner, run_sharded
@@ -83,10 +76,6 @@ from repro.synth import (
 #: shared-runner CI smoke sets the gate to 0; local runs enforce 5x.
 DEFAULT_GATE = 5.0
 
-#: Acceptance floor for the fat-frontier packing-engine speedup over the
-#: historic per-point cold solves (``REPRO_BENCH_PACKING_GATE``).
-DEFAULT_PACKING_GATE = 3.0
-
 #: Acceptance floor for the pooled service over the serialized baseline
 #: (``REPRO_BENCH_SERVICE_GATE``); engaged only when >= 2 cores exist.
 DEFAULT_SERVICE_GATE = 2.0
@@ -102,9 +91,6 @@ DEFAULT_SHARD_GATE = 2.0
 EXPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_twca_hotpath.json"
 
 KS = (1, 3, 10, 100)
-
-#: The k range of the whole-curve sections.
-CURVE_KS = tuple(range(1, 301))
 
 
 def hotpath_system(overload_count: int = 13, split_chains: int = 2):
@@ -152,9 +138,9 @@ def time_once(fn):
 def time_best_of(make, repeats=3):
     """Min-of-N wall time for short measurements that scheduler noise
     would otherwise dominate.  ``make`` builds a *fresh* callable per
-    repeat, so memoized verdict/tableau state cannot leak between
-    repeats; every repeat must return the same value (the caller
-    asserts it against the reference path)."""
+    repeat, so memoized state cannot leak between repeats; every repeat
+    must return the same value (the caller asserts it against the
+    reference path)."""
     best = math.inf
     value = None
     for _ in range(repeats):
@@ -169,11 +155,11 @@ def numpy_version():
     return numpy.__version__
 
 
-def fat_frontier_instance(seed=2017, num_vars=24, num_rows=16, points=56):
-    """A packing matrix shaped like a fat Theorem 3 frontier: many
+def fat_frontier_programs(seed=2017, num_vars=24, num_rows=16, points=56):
+    """Packings shaped like a fat Theorem 3 frontier: many
     inclusion-minimal combinations (columns) touching overlapping active
-    segments (0/1 rows), every column covered, re-solved along a slowly
-    growing ``Omega``-style capacity schedule."""
+    segments (0/1 rows), every column covered, along a slowly growing
+    ``Omega``-style capacity schedule."""
     rng = random.Random(seed)
     objective = [1.0] * num_vars
     rows = [
@@ -184,40 +170,25 @@ def fat_frontier_instance(seed=2017, num_vars=24, num_rows=16, points=56):
         if not any(row[j] for row in rows):
             rows[rng.randrange(num_rows)][j] = 1.0
     caps = [float(rng.randint(1, 3)) for _ in range(num_rows)]
-    schedule = []
+    programs = []
     for _ in range(points):
-        schedule.append(tuple(caps))
+        programs.append(IntegerProgram(objective, rows, list(caps)))
         caps = [c + rng.randint(0, 1) for c in caps]
-    return PackingInstance(objective, rows), schedule
+    return programs
 
 
-def run_packing_section():
-    """The fat-frontier packing schedule: one stateful engine vs a cold
-    solve per capacity vector through the historic two-phase node
-    relaxations (``incremental=False``)."""
-    instance, schedule = fat_frontier_instance()
-    engine = instance.engine("branch_bound")
-    warm, warm_s = time_once(
-        lambda: [engine.resolve(rhs).objective for rhs in schedule]
-    )
-    cold, cold_s = time_once(
-        lambda: [
-            solve_branch_bound(instance.program(rhs), incremental=False).objective
-            for rhs in schedule
-        ]
-    )
-    assert warm == cold, "packing optima diverged between engine and cold path"
-    stats = engine.stats.as_dict()
+def run_fat_frontier_section():
+    """Cold solves of the fat-frontier schedule (informational)."""
+    programs = fat_frontier_programs()
+    solutions, seconds = time_once(lambda: [solve(p) for p in programs])
+    for program, solution in zip(programs, solutions):
+        assert solution.is_optimal and program.is_feasible(solution.values)
     return {
-        "variables": instance.num_variables,
-        "rows": instance.num_rows,
-        "schedule_points": len(schedule),
-        "engine_seconds": warm_s,
-        "cold_seconds": cold_s,
-        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-        "warm_starts": stats["warm_starts"],
-        "work": stats["work"],
-        "identical": True,
+        "variables": programs[0].num_variables,
+        "rows": programs[0].num_rows,
+        "schedule_points": len(programs),
+        "seconds": seconds,
+        "work": sum(s.work for s in solutions),
     }
 
 
@@ -235,50 +206,6 @@ def run_criterion_load_section(system, chain, q_max=400):
         "batched_seconds": batched_s,
         "per_q_seconds": single_s,
         "speedup": single_s / batched_s if batched_s > 0 else float("inf"),
-        "identical": True,
-    }
-
-
-def run_bb_batch_section():
-    """The best-first branch-and-bound (heap frontier resolved through
-    ``IncrementalLp.solve_many``, incumbent and tableau carried in one
-    ``BranchBoundState``) vs the historic recursion with a cold
-    two-phase relaxation per node, along a fat-frontier capacity
-    schedule.  Optima are asserted identical point-for-point; the
-    timing is informational."""
-    instance, schedule = fat_frontier_instance(
-        seed=4242, num_vars=26, num_rows=18, points=48
-    )
-
-    def batched_run():
-        state = BranchBoundState()
-
-        def run():
-            optima = []
-            for rhs in schedule:
-                solution = solve_branch_bound(instance.program(rhs), state)
-                state.incumbent = solution
-                optima.append(solution.objective)
-            return optima
-
-        return run
-
-    def cold_run():
-        return lambda: [
-            solve_branch_bound(instance.program(rhs), incremental=False).objective
-            for rhs in schedule
-        ]
-
-    batched, batched_s = time_best_of(batched_run)
-    cold, cold_s = time_best_of(cold_run)
-    assert batched == cold, "branch-and-bound optima diverged between paths"
-    return {
-        "variables": instance.num_variables,
-        "rows": instance.num_rows,
-        "schedule_points": len(schedule),
-        "batched_seconds": batched_s,
-        "cold_seconds": cold_s,
-        "speedup": cold_s / batched_s if batched_s > 0 else float("inf"),
         "identical": True,
     }
 
@@ -443,44 +370,6 @@ def run_shard_section(tmp_base: Path, count=12, shards=4):
     }
 
 
-def legacy_curve(result, ks):
-    """The pre-engine curve evaluation: per-omega-tuple memo in front of
-    stateless cold solves through the legacy relaxations — exactly the
-    PR 3 semantics of ``ChainTwcaResult.dmm``."""
-    memo = {}
-    curve = {}
-    names = sorted(result.active_segments)
-    for k in ks:
-        omegas = {name: result.omega(name, k) for name in names}
-        key = tuple(omegas[name] for name in names)
-        if key not in memo:
-            memo[key] = result.solve_packing_cold(omegas)
-        curve[k] = min(k, result.n_b * memo[key])
-    return curve
-
-
-def run_curve_section(system, chain):
-    """A dense DMM curve through the engine vs the historic cold path
-    (per-omega-tuple memoized stateless solves)."""
-    engine_result = analyze_twca(system, chain)
-    curve, curve_s = time_once(lambda: engine_result.dmm_curve(CURVE_KS))
-    cold_result = analyze_twca(system, chain)
-    reference, reference_s = time_once(lambda: legacy_curve(cold_result, CURVE_KS))
-    assert curve == reference, "DMM curves diverged between engine and cold path"
-    stats = engine_result.packing_stats()
-    return {
-        "points": len(CURVE_KS),
-        "engine_seconds": curve_s,
-        "cold_seconds": reference_s,
-        "speedup": reference_s / curve_s if curve_s > 0 else float("inf"),
-        "resolves": stats.get("resolves", 0),
-        "memo_hits": stats.get("memo_hits", 0),
-        "warm_starts": stats.get("warm_starts", 0),
-        "saturations": stats.get("saturations", 0),
-        "identical": True,
-    }
-
-
 def run_hotpath(tmp_base: Path):
     system = hotpath_system()
     chain = system["victim"]
@@ -529,10 +418,8 @@ def run_hotpath(tmp_base: Path):
             "numpy": numpy_version(),
             "kernel": kernel_name(),
         },
-        "packing": run_packing_section(),
+        "fat_frontier_solve": run_fat_frontier_section(),
         "criterion_load": run_criterion_load_section(system, chain),
-        "curve": run_curve_section(system, chain),
-        "bb_batched_nodes": run_bb_batch_section(),
         "service_concurrency": run_service_section(),
         "sim_soak": run_sim_soak_section(),
         "shard_throughput": run_shard_section(tmp_base),
@@ -580,15 +467,11 @@ def test_twca_hotpath_speedup(benchmark, tmp_path):
         ("speedup", f"{report['speedup']:.1f}x", "gate >= 5x"),
         ("warm batch", f"{report['warm']['warm_batch_seconds']:.3f}s",
          f"{report['warm']['warm_speedup']:.1f}x vs cold"),
-        ("packing engine", f"{report['packing']['engine_seconds']:.3f}s",
-         f"{report['packing']['speedup']:.1f}x vs cold, gate >= 3x"),
-        ("dmm curve", f"{report['curve']['engine_seconds']:.3f}s",
-         f"{report['curve']['speedup']:.1f}x vs per-k cold"),
+        ("fat frontier", f"{report['fat_frontier_solve']['seconds']:.3f}s",
+         f"{report['fat_frontier_solve']['schedule_points']} cold solves, "
+         f"{report['fat_frontier_solve']['work']} b&b nodes (informational)"),
         ("criterion loads", f"{report['criterion_load']['batched_seconds']:.3f}s",
          f"{report['criterion_load']['speedup']:.1f}x vs per-q"),
-        ("batched b&b", f"{report['bb_batched_nodes']['batched_seconds']:.3f}s",
-         f"{report['bb_batched_nodes']['speedup']:.1f}x vs recursive cold "
-         "(informational)"),
         ("service pool",
          f"{report['service_concurrency']['concurrent_seconds']:.3f}s",
          f"{report['service_concurrency']['speedup']:.1f}x vs serialized "
@@ -613,14 +496,6 @@ def test_twca_hotpath_speedup(benchmark, tmp_path):
         assert report["speedup"] >= gate, (
             f"pruned pipeline speedup {report['speedup']:.2f}x "
             f"below the {gate:.1f}x gate"
-        )
-    packing_gate = float(
-        os.environ.get("REPRO_BENCH_PACKING_GATE", str(DEFAULT_PACKING_GATE))
-    )
-    if packing_gate > 0:
-        assert report["packing"]["speedup"] >= packing_gate, (
-            f"packing engine speedup {report['packing']['speedup']:.2f}x "
-            f"below the {packing_gate:.1f}x gate"
         )
     sim_gate = float(os.environ.get("REPRO_BENCH_SIM_GATE", str(DEFAULT_SIM_GATE)))
     if sim_gate > 0:

@@ -5,13 +5,20 @@ sample counts can be shrunk for quick runs via environment variables:
 
 * ``REPRO_FIGURE5_SAMPLES``  (default 1000, the paper's count)
 * ``REPRO_BENCH_HORIZON``    (default 20000, simulation horizon)
+
+The reference solvers of ``tests/oracles`` double as the ablation
+baselines, so that directory is importable here as ``oracles``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def env_int(name: str, default: int) -> int:

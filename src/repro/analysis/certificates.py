@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..ilp import solve
 from ..model import System
 from .latency import LatencyResult
 from .twca import ChainTwcaResult, GuaranteeStatus
@@ -178,33 +179,15 @@ def dmm_certificate(result: ChainTwcaResult, k: int) -> DmmCertificate:
         return DmmCertificate(result.chain_name, k, bound, result.status.value)
     omegas = {name: result.omega(name, k) for name in result.active_segments}
     # Re-derive an optimal packing witness (the cached optimum value is
-    # scaled by n_b; we need the variable assignment itself).  The
-    # inclusion-minimal combinations suffice: the packing optimum over
-    # them equals the optimum over the full set (a packed superset can
-    # always be replaced by a minimal subset), they are exactly what
-    # result.dmm() solved over, and using them keeps the certificate
-    # bounded even when the full combination set is exponential.
-    from ..ilp import IntegerProgram, solve
-
+    # scaled by n_b; we need the variable assignment itself) from the
+    # program result.dmm() solved: the inclusion-minimal combinations
+    # suffice (a packed superset can always be replaced by a minimal
+    # subset), and they keep the certificate bounded even when the
+    # full combination set is exponential.
     combos = result.minimal_unschedulable()
-    rows, rhs = [], []
-    for name in sorted(result.active_segments):
-        for segment in result.active_segments[name]:
-            row = [1.0 if c.uses(segment) else 0.0 for c in combos]
-            if any(row):
-                rows.append(row)
-                rhs.append(float(omegas[name]))
     values: Sequence[float] = ()
     if combos and not any(math.isinf(o) for o in omegas.values()):
-        solution = solve(
-            IntegerProgram(
-                objective=[1.0] * len(combos),
-                rows=rows,
-                rhs=rhs,
-                upper_bounds=[max(omegas.values())] * len(combos),
-            )
-        )
-        values = solution.values
+        values = solve(result.packing_program(omegas)).values
     packing = tuple(
         (combo.keys, combo.cost, int(value))
         for combo, value in zip(combos, values)

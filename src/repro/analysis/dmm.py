@@ -56,8 +56,8 @@ class DeadlineMissModel:
     ) -> "DeadlineMissModel":
         """Wrap a :class:`~repro.analysis.twca.ChainTwcaResult` (or any
         object with ``dmm(k)`` and ``chain_name``): queries run through
-        the result's incremental packing engine, so staircase scans and
-        weakly-hard checks reuse one warm solver."""
+        the result's per-``Omega`` packing memo, so staircase scans and
+        weakly-hard checks share its solves."""
         return cls(
             result.dmm,
             name=name or f"dmm[{result.chain_name}]",

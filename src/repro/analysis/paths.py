@@ -187,7 +187,6 @@ def path_dmm(
     path: Path,
     k: int,
     *,
-    backend: str = "branch_bound",
     analysis: Optional[PathResult] = None,
 ) -> int:
     """End-to-end deadline miss bound for a path (union bound over the
@@ -219,9 +218,7 @@ def path_dmm(
                 chains.append(chain)
         budgeted = System(chains, name=base.name, allow_shared_priorities=True)
         try:
-            result = analyze_twca(
-                budgeted, budgeted[stage.chain_name], backend=backend
-            )
+            result = analyze_twca(budgeted, budgeted[stage.chain_name])
         except AnalysisError:
             return k
         total += result.dmm(k)

@@ -27,14 +27,10 @@ restores the classic materializing pipeline; both modes classify every
 combination identically, so counts, DMM curves and exports are
 byte-identical.
 
-Packing solves are *incremental*: the inclusion-minimal combinations are
-wrapped once per chain in a :class:`repro.ilp.PackingInstance`, and every
-``dmm(k)`` / :meth:`ChainTwcaResult.dmm_curve` evaluation resolves the
-same engine against the grown ``Omega`` capacities — warm-started
-incumbents, reused LP bases, memoized rhs vectors, plus a persistent
-``packing`` cache category when an analysis cache is installed.  The
-historic cold path is retained as :meth:`ChainTwcaResult.dmm_reference`
-for differential validation.
+Each ``dmm(k)`` builds the packing program for its ``Omega`` capacities
+(:meth:`ChainTwcaResult.packing_program`) and solves it with the one
+exact solver :func:`repro.ilp.solve`; the optimum is memoized per
+``Omega`` tuple on the result.
 """
 
 from __future__ import annotations
@@ -42,10 +38,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..ilp import IntegerProgram, PackingEngine, PackingInstance, solve
-from ..ilp.branch_bound import solve_branch_bound
+from ..ilp import IntegerProgram, solve
 from ..kernel import solve_monotone_fixed_points_2d
 from ..model import System, TaskChain
 from .busy_window import (
@@ -102,7 +97,6 @@ class ChainTwcaResult:
     combination_count: int = 0
     unschedulable_count: int = 0
     minimal: Optional[List[Combination]] = None
-    backend: str = "branch_bound"
     enumeration: str = "pruned"
     exact_criterion: bool = True
     search_checks: int = 0
@@ -117,9 +111,9 @@ class ChainTwcaResult:
         default=None, init=False, repr=False
     )
     _omega_cache: Dict[Tuple[float, ...], int] = field(default_factory=dict, repr=False)
-    _engine: Optional[PackingEngine] = field(default=None, init=False, repr=False)
-    _engine_rows: Tuple[str, ...] = field(default=(), init=False, repr=False)
-    _saturations: int = field(default=0, init=False, repr=False)
+    _packing_work: Dict[Tuple[float, ...], int] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Combination views (lazy; the analysis itself only stores counts)
@@ -129,13 +123,9 @@ class ChainTwcaResult:
         # the memo tables of its analysis run) and unpicklable; drop it
         # so results stay picklable like they always were.  Nothing is
         # lost: the verdict is a pure function of retained state and is
-        # rebuilt on demand by :meth:`_verdict`.  The packing engine is
-        # process-local solver state rebuilt the same way (its per-rhs
-        # optima survive in ``_omega_cache``).
+        # rebuilt on demand by :meth:`_verdict`.
         state = self.__dict__.copy()
         state["_membership"] = None
-        state["_engine"] = None
-        state["_engine_rows"] = ()
         return state
 
     def _verdict(self) -> Optional[Callable[[CostSignature], bool]]:
@@ -221,14 +211,8 @@ class ChainTwcaResult:
         """``dmm_b(k)``: bound on deadline misses in any ``k``
         consecutive activations (Theorem 3), clamped to ``k``.
 
-        Packing optima are produced by the per-chain incremental engine
-        (see :meth:`packing_engine`): the per-omega-tuple memo answers
-        repeated capacities, a previously packed witness that already
-        saturates the ``k`` clamp short-circuits the solve entirely
-        (sound: capacities only grow with ``k``, so the witness stays
-        feasible and the true optimum can only be larger), and fresh
-        tuples are re-solved warm.  An installed analysis cache
-        additionally persists the optima under the ``packing`` category.
+        The packing optimum is memoized per ``Omega`` tuple, so window
+        sizes sharing their capacities share one solve.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -239,45 +223,20 @@ class ChainTwcaResult:
         if not self.unschedulable_count:
             return 0
 
-        chain_names = sorted(self.active_segments)
-        omegas = {name: self.omega(name, k) for name in chain_names}
+        omegas = {name: self.omega(name, k) for name in sorted(self.active_segments)}
         if any(math.isinf(om) for om in omegas.values()):
             return k  # vacuous: unbounded overload impact
 
-        cache_key = tuple(omegas[name] for name in chain_names)
-        cached = self._omega_cache.get(cache_key)
-        if cached is None:
-            cached = self._lookup_packing(cache_key)
-        if cached is None:
-            engine, row_chains = self.packing_engine()
-            rhs = [float(omegas[name]) for name in row_chains]
-            bound = engine.lower_bound(rhs)
-            if bound is not None and self.n_b * int(round(bound)) >= k:
-                self._saturations += 1
-                return k
-            cached = self._solve_packing(omegas)
-            self._store_packing(cache_key, cached)
-        self._omega_cache[cache_key] = cached
-        return min(k, self.n_b * cached)
-
-    def dmm_reference(self, k: int) -> int:
-        """``dmm_b(k)`` through the historic cold path: a fresh Theorem 3
-        program built and cold-solved for this single ``k``, no engine,
-        no memo, no caches.  Exists for differential validation of the
-        incremental engine (tests, benchmarks); always byte-identical to
-        :meth:`dmm`."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if self.status is GuaranteeStatus.SCHEDULABLE:
-            return 0
-        if self.status is GuaranteeStatus.NO_GUARANTEE:
-            return k
-        if not self.unschedulable_count:
-            return 0
-        omegas = {name: self.omega(name, k) for name in sorted(self.active_segments)}
-        if any(math.isinf(om) for om in omegas.values()):
-            return k
-        return min(k, self.n_b * self.solve_packing_cold(omegas))
+        key = tuple(omegas.values())
+        packed = self._omega_cache.get(key)
+        if packed is None:
+            solution = solve(self.packing_program(omegas))
+            if not solution.is_optimal:
+                raise RuntimeError(f"packing ILP did not solve: {solution.status}")
+            packed = int(round(solution.objective))
+            self._packing_work[key] = solution.work
+            self._omega_cache[key] = packed
+        return min(k, self.n_b * packed)
 
     def minimal_unschedulable(self) -> List[Combination]:
         """Inclusion-minimal unschedulable combinations.
@@ -287,134 +246,61 @@ class ChainTwcaResult:
         subset, keeping the count while only freeing capacity.  This
         shrinks the ILP substantially when many overload chains exist.
         The pruned pipeline collects them directly during the frontier
-        search; otherwise they are filtered from the full list.
+        search; otherwise they are filtered from the full list once.
         """
-        if self.minimal is not None:
-            return self.minimal
-        key_sets = [c.key_set for c in self.unschedulable]
-        minimal: List[Combination] = []
-        for index, combo in enumerate(self.unschedulable):
-            keys = key_sets[index]
-            if not any(other < keys for other in key_sets):
-                minimal.append(combo)
-        return minimal
+        if self.minimal is None:
+            key_sets = [c.key_set for c in self.unschedulable]
+            self.minimal = [
+                combo
+                for combo, keys in zip(self.unschedulable, key_sets)
+                if not any(other < keys for other in key_sets)
+            ]
+        return self.minimal
 
-    def packing_engine(self) -> Tuple[PackingEngine, Tuple[str, ...]]:
-        """The per-chain incremental packing engine and the overload
-        chain owning each constraint row (the rhs layout of
-        ``engine.resolve``).  Built once from the inclusion-minimal
-        unschedulable combinations; process-local (rebuilt after
-        unpickling)."""
-        if self._engine is None:
-            combos = self.minimal_unschedulable()
-            rows: List[List[float]] = []
-            row_chains: List[str] = []
-            for chain_name in sorted(self.active_segments):
-                for segment in self.active_segments[chain_name]:
-                    row = [1.0 if combo.uses(segment) else 0.0 for combo in combos]
-                    if any(row):
-                        rows.append(row)
-                        row_chains.append(chain_name)
-            instance = PackingInstance(
-                objective=[1.0] * len(combos),
-                rows=rows,
-                names=[str(c) for c in combos],
-            )
-            self._engine = instance.engine(self.backend)
-            self._engine_rows = tuple(row_chains)
-        return self._engine, self._engine_rows
-
-    def packing_stats(self) -> Dict[str, int]:
-        """Work counters of the packing engine (empty until the first
-        :meth:`dmm` evaluation needed a packing solve).  ``saturations``
-        counts curve points answered by a previously packed witness
-        without solving at all."""
-        if self._engine is None and not self._saturations:
-            return {}
-        stats = self._engine.stats.as_dict() if self._engine is not None else {}
-        stats["saturations"] = self._saturations
-        return stats
-
-    def _solve_packing(self, omegas: Dict[str, float]) -> int:
-        """Resolve the Theorem 3 packing against the engine: max
-        combinations used subject to the per-active-segment capacity of
-        its overload chain."""
-        engine, row_chains = self.packing_engine()
-        rhs = [float(omegas[name]) for name in row_chains]
-        solution = engine.resolve(rhs)
-        if not solution.is_optimal:
-            raise RuntimeError(f"packing ILP did not solve: {solution.status}")
-        return int(round(solution.objective))
-
-    def solve_packing_cold(self, omegas: Dict[str, float]) -> int:
-        """The historic stateless packing path: build the full
-        :class:`~repro.ilp.IntegerProgram` (explicit upper bounds
-        included) and cold-solve it — for the default backend through
-        the legacy per-node two-phase relaxations, with no engine state
-        whatsoever.  Reference implementation for differential
-        validation; the bounds are implied by the rows, so the optimum
-        is identical to the engine's."""
+    def packing_program(self, omegas: Mapping[str, float]) -> IntegerProgram:
+        """The Theorem 3 packing for the Lemma 4 capacities ``omegas``
+        (overload chain -> ``Omega``): one integer variable per
+        inclusion-minimal unschedulable combination, one row per active
+        segment some combination uses, capped by the ``Omega`` of the
+        segment's chain; maximize the packed combinations."""
         combos = self.minimal_unschedulable()
         rows: List[List[float]] = []
         rhs: List[float] = []
-        for chain_name in sorted(self.active_segments):
-            capacity = omegas[chain_name]
-            for segment in self.active_segments[chain_name]:
+        for name in sorted(self.active_segments):
+            for segment in self.active_segments[name]:
                 row = [1.0 if combo.uses(segment) else 0.0 for combo in combos]
                 if any(row):
                     rows.append(row)
-                    rhs.append(float(capacity))
-        program = IntegerProgram(
+                    rhs.append(float(omegas[name]))
+        return IntegerProgram(
             objective=[1.0] * len(combos),
             rows=rows,
             rhs=rhs,
-            upper_bounds=[max(omegas.values())] * len(combos),
             names=[str(c) for c in combos],
         )
-        if self.backend == "branch_bound":
-            solution = solve_branch_bound(program, incremental=False)
-        else:
-            solution = solve(program, backend=self.backend)
-        if not solution.is_optimal:
-            raise RuntimeError(f"packing ILP did not solve: {solution.status}")
-        return int(round(solution.objective))
 
-    def _packing_cache_key(self, cache_key: Tuple[float, ...]):
-        cache = active_cache()
-        if cache is None:
-            return None, None
-        digest = content_key(self.system)
-        if digest is None:
-            return None, None
-        return cache, (digest, self.chain_name, self.backend, cache_key)
-
-    def _lookup_packing(self, cache_key: Tuple[float, ...]) -> Optional[int]:
-        cache, key = self._packing_cache_key(cache_key)
-        if cache is None:
-            return None
-        return cache.lookup("packing", key)
-
-    def _store_packing(self, cache_key: Tuple[float, ...], value: int) -> None:
-        cache, key = self._packing_cache_key(cache_key)
-        if cache is not None:
-            cache.store("packing", key, value)
+    def packing_stats(self) -> Dict[str, int]:
+        """Packing work so far: ``resolves`` programs solved and
+        ``work`` branch-and-bound nodes (0 for the one-variable closed
+        form).  Empty until a :meth:`dmm` evaluation needed a solve."""
+        if not self._packing_work:
+            return {}
+        return {
+            "resolves": len(self._packing_work),
+            "work": sum(self._packing_work.values()),
+        }
 
     def dmm_curve(self, ks: Sequence[int]) -> Dict[int, int]:
-        """Evaluate the DMM over several window sizes.
-
-        The whole curve runs through one engine instance, in ascending
-        ``k`` order so the monotonically growing ``Omega`` capacities
-        warm-start each other; the returned dict preserves the caller's
-        ``ks`` order.
-        """
+        """Evaluate the DMM over several window sizes; the returned
+        dict preserves the caller's ``ks`` order (duplicates once)."""
         values = {k: self.dmm(k) for k in sorted(set(ks))}
         return {k: values[k] for k in ks}
 
     def explain(self, ks: Sequence[int] = (1, 10, 100)) -> str:
         """Human-readable account of the analysis: verdict, latencies,
-        combinations, capacities, a DMM table and the packing-engine
-        counters (the DMM curve is evaluated first so the summary's
-        solver-stats line reflects it)."""
+        combinations, capacities, a DMM table and the packing counters
+        (the DMM curve is evaluated first so the summary's packing line
+        reflects it)."""
         from ..report.tables import twca_summary
 
         dmm_line = "  dmm: " + ", ".join(f"dmm({k}) = {self.dmm(k)}" for k in ks)
@@ -448,7 +334,6 @@ def analyze_twca(
     system: System,
     target: TaskChain,
     *,
-    backend: str = "branch_bound",
     max_combinations: int = 100_000,
     exact_criterion: bool = True,
     enumeration: str = "pruned",
@@ -497,7 +382,6 @@ def analyze_twca(
             chain_name=target.name,
             deadline=target.deadline,
             status=GuaranteeStatus.NO_GUARANTEE,
-            backend=backend,
             enumeration=enumeration,
         )
 
@@ -508,7 +392,6 @@ def analyze_twca(
             deadline=target.deadline,
             status=GuaranteeStatus.SCHEDULABLE,
             full_latency=full,
-            backend=backend,
             enumeration=enumeration,
         )
 
@@ -525,7 +408,6 @@ def analyze_twca(
             status=GuaranteeStatus.NO_GUARANTEE,
             full_latency=full,
             typical_latency=typical,
-            backend=backend,
             enumeration=enumeration,
         )
 
@@ -566,7 +448,6 @@ def analyze_twca(
             active_segments=segments_by_chain,
             combination_count=len(combos),
             unschedulable_count=len(unschedulable),
-            backend=backend,
             enumeration=enumeration,
             exact_criterion=exact_criterion,
         )
@@ -587,7 +468,6 @@ def analyze_twca(
             combination_count=search.total,
             unschedulable_count=search.unschedulable,
             minimal=search.minimal,
-            backend=backend,
             enumeration=enumeration,
             exact_criterion=exact_criterion,
             search_checks=search.checks,
@@ -799,12 +679,10 @@ def _build_verdict(
     return verdict
 
 
-def analyze_all(
-    system: System, *, backend: str = "branch_bound"
-) -> Dict[str, ChainTwcaResult]:
+def analyze_all(system: System) -> Dict[str, ChainTwcaResult]:
     """TWCA for every typical chain with a finite deadline."""
     results: Dict[str, ChainTwcaResult] = {}
     for chain in system.typical_chains:
         if chain.has_deadline:
-            results[chain.name] = analyze_twca(system, chain, backend=backend)
+            results[chain.name] = analyze_twca(system, chain)
     return results

@@ -47,13 +47,11 @@ def collapse_system(system: System, target_name: str = None) -> List[AnalyzedTas
     return tasks
 
 
-def analyze_collapsed_twca(
-    system: System, chain_name: str, backend: str = "branch_bound"
-) -> ChainTwcaResult:
+def analyze_collapsed_twca(system: System, chain_name: str) -> ChainTwcaResult:
     """TWCA of ``chain_name`` in its collapsed (chain-as-task) view."""
     tasks = collapse_system(system, target_name=chain_name)
     overload = [c.name for c in system.overload_chains]
-    return analyze_task_twca(tasks, chain_name, overload, backend=backend)
+    return analyze_task_twca(tasks, chain_name, overload)
 
 
 def collapsed_dmm_table(

@@ -51,7 +51,6 @@ def analyze_task_twca(
     tasks: Sequence[AnalyzedTask],
     target_name: str,
     overload_names: Sequence[str],
-    backend: str = "branch_bound",
 ) -> ChainTwcaResult:
     """Independent-task TWCA for ``target_name`` (Xu et al. [10]).
 
@@ -59,13 +58,12 @@ def analyze_task_twca(
     the deadline miss model.
     """
     system = tasks_to_system(tasks, overload_names)
-    return analyze_twca(system, system[f"chain[{target_name}]"], backend=backend)
+    return analyze_twca(system, system[f"chain[{target_name}]"])
 
 
 def analyze_all_task_twca(
     tasks: Sequence[AnalyzedTask],
     overload_names: Sequence[str],
-    backend: str = "branch_bound",
 ) -> Dict[str, ChainTwcaResult]:
     """DMMs for every non-overload task with a finite deadline."""
     overload = set(overload_names)
@@ -73,7 +71,5 @@ def analyze_all_task_twca(
     for task in tasks:
         if task.name in overload or math.isinf(task.deadline):
             continue
-        results[task.name] = analyze_task_twca(
-            tasks, task.name, overload_names, backend=backend
-        )
+        results[task.name] = analyze_task_twca(tasks, task.name, overload_names)
     return results

@@ -12,7 +12,7 @@ Subcommands::
         Parallel TWCA over many (system, chain) jobs via the batch
         runner; the --json export is identical for any worker count.
     repro serve [--host H] [--port P] [--workers N]
-        Long-lived analysis daemon (HTTP/JSON): keeps engines and
+        Long-lived analysis daemon (HTTP/JSON): keeps systems and
         caches hot across requests and runs up to N computes
         concurrently; see POST /analyze, POST /batch, POST /shard/run,
         GET /cache/stats, GET /healthz.
@@ -34,8 +34,8 @@ Subcommands::
         cache directory, per category.
 
     Every analyzing subcommand (analyze, experiment, batch, report,
-    serve) accepts one shared block of analysis options — --backend,
-    --cache-dir, --no-cache, --exhaustive — wired through
+    serve) accepts one shared block of analysis options — --cache-dir,
+    --no-cache, --exhaustive — wired through
     :func:`add_analysis_options` into one
     :class:`~repro.service.AnalysisOptions`.  ``analyze`` and ``batch``
     are clients of the same :class:`~repro.service.AnalysisService`
@@ -55,7 +55,6 @@ import sys
 import urllib.error
 from typing import Any, Dict, List, Optional
 
-from .ilp import BACKENDS, DEFAULT_BACKEND
 from .model.serialization import load_system_file
 from .report.histogram import figure5_panel
 from .report.tables import (
@@ -92,12 +91,6 @@ def add_analysis_options(parser: argparse.ArgumentParser) -> None:
     block instead of four copy-pasted ``add_argument`` calls."""
     group = parser.add_argument_group("analysis options")
     group.add_argument(
-        "--backend",
-        default=DEFAULT_BACKEND,
-        choices=sorted(BACKENDS),
-        help="ILP backend for the Theorem 3 packing engine",
-    )
-    group.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="persistent analysis cache shared by all workers and "
@@ -122,11 +115,24 @@ def add_analysis_options(parser: argparse.ArgumentParser) -> None:
 def analysis_options(args: argparse.Namespace) -> AnalysisOptions:
     """The :class:`AnalysisOptions` carried by the shared flag block."""
     return AnalysisOptions(
-        backend=args.backend,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         exhaustive=args.exhaustive,
     )
+
+
+def window_size(text: str) -> int:
+    """The argparse type of every ``--k`` option: a DMM window size,
+    an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"window sizes must be integers >= 1, got {text!r}"
+        )
+    return value
 
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
@@ -167,7 +173,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             system,
             chain=args.chain,
             ks=tuple(args.k) if args.k else DEFAULT_KS,
-            backend=options.backend,
             enumeration=options.enumeration,
             use_cache=options.use_cache,
         )
@@ -188,11 +193,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(dmm_table(result, args.k))
             stats = result.packing_stats()
             if stats:
-                print(
-                    f"packing engine [{options.backend}]: "
-                    f"{format_packing_stats(stats)}",
-                    file=sys.stderr,
-                )
+                print(f"packing: {format_packing_stats(stats)}", file=sys.stderr)
         print()
     return 0
 
@@ -287,7 +288,7 @@ def _batch_stderr_report(batch, timings: bool) -> None:
         for key, value in job.packing.items():
             packing[key] = packing.get(key, 0) + value
     if packing:
-        print(f"packing engine: {format_packing_stats(packing)}", file=sys.stderr)
+        print(f"packing: {format_packing_stats(packing)}", file=sys.stderr)
 
 
 def _batch_requests(
@@ -298,7 +299,6 @@ def _batch_requests(
     daemon's export is byte-identical to the local one."""
     common: Dict[str, Any] = dict(
         ks=tuple(args.k) if args.k else DEFAULT_KS,
-        backend=options.backend,
         enumeration=options.enumeration,
         use_cache=options.use_cache,
     )
@@ -579,9 +579,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     options = analysis_options(args)
     service = AnalysisService(options)
     with service.activate():
-        text = reproduction_report(
-            samples=args.samples, seed=args.seed, backend=options.backend
-        )
+        text = reproduction_report(samples=args.samples, seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -647,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--system", help="system JSON file")
     analyze.add_argument("--chain", help="analyze only this chain")
     analyze.add_argument(
-        "--k", type=int, nargs="*", help="window sizes for the DMM table"
+        "--k", type=window_size, nargs="*", help="window sizes for the DMM table"
     )
     add_analysis_options(analyze)
     add_server_option(analyze)
@@ -665,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("which", choices=("table1", "table2", "figure5"))
     experiment.add_argument("--samples", type=int, default=1000)
     experiment.add_argument("--seed", type=int, default=2017)
-    experiment.add_argument("--k", type=int, nargs="*")
+    experiment.add_argument("--k", type=window_size, nargs="*")
     add_analysis_options(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -703,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--server, where the daemon owns execution)",
     )
     batch.add_argument(
-        "--k", type=int, nargs="*", help="DMM window sizes (default 1 10 100)"
+        "--k", type=window_size, nargs="*", help="DMM window sizes (default 1 10 100)"
     )
     add_analysis_options(batch)
     add_server_option(batch)
@@ -729,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="long-lived analysis daemon keeping engines and caches "
+        help="long-lived analysis daemon keeping systems and caches "
         "hot across HTTP/JSON requests",
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -832,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(the export the merged run is byte-identical to)",
     )
     shard.add_argument(
-        "--k", type=int, nargs="*", help="DMM window sizes (default 1 10 100)"
+        "--k", type=window_size, nargs="*", help="DMM window sizes (default 1 10 100)"
     )
     shard.add_argument(
         "-v",

@@ -238,7 +238,6 @@ def distributed_dmm(
     chain_name: str,
     k: int,
     *,
-    backend: str = "branch_bound",
     analysis: Optional[DistributedAnalysisResult] = None,
 ) -> int:
     """End-to-end deadline miss bound for a distributed chain.
@@ -272,7 +271,7 @@ def distributed_dmm(
         system = systems[leg.resource]
         local = system[_leg_chain_name(chain_name, index)]
         try:
-            result = analyze_twca(system, local, backend=backend)
+            result = analyze_twca(system, local)
         except AnalysisError:
             return k
         total += result.dmm(k)

@@ -1,39 +1,19 @@
-"""Integer linear programming machinery for the Theorem 3 knapsack.
+"""Integer linear programming for the Theorem 3 packing.
 
-The environment provides no MILP library besides scipy, so this package
-ships self-contained exact solvers:
-
-* :func:`solve_branch_bound` — branch-and-bound over an own two-phase
-  simplex (default);
-* :func:`solve_dp` — exact dynamic program for integer-data instances;
-* :func:`solve_greedy` — fast feasible heuristic (ablation baseline);
-* :func:`solve_scipy` — scipy.optimize.milp (HiGHS) for cross-checking.
-
-All consume :class:`IntegerProgram` (maximize, ``A x <= b``, integer
-``x >= 0``) and return :class:`Solution`.
-
-On top of the one-shot solvers sits the *stateful* layer used by the
-DMM curve evaluation: :class:`PackingInstance` captures the
-rhs-independent matrix once, and :class:`PackingEngine` re-solves it
-against changing ``Omega`` capacities with warm-started branch-and-bound
-incumbents, reused simplex bases and a capacity-independent DP table —
-identical answers, a fraction of the work.
+:func:`solve` is the one exact solver: a closed form for one-variable
+programs, otherwise :func:`solve_branch_bound` — branch-and-bound over
+the own two-phase simplex :func:`solve_lp`, since the environment
+provides no MILP library.  Both consume :class:`IntegerProgram`
+(maximize, ``A x <= b``, integer ``x >= 0``) and return
+:class:`Solution`.  The reference solvers the tests compare against
+(DP, greedy, scipy) live in ``tests/oracles/packing.py``.
 """
 
-from .branch_bound import BranchBoundState, solve_branch_bound
-from .dp import DpTable, solve_dp
-from .engine import (
-    INCREMENTAL_BACKENDS,
-    EngineStats,
-    PackingEngine,
-    PackingInstance,
-)
+from .branch_bound import solve_branch_bound
 from .export import to_lp_string, write_lp_file
-from .greedy import solve_greedy
 from .model import IntegerProgram, Solution
-from .scipy_backend import scipy_available, solve_scipy
-from .simplex import IncrementalLp, SimplexResult, solve_lp
-from .solver import BACKENDS, DEFAULT_BACKEND, solve
+from .simplex import SimplexResult, solve_lp
+from .solver import solve
 
 __all__ = [
     "IntegerProgram",
@@ -41,20 +21,7 @@ __all__ = [
     "solve",
     "solve_lp",
     "SimplexResult",
-    "IncrementalLp",
     "solve_branch_bound",
-    "BranchBoundState",
-    "solve_dp",
-    "DpTable",
-    "solve_greedy",
-    "solve_scipy",
-    "scipy_available",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "INCREMENTAL_BACKENDS",
-    "EngineStats",
-    "PackingEngine",
-    "PackingInstance",
     "to_lp_string",
     "write_lp_file",
 ]

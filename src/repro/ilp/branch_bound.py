@@ -1,36 +1,18 @@
 """Exact ILP solving by branch-and-bound over the simplex relaxation.
 
-Best-first branch-and-bound over an explicit heap of open nodes, with
+Depth-first recursion with a cold two-phase relaxation per node,
 variable selection by most-fractional value and integral rounding
 tolerance.  Designed for the small packing programs of Theorem 3;
 exactness is what matters, not scale.
-
-Node relaxations share one :class:`~repro.ilp.simplex.IncrementalLp`:
-branching only changes variable bounds, which is an rhs-only
-perturbation of the standard-form ``[A; I]`` matrix.  Keeping the open
-frontier explicit (instead of the historic recursion, retained as the
-``incremental=False`` reference path) lets whole *batches* of node
-relaxations resolve through one
-:meth:`~repro.ilp.simplex.IncrementalLp.solve_many` sweep: every node
-whose rhs is already primal feasible under the shared basis is answered
-by one vectorized ``B^-1 . RHS`` product, and only the rest pay
-dual-simplex repairs.  A :class:`BranchBoundState` carried across
-re-solves of the same matrix extends the sharing to whole
-``resolve(rhs)`` sequences and additionally seeds the incumbent — a
-previously optimal packing that is still feasible bounds the search
-from below, often proving optimality at the root node.  Warm state and
-batching never change the computed optimum, only the node/pivot counts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .model import IntegerProgram, Solution, empty_solution
-from .simplex import IncrementalLp, solve_lp
+from .simplex import solve_lp
 
 #: Values closer than this to an integer are treated as integral.
 INT_TOL = 1e-6
@@ -38,30 +20,11 @@ INT_TOL = 1e-6
 #: Node budget: a safety valve against degenerate inputs.
 MAX_NODES = 200_000
 
-#: Open-node relaxations gathered into one ``solve_many`` batch.
-NODE_BATCH = 64
 
-
-@dataclass
-class BranchBoundState:
-    """Mutable warm-start state shared across rhs-only re-solves.
-
-    ``incumbent`` is a previously returned optimal solution; it is used
-    only after re-checking feasibility against the current program.
-    ``lp`` is the persistent node-relaxation tableau; it is only valid
-    across programs sharing one constraint matrix (the packing engine's
-    contract) and is rebuilt whenever the dimensions disagree.
-    """
-
-    incumbent: Optional[Solution] = None
-    lp: Optional[IncrementalLp] = None
-
-
-def _relaxation_cold(program: IntegerProgram, lower: List[float], upper: List[float]):
+def _relaxation(program: IntegerProgram, lower: List[float], upper: List[float]):
     """Solve the LP relaxation under per-variable bounds by shifting
     ``x = y + lower`` and appending bound rows ``y_i <= upper_i - lower_i``.
     Returns ``(status, objective, values)`` in the original coordinates.
-    Fallback path for programs with unbounded variables.
     """
     n = program.num_variables
     rows: List[List[float]] = []
@@ -87,69 +50,14 @@ def _relaxation_cold(program: IntegerProgram, lower: List[float], upper: List[fl
     return "optimal", result.objective + offset, values
 
 
-def _node_rhs(
-    program: IntegerProgram, lower: List[float], upper: List[float]
-) -> Optional[List[float]]:
-    """The rhs vector a node's bounds induce on the fixed ``[A; I]``
-    matrix (shift ``x = y + lower``, cap ``y_i <= upper_i - lower_i``),
-    or ``None`` when some span is negative (the node is infeasible
-    without solving anything)."""
-    n = program.num_variables
-    rhs: List[float] = []
-    for row, b in zip(program.rows, program.rhs):
-        rhs.append(b - sum(a * lo for a, lo in zip(row, lower)))
-    for i in range(n):
-        span = upper[i] - lower[i]
-        if span < 0:
-            return None
-        rhs.append(span)
-    return rhs
-
-
-def _node_lp(program: IntegerProgram, state: Optional[BranchBoundState]):
-    """The shared node-relaxation tableau over ``[A; I]`` — reused from
-    ``state`` when its dimensions match, rebuilt otherwise."""
-    n = program.num_variables
-    expected_rows = program.num_rows + n
-    if state is not None and state.lp is not None:
-        lp = state.lp
-        if len(lp.objective) == n and len(lp.rows) == expected_rows:
-            return lp
-    matrix = [list(row) for row in program.rows]
-    for i in range(n):
-        bound_row = [0.0] * n
-        bound_row[i] = 1.0
-        matrix.append(bound_row)
-    lp = IncrementalLp(program.objective, matrix)
-    if state is not None:
-        state.lp = lp
-    return lp
-
-
-def solve_branch_bound(
-    program: IntegerProgram,
-    state: Optional[BranchBoundState] = None,
-    *,
-    incremental: bool = True,
-) -> Solution:
+def solve_branch_bound(program: IntegerProgram) -> Solution:
     """Solve ``program`` exactly.  All variables are integer, >= 0.
 
-    ``state`` (optional) warm-starts the search from a previous solve of
-    the same matrix — see :class:`BranchBoundState`; results are
-    identical with or without it.  The default search keeps the open
-    frontier as an explicit best-first heap and resolves batches of
-    node relaxations through one
-    :meth:`~repro.ilp.simplex.IncrementalLp.solve_many` sweep.
-    ``incremental=False`` forces the historic recursion with a cold
-    two-phase relaxation at every node (the reference path for
-    differential tests and benchmarks); programs with unbounded
-    variables take the recursive cold path as well.  Every path computes
-    the identical optimum — only node/pivot counts differ.
+    ``Solution.work`` counts the branch-and-bound nodes.
     """
     n = program.num_variables
     if n == 0:
         return empty_solution()
-
     base_upper = [program.variable_bound(i) for i in range(n)]
     for i, ub in enumerate(base_upper):
         if math.isinf(ub) and program.objective[i] > 0:
@@ -159,31 +67,23 @@ def solve_branch_bound(
         if not math.isinf(ub):
             base_upper[i] = math.floor(ub + INT_TOL)
 
-    # The persistent node LP needs every bound row present; programs
-    # with (unprofitable) unbounded variables take the cold path.
-    lp: Optional[IncrementalLp] = None
-    if incremental and all(not math.isinf(ub) for ub in base_upper):
-        lp = _node_lp(program, state)
-
     best_value = -math.inf
     best_x: Optional[Tuple[float, ...]] = None
-    if state is not None and state.incumbent is not None:
-        candidate = state.incumbent.values
-        if len(candidate) == n and program.is_feasible(candidate):
-            # Re-evaluate against this program's objective so the seed
-            # can never import a stale value.
-            best_value = program.objective_value(candidate)
-            best_x = tuple(candidate)
     nodes = 0
     integral_objective = all(float(c).is_integer() for c in program.objective)
 
-    def node_bound(objective: float) -> float:
+    def recurse(lower: List[float], upper: List[float]) -> None:
+        nonlocal best_value, best_x, nodes
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise RuntimeError(f"branch-and-bound exceeded {MAX_NODES} nodes")
+        status, objective, values = _relaxation(program, lower, upper)
+        if status != "optimal":
+            return
         # Integer-valued objectives let us round the bound down.
-        if integral_objective:
-            return math.floor(objective + INT_TOL)
-        return objective
-
-    def most_fractional(values: Tuple[float, ...]) -> int:
+        bound = math.floor(objective + INT_TOL) if integral_objective else objective
+        if bound <= best_value + INT_TOL:
+            return
         frac_index = -1
         frac_amount = 0.0
         for i, v in enumerate(values):
@@ -191,30 +91,15 @@ def solve_branch_bound(
             if distance > max(INT_TOL, frac_amount):
                 frac_amount = distance
                 frac_index = i
-        return frac_index
-
-    def accept_integral(values: Tuple[float, ...]) -> None:
-        nonlocal best_value, best_x
-        rounded = tuple(round(v) for v in values)
-        if program.is_feasible(rounded):
-            value = program.objective_value(rounded)
-            if value > best_value:
-                best_value = value
-                best_x = rounded
-
-    def recurse(lower: List[float], upper: List[float]) -> None:
-        nonlocal best_value, best_x, nodes
-        nodes += 1
-        if nodes > MAX_NODES:
-            raise RuntimeError(f"branch-and-bound exceeded {MAX_NODES} nodes")
-        status, objective, values = _relaxation_cold(program, lower, upper)
-        if status != "optimal":
-            return
-        if node_bound(objective) <= best_value + INT_TOL:
-            return
-        frac_index = most_fractional(values)
         if frac_index < 0:
-            accept_integral(values)
+            # The rounded point may exceed a capacity that lies within
+            # INT_TOL below an integer, as the root bounds do.
+            rounded = tuple(round(v) for v in values)
+            if program.is_feasible(rounded, tol=INT_TOL):
+                value = program.objective_value(rounded)
+                if value > best_value:
+                    best_value = value
+                    best_x = rounded
             return
         floor_v = math.floor(values[frac_index])
         # Explore the "up" branch first: packing problems usually profit
@@ -226,81 +111,7 @@ def solve_branch_bound(
         down_upper[frac_index] = floor_v
         recurse(lower, down_upper)
 
-    def best_first(lp: IncrementalLp) -> None:
-        """Explicit open-node frontier: pop the most promising nodes
-        (highest inherited relaxation bound; newest first on ties, with
-        each node's "up" child ahead of its "down" child), resolve
-        their relaxations as one ``solve_many`` batch over the shared
-        ``[A; I]`` tableau, then branch.  Nodes whose inherited bound
-        can no longer beat the incumbent are discarded unsolved."""
-        nonlocal best_value, best_x, nodes
-        sequence = 0
-        heap: List[Tuple[float, int, List[float], List[float]]] = [
-            (-math.inf, 0, [0.0] * n, list(base_upper))
-        ]
-        while heap:
-            open_nodes: List[Tuple[List[float], List[float]]] = []
-            rhs_batch: List[List[float]] = []
-            offsets: List[float] = []
-            # Speculation control: every node of a batch is relaxed
-            # against the incumbent known when the batch was formed, so
-            # a wide batch can waste relaxations an in-batch incumbent
-            # improvement would have pruned.  Stream nodes one at a
-            # time while the frontier is narrow and batch only a
-            # quarter of a genuinely wide frontier, bounding the waste
-            # per incumbent improvement.
-            limit = max(1, min(NODE_BATCH, len(heap) // 4))
-            while heap and len(rhs_batch) < limit:
-                neg_bound, _, lower, upper = heapq.heappop(heap)
-                if -neg_bound <= best_value + INT_TOL:
-                    continue  # the whole subtree is already beaten
-                nodes += 1
-                if nodes > MAX_NODES:
-                    raise RuntimeError(
-                        f"branch-and-bound exceeded {MAX_NODES} nodes"
-                    )
-                rhs = _node_rhs(program, lower, upper)
-                if rhs is None:
-                    continue  # crossed bounds: infeasible without solving
-                open_nodes.append((lower, upper))
-                rhs_batch.append(rhs)
-                offsets.append(
-                    sum(c * lo for c, lo in zip(program.objective, lower))
-                )
-            if not rhs_batch:
-                continue
-            results = lp.solve_many(rhs_batch)
-            for (lower, upper), offset, result in zip(
-                open_nodes, offsets, results
-            ):
-                if result.status != "optimal":
-                    continue
-                objective = result.objective + offset
-                bound = node_bound(objective)
-                if bound <= best_value + INT_TOL:
-                    continue
-                values = tuple(v + lo for v, lo in zip(result.values, lower))
-                frac_index = most_fractional(values)
-                if frac_index < 0:
-                    accept_integral(values)
-                    continue
-                floor_v = math.floor(values[frac_index])
-                up_lower = list(lower)
-                up_lower[frac_index] = floor_v + 1
-                down_upper = list(upper)
-                down_upper[frac_index] = floor_v
-                # Negated sequence numbers make newer nodes win ties
-                # (depth-first-ish frontier); the "up" child gets the
-                # larger sequence, so on equal bounds it pops first —
-                # the historic exploration preference.
-                heapq.heappush(heap, (-bound, -(sequence + 1), lower, down_upper))
-                heapq.heappush(heap, (-bound, -(sequence + 2), up_lower, upper))
-                sequence += 2
-
-    if lp is not None:
-        best_first(lp)
-    else:
-        recurse([0.0] * n, list(base_upper))
+    recurse([0.0] * n, base_upper)
     if best_x is None:
         # x = 0 is always feasible for packing rows with b >= 0; if even
         # the relaxation was infeasible the program has contradictory

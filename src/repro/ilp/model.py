@@ -105,8 +105,9 @@ class Solution:
     status: str  # "optimal", "infeasible" or "unbounded"
     objective: float
     values: Tuple[float, ...]
-    #: Number of branch-and-bound nodes / DP states / simplex pivots,
-    #: backend-specific; for performance reporting only.
+    #: Branch-and-bound nodes (0 for the one-variable closed form; the
+    #: test oracles count their own units); for performance reporting
+    #: only.
     work: int = 0
 
     @property

@@ -1,66 +1,30 @@
-"""Backend-dispatching facade over the stateful packing engine.
+"""The one production entry point of the packing solver.
 
-:func:`solve` keeps the historic stateless signature — one program, one
-answer — but is now a thin shim over :class:`repro.ilp.engine
-.PackingEngine`: it wraps the program's matrix in a one-shot
-:class:`~repro.ilp.engine.PackingInstance` and resolves its rhs once.
-Callers that re-solve the same matrix against changing capacities (the
-DMM curve evaluation) should hold an engine instead and call
-``resolve(rhs)`` per capacity vector.
+A one-variable program with a positive objective and non-negative
+right-hand sides is answered in closed form: its optimum is the root
+bound of :func:`~repro.ilp.branch_bound.solve_branch_bound`, which the
+root relaxation would return anyway, so only the LP is skipped.  Every
+other program goes through the branch-and-bound.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import math
 
-from .branch_bound import solve_branch_bound
-from .dp import solve_dp
-from .engine import PackingEngine, PackingInstance
-from .greedy import solve_greedy
+from .branch_bound import INT_TOL, solve_branch_bound
 from .model import IntegerProgram, Solution
-from .scipy_backend import solve_scipy
-
-#: Registry of solver backends.  "branch_bound" is the default: exact and
-#: dependency-free.  "greedy" is a heuristic lower bound.  The stateful
-#: engine exposes the same names through
-#: :data:`repro.ilp.engine.INCREMENTAL_BACKENDS`.
-BACKENDS: Dict[str, Callable[[IntegerProgram], Solution]] = {
-    "branch_bound": solve_branch_bound,
-    "dp": solve_dp,
-    "greedy": solve_greedy,
-    "scipy": solve_scipy,
-}
-
-DEFAULT_BACKEND = "branch_bound"
 
 
-def solve(
-    program: IntegerProgram,
-    backend: str = DEFAULT_BACKEND,
-    cross_check: bool = False,
-) -> Solution:
-    """Solve an integer program with the chosen backend.
-
-    Parameters
-    ----------
-    program:
-        The packing program.
-    backend:
-        One of ``branch_bound`` (default, exact), ``dp`` (exact, integer
-        data only), ``greedy`` (heuristic lower bound) or ``scipy``
-        (exact, requires scipy).
-    cross_check:
-        When True and scipy is available, exact backends are verified
-        against scipy's HiGHS solver; a mismatch raises
-        ``AssertionError``.  Intended for tests and debugging.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-        )
-    engine = PackingEngine(
-        PackingInstance.from_program(program),
-        backend=backend,
-        cross_check=cross_check,
-    )
-    return engine.resolve(program.rhs)
+def solve(program: IntegerProgram) -> Solution:
+    """Solve ``program`` exactly.  ``Solution.work`` counts the
+    branch-and-bound nodes (0 for the closed form)."""
+    if (
+        program.num_variables == 1
+        and program.objective[0] > 0
+        and all(b >= 0 for b in program.rhs)
+    ):
+        bound = program.variable_bound(0)
+        if not math.isinf(bound) and bound + INT_TOL >= 0:
+            values = (math.floor(bound + INT_TOL),)
+            return Solution("optimal", float(program.objective_value(values)), values)
+    return solve_branch_bound(program)

@@ -36,16 +36,14 @@ def table1_section() -> str:
     )
 
 
-def table2_section(
-    ks: Sequence[int] = (3, 76, 250), backend: str = "branch_bound"
-) -> str:
+def table2_section(ks: Sequence[int] = (3, 76, 250)) -> str:
     """The Table II comparison (printed + calibrated) as markdown."""
     paper = {3: 3, 76: 4, 250: 5}
     rows = []
     results = {}
     for calibrated in (False, True):
         system = figure4_system(calibrated=calibrated)
-        results[calibrated] = analyze_twca(system, system["sigma_c"], backend=backend)
+        results[calibrated] = analyze_twca(system, system["sigma_c"])
     for k in ks:
         rows.append((k, paper.get(k, "-"), results[True].dmm(k), results[False].dmm(k)))
     return "## Table II — dmm of sigma_c\n\n" + markdown_table(
@@ -57,7 +55,6 @@ def figure5_section(
     samples: int = 200,
     seed: int = 2017,
     calibrated: bool = True,
-    backend: str = "branch_bound",
 ) -> str:
     """The Figure 5 statistics as markdown."""
     rng = random.Random(seed)
@@ -66,7 +63,7 @@ def figure5_section(
     histogram: Dict[str, Dict[int, int]] = {"sigma_c": {}, "sigma_d": {}}
     for system in random_systems(base, samples, rng):
         for name in schedulable:
-            result = analyze_twca(system, system[name], backend=backend)
+            result = analyze_twca(system, system[name])
             value = 0 if result.is_schedulable else result.dmm(10)
             if value == 0:
                 schedulable[name] += 1
@@ -97,14 +94,12 @@ def figure5_section(
     )
 
 
-def reproduction_report(
-    samples: int = 200, seed: int = 2017, backend: str = "branch_bound"
-) -> str:
+def reproduction_report(samples: int = 200, seed: int = 2017) -> str:
     """The full report: all regenerable sections concatenated."""
     sections = [
         "# Reproduction report (auto-generated)",
         table1_section(),
-        table2_section(backend=backend),
-        figure5_section(samples=samples, seed=seed, backend=backend),
+        table2_section(),
+        figure5_section(samples=samples, seed=seed),
     ]
     return "\n\n".join(sections) + "\n"

@@ -10,7 +10,7 @@ from ..analysis.twca import ChainTwcaResult
 
 
 def format_packing_stats(stats: Mapping[str, int]) -> str:
-    """One-line rendering of packing-engine work counters (shared by
+    """One-line rendering of packing work counters (shared by
     summaries and the CLI stderr reports)."""
     return ", ".join(f"{key} {stats[key]}" for key in sorted(stats))
 
@@ -87,7 +87,5 @@ def twca_summary(result: ChainTwcaResult) -> str:
         lines.append(f"  N_b = {result.n_b}")
     stats = result.packing_stats()
     if stats:
-        lines.append(
-            f"  packing engine [{result.backend}]: {format_packing_stats(stats)}"
-        )
+        lines.append(f"  packing: {format_packing_stats(stats)}")
     return "\n".join(lines)

@@ -203,8 +203,6 @@ class BatchRunner:
         modes and the deterministic exports are identical.
     ks:
         DMM window sizes evaluated per job (overridable per job).
-    backend:
-        ILP backend for the Theorem 3 packing.
     enumeration:
         Combination pipeline mode per job: ``"pruned"`` (default, the
         lazy dominance-pruned frontier search) or ``"exhaustive"``
@@ -232,7 +230,6 @@ class BatchRunner:
         workers: int = 1,
         *,
         ks: Tuple[int, ...] = DEFAULT_KS,
-        backend: str = "branch_bound",
         enumeration: str = "pruned",
         cache: Optional[AnalysisCache] = None,
         cache_dir: Optional[str] = None,
@@ -243,7 +240,6 @@ class BatchRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.ks = tuple(ks)
-        self.backend = backend
         self.enumeration = enumeration
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.use_cache = use_cache
@@ -281,7 +277,6 @@ class BatchRunner:
                         system,
                         name,
                         ks=job_ks,
-                        backend=self.backend,
                         enumeration=self.enumeration,
                         label=label,
                     )
@@ -315,7 +310,6 @@ class BatchRunner:
                     path=str(path),
                     chains=selected,
                     ks=job_ks,
-                    backend=self.backend,
                     enumeration=self.enumeration,
                     label=label,
                 )
@@ -442,7 +436,6 @@ class BatchRunner:
                     system,
                     chain_name,
                     ks=job_ks,
-                    backend=self.backend,
                     enumeration=self.enumeration,
                 )
             with self.cache.activate():
@@ -450,13 +443,10 @@ class BatchRunner:
                     system,
                     chain_name,
                     ks=job_ks,
-                    backend=self.backend,
                     enumeration=self.enumeration,
                 )
         except Exception as exc:
-            job = AnalysisJob.from_system(
-                system, chain_name, ks=job_ks, backend=self.backend
-            )
+            job = AnalysisJob.from_system(system, chain_name, ks=job_ks)
             raise BatchExecutionError(job, exc) from exc
 
     def evaluate_dmm(

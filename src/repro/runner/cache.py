@@ -27,9 +27,7 @@ from ..analysis.memo import using_cache
 #: The memoized artifact families.  ``busy_time``, ``omega`` and
 #: ``segments`` are the classic analysis primitives; ``combo_exact``
 #: holds the Def. 10 exact-schedulability verdict per combination cost
-#: signature; ``packing`` holds Theorem 3 packing optima keyed by
-#: (system, chain, backend, Omega tuple), so warm DMM curves skip even
-#: the incremental engine resolves; ``jobs`` holds whole
+#: signature; ``jobs`` holds whole
 #: :class:`~repro.runner.jobs.JobResult` payloads keyed by the job's
 #: content identity, so warm batches skip per-job assembly entirely.
 CATEGORIES: Tuple[str, ...] = (
@@ -37,7 +35,6 @@ CATEGORIES: Tuple[str, ...] = (
     "omega",
     "segments",
     "combo_exact",
-    "packing",
     "jobs",
 )
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..analysis.exceptions import AnalysisError
 from ..analysis.memo import content_key
-from ..analysis.twca import analyze_twca
+from ..analysis.twca import ENUMERATION_MODES, analyze_twca
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
 from .cache import AnalysisCache
@@ -32,22 +32,54 @@ from .cache import AnalysisCache
 DEFAULT_KS: Tuple[int, ...] = (1, 10, 100)
 
 
+def checked_ks(ks: Any) -> Tuple[int, ...]:
+    """``ks`` as a tuple of DMM window sizes: at least one, each an
+    integer >= 1 (``bool`` is not a window size).  ``ValueError``
+    otherwise."""
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("'ks' must name at least one DMM window size")
+    for k in ks:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"'ks' entries must be integers >= 1, got {k!r}")
+    return ks
+
+
 @dataclass(frozen=True)
 class AnalysisJob:
     """One TWCA work unit: analyze ``chain_name`` inside the system.
 
     ``label`` identifies the job in reports (defaults to the system
     name); ``ks`` are the DMM window sizes evaluated and exported.
+    Every field is checked on construction (``ValueError``), so a
+    malformed wire job is rejected before it runs.
     """
 
     system_json: str
     chain_name: str
     ks: Tuple[int, ...] = DEFAULT_KS
-    backend: str = "branch_bound"
     max_combinations: int = 100_000
     exact_criterion: bool = True
     enumeration: str = "pruned"
     label: str = ""
+
+    def __post_init__(self) -> None:
+        for name in ("system_json", "chain_name", "label"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"'{name}' must be a string")
+        object.__setattr__(self, "ks", checked_ks(self.ks))
+        if self.enumeration not in ENUMERATION_MODES:
+            raise ValueError(
+                f"unknown enumeration {self.enumeration!r}; "
+                f"choose from {list(ENUMERATION_MODES)}"
+            )
+        limit = self.max_combinations
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+            raise ValueError(
+                f"'max_combinations' must be an integer >= 1, got {limit!r}"
+            )
+        if not isinstance(self.exact_criterion, bool):
+            raise ValueError("'exact_criterion' must be a boolean")
 
     @classmethod
     def from_system(
@@ -56,7 +88,6 @@ class AnalysisJob:
         chain_name: str,
         *,
         ks: Tuple[int, ...] = DEFAULT_KS,
-        backend: str = "branch_bound",
         max_combinations: int = 100_000,
         exact_criterion: bool = True,
         enumeration: str = "pruned",
@@ -66,8 +97,7 @@ class AnalysisJob:
         return cls(
             system_json=canonical_system_json(system),
             chain_name=chain_name,
-            ks=tuple(ks),
-            backend=backend,
+            ks=ks,
             max_combinations=max_combinations,
             exact_criterion=exact_criterion,
             enumeration=enumeration,
@@ -86,7 +116,6 @@ class AnalysisJob:
                 self.system_json,
                 self.chain_name,
                 list(self.ks),
-                self.backend,
                 self.max_combinations,
                 self.exact_criterion,
                 self.enumeration,
@@ -115,7 +144,6 @@ class AnalysisJob:
             "system_json": self.system_json,
             "chain_name": self.chain_name,
             "ks": list(self.ks),
-            "backend": self.backend,
             "max_combinations": self.max_combinations,
             "exact_criterion": self.exact_criterion,
             "enumeration": self.enumeration,
@@ -130,7 +158,6 @@ class AnalysisJob:
             "system_json",
             "chain_name",
             "ks",
-            "backend",
             "max_combinations",
             "exact_criterion",
             "enumeration",
@@ -147,8 +174,7 @@ class AnalysisJob:
         return cls(
             system_json=system_json,
             chain_name=chain_name,
-            ks=tuple(data.get("ks", DEFAULT_KS)),
-            backend=data.get("backend", "branch_bound"),
+            ks=data.get("ks", DEFAULT_KS),
             max_combinations=data.get("max_combinations", 100_000),
             exact_criterion=data.get("exact_criterion", True),
             enumeration=data.get("enumeration", "pruned"),
@@ -165,7 +191,7 @@ class JobResult:
     :class:`~repro.analysis.exceptions.AnalysisError` (recorded in
     ``error``).  ``dmm`` maps each requested window size to its miss
     bound.  ``elapsed`` (seconds), ``cache`` (counter deltas),
-    ``packing`` (the packing-engine solver counters of
+    ``packing`` (the packing counters of
     :meth:`~repro.analysis.twca.ChainTwcaResult.packing_stats`) are
     observability fields excluded from deterministic exports.
     """
@@ -257,7 +283,6 @@ def analyze_system_job(
     chain_name: str,
     *,
     ks: Tuple[int, ...] = DEFAULT_KS,
-    backend: str = "branch_bound",
     max_combinations: int = 100_000,
     exact_criterion: bool = True,
     enumeration: str = "pruned",
@@ -276,7 +301,6 @@ def analyze_system_job(
         result = analyze_twca(
             system,
             chain,
-            backend=backend,
             max_combinations=max_combinations,
             exact_criterion=exact_criterion,
             enumeration=enumeration,
@@ -316,7 +340,6 @@ def job_result_key(
     system: System,
     chain_name: str,
     ks: Tuple[int, ...],
-    backend: str,
     max_combinations: int,
     exact_criterion: bool,
     enumeration: str,
@@ -332,7 +355,6 @@ def job_result_key(
         digest,
         chain_name,
         tuple(ks),
-        backend,
         max_combinations,
         exact_criterion,
         enumeration,
@@ -344,7 +366,6 @@ def run_chain_job(
     chain_name: str,
     *,
     ks: Tuple[int, ...] = DEFAULT_KS,
-    backend: str = "branch_bound",
     max_combinations: int = 100_000,
     exact_criterion: bool = True,
     enumeration: str = "pruned",
@@ -371,7 +392,6 @@ def run_chain_job(
             system,
             chain_name,
             ks=ks,
-            backend=backend,
             max_combinations=max_combinations,
             exact_criterion=exact_criterion,
             enumeration=enumeration,
@@ -380,8 +400,7 @@ def run_chain_job(
     before = cache.counters()
     start = time.perf_counter()
     key = job_result_key(
-        system, chain_name, ks, backend, max_combinations, exact_criterion,
-        enumeration,
+        system, chain_name, ks, max_combinations, exact_criterion, enumeration
     )
     hit = cache.lookup("jobs", key) if key is not None else None
     if hit is not None:
@@ -402,7 +421,6 @@ def run_chain_job(
                 system,
                 chain_name,
                 ks=ks,
-                backend=backend,
                 max_combinations=max_combinations,
                 exact_criterion=exact_criterion,
                 enumeration=enumeration,
@@ -427,13 +445,19 @@ def run_chain_job(
     return result
 
 
-def execute_job(job: AnalysisJob, cache: Optional[AnalysisCache] = None) -> JobResult:
-    """Materialize and run ``job``, optionally under ``cache``."""
+def execute_job(
+    job: AnalysisJob,
+    cache: Optional[AnalysisCache] = None,
+    *,
+    system: Optional[System] = None,
+) -> JobResult:
+    """Materialize and run ``job``, optionally under ``cache``.
+    ``system`` is ``job.system()`` when the caller has parsed it
+    already."""
     return run_chain_job(
-        job.system(),
+        job.system() if system is None else system,
         job.chain_name,
         ks=job.ks,
-        backend=job.backend,
         max_combinations=job.max_combinations,
         exact_criterion=job.exact_criterion,
         enumeration=job.enumeration,

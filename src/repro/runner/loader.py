@@ -46,7 +46,6 @@ class SystemPathJob:
     path: str
     chains: Optional[Tuple[str, ...]] = None
     ks: Tuple[int, ...] = DEFAULT_KS
-    backend: str = "branch_bound"
     max_combinations: int = 100_000
     exact_criterion: bool = True
     enumeration: str = "pruned"
@@ -116,7 +115,6 @@ def execute_path_job(
             system,
             name,
             ks=job.ks,
-            backend=job.backend,
             max_combinations=job.max_combinations,
             exact_criterion=job.exact_criterion,
             enumeration=job.enumeration,

@@ -1,4 +1,4 @@
-"""Analysis-as-a-service: the long-lived front over the TWCA engines.
+"""Analysis-as-a-service: the long-lived front over the TWCA analyses.
 
 Two layers:
 
@@ -6,8 +6,7 @@ Two layers:
   :class:`AnalysisRequest` / :class:`AnalysisResponse` dataclasses wrap
   ``analyze_twca`` / ``analyze_latency`` / the batch runner behind one
   entrypoint that owns warm state: loaded systems keyed by content
-  digest, the (optionally persistent) analysis cache, and the live
-  packing artifacts it carries.
+  digest and the (optionally persistent) analysis cache.
 * ``repro serve`` — a stdlib HTTP/JSON server (:func:`serve_forever`,
   :func:`start_server`) exposing ``POST /analyze``, ``POST /batch``,
   ``POST /shard/run``, ``GET /cache/stats`` and ``GET /healthz``,

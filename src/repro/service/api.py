@@ -4,7 +4,7 @@ One analysis — in-process through :class:`~repro.service.core.AnalysisService`
 or over HTTP through ``repro serve`` — is described by an
 :class:`AnalysisRequest`: the system (inline, or referenced by content
 digest once the daemon has it warm), a chain selector, the DMM window
-sizes, the packing backend and the cache policy.
+sizes, the combination pipeline and the cache policy.
 Requests are content-addressed: :attr:`AnalysisRequest.digest` is the
 identity the daemon coalesces identical in-flight work on, and
 :attr:`AnalysisRequest.compat_key` (the digest *minus* the window sizes)
@@ -28,10 +28,9 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..ilp import BACKENDS, DEFAULT_BACKEND
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
-from ..runner.jobs import DEFAULT_KS, JobResult
+from ..runner.jobs import DEFAULT_KS, JobResult, checked_ks
 
 
 class RequestError(ValueError):
@@ -51,14 +50,13 @@ ENUMERATIONS: Tuple[str, ...] = ("pruned", "exhaustive")
 class AnalysisOptions:
     """The analysis knobs shared by every analyzing entrypoint.
 
-    One dataclass carries what used to be four copy-pasted argparse
-    options (``--backend``/``--cache-dir``/``--no-cache``/
-    ``--exhaustive``) uniformly through ``analyze``, ``experiment``,
-    ``batch``, ``report`` and ``serve`` — and configures an
-    :class:`~repro.service.core.AnalysisService` the same way.
+    One dataclass carries the shared argparse options
+    (``--cache-dir``/``--no-cache``/``--exhaustive``) uniformly through
+    ``analyze``, ``experiment``, ``batch``, ``report`` and ``serve`` —
+    and configures an :class:`~repro.service.core.AnalysisService` the
+    same way.
     """
 
-    backend: str = DEFAULT_BACKEND
     cache_dir: Optional[str] = None
     use_cache: bool = True
     exhaustive: bool = False
@@ -90,7 +88,6 @@ class AnalysisRequest:
     system_digest: Optional[str] = None
     chain: Optional[str] = None
     ks: Tuple[int, ...] = DEFAULT_KS
-    backend: str = DEFAULT_BACKEND
     enumeration: str = "pruned"
     use_cache: bool = True
     label: str = ""
@@ -104,17 +101,10 @@ class AnalysisRequest:
             self.chain is None or (isinstance(self.chain, str) and self.chain),
             "'chain' must be a non-empty string when given",
         )
-        object.__setattr__(self, "ks", tuple(self.ks))
-        _require(bool(self.ks), "'ks' must name at least one DMM window size")
-        for k in self.ks:
-            _require(
-                isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-                f"'ks' entries must be integers >= 1, got {k!r}",
-            )
-        _require(
-            self.backend in BACKENDS,
-            f"unknown backend {self.backend!r}; choose from {sorted(BACKENDS)}",
-        )
+        try:
+            object.__setattr__(self, "ks", checked_ks(self.ks))
+        except (TypeError, ValueError) as exc:
+            raise RequestError(str(exc)) from None
         _require(
             self.enumeration in ENUMERATIONS,
             f"unknown enumeration {self.enumeration!r}; "
@@ -147,7 +137,6 @@ class AnalysisRequest:
             "system_digest",
             "chain",
             "ks",
-            "backend",
             "enumeration",
             "use_cache",
             "label",
@@ -183,7 +172,6 @@ class AnalysisRequest:
             system_digest=data.get("system_digest"),
             chain=data.get("chain"),
             ks=tuple(ks),
-            backend=data.get("backend", DEFAULT_BACKEND),
             enumeration=data.get("enumeration", "pruned"),
             use_cache=data.get("use_cache", True),
             label=data.get("label", ""),
@@ -196,7 +184,6 @@ class AnalysisRequest:
         data: Dict[str, Any] = {
             "chain": self.chain,
             "ks": list(self.ks),
-            "backend": self.backend,
             "enumeration": self.enumeration,
             "use_cache": self.use_cache,
             "label": self.label,
@@ -224,7 +211,6 @@ class AnalysisRequest:
         fields = [
             self.system_identity,
             self.chain,
-            self.backend,
             self.enumeration,
             self.use_cache,
             self.label,
@@ -257,7 +243,7 @@ def derive_jobs(
 
     Every :class:`JobResult` field except ``dmm`` is independent of the
     evaluated windows, and ``dmm(k)`` is a pure per-``k`` function of
-    the (system, chain, backend) content — so sub-selecting the merged
+    the (system, chain, enumeration) content — so sub-selecting the merged
     curve is byte-identical to having analyzed the narrower request
     directly (observability fields are zeroed: they belong to the
     compute, not to the derived view).

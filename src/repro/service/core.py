@@ -11,12 +11,8 @@ calls:
   system once and reference it by digest forever after;
 * **the analysis cache** (in-memory, or persistent under
   ``options.cache_dir``) — memoized Theorem 1 fixed points, Omega
-  capacities, segment decompositions, exact Def. 10 verdicts, Theorem 3
-  packing optima and whole job results;
-* **live packing state** — the ``packing`` and ``jobs`` cache
-  categories carry the warm-started :class:`~repro.ilp.engine.PackingEngine`
-  optima and compiled staircase kernels across requests, so a repeated
-  request recomputes zero fixed points.
+  capacities, segment decompositions, exact Def. 10 verdicts and whole
+  job results, so a repeated request recomputes zero fixed points.
 
 Concurrency model: the service is thread-safe and built for the
 threaded HTTP front.  Identical in-flight requests are *coalesced* on
@@ -29,9 +25,9 @@ themselves run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 overlap: the memoization hook of :mod:`repro.analysis.memo` is a
 ``contextvars.ContextVar`` (each compute thread installs its own
 cache), the shared :class:`~repro.runner.cache.AnalysisCache` is locked
-internally, and every stateful :class:`~repro.ilp.engine.PackingEngine`
-carries a per-engine lock — so nothing is serialized globally, and no
-request changes process-global state.
+internally, and the packing solver is stateless (a result shared
+across threads only memoizes deterministic optima) — so nothing is
+serialized globally, and no request changes process-global state.
 """
 
 from __future__ import annotations
@@ -80,12 +76,12 @@ class _InFlight:
 
 
 class AnalysisService:
-    """Long-lived analysis facade with warm engines and caches.
+    """Long-lived analysis facade with warm systems and caches.
 
     Parameters
     ----------
     options:
-        The shared analysis knobs (backend, cache policy);
+        The shared analysis knobs (combination pipeline, cache policy);
         defaults to :class:`AnalysisOptions`'s defaults.
     ks:
         Default DMM window sizes for :meth:`runner`-built batches.
@@ -236,7 +232,7 @@ class AnalysisService:
         """Serve many requests as one batch, merging compatible ones.
 
         Requests sharing a :attr:`~AnalysisRequest.compat_key` (same
-        system, chain selector, backend, enumeration, cache policy and
+        system, chain selector, enumeration, cache policy and
         label — different window sizes) are folded into a single
         analysis over the union of their windows: one multi-q analysis
         instead of one per request.  The result order
@@ -271,7 +267,6 @@ class AnalysisService:
                     system_digest=leader.system_digest,
                     chain=leader.chain,
                     ks=merged_ks,
-                    backend=leader.backend,
                     enumeration=leader.enumeration,
                     use_cache=leader.use_cache,
                     label=leader.label,
@@ -305,7 +300,9 @@ class AnalysisService:
         back in submission order, exactly as
         :func:`~repro.runner.jobs.execute_job` would produce them
         in-process — which is what keeps remote shards byte-identical
-        to local ones.
+        to local ones.  A job whose system does not parse or lacks its
+        chain raises :class:`RequestError` (HTTP 400): the sender's
+        error, which a coordinator must not retry.
         """
         jobs = list(jobs)
         if not jobs:
@@ -315,13 +312,25 @@ class AnalysisService:
             self.counters["computes"] += len(jobs)
             self._executing += 1
         try:
-            futures = [
-                self._executor.submit(execute_job, job, self.cache) for job in jobs
-            ]
+            futures = [self._executor.submit(self._run_job, job) for job in jobs]
             return [future.result() for future in futures]
         finally:
             with self._lock:
                 self._executing -= 1
+
+    def _run_job(self, job: AnalysisJob) -> JobResult:
+        """One :meth:`run_jobs` unit on the compute pool; the system is
+        parsed once, here."""
+        try:
+            system = job.system()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise RequestError(f"job {job.label!r}: invalid system: {exc}") from exc
+        if job.chain_name not in system:
+            raise RequestError(
+                f"job {job.label!r}: no chain named {job.chain_name!r} in "
+                f"system {system.name!r}"
+            )
+        return execute_job(job, self.cache, system=system)
 
     def _respond(
         self, request: AnalysisRequest, entry: _InFlight, *, coalesced: bool
@@ -361,7 +370,6 @@ class AnalysisService:
                     system,
                     name,
                     ks=request.ks,
-                    backend=request.backend,
                     enumeration=request.enumeration,
                     label=label,
                     cache=cache,
@@ -393,7 +401,6 @@ class AnalysisService:
             return analyze_twca(
                 system,
                 system[chain_name],
-                backend=self.options.backend,
                 enumeration=self.options.enumeration,
             )
 
@@ -412,7 +419,6 @@ class AnalysisService:
         return BatchRunner(
             workers=workers,
             ks=tuple(ks) if ks is not None else self.ks,
-            backend=self.options.backend,
             enumeration=self.options.enumeration,
             cache=self.cache,
             cache_dir=self.options.cache_dir,

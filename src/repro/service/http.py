@@ -254,8 +254,7 @@ def serve_forever(
     )
     print(
         f"repro serve: listening on {server.url} "
-        f"(backend {service.options.backend}, "
-        f"{service.workers} compute worker(s), {cache_note}); "
+        f"({service.workers} compute worker(s), {cache_note}); "
         f"Ctrl-C to stop",
         file=sys.stderr,
     )

@@ -124,9 +124,9 @@ class TestBatch:
             assert line.startswith(f"[job {index:04d}] ")
             assert line.rstrip().endswith("s") and "/" in line
         # The summary line carries the merged per-category counters,
-        # followed by the aggregated packing-engine solver counters.
+        # followed by the aggregated packing counters.
         assert "busy_time" in err.splitlines()[-2]
-        assert err.splitlines()[-1].startswith("packing engine: ")
+        assert err.splitlines()[-1].startswith("packing: resolves ")
         assert "resolves" in err.splitlines()[-1]
 
     def test_cache_dir_warm_parallel_rerun_identical(self, tmp_path,
@@ -272,6 +272,25 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "figure9"])
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["experiment", "table2"], ["batch"], ["shard"]])
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5", "ten"])
+    def test_bad_window_size_is_a_usage_error(self, command, value,
+                                              capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--k", "3", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --k: window sizes must be integers >= 1, " \
+            f"got {value!r}" in err
+        assert "Traceback" not in err
+
+    def test_backend_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["batch", "--backend", "greedy"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestReport:

@@ -167,5 +167,5 @@ class TestAnalysisAdapter:
         assert model.name == "dmm[sigma_c]"
         assert model.source == "twca"
         assert model.table([1, 3, 10]) == result.dmm_curve([1, 3, 10])
-        # The adapter's queries run through the result's engine.
+        # The adapter's queries run through the result's packing memo.
         assert result.packing_stats().get("resolves", 0) > 0

@@ -1,14 +1,15 @@
-"""Cross-validation of the ILP backends: branch-and-bound vs DP vs scipy
-(exact) and greedy (lower bound)."""
+"""Cross-validation of the branch-and-bound against the oracles of
+``tests/oracles/packing.py``: DP and scipy (exact) and greedy (lower
+bound)."""
 
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.packing import (scipy_available, solve_dp, solve_greedy,
+                             solve_scipy)
 
-from repro.ilp import (IntegerProgram, scipy_available, solve,
-                       solve_branch_bound, solve_dp, solve_greedy,
-                       solve_scipy)
+from repro.ilp import IntegerProgram, solve, solve_branch_bound
 
 
 def knapsack(objective, rows, rhs, upper=None):
@@ -76,14 +77,28 @@ class TestHandCrafted:
         assert solve_dp(program).objective == 4
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        # One solver: there is no backend to choose.
+        with pytest.raises(TypeError):
             solve(knapsack([1], [[1]], [1]), backend="martian")
 
     def test_cross_check_mode(self):
         program = knapsack([1, 2], [[1, 1]], [3])
-        solution = solve(program, backend="branch_bound",
-                         cross_check=True)
+        solution = solve(program)
         assert solution.objective == 6
+        assert solution.objective == solve_dp(program).objective
+        if scipy_available():
+            assert solution.objective == solve_scipy(program).objective
+
+    def test_capacity_just_below_an_integer(self):
+        # Capacities within INT_TOL of an integer count as that integer,
+        # in the root bound and when the rounded point is accepted (the
+        # search used to reject that point and answer 0).
+        for program in (
+            knapsack([1, 1], [[1, 1]], [2.9999999]),
+            knapsack([1], [[1]], [10], upper=[2.9999999]),
+        ):
+            assert solve_branch_bound(program).objective == 3
+            assert solve(program).objective == 3
 
 
 class TestDpGuards:

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from oracles.packing import (dmm_reference, scipy_available, solve_dp,
+                             solve_scipy)
+
 from repro import DeadlineMissModel, analyze_latency, analyze_twca
-from repro.ilp import scipy_available
 from repro.model.serialization import system_from_json, system_to_json
 from repro.sim import Simulator, simulate_worst_case, worst_case_activations
 from repro.synth import GeneratorConfig, generate_feasible_system
@@ -73,13 +75,12 @@ class TestCrossBackendPipeline:
                 chains=2, overload_chains=2, utilization=0.55,
                 overload_utilization=0.08))
             for chain in system.typical_chains:
-                backends = ["branch_bound", "dp"]
-                if scipy_available():
-                    backends.append("scipy")
-                results = {
-                    backend: analyze_twca(system, chain, backend=backend)
-                    for backend in backends}
+                # dmm against the cold path through every exact solver.
+                solvers = [solve_dp] + ([solve_scipy] if scipy_available()
+                                        else [])
+                result = analyze_twca(system, chain)
                 for k in (1, 5, 10):
-                    values = {backend: result.dmm(k)
-                              for backend, result in results.items()}
-                    assert len(set(values.values())) == 1, values
+                    values = {result.dmm(k), dmm_reference(result, k)}
+                    values |= {dmm_reference(result, k, solver)
+                               for solver in solvers}
+                    assert len(values) == 1, values

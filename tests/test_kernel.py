@@ -9,9 +9,9 @@ The contracts under test:
   latency scan, the block Def. 10 exact check) lands on the
   bit-identical fixed points and verdicts as the scalar references, on
   randomized systems, cold and cached;
-* the incremental simplex pivots exactly like the one-shot solver on
-  randomized LPs: same statuses, same objectives, same values, same
-  pivot counts, for cold solves and for ``solve_many`` rhs schedules;
+* the simplex is a pure function of its data on randomized LPs: same
+  statuses, objectives, values and pivot counts however the data is
+  typed and in whatever order an rhs schedule is solved;
 * deterministic batch exports are byte-identical across cache states,
   worker counts and enumeration modes.
 """
@@ -33,7 +33,7 @@ from repro.analysis.exceptions import BusyWindowDivergence
 from repro.analysis.twca import _build_verdict
 from repro.arrivals import ArrivalCurve, SporadicBurstModel, StaircaseKernel
 from repro.arrivals.algebra import scaled, tightest
-from repro.ilp.simplex import IncrementalLp, solve_lp
+from repro.ilp.simplex import solve_lp
 from repro.kernel import kernel_name
 from repro.runner import AnalysisCache, BatchRunner
 from repro.synth import GeneratorConfig, generate_feasible_system
@@ -321,7 +321,7 @@ class TestBatchedKleene:
 
 
 # ----------------------------------------------------------------------
-# Simplex parity: incremental solves against the one-shot solver
+# Simplex parity: no state survives a solve
 # ----------------------------------------------------------------------
 def random_lp(rng, num_vars, num_rows):
     objective = [rng.randint(0, 5) + rng.choice([0.0, rng.random()]) for _ in range(num_vars)]
@@ -340,31 +340,27 @@ def outcome(result):
 class TestTableauParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_cold_solves_pivot_identically(self, seed):
-        """An incremental LP's first (cold) solve is exactly
-        :func:`solve_lp`: same status, optimum, point and pivots."""
+        """Solving an LP again — with the matrix passed as tuples of
+        rows — gives the same status, optimum, point and pivots."""
         rng = random.Random(seed)
         for _ in range(25):
             objective, rows, rhs = random_lp(
                 rng, rng.randint(1, 12), rng.randint(1, 10)
             )
-            lp = IncrementalLp(objective, rows)
-            assert outcome(lp.solve(rhs)) == outcome(solve_lp(objective, rows, rhs))
+            first = outcome(solve_lp(objective, rows, rhs))
+            again = solve_lp(tuple(objective), tuple(map(tuple, rows)), tuple(rhs))
+            assert outcome(again) == first
 
     @pytest.mark.parametrize("seed", range(8))
     def test_warm_rhs_schedules_pivot_identically(self, seed):
-        """``solve_many`` over an rhs schedule pivots exactly like the
-        same schedule solved one rhs at a time."""
+        """Every rhs of a schedule pivots the same whether the schedule
+        is solved forwards or backwards."""
         rng = random.Random(1000 + seed)
         objective, rows, _ = random_lp(rng, rng.randint(1, 10), rng.randint(1, 8))
         schedule = [[float(rng.randint(0, 8)) for _ in rows] for _ in range(15)]
-        one_by_one = IncrementalLp(objective, rows)
-        runs = [outcome(one_by_one.solve(rhs)) for rhs in schedule]
-        batched = IncrementalLp(objective, rows)
-        assert [outcome(r) for r in batched.solve_many(schedule)] == runs
-        assert (batched.warm_solves, batched.cold_solves) == (
-            one_by_one.warm_solves,
-            one_by_one.cold_solves,
-        )
+        forward = [outcome(solve_lp(objective, rows, rhs)) for rhs in schedule]
+        backward = [outcome(solve_lp(objective, rows, rhs)) for rhs in schedule[::-1]]
+        assert forward == backward[::-1]
 
 
 # ----------------------------------------------------------------------

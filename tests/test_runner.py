@@ -166,7 +166,6 @@ class TestCacheCorrectness:
             "omega",
             "segments",
             "combo_exact",
-            "packing",
             "jobs",
         }
         for fields in counters.values():

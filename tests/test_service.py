@@ -97,7 +97,7 @@ class TestRequestValidation:
             ({"system_digest": "d", "ks": []}, "at least one"),
             ({"system_digest": "d", "ks": [0]}, ">= 1"),
             ({"system_digest": "d", "ks": 3}, "'ks' must be a list"),
-            ({"system_digest": "d", "backend": "gurobi"}, "unknown backend"),
+            ({"system_digest": "d", "backend": "dp"}, "unknown request"),
             ({"system_digest": "d", "enumeration": "eager"}, "unknown enumeration"),
             ({"system_digest": "d", "kernel": "numpy"}, "unknown request fields"),
             ({"system_digest": "d", "chain": ""}, "'chain' must be"),
@@ -141,7 +141,7 @@ class TestAnalysisService:
         # zero fixed points (busy_time misses) recomputed.
         assert warm.to_json() == cold.to_json()
         assert after["jobs"]["hits"] == stats["jobs"]["hits"] + 1
-        for category in ("busy_time", "omega", "packing", "combo_exact"):
+        for category in ("busy_time", "omega", "combo_exact"):
             assert after[category]["misses"] == stats[category]["misses"]
 
     def test_unknown_system_digest(self, service):
@@ -260,7 +260,6 @@ class TestHttpServer:
         assert warm == cold
         assert after["jobs"]["hits"] == stats["jobs"]["hits"] + 1
         assert after["busy_time"]["misses"] == stats["busy_time"]["misses"]
-        assert after["packing"]["misses"] == stats["packing"]["misses"]
 
     def test_batch_endpoint_matches_runner_export(self, server, system):
         text = ServiceClient(server.url).batch_text(
@@ -276,10 +275,10 @@ class TestHttpServer:
 
     def test_bad_request_field_is_a_structured_400(self, server, system):
         request = AnalysisRequest.from_system(system).to_dict()
-        request["backend"] = "gurobi"
+        request["backend"] = "branch_bound"
         status, _, text = _post_raw(server.url, "/analyze", request)
         assert status == 400
-        assert "unknown backend" in json.loads(text)["error"]
+        assert "unknown request fields: ['backend']" in json.loads(text)["error"]
 
     def test_nan_wcet_is_a_structured_400(self, server, system):
         # Python's JSON codec reads and writes the NaN literal.
@@ -472,11 +471,10 @@ class TestCliIntegration:
             args = parser.parse_args(
                 [command]
                 + ({"experiment": ["table1"], "cache": ["dir"]}.get(command, []))
-                + ["--backend", "dp", "--no-cache", "--exhaustive"]
+                + ["--no-cache", "--exhaustive"]
             )
             from repro.cli import analysis_options
 
             options = args and analysis_options(args)
-            assert options.backend == "dp"
             assert options.use_cache is False
             assert options.enumeration == "exhaustive"

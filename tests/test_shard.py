@@ -8,10 +8,13 @@ chunk size, and any amount of stealing or retrying along the way.
 """
 
 import io
+import json
 import os
 import random
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -47,6 +50,17 @@ def synth_jobs(count=6, seed=20, ks=KS):
     systems = [generate_feasible_system(rng, config) for _ in range(count)]
     runner = BatchRunner(workers=1, ks=ks)
     return runner.jobs_for(systems), runner
+
+
+@pytest.fixture(scope="module")
+def shard_server():
+    """One in-process ``repro shard-worker`` endpoint for wire tests."""
+    service = AnalysisService()
+    server = start_server(service)
+    yield server
+    server.shutdown()
+    server.server_close()
+    service.close()
 
 
 class InlineWorker:
@@ -387,6 +401,41 @@ class TestRemoteWorkers:
         chunks = make_chunks(jobs, len(jobs))
         with pytest.raises(WorkerUnavailable):
             worker.run_chunk(chunks[0])
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ks", [0], "integers >= 1"),
+            ("ks", [-3], "integers >= 1"),
+            ("ks", "ab", "integers >= 1"),
+            ("ks", [True], "integers >= 1"),
+            ("ks", [2.5], "integers >= 1"),
+            ("enumeration", "weird", "unknown enumeration"),
+            ("max_combinations", "x", "'max_combinations'"),
+            ("exact_criterion", "yes", "'exact_criterion'"),
+            ("label", 7, "'label'"),
+            ("chain_name", "no-such-chain", "no chain named"),
+            ("system_json", "{broken", "invalid system"),
+            ("system_json", "[]", "invalid system"),
+            ("backend", "branch_bound", "unknown AnalysisJob fields"),
+        ],
+    )
+    def test_malformed_job_is_a_400(self, shard_server, field, value, message):
+        """A job the sender got wrong is rejected on the wire with a
+        400, never run into a plausible answer or a retryable 500."""
+        jobs, _ = synth_jobs(count=1)
+        wire = jobs[0].to_dict()
+        wire[field] = value
+        request = urllib.request.Request(
+            shard_server.url + "/shard/run",
+            data=json.dumps({"jobs": [wire]}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=30)
+        assert info.value.code == 400
+        assert message in json.loads(info.value.read())["error"]
 
     def test_malformed_chunk_is_not_retried(self):
         """A 4xx rejection surfaces as a terminal error: re-sending the

@@ -3,8 +3,10 @@
 
 import pytest
 
+from oracles.packing import (dmm_reference, scipy_available, solve_dp,
+                             solve_scipy)
+
 from repro import GuaranteeStatus, analyze_twca
-from repro.ilp import scipy_available
 from repro.analysis import NotAnalyzable, analyze_all
 
 
@@ -124,14 +126,14 @@ class TestGuards:
         assert set(results) == {"sigma_c", "sigma_d"}
 
     def test_backends_agree(self, figure4):
-        backends = ["branch_bound", "dp"]
-        if scipy_available():
-            backends.append("scipy")
-        for backend in backends:
-            result = analyze_twca(figure4, figure4["sigma_c"],
-                                  backend=backend)
-            assert result.dmm(3) == 3
-            assert result.dmm(10) == 5
+        # dmm and the cold path through every exact solver agree.
+        result = analyze_twca(figure4, figure4["sigma_c"])
+        assert result.dmm(3) == 3
+        assert result.dmm(10) == 5
+        solvers = [solve_dp] + ([solve_scipy] if scipy_available() else [])
+        for solver in solvers:
+            assert dmm_reference(result, 3, solver) == 3
+            assert dmm_reference(result, 10, solver) == 5
 
 
 class TestNoGuaranteePath:
