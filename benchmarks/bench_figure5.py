@@ -79,7 +79,7 @@ def run_figure5_batch(samples: int, calibrated: bool, seed: int = 2017,
     ``labeled_random_systems`` draws the same permutation sequence as
     :func:`run_figure5`, so the per-chain value lists must be identical
     to the serial loop for any worker count.  ``cache_dir`` shares the
-    memoized fixed points across the workers and across repeated
+    job results across the workers and across repeated
     sweeps (the paper repeats this experiment 30 times).
     """
     base = figure4_system(calibrated=calibrated)
@@ -117,7 +117,7 @@ def test_figure5_warm_repetition_from_disk(benchmark, tmp_path,
                                            figure5_samples):
     """The paper's 30 repetitions share most candidate systems only
     *within* a seed; across identical sweeps the persistent cache makes
-    the repetition free: the second pass recomputes no fixed points and
+    the repetition free: the second pass analyzes no job again and
     reproduces the first byte-for-byte."""
     samples = max(30, figure5_samples // 20)
     cache_dir = tmp_path / "cache"

@@ -1,10 +1,10 @@
 """Drive the `repro serve` analysis daemon end-to-end with urllib.
 
-The daemon keeps engines and caches hot across requests: the first
+The daemon keeps systems and results hot across requests: the first
 ``POST /analyze`` of a system pays the cold analysis, every identical
 request after that is served whole from the warm ``jobs`` cache —
-``GET /cache/stats`` shows the hit counters climbing while the
-``busy_time`` miss counter stands still (zero fixed points recomputed).
+``GET /cache/stats`` shows the ``jobs`` hits climbing while the
+``jobs`` misses stand still (nothing analyzed again).
 
 By default the script starts a private in-process daemon on a free
 port, so it is runnable standalone::

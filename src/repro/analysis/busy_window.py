@@ -24,7 +24,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 from ..model import System, TaskChain
 from .exceptions import BusyWindowDivergence
 from .interference import is_deferred
-from .memo import active_cache, content_key
 from .segments import critical_segment, header_segment, segments
 
 #: Hard ceiling on any busy-window length; exceeding it is treated as
@@ -188,70 +187,6 @@ def _check_membership(system: System, target: TaskChain) -> None:
         raise ValueError(f"chain {target.name!r} not in system")
 
 
-def _busy_key(
-    digest: str,
-    target: TaskChain,
-    q: int,
-    include_overload: bool,
-    combination_cost: float,
-    window: Optional[float],
-    base_demand: Optional[float],
-):
-    """The ``busy_time`` cache-category key layout (shared by the
-    single-q and the batched evaluation paths)."""
-    return (
-        digest,
-        target.name,
-        q,
-        include_overload,
-        combination_cost,
-        window,
-        base_demand,
-    )
-
-
-def _warm_start_horizon(
-    cache,
-    digest,
-    target: TaskChain,
-    q: int,
-    include_overload: bool,
-    combination_cost: float,
-    horizon: float,
-) -> float:
-    """Raise ``horizon`` to the best sound cached lower bound at hand.
-
-    Two warm starts the cache may already hold: the fixed point of
-    ``q - 1`` in the same configuration (the sum is pointwise monotone
-    in ``q``), and — when overload is included — the overload-free
-    fixed point of the same ``q``.  Probed via ``peek`` so warm-start
-    probes never skew hit/miss accounting.  Shared by the scalar
-    :func:`busy_time` and the batched block so the two paths can never
-    desynchronize on key layout or soundness conditions.
-    """
-    peek = getattr(cache, "peek", None) if cache is not None else None
-    if peek is None or digest is None:
-        return horizon
-    if q > 1:
-        previous = peek(
-            "busy_time",
-            _busy_key(
-                digest, target, q - 1, include_overload, combination_cost,
-                None, None,
-            ),
-        )
-        if previous is not None and previous.total > horizon:
-            horizon = previous.total
-    if include_overload:
-        typical = peek(
-            "busy_time",
-            _busy_key(digest, target, q, False, combination_cost, None, None),
-        )
-        if typical is not None and typical.total > horizon:
-            horizon = typical.total
-    return horizon
-
-
 def busy_time(
     system: System,
     target: TaskChain,
@@ -308,30 +243,10 @@ def busy_time(
         raise ValueError(f"q must be >= 1, got {q}")
     _check_membership(system, target)
 
-    # Memoization: the breakdown is a pure function of system content
-    # and the scalar arguments, so an installed AnalysisCache can return
-    # earlier fixed points (the dominant cost of the whole TWCA).
-    cache = active_cache()
-    cache_key = None
-    digest = None
-    if cache is not None:
-        digest = content_key(system)
-        if digest is not None:
-            cache_key = _busy_key(
-                digest, target, q, include_overload, combination_cost, window,
-                base_demand,
-            )
-            hit = cache.lookup("busy_time", cache_key)
-            if hit is not None:
-                return hit
-
     model = _InterferenceModel(system, target, include_overload)
 
     if window is not None:
-        result = model.evaluate(q, window, combination_cost, base_demand)
-        if cache_key is not None:
-            cache.store("busy_time", cache_key, result)
-        return result
+        return model.evaluate(q, window, combination_cost, base_demand)
 
     # Kleene iteration from the minimal demand, warm-started when a
     # sound better lower bound is at hand.  The sum is monotone in the
@@ -342,11 +257,6 @@ def busy_time(
     horizon = base if base > 0 else 1
     if seed is not None and seed > horizon:
         horizon = seed
-    if cache_key is not None and base_demand is None:
-        horizon = _warm_start_horizon(
-            cache, digest, target, q, include_overload, combination_cost,
-            horizon,
-        )
     iterations = 0
     while True:
         try:
@@ -367,7 +277,7 @@ def busy_time(
                 target.name, q, f"no fixed point after {iterations} steps"
             )
         horizon = current.total
-    result = BusyTimeBreakdown(
+    return BusyTimeBreakdown(
         q=current.q,
         base=current.base,
         self_interference=current.self_interference,
@@ -378,9 +288,6 @@ def busy_time(
         total=current.total,
         iterations=iterations,
     )
-    if cache_key is not None:
-        cache.store("busy_time", cache_key, result)
-    return result
 
 
 #: Per-q outcome of a batched block: the breakdown, or the divergence
@@ -406,10 +313,10 @@ def _busy_times_block(
     iteration starts from the fixed point of ``q - 1`` when the block
     has it (a sound lower bound, so only the step count changes), and a
     diverging ``q`` becomes a recorded :class:`BusyWindowDivergence`
-    instead of poisoning the block.  Cache keys, warm-start seeds and
-    the converged breakdowns are exactly those of the scalar
-    :func:`busy_time` — the least fixed point is unique, and the final
-    breakdown is evaluated through the scalar (type-preserving) path.
+    instead of poisoning the block.  The converged breakdowns are
+    exactly those of the scalar :func:`busy_time` — the least fixed
+    point is unique, and the final breakdown is evaluated through the
+    scalar (type-preserving) path.
     """
     _check_membership(system, target)
     order = []
@@ -420,28 +327,9 @@ def _busy_times_block(
         if q not in seen:
             seen.add(q)
             order.append(q)
-    cache = active_cache()
-    digest = content_key(system) if cache is not None else None
     outcomes: Dict[int, BusyOutcome] = {}
-    pending = []
-    for q in order:
-        if digest is not None:
-            hit = cache.lookup(
-                "busy_time",
-                _busy_key(
-                    digest, target, q, include_overload, combination_cost,
-                    None, None,
-                ),
-            )
-            if hit is not None:
-                outcomes[q] = hit
-                continue
-        pending.append(q)
-    if not pending:
-        return outcomes
-
     model = _InterferenceModel(system, target, include_overload)
-    for q in pending:
+    for q in order:
         base = q * target.total_wcet
         horizon = base if base > 0 else 1
         seed = None if seeds is None else seeds.get(q)
@@ -451,9 +339,6 @@ def _busy_times_block(
         below = outcomes.get(q - 1)
         if isinstance(below, BusyTimeBreakdown) and below.total > horizon:
             horizon = below.total
-        horizon = _warm_start_horizon(
-            cache, digest, target, q, include_overload, combination_cost, horizon
-        )
         iterations = 0
         failure = None
         while True:
@@ -478,7 +363,7 @@ def _busy_times_block(
             outcomes[q] = BusyWindowDivergence(target.name, q, failure)
             continue
         final = model.evaluate(q, total, combination_cost)
-        breakdown = BusyTimeBreakdown(
+        outcomes[q] = BusyTimeBreakdown(
             q=final.q,
             base=final.base,
             self_interference=final.self_interference,
@@ -489,16 +374,6 @@ def _busy_times_block(
             total=final.total,
             iterations=iterations,
         )
-        if digest is not None:
-            cache.store(
-                "busy_time",
-                _busy_key(
-                    digest, target, q, include_overload, combination_cost,
-                    None, None,
-                ),
-                breakdown,
-            )
-        outcomes[q] = breakdown
     return outcomes
 
 
@@ -513,10 +388,10 @@ def busy_times(
 ) -> Dict[int, BusyTimeBreakdown]:
     """Batched :func:`busy_time` over a whole ``q`` range.
 
-    Bit-identical to calling :func:`busy_time` per ``q`` — same cache
-    keys, same converged breakdowns (``iterations`` is the one
-    diagnostic allowed to differ) — but the whole range advances as one
-    masked Kleene iteration over a single interference structure.
+    Bit-identical to calling :func:`busy_time` per ``q`` — same
+    converged breakdowns (``iterations`` is the one diagnostic allowed
+    to differ) — but the whole range shares a single interference
+    structure.
     Raises :class:`BusyWindowDivergence` for the smallest diverging
     ``q``, matching an ascending scalar loop.
     """
@@ -550,46 +425,23 @@ def criterion_loads(
     """Batched ``L_b(q)`` of Eq. (4) over a whole ``q`` range.
 
     Byte-identical to calling :func:`criterion_load` per ``q`` — same
-    cache keys, same arithmetic — but the interferer classification and
-    deferred-segment scans are performed once for the entire range
-    instead of once per ``q``, and cached values short-circuit before
-    any structure is built.
+    arithmetic — but the interferer classification and deferred-segment
+    scans are performed once for the entire range instead of once per
+    ``q``.
     """
     if not target.has_deadline:
         raise ValueError(f"L_b(q) needs a finite deadline for chain {target.name!r}")
     _check_membership(system, target)
     order = tuple(qs)
-    cache = active_cache()
-    digest = content_key(system) if cache is not None else None
     loads: Dict[int, float] = {}
-    horizons: Dict[int, float] = {}
-    pending = []
+    model = _InterferenceModel(system, target, include_overload=False)
     for q in order:
-        if q in loads or q in horizons:
+        if q in loads:
             continue
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
         horizon = target.activation.delta_minus(q) + target.deadline
-        horizons[q] = horizon
-        if digest is not None:
-            hit = cache.lookup(
-                "busy_time", _busy_key(digest, target, q, False, 0.0, horizon, None)
-            )
-            if hit is not None:
-                loads[q] = hit.total
-                continue
-        pending.append(q)
-    if pending:
-        model = _InterferenceModel(system, target, include_overload=False)
-        for q in pending:
-            result = model.evaluate(q, horizons[q])
-            if digest is not None:
-                cache.store(
-                    "busy_time",
-                    _busy_key(digest, target, q, False, 0.0, horizons[q], None),
-                    result,
-                )
-            loads[q] = result.total
+        loads[q] = model.evaluate(q, horizon).total
     return {q: loads[q] for q in order}
 
 

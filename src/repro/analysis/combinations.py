@@ -78,7 +78,7 @@ class Combination:
     def signature(self) -> CostSignature:
         """Per-chain summed WCET, the quantity schedulability actually
         depends on.  ``math.fsum`` makes the value independent of member
-        order, so signatures are canonical cache keys."""
+        order, so signatures are canonical memo keys."""
         per_chain: Dict[str, List[float]] = {}
         for seg in self.segments:
             per_chain.setdefault(seg.chain_name, []).append(seg.wcet)
@@ -113,17 +113,6 @@ def overload_active_segments(
     into active segments by the Def. 8 rule.
     """
     from .interference import is_deferred
-    from .memo import active_cache, content_key
-
-    cache = active_cache()
-    cache_key = None
-    if cache is not None:
-        digest = content_key(system)
-        if digest is not None:
-            cache_key = (digest, target.name)
-            hit = cache.lookup("segments", cache_key)
-            if hit is not None:
-                return {name: list(segs) for name, segs in hit.items()}
 
     result: Dict[str, List[ActiveSegment]] = {}
     for chain in system.overload_chains:
@@ -152,12 +141,6 @@ def overload_active_segments(
             if current:
                 segs.append(ActiveSegment(chain.name, 0, current_start, tuple(current)))
             result[chain.name] = segs
-    if cache_key is not None:
-        cache.store(
-            "segments",
-            cache_key,
-            {name: list(segs) for name, segs in result.items()},
-        )
     return result
 
 

@@ -19,10 +19,9 @@ cost signature, so the default ``enumeration="pruned"`` mode never
 materializes the exponential combination set: it runs the
 dominance-pruned frontier search of
 :func:`repro.analysis.combinations.search_combinations`, memoizes the
-exact Def. 10 verdict per signature (persistently, through an installed
-:class:`~repro.runner.cache.AnalysisCache` under the ``combo_exact``
-category), and keeps only counts plus the inclusion-minimal
-representatives the packing ILP needs.  ``enumeration="exhaustive"``
+exact Def. 10 verdict per signature for the one analysis run, and keeps
+only counts plus the inclusion-minimal representatives the packing ILP
+needs.  ``enumeration="exhaustive"``
 restores the classic materializing pipeline; both modes classify every
 combination identically, so counts, DMM curves and exports are
 byte-identical.
@@ -58,7 +57,6 @@ from .combinations import (
 )
 from .exceptions import BusyWindowDivergence, NotAnalyzable
 from .latency import LatencyResult, analyze_latency
-from .memo import active_cache, content_key
 from .segments import ActiveSegment
 
 #: The supported combination-pipeline modes of :func:`analyze_twca`.
@@ -184,25 +182,12 @@ class ChainTwcaResult:
         that can impact a k-sequence of the analyzed chain (Lemma 4)."""
         if self.full_latency is None:
             return math.inf
-        cache = active_cache()
-        cache_key = None
-        if cache is not None:
-            digest = content_key(self.system)
-            if digest is not None:
-                cache_key = (digest, self.chain_name, overload_chain, k)
-                hit = cache.lookup("omega", cache_key)
-                if hit is not None:
-                    return hit
         target = self.system[self.chain_name]
         source = self.system[overload_chain]
         window = target.activation.delta_plus(k) + self.full_latency.wcl
         if math.isinf(window):
-            value = math.inf
-        else:
-            value = source.activation.eta_plus(window) + 1
-        if cache_key is not None:
-            cache.store("omega", cache_key, value)
-        return value
+            return math.inf
+        return source.activation.eta_plus(window) + 1
 
     # ------------------------------------------------------------------
     # Theorem 3
@@ -503,17 +488,15 @@ def _build_verdict(
     verdict), seeds every combination's Kleene iteration from them
     (sound: the typical fixed point lower-bounds the combination-loaded
     one, and any seed below the least fixed point converges to exactly
-    the same value), and its verdict is memoized per signature —
-    in-process always, and persistently under the ``combo_exact``
-    category when an :class:`~repro.runner.cache.AnalysisCache` is
-    installed.
+    the same value), and its verdict is memoized per signature for the
+    lifetime of the predicate.
 
     The returned predicate also exposes ``many(signatures)``: the same
     staged decision for a whole block of signatures, with the undecided
     remainder advanced as one 2-D (signature x q) masked Kleene
     iteration.  A single signature is a block of one, so every exact
-    verdict comes from the one evaluator, and memo and cache entries are
-    identical however the signatures are grouped.
+    verdict comes from the one evaluator, and memo entries are identical
+    however the signatures are grouped.
     """
     deadline = target.deadline
     # Within-window overload multiplicities for the fixed Eq. (5)
@@ -532,7 +515,7 @@ def _build_verdict(
 
     def typical_fixed_points_all() -> Dict[int, float]:
         """Every typical fixed point of the q range, computed as one
-        batched block on first use (same cache keys as the scalar
+        batched block on first use (the same values as the scalar
         ``busy_time``)."""
         if len(typical_fixed) < len(deltas):
             outcomes = _busy_times_block(
@@ -637,37 +620,23 @@ def _build_verdict(
         """Batched :func:`verdict`: decide a whole block of signatures
         through one 2-D (signature x q) masked Kleene iteration.
 
-        The Eq. (5) pre-filter, the ``exact_criterion`` switch and the
-        persistent ``combo_exact`` lookup run per signature first; only
-        the remaining undecided signatures form the exact Def. 10 block.
+        The Eq. (5) pre-filter and the ``exact_criterion`` switch run
+        per signature first; only the remaining undecided signatures
+        form the exact Def. 10 block.
         """
-        cache = active_cache()
-        digest = content_key(system) if cache is not None else None
-        block: List[CostSignature] = []
-        block_keys: Dict[CostSignature, Optional[tuple]] = {}
+        undecided: Dict[CostSignature, None] = {}
         for signature in signatures:
-            if signature in memo or signature in block_keys:
+            if signature in memo or signature in undecided:
                 continue
             if not eq5_flags(signature):
                 memo[signature] = False
-                continue
-            if not exact_criterion:
+            elif not exact_criterion:
                 memo[signature] = True
-                continue
-            cache_key = None
-            if digest is not None:
-                cache_key = (digest, target.name, signature)
-                hit = cache.lookup("combo_exact", cache_key)
-                if hit is not None:
-                    memo[signature] = hit
-                    continue
-            block_keys[signature] = cache_key
-            block.append(signature)
-        if block:
+            else:
+                undecided[signature] = None
+        if undecided:
+            block = list(undecided)
             for signature, value in zip(block, exact_unschedulable_block(block)):
-                cache_key = block_keys[signature]
-                if cache_key is not None:
-                    cache.store("combo_exact", cache_key, value)
                 memo[signature] = value
         return [memo[signature] for signature in signatures]
 

@@ -30,18 +30,17 @@ Subcommands::
         of systems (same seed, same manifest digest — on any host)
         or re-verify one against its manifest.
     repro cache DIR [--prune-older-than AGE]
-        Report (and optionally prune by age) a persistent analysis
-        cache directory, per category.
+        Report (and optionally prune by age) a persistent result
+        cache directory.
 
-    Every analyzing subcommand (analyze, experiment, batch, report,
-    serve) accepts one shared block of analysis options — --cache-dir,
-    --no-cache, --exhaustive — wired through
+    The shared analysis options are wired through
     :func:`add_analysis_options` into one
-    :class:`~repro.service.AnalysisOptions`.  ``analyze`` and ``batch``
-    are clients of the same :class:`~repro.service.AnalysisService`
-    facade the daemon runs: in-process by default, against a daemon
-    with ``--server URL`` — the batch JSON export is byte-identical
-    either way.
+    :class:`~repro.service.AnalysisOptions`; each subcommand accepts
+    only the ones it reads (see :data:`ANALYSIS_FLAGS`).  ``batch`` is
+    a client of the same :class:`~repro.service.AnalysisService` facade
+    the daemon runs — in-process by default, against a daemon with
+    ``--server URL`` (as ``analyze --server URL`` is) — and its JSON
+    export is byte-identical either way.
 
 The module is intentionally thin: all logic lives in the library; the
 CLI parses arguments, loads/creates systems and prints reports.
@@ -53,8 +52,9 @@ import argparse
 import random
 import sys
 import urllib.error
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from .analysis import analyze_latency, analyze_twca
 from .model.serialization import load_system_file
 from .report.histogram import figure5_panel
 from .report.tables import (
@@ -86,38 +86,51 @@ from .synth import figure4_system, labeled_random_systems, random_systems
 from .synth.corpus import CorpusError, CorpusManifest, CorpusSpec, generate_corpus
 
 
-def add_analysis_options(parser: argparse.ArgumentParser) -> None:
-    """The shared analysis knobs of every analyzing subcommand — one
-    block instead of four copy-pasted ``add_argument`` calls."""
-    group = parser.add_argument_group("analysis options")
-    group.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent analysis cache shared by all workers and "
-        "later runs (created on demand); warm runs skip every "
-        "memoized fixed-point recomputation",
-    )
-    group.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable analysis memoization entirely (escape hatch; "
-        "results are identical, only slower)",
-    )
-    group.add_argument(
-        "--exhaustive",
+#: The shared analysis flags, with their ``add_argument`` settings.
+_ANALYSIS_FLAG_SPECS: Dict[str, Dict[str, Any]] = {
+    "--exhaustive": dict(
         action="store_true",
         help="materialize and test every overload combination instead "
         "of the lazy dominance-pruned frontier search (reference "
         "path; exports are identical, only slower)",
-    )
+    ),
+    "--cache-dir": dict(
+        metavar="DIR",
+        help="persistent result cache shared by all workers and later "
+        "runs (created on demand); warm runs analyze nothing",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="disable the result cache (escape hatch; results are "
+        "identical, only slower); on analyze, for the --server request",
+    ),
+}
+
+#: The shared analysis flags each subcommand reads (and so accepts).
+ANALYSIS_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "analyze": ("--exhaustive", "--no-cache"),
+    "experiment": ("--exhaustive",),
+    "batch": ("--exhaustive", "--cache-dir", "--no-cache"),
+    "shard": ("--exhaustive", "--cache-dir", "--no-cache"),
+    "serve": ("--cache-dir", "--no-cache"),
+    "shard-worker": ("--cache-dir", "--no-cache"),
+}
+
+
+def add_analysis_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """The shared analysis flags ``command`` reads, as one group."""
+    group = parser.add_argument_group("analysis options")
+    for flag in ANALYSIS_FLAGS[command]:
+        group.add_argument(flag, **_ANALYSIS_FLAG_SPECS[flag])
 
 
 def analysis_options(args: argparse.Namespace) -> AnalysisOptions:
-    """The :class:`AnalysisOptions` carried by the shared flag block."""
+    """The :class:`AnalysisOptions` carried by the shared flags (a
+    flag the subcommand does not take keeps its default)."""
     return AnalysisOptions(
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        exhaustive=args.exhaustive,
+        cache_dir=getattr(args, "cache_dir", None),
+        use_cache=not getattr(args, "no_cache", False),
+        exhaustive=getattr(args, "exhaustive", False),
     )
 
 
@@ -180,14 +193,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         jobs = [JobResult.from_dict(job) for job in payload["jobs"]]
         print(_jobs_summary(jobs))
         return 0
-    service = AnalysisService(options)
     names = (
         [args.chain]
         if args.chain
         else [c.name for c in system.typical_chains if c.has_deadline]
     )
     for name in names:
-        result = service.analyze_chain(system, name)
+        result = analyze_twca(system, system[name], enumeration=options.enumeration)
         print(twca_summary(result))
         if args.k:
             print(dmm_table(result, args.k))
@@ -224,12 +236,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    options = analysis_options(args)
-    service = AnalysisService(options)
+    enumeration = analysis_options(args).enumeration
     if args.which == "table1":
         system = figure4_system(calibrated=args.calibrated)
         results = {
-            name: service.latency(system, name) for name in ("sigma_c", "sigma_d")
+            name: analyze_latency(system, system[name])
+            for name in ("sigma_c", "sigma_d")
         }
         deadlines = {name: system[name].deadline for name in results}
         print("Table I: worst-case latencies of the case study")
@@ -237,7 +249,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.which == "table2":
         for calibrated in (False, True):
             system = figure4_system(calibrated=calibrated)
-            result = service.analyze_chain(system, "sigma_c")
+            result = analyze_twca(system, system["sigma_c"], enumeration=enumeration)
             mode = "calibrated" if calibrated else "printed parameters"
             print(f"Table II ({mode}):")
             print(dmm_table(result, args.k or [3, 76, 250]))
@@ -248,7 +260,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         values = {"sigma_c": [], "sigma_d": []}
         for system in random_systems(base, args.samples, rng):
             for name in values:
-                result = service.analyze_chain(system, name)
+                result = analyze_twca(system, system[name], enumeration=enumeration)
                 values[name].append(0 if result.is_schedulable else result.dmm(10))
         for name in ("sigma_c", "sigma_d"):
             print(figure5_panel(values[name], name))
@@ -552,10 +564,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"bad --prune-older-than value: {exc}", file=sys.stderr)
             return 2
         removed = store.prune_older_than(age)
-        dropped = sum(entry["removed"] for entry in removed.values())
-        freed = sum(entry["bytes"] for entry in removed.values())
         print(
-            f"pruned {dropped} entries ({_format_bytes(freed)}) older "
+            f"pruned {removed['removed']} entries "
+            f"({_format_bytes(removed['bytes'])}) older "
             f"than {args.prune_older_than}"
         )
     stats = store.category_stats()
@@ -566,9 +577,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         rows.append(
             (category, entry["entries"], _format_bytes(entry["bytes"]), note)
         )
-    total_entries = sum(entry["entries"] for entry in stats.values())
-    total_bytes = sum(entry["bytes"] for entry in stats.values())
-    rows.append(("total", total_entries, _format_bytes(total_bytes), ""))
     print(format_table(("category", "entries", "size", "notes"), rows))
     return 0
 
@@ -576,10 +584,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .report.markdown import reproduction_report
 
-    options = analysis_options(args)
-    service = AnalysisService(options)
-    with service.activate():
-        text = reproduction_report(samples=args.samples, seed=args.seed)
+    text = reproduction_report(samples=args.samples, seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -647,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--k", type=window_size, nargs="*", help="window sizes for the DMM table"
     )
-    add_analysis_options(analyze)
+    add_analysis_options(analyze, "analyze")
     add_server_option(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -656,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--horizon", type=float, default=2000.0)
     simulate.add_argument("--gantt-until", type=float, default=600.0)
     simulate.add_argument("--width", type=int, default=100)
-    add_analysis_options(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
     experiment = sub.add_parser("experiment", help="regenerate a paper artifact")
@@ -664,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--samples", type=int, default=1000)
     experiment.add_argument("--seed", type=int, default=2017)
     experiment.add_argument("--k", type=window_size, nargs="*")
-    add_analysis_options(experiment)
+    add_analysis_options(experiment, "experiment")
     experiment.set_defaults(func=_cmd_experiment)
 
     batch = sub.add_parser(
@@ -703,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--k", type=window_size, nargs="*", help="DMM window sizes (default 1 10 100)"
     )
-    add_analysis_options(batch)
+    add_analysis_options(batch, "batch")
     add_server_option(batch)
     batch.add_argument(
         "--json",
@@ -739,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrently executing computes (bounded thread pool; "
         "1 = serialized, the pre-pool behavior)",
     )
-    add_analysis_options(serve)
+    add_analysis_options(serve, "serve")
     serve.set_defaults(func=_cmd_serve)
 
     shard_worker = sub.add_parser(
@@ -757,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrently executing computes on this worker host "
         "(bounded thread pool)",
     )
-    add_analysis_options(shard_worker)
+    add_analysis_options(shard_worker, "shard-worker")
     shard_worker.set_defaults(func=_cmd_serve)
 
     shard = sub.add_parser(
@@ -839,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tagged per-chunk progress on stderr (line-buffered: "
         "lines never interleave, whatever the shard count)",
     )
-    add_analysis_options(shard)
+    add_analysis_options(shard, "shard")
     add_client_options(shard)
     shard.add_argument(
         "--json",
@@ -923,9 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus_verify.set_defaults(func=_cmd_corpus)
 
-    cache = sub.add_parser(
-        "cache", help="inspect or prune a persistent analysis cache"
-    )
+    cache = sub.add_parser("cache", help="inspect or prune a persistent result cache")
     cache.add_argument("dir", help="cache directory (the --cache-dir of batch runs)")
     cache.add_argument(
         "--prune-older-than",
@@ -939,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--samples", type=int, default=200)
     report.add_argument("--seed", type=int, default=2017)
     report.add_argument("--output", help="write to a file instead of stdout")
-    add_analysis_options(report)
     report.set_defaults(func=_cmd_report)
     return parser
 

@@ -126,8 +126,8 @@ class System:
 
         Two systems with identical chains, tasks, activation models and
         names share a digest; the runner's :class:`AnalysisCache` uses it
-        to key memoized analysis artifacts by *content* rather than by
-        object identity.  Computed lazily and cached on the instance
+        to key whole job results by *content* rather than by object
+        identity.  Computed lazily and cached on the instance
         (systems are immutable after construction by convention — every
         mutator returns a copy).
         """

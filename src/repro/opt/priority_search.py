@@ -16,15 +16,16 @@ Both route their candidate evaluations through a
 :class:`repro.runner.BatchRunner` when one is passed: random search
 fans the independent candidate evaluations out over the runner's worker
 processes (results are identical to the serial path), while hill
-climbing — inherently sequential — evaluates in-process under the
-runner's shared :class:`~repro.runner.AnalysisCache`.
+climbing — inherently sequential — evaluates in-process through
+:meth:`~repro.runner.BatchRunner.analyze`.  Either way each evaluation
+is a batch job behind the runner's result cache, so a candidate hill
+climbing revisits is served its whole stored result instead of being
+analyzed again.
 
-A runner built with ``cache_dir`` backs those evaluations with the
-persistent cross-process cache: candidates revisited by later search
-rounds — or by a *rerun* of the whole search, e.g. with a larger
-sample budget — are served from disk instead of recomputing their
-busy-window fixed points, regardless of which worker process they land
-on.
+A runner built with ``cache_dir`` backs those results with the
+persistent cross-process cache: candidates revisited by a *rerun* of
+the whole search, e.g. with a larger sample budget, are served from
+disk, regardless of which worker process they land on.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _require_dmm_objective(objective: Callable[[System], float]) -> DmmObjective
 def _runner_evaluator(
     objective: Callable[[System], float], runner
 ) -> Callable[[System], float]:
-    """The objective routed through a runner's memoized in-process
+    """The objective routed through a runner's cached in-process
     evaluation (requires a decomposable :class:`DmmObjective`)."""
     objective = _require_dmm_objective(objective)
     return lambda system: runner.evaluate_dmm(
@@ -192,9 +193,10 @@ def hill_climb(
     stop after a full round without one (or ``max_rounds``).
 
     A :class:`repro.runner.BatchRunner` routes every evaluation through
-    the runner's shared analysis cache (the search itself stays
-    sequential — each acceptance changes the next candidate — so the
-    trajectory is identical to the plain path).
+    the runner's result cache, so a revisited candidate is not analyzed
+    again (the search itself stays sequential — each acceptance changes
+    the next candidate — so the trajectory is identical to the plain
+    path).
     """
     if runner is not None:
         objective = _runner_evaluator(objective, runner)

@@ -12,11 +12,13 @@ the practical "margin" questions a deployment engineer asks:
 Every entry point accepts an optional :class:`repro.runner.BatchRunner`
 and then routes its candidate evaluations through it: the sweep of
 :func:`dmm_vs_scale` runs as one parallel batch, the binary-search
-margins (inherently sequential) evaluate in-process under the runner's
-shared analysis cache.  Results are identical with and without a
-runner.  A ``BatchRunner(cache_dir=...)`` persists those evaluations:
+margins (inherently sequential) evaluate in-process through
+:meth:`~repro.runner.BatchRunner.analyze`.  Each evaluation is a batch
+job behind the runner's result cache, so a scaled system evaluated
+twice is analyzed once.  Results are identical with and without a
+runner.  A ``BatchRunner(cache_dir=...)`` persists those results:
 margin questions re-asked against the same system — the daily-driver
-use of this module — warm-start from disk across processes and runs.
+use of this module — are served from disk across processes and runs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Parallel batch analysis: process fan-out plus memoized fixed points.
+"""Parallel batch analysis: process fan-out plus a whole-result cache.
 
 Public surface::
 
@@ -12,8 +12,8 @@ Public surface::
 The deterministic JSON export of a batch is byte-identical for any
 worker count; see :mod:`repro.runner.batch`.  Passing
 ``BatchRunner(cache_dir=...)`` (CLI: ``repro batch --cache-dir``)
-backs every worker's cache with a shared persistent on-disk store, so
-warm sweeps skip all memoized recomputation across processes and across
+backs every worker's result cache with a shared persistent on-disk
+store, so warm sweeps analyze nothing across processes and across
 runs; ``BatchRunner.run_paths`` additionally loads system files inside
 the workers so parse I/O overlaps analysis.
 

@@ -10,12 +10,13 @@ path).  Both paths execute the identical
 so the deterministic export of a batch is byte-identical regardless of
 the worker count — parallelism only changes wall-clock time.
 
+The cache holds whole job results (:mod:`repro.runner.cache`): a job
+whose content identity was analyzed before is served its stored result.
 With ``cache_dir`` set, every worker (and the serial path) runs under a
 :class:`~repro.runner.diskcache.PersistentAnalysisCache` pointed at the
-same directory: memoized busy-window fixed points, Omega capacities and
-segment decompositions are shared across worker processes *and* across
-batch invocations, so a warm sweep recomputes nothing regardless of job
-placement.  ``use_cache=False`` disables memoization entirely.
+same directory, so results are shared across worker processes *and*
+across batch invocations, and a warm sweep analyzes nothing regardless
+of job placement.  ``use_cache=False`` disables the cache entirely.
 
 Worker-side *analysis* failures (divergent busy windows, unanalyzable
 chains) are data: they become ``status="error"`` job results.  Anything
@@ -35,13 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..model import System
 from .cache import AnalysisCache, merge_stats
 from .diskcache import PersistentAnalysisCache
-from .jobs import (
-    DEFAULT_KS,
-    AnalysisJob,
-    JobResult,
-    analyze_system_job,
-    execute_job,
-)
+from .jobs import DEFAULT_KS, AnalysisJob, JobResult, execute_job, run_chain_job
 from .loader import SystemLoader, SystemPathJob, execute_path_job
 
 #: Per-worker cache and loader installed by the pool initializer (one
@@ -50,21 +45,19 @@ _WORKER_CACHE: Optional[AnalysisCache] = None
 _WORKER_LOADER: Optional[SystemLoader] = None
 
 
-def _build_cache(
-    use_cache: bool, cache_dir: Optional[str], maxsize: int
-) -> Optional[AnalysisCache]:
+def _build_cache(use_cache: bool, cache_dir: Optional[str]) -> Optional[AnalysisCache]:
     """The cache implied by the (use_cache, cache_dir) knobs: ``None``,
     in-memory, or disk-backed — one policy for parent and workers."""
     if not use_cache:
         return None
     if cache_dir is not None:
-        return PersistentAnalysisCache(cache_dir, maxsize=maxsize)
-    return AnalysisCache(maxsize=maxsize)
+        return PersistentAnalysisCache(cache_dir)
+    return AnalysisCache()
 
 
-def _init_worker(maxsize: int, cache_dir: Optional[str], use_cache: bool) -> None:
+def _init_worker(cache_dir: Optional[str], use_cache: bool) -> None:
     global _WORKER_CACHE, _WORKER_LOADER
-    _WORKER_CACHE = _build_cache(use_cache, cache_dir, maxsize)
+    _WORKER_CACHE = _build_cache(use_cache, cache_dir)
     _WORKER_LOADER = SystemLoader()
 
 
@@ -95,9 +88,9 @@ class BatchResult:
 
     ``jobs`` preserves submission order (determinism); ``wall_time``,
     ``workers`` and ``cache_stats`` are observability fields excluded
-    from the deterministic export.  ``cache_stats`` merges the counter
-    deltas of every job across every worker process, so hits + misses
-    sum to the total lookups of the whole batch wherever they ran.
+    from the deterministic export.  ``cache_stats`` merges the per-job
+    lookup records across every worker process, so hits + misses sum
+    to the cache lookups of the whole batch wherever they ran.
     """
 
     jobs: List[JobResult]
@@ -122,7 +115,7 @@ class BatchResult:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Overall cache hit rate across all categories and workers."""
+        """Overall cache hit rate across all workers."""
         hits = sum(c.get("hits", 0) for c in self.cache_stats.values())
         misses = sum(c.get("misses", 0) for c in self.cache_stats.values())
         total = hits + misses
@@ -135,8 +128,8 @@ class BatchResult:
 
     @property
     def job_hits(self) -> int:
-        """Jobs served whole from the ``jobs`` result cache — warm
-        batches skip even the per-job assembly for these."""
+        """Jobs served whole from the result cache — warm batches skip
+        the analysis for these."""
         return self.cache_stats.get("jobs", {}).get("hits", 0)
 
     def to_dict(self, *, deterministic: bool = True) -> Dict[str, Any]:
@@ -192,7 +185,7 @@ class BatchResult:
 
 
 class BatchRunner:
-    """Fan TWCA jobs out over worker processes with memoized analyses.
+    """Fan TWCA jobs out over worker processes with cached results.
 
     Parameters
     ----------
@@ -216,13 +209,11 @@ class BatchRunner:
         Root of the shared persistent cache.  Workers and the serial
         path all run under a
         :class:`~repro.runner.diskcache.PersistentAnalysisCache` on
-        this directory, so warm batches skip every memoized
-        recomputation across processes and across runs.
+        this directory, so warm batches analyze nothing across
+        processes and across runs.
     use_cache:
-        ``False`` disables analysis memoization everywhere (the
+        ``False`` disables the result cache everywhere (the
         ``--no-cache`` escape hatch).
-    cache_maxsize:
-        Entry bound per category for the in-process (front) caches.
     """
 
     def __init__(
@@ -234,7 +225,6 @@ class BatchRunner:
         cache: Optional[AnalysisCache] = None,
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
-        cache_maxsize: int = 200_000,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -243,11 +233,10 @@ class BatchRunner:
         self.enumeration = enumeration
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.use_cache = use_cache
-        self.cache_maxsize = cache_maxsize
         if cache is not None:
             self.cache: Optional[AnalysisCache] = cache
         else:
-            self.cache = _build_cache(use_cache, self.cache_dir, cache_maxsize)
+            self.cache = _build_cache(use_cache, self.cache_dir)
         self.loader = SystemLoader()
 
     # ------------------------------------------------------------------
@@ -398,7 +387,7 @@ class BatchRunner:
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(self.cache_maxsize, self.cache_dir, self.use_cache),
+            initargs=(self.cache_dir, self.use_cache),
         ) as pool:
             futures = [pool.submit(worker_fn, job) for job in jobs]
             results = []
@@ -421,9 +410,10 @@ class BatchRunner:
         *,
         ks: Optional[Tuple[int, ...]] = None,
     ) -> JobResult:
-        """One TWCA in-process under the runner's cache — the memoized
-        evaluation primitive for inherently sequential searches
-        (hill climbing, binary-search margins).
+        """One TWCA job in-process behind the runner's cache — the
+        evaluation primitive for inherently sequential searches (hill
+        climbing, binary-search margins): a candidate they revisit is
+        served its whole stored result.
 
         Operates on the live system: the canonical-JSON round-trip of
         :class:`AnalysisJob` exists for cross-process transport and
@@ -431,20 +421,14 @@ class BatchRunner:
         only materialized on the error path, to name the failure."""
         job_ks = tuple(ks) if ks is not None else self.ks
         try:
-            if self.cache is None:
-                return analyze_system_job(
-                    system,
-                    chain_name,
-                    ks=job_ks,
-                    enumeration=self.enumeration,
-                )
-            with self.cache.activate():
-                return analyze_system_job(
-                    system,
-                    chain_name,
-                    ks=job_ks,
-                    enumeration=self.enumeration,
-                )
+            return run_chain_job(
+                system,
+                chain_name,
+                ks=job_ks,
+                enumeration=self.enumeration,
+                label=system.name,
+                cache=self.cache,
+            )
         except Exception as exc:
             job = AnalysisJob.from_system(system, chain_name, ks=job_ks)
             raise BatchExecutionError(job, exc) from exc

@@ -1,51 +1,40 @@
-"""Content-addressed memoization of analysis artifacts.
+"""Content-addressed cache of whole job results.
 
-The TWCA recomputes three expensive pure functions over and over during
-sweeps: the Theorem 1 busy-time fixed points, the Lemma 4 ``Omega``
-capacities, and the Def. 8 active-segment decompositions.  All three
-depend only on system *content*, so :class:`AnalysisCache` memoizes them
-keyed by the system's SHA-256 content digest plus the scalar arguments.
+A batch job's :class:`~repro.runner.jobs.JobResult` is a pure function
+of the job's content identity — the system's SHA-256 content digest plus
+the chain and analysis parameters (:func:`~repro.runner.jobs.job_result_key`)
+— so :class:`AnalysisCache` keeps finished results keyed by that
+identity.  A repeated job (a duplicate in one batch, a warm daemon
+request, a candidate an optimizer revisits, a warm ``--cache-dir`` run)
+is served whole instead of re-analyzed.  The analyses themselves run
+uncached: their intermediate artifacts are recomputed inside each job.
 
-The cache is installed process-locally through
-:mod:`repro.analysis.memo`.  :class:`AnalysisCache` is the purely
-in-memory LRU form; :class:`repro.runner.diskcache.PersistentAnalysisCache`
-extends it with an on-disk content-addressed backend shared by every
-worker process pointed at the same directory.  Hit/miss/disk-hit
-counters per category make cache effectiveness observable in
-:class:`repro.runner.BatchResult` exports.
+:class:`AnalysisCache` is the purely in-memory LRU form;
+:class:`repro.runner.diskcache.PersistentAnalysisCache` extends it with
+an on-disk content-addressed backend shared by every worker process
+pointed at the same directory.  Hit/miss/disk-hit counters make cache
+effectiveness observable in :class:`repro.runner.BatchResult` exports,
+under the one category name ``jobs``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
-from ..analysis.memo import using_cache
+#: The one counter category of stats dicts (``{"jobs": {...}}``) in job
+#: results, batch summaries, ``GET /cache/stats`` and ``repro cache``.
+CATEGORY = "jobs"
 
-#: The memoized artifact families.  ``busy_time``, ``omega`` and
-#: ``segments`` are the classic analysis primitives; ``combo_exact``
-#: holds the Def. 10 exact-schedulability verdict per combination cost
-#: signature; ``jobs`` holds whole
-#: :class:`~repro.runner.jobs.JobResult` payloads keyed by the job's
-#: content identity, so warm batches skip per-job assembly entirely.
-CATEGORIES: Tuple[str, ...] = (
-    "busy_time",
-    "omega",
-    "segments",
-    "combo_exact",
-    "jobs",
-)
-
-#: The counter fields carried per category in stats dicts and job-level
-#: cache deltas; :func:`merge_stats` sums exactly these.
+#: The counter fields carried in stats dicts and per-job cache records;
+#: :func:`merge_stats` sums exactly these.
 STAT_FIELDS: Tuple[str, ...] = ("hits", "misses", "disk_hits", "entries")
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/size counters of one cache category.
+    """Hit/miss/size counters of the cache.
 
     ``hits`` counts every lookup served without recomputation; the
     ``disk_hits`` subset of those was promoted from the persistent
@@ -68,21 +57,19 @@ class CacheStats:
 
 
 class AnalysisCache:
-    """Memoizes busy-time fixed points, Omega capacities and segment
-    decompositions across analyses of content-identical systems.
+    """Whole :class:`~repro.runner.jobs.JobResult` payloads keyed by
+    job content identity.
 
-    Duck-typed against :mod:`repro.analysis.memo`: the analysis layer
-    only calls :meth:`lookup` and :meth:`store`.  Entries are kept in
-    LRU order — a hit refreshes its key — and once ``maxsize`` entries
-    exist in a category, storing a new key evicts the least recently
-    used one, so memory stays bounded during unbounded sweeps while hot
-    systems keep their entries.  Eviction only ever costs a
+    Entries are kept in LRU order — a hit refreshes its key — and once
+    ``maxsize`` entries exist, storing a new key evicts the least
+    recently used one, so memory stays bounded during unbounded sweeps
+    while hot jobs keep their entries.  Eviction only ever costs a
     recomputation, never correctness.
 
-    Thread-safe: one cache instance may be shared by concurrent
-    analyses (the ``repro serve`` compute pool drives exactly this).
-    A single lock guards the LRU dicts and the counters, so the
-    accounting invariant ``hits + misses == lookups`` holds under any
+    Thread-safe: one cache instance may be shared by concurrent jobs
+    (the ``repro serve`` compute pool drives exactly this).  A single
+    lock guards the LRU dict and the counters, so the accounting
+    invariant ``hits + misses == lookups`` holds under any
     interleaving; backend (disk) I/O runs *outside* the lock so slow
     persistent reads never serialize unrelated in-memory traffic.
     """
@@ -91,177 +78,103 @@ class AnalysisCache:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._lock = threading.RLock()
-        self._stores: Dict[str, Dict[Hashable, Any]] = {
-            category: {} for category in CATEGORIES
-        }
-        self._hits: Dict[str, int] = dict.fromkeys(CATEGORIES, 0)
-        self._misses: Dict[str, int] = dict.fromkeys(CATEGORIES, 0)
-        self._disk_hits: Dict[str, int] = dict.fromkeys(CATEGORIES, 0)
+        self._lock = threading.Lock()
+        self._entries: Dict[Hashable, Any] = {}
+        self._hits = 0
+        self._misses = 0
+        self._disk_hits = 0
 
-    # ------------------------------------------------------------------
-    # The memo protocol used by repro.analysis
-    # ------------------------------------------------------------------
-    def lookup(self, category: str, key: Hashable) -> Optional[Any]:
-        """The cached value for ``key`` (``None`` on miss; no category
-        stores ``None`` values)."""
-        store = self._stores[category]
+    def lookup(self, key: Hashable) -> Tuple[Optional[Any], bool]:
+        """``(value, from_disk)``: the cached value for ``key`` (``None``
+        on a miss; no entry is ``None``) and whether the persistent
+        backend served it rather than the in-process front."""
         with self._lock:
-            value = store.get(key)
+            value = self._entries.pop(key, None)
             if value is not None:
-                # LRU refresh: re-append so eviction tracks recency.
-                del store[key]
-                store[key] = value
-                self._hits[category] += 1
-                return value
+                # LRU refresh: re-insert so eviction tracks recency.
+                self._entries[key] = value
+                self._hits += 1
+                return value, False
         # Front miss: consult the backend outside the lock (disk I/O).
-        value = self._backend_lookup(category, key)
+        value = self._backend_lookup(key)
         with self._lock:
             if value is None:
-                self._misses[category] += 1
-                return None
-            self._disk_hits[category] += 1
-            self._hits[category] += 1
+                self._misses += 1
+                return None, False
+            self._hits += 1
+            self._disk_hits += 1
             # A racing thread may have promoted/stored the key while the
-            # backend read ran; either way re-append it most recent.
-            if key in store:
-                del store[key]
-            elif len(store) >= self.maxsize:
-                del store[next(iter(store))]
-            store[key] = value
-        return value
+            # backend read ran; either way re-insert it most recent.
+            self._insert(key, value)
+        return value, True
 
-    def peek(self, category: str, key: Hashable) -> Optional[Any]:
-        """Counter-neutral lookup: the cached value if present (front or
-        backend), without touching hit/miss accounting, LRU order or
-        promotion.  Used by opportunistic probes — e.g. the warm-start
-        seeds of the busy-window Kleene iteration — whose misses are
-        expected and must not skew cache-effectiveness stats."""
+    def store(self, key: Hashable, value: Any) -> None:
+        """Record ``value`` for ``key``, evicting the least recently
+        used entry once ``maxsize`` is reached."""
         with self._lock:
-            value = self._stores[category].get(key)
-        if value is None:
-            value = self._backend_lookup(category, key)
-        return value
+            self._insert(key, value)
+        self._backend_store(key, value)
 
-    def store(self, category: str, key: Hashable, value: Any) -> None:
-        """Record ``value`` for ``key``, evicting the category's least
-        recently used entry once ``maxsize`` is reached."""
-        store = self._stores[category]
-        with self._lock:
-            if key not in store and len(store) >= self.maxsize:
-                del store[next(iter(store))]
-            store[key] = value
-        self._backend_store(category, key, value)
+    def _insert(self, key: Hashable, value: Any) -> None:
+        """Put ``key`` most recent (caller holds the lock)."""
+        entries = self._entries
+        if entries.pop(key, None) is None and len(entries) >= self.maxsize:
+            del entries[next(iter(entries))]
+        entries[key] = value
 
     # ------------------------------------------------------------------
     # Persistence hooks (no-ops for the in-memory cache)
     # ------------------------------------------------------------------
-    def _backend_lookup(self, category: str, key: Hashable) -> Optional[Any]:
+    def _backend_lookup(self, key: Hashable) -> Optional[Any]:
         """Second-level lookup consulted on an in-memory miss; the
         persistent subclass reads the on-disk store here."""
         return None
 
-    def _backend_store(self, category: str, key: Hashable, value: Any) -> None:
+    def _backend_store(self, key: Hashable, value: Any) -> None:
         """Write-through hook invoked by :meth:`store`."""
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, CacheStats]:
-        """Per-category counters (one consistent snapshot)."""
+    def stats(self) -> CacheStats:
+        """The counters (one consistent snapshot)."""
         with self._lock:
-            return {
-                category: CacheStats(
-                    hits=self._hits[category],
-                    misses=self._misses[category],
-                    entries=len(self._stores[category]),
-                    disk_hits=self._disk_hits[category],
-                )
-                for category in CATEGORIES
-            }
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                entries=len(self._entries),
+                disk_hits=self._disk_hits,
+            )
 
     def stats_dict(self) -> Dict[str, Dict[str, int]]:
-        """JSON-friendly form of :meth:`stats`."""
+        """JSON-friendly form of :meth:`stats`: ``{"jobs": {...}}``."""
+        stats = self.stats()
         return {
-            category: {
+            CATEGORY: {
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "disk_hits": stats.disk_hits,
                 "entries": stats.entries,
             }
-            for category, stats in self.stats().items()
         }
-
-    def counters(self) -> Dict[str, Dict[str, int]]:
-        """``{category: {field: count}}`` snapshot (hits, misses and
-        disk hits — not entries), for delta tracking around one job."""
-        with self._lock:
-            return {
-                category: {
-                    "hits": self._hits[category],
-                    "misses": self._misses[category],
-                    "disk_hits": self._disk_hits[category],
-                }
-                for category in CATEGORIES
-            }
-
-    @property
-    def job_hits(self) -> int:
-        """Lookups served from the ``jobs`` category — whole
-        :class:`~repro.runner.jobs.JobResult` payloads reused without
-        re-running the analysis (surfaced per category in
-        :meth:`stats` as ``stats()["jobs"]``)."""
-        with self._lock:
-            return self._hits["jobs"]
-
-    @property
-    def hit_count(self) -> int:
-        with self._lock:
-            return sum(self._hits.values())
-
-    @property
-    def miss_count(self) -> int:
-        with self._lock:
-            return sum(self._misses.values())
-
-    @property
-    def disk_hit_count(self) -> int:
-        with self._lock:
-            return sum(self._disk_hits.values())
 
     def clear(self) -> None:
         """Drop all in-memory entries and reset the counters (the
         persistent backend, if any, is left untouched)."""
         with self._lock:
-            for category in CATEGORIES:
-                self._stores[category].clear()
-                self._hits[category] = 0
-                self._misses[category] = 0
-                self._disk_hits[category] = 0
-
-    # ------------------------------------------------------------------
-    # Installation
-    # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def activate(self) -> Iterator["AnalysisCache"]:
-        """Install this cache for the analyses run inside the block."""
-        with using_cache(self):
-            yield self
+            self._entries.clear()
+            self._hits = self._misses = self._disk_hits = 0
 
     def __repr__(self) -> str:
-        sizes = ", ".join(
-            f"{category}={len(self._stores[category])}" for category in CATEGORIES
-        )
-        return f"{type(self).__name__}({sizes})"
+        return f"{type(self).__name__}({CATEGORY}={len(self._entries)})"
 
 
 def merge_stats(
     totals: Dict[str, Dict[str, int]], update: Dict[str, Dict[str, int]]
 ) -> Dict[str, Dict[str, int]]:
-    """Accumulate per-category counter dicts (used to aggregate the
-    per-worker caches of a parallel batch into one report).  Fields
-    absent from ``update`` (older deltas without ``disk_hits``) count
-    as zero."""
+    """Accumulate ``{category: counters}`` dicts (used to aggregate the
+    per-job records of a batch into one report).  Fields absent from
+    ``update`` (per-job records carry no ``entries``) count as zero."""
     for category, counters in update.items():
         bucket = totals.setdefault(category, dict.fromkeys(STAT_FIELDS, 0))
         for field in STAT_FIELDS:

@@ -2,20 +2,21 @@
 
 The in-memory cache of :mod:`repro.runner.cache` dies with its process,
 so content-identical jobs landing on different workers — or in the next
-``repro batch`` invocation — recompute their busy-window fixed points
-from scratch.  This module adds a shared, persistent second level: a
-content-addressed on-disk store keyed by the same
-``(System.content_digest(), *scalar args)`` tuples the in-memory cache
+``repro batch`` invocation — would be analyzed again from scratch.
+This module adds a shared, persistent second level: a content-addressed
+on-disk store of whole job results keyed by the same
+:func:`~repro.runner.jobs.job_result_key` tuples the in-memory cache
 uses, safe under concurrent writers.
 
 Design:
 
 * **Addressing** — an entry lives at
-  ``<root>/<category>/<kk>/<key-digest>.bin`` where ``key-digest`` is
-  the SHA-256 of the cache key's canonical ``repr`` (keys are tuples of
-  str/int/float/bool/None, whose ``repr`` is stable across processes)
-  and ``kk`` its first two hex digits (fan-out, so directories stay
-  small during million-entry sweeps).
+  ``<root>/jobs/<kk>/<key-digest>.bin`` where ``key-digest`` is the
+  SHA-256 of the cache key's canonical ``repr`` (keys are tuples of
+  str/int/bool and int tuples, whose ``repr`` is stable across
+  processes) and ``kk`` its first two hex digits (fan-out, so
+  directories stay small during million-entry sweeps).  Other
+  directories under ``<root>`` are neither read, reported nor pruned.
 * **Atomicity** — writers serialize into a unique temp file in the same
   directory and ``os.replace`` it into place, so a concurrently reading
   worker sees either the complete entry or none; last writer wins
@@ -46,7 +47,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Hashable, Optional
 
-from .cache import CATEGORIES, AnalysisCache
+from .cache import CATEGORY, AnalysisCache
 
 #: Format marker of on-disk entries; bump on incompatible layout change
 #: (old entries then fail the frame check and are recomputed).
@@ -56,8 +57,8 @@ MAGIC = b"repro-analysis-cache v1\n"
 def key_digest(key: Hashable) -> str:
     """SHA-256 hex digest of the cache key's canonical ``repr``.
 
-    Analysis cache keys are flat tuples of primitives (the system
-    content digest plus scalar arguments), so ``repr`` is deterministic
+    Job cache keys are tuples of primitives (the system content digest
+    plus the chain and analysis parameters), so ``repr`` is deterministic
     across processes and Python builds — unlike ``hash()``, which is
     salted per process for strings.
     """
@@ -92,10 +93,10 @@ def decode_entry(blob: bytes) -> Any:
         raise ValueError(f"cache entry does not unpickle: {exc}") from exc
 
 
-def _category_files(category_dir: Path):
-    """Every file under a category's fan-out dirs, including the
-    dot-prefixed temp files ``glob`` would skip."""
-    for fanout in category_dir.glob("??"):
+def _entry_files(entry_dir: Path):
+    """Every file under the fan-out dirs, including the dot-prefixed
+    temp files ``glob`` would skip."""
+    for fanout in entry_dir.glob("??"):
         try:
             yield from (p for p in fanout.iterdir() if p.is_file())
         except OSError:
@@ -115,24 +116,24 @@ class DiskStore:
 
     def __init__(self, root: os.PathLike, *, create: bool = True):
         self.root = Path(root)
+        self.entry_dir = self.root / CATEGORY
         self.corrupt_dropped = 0
         self._counter_lock = threading.Lock()
         if create:
-            for category in CATEGORIES:
-                (self.root / category).mkdir(parents=True, exist_ok=True)
+            self.entry_dir.mkdir(parents=True, exist_ok=True)
         # With ``create=False`` (read-only inspection, e.g. ``repro
         # cache``) nothing is written up front; ``store`` still creates
-        # directories on demand, and the stats/prune walks tolerate
-        # absent category directories.
+        # directories on demand, and the stats/prune walks tolerate an
+        # absent entry directory.
 
-    def path_for(self, category: str, key: Hashable) -> Path:
+    def path_for(self, key: Hashable) -> Path:
         digest = key_digest(key)
-        return self.root / category / digest[:2] / f"{digest}.bin"
+        return self.entry_dir / digest[:2] / f"{digest}.bin"
 
-    def load(self, category: str, key: Hashable) -> Optional[Any]:
+    def load(self, key: Hashable) -> Optional[Any]:
         """The stored value, or ``None`` on miss or corruption (the
         corrupt file is dropped so the recomputed value replaces it)."""
-        path = self.path_for(category, key)
+        path = self.path_for(key)
         try:
             blob = path.read_bytes()
         except OSError:
@@ -146,10 +147,10 @@ class DiskStore:
                 path.unlink()
             return None
 
-    def store(self, category: str, key: Hashable, value: Any) -> None:
+    def store(self, key: Hashable, value: Any) -> None:
         """Atomically publish ``value``: a reader either sees the whole
         entry or none, never a torn write."""
-        path = self.path_for(category, key)
+        path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = encode_entry(value)
         fd, tmp_name = tempfile.mkstemp(
@@ -164,45 +165,31 @@ class DiskStore:
                 os.unlink(tmp_name)
             raise
 
-    def entry_counts(self) -> Dict[str, int]:
-        """Number of complete on-disk entries per category."""
-        return {
-            category: sum(1 for _ in (self.root / category).glob("??/*.bin"))
-            for category in CATEGORIES
-        }
-
     def category_stats(self) -> Dict[str, Dict[str, int]]:
-        """Entry count and byte footprint per category, plus stray
-        temp files left by crashed writers (reported, not counted as
-        entries) — the data source of ``repro cache``."""
-        stats: Dict[str, Dict[str, int]] = {}
-        for category in CATEGORIES:
-            entries = 0
-            size = 0
-            stale_tmp = 0
-            for path in _category_files(self.root / category):
-                try:
-                    file_size = path.stat().st_size
-                except OSError:
-                    continue  # racing writer/pruner; skip
-                if path.suffix == ".bin":
-                    entries += 1
-                    size += file_size
-                elif path.suffix == ".tmp":
-                    stale_tmp += 1
-            stats[category] = {
-                "entries": entries,
-                "bytes": size,
-                "stale_tmp": stale_tmp,
-            }
-        return stats
+        """``{"jobs": {...}}``: entry count and byte footprint, plus
+        stray temp files left by crashed writers (reported, not counted
+        as entries) — the data source of ``repro cache``."""
+        entries = 0
+        size = 0
+        stale_tmp = 0
+        for path in _entry_files(self.entry_dir):
+            try:
+                file_size = path.stat().st_size
+            except OSError:
+                continue  # racing writer/pruner; skip
+            if path.suffix == ".bin":
+                entries += 1
+                size += file_size
+            elif path.suffix == ".tmp":
+                stale_tmp += 1
+        return {CATEGORY: {"entries": entries, "bytes": size, "stale_tmp": stale_tmp}}
 
     def prune_older_than(
         self, max_age_seconds: float, *, now: Optional[float] = None
-    ) -> Dict[str, Dict[str, int]]:
+    ) -> Dict[str, int]:
         """Delete entries whose mtime is older than ``max_age_seconds``
-        (and stale temp files of the same age), returning per-category
-        ``{"removed": n, "bytes": b}`` counts.
+        (and stale temp files of the same age), returning
+        ``{"removed": n, "bytes": b}``.
 
         Deletion is always safe: entries are pure memoization, so a
         pruned key merely recomputes on next use.  Concurrent readers
@@ -214,25 +201,22 @@ class DiskStore:
                 f"max_age_seconds must be >= 0, got {max_age_seconds}"
             )
         cutoff = (time.time() if now is None else now) - max_age_seconds
-        removed: Dict[str, Dict[str, int]] = {}
-        for category in CATEGORIES:
-            count = 0
-            size = 0
-            for path in _category_files(self.root / category):
-                if path.suffix not in (".bin", ".tmp"):
-                    continue
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                if stat.st_mtime > cutoff:
-                    continue
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                    count += 1
-                    size += stat.st_size
-            removed[category] = {"removed": count, "bytes": size}
-        return removed
+        count = 0
+        size = 0
+        for path in _entry_files(self.entry_dir):
+            if path.suffix not in (".bin", ".tmp"):
+                continue
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            if stat.st_mtime > cutoff:
+                continue
+            with contextlib.suppress(OSError):
+                path.unlink()
+                count += 1
+                size += stat.st_size
+        return {"removed": count, "bytes": size}
 
 
 class PersistentAnalysisCache(AnalysisCache):
@@ -254,11 +238,11 @@ class PersistentAnalysisCache(AnalysisCache):
     def cache_dir(self) -> Path:
         return self.disk.root
 
-    def _backend_lookup(self, category: str, key: Hashable) -> Optional[Any]:
-        return self.disk.load(category, key)
+    def _backend_lookup(self, key: Hashable) -> Optional[Any]:
+        return self.disk.load(key)
 
-    def _backend_store(self, category: str, key: Hashable, value: Any) -> None:
-        self.disk.store(category, key, value)
+    def _backend_store(self, key: Hashable, value: Any) -> None:
+        self.disk.store(key, value)
 
     def __repr__(self) -> str:
         return f"{super().__repr__()[:-1]}, dir={str(self.disk.root)!r})"

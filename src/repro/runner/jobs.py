@@ -3,12 +3,12 @@
 Jobs carry the system as canonical JSON rather than a live object so
 they pickle cheaply and identically across process boundaries, and so a
 job is itself content-addressed: :attr:`AnalysisJob.digest` identifies
-a (system, chain, parameters) work unit for result dedup and the
-planned cross-process/on-disk cache (ROADMAP), while the in-analysis
-memoization keys on :meth:`repro.model.System.content_digest`.
-:func:`execute_job` is the single execution path used by both the
-serial and the process-pool runner, which is what makes ``workers=1``
-and ``workers=N`` byte-identical.
+a (system, chain, parameters) work unit, and :func:`job_result_key` is
+the equivalent tuple the result cache keys on.
+:func:`run_chain_job` is the single execution path of the serial and
+process-pool runners, the shard workers and the service — one cache
+lookup per job, and on a miss one analysis and one store — which is
+what makes ``workers=1`` and ``workers=N`` byte-identical.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..analysis.exceptions import AnalysisError
-from ..analysis.memo import content_key
 from ..analysis.twca import ENUMERATION_MODES, analyze_twca
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
-from .cache import AnalysisCache
+from .cache import CATEGORY, AnalysisCache
 
 #: Default DMM window sizes exported per job (Table II uses 3/76/250;
 #: 1/10/100 is the library-wide reporting default).
@@ -190,8 +189,9 @@ class JobResult:
     value string, or ``"error"`` when the analysis raised an
     :class:`~repro.analysis.exceptions.AnalysisError` (recorded in
     ``error``).  ``dmm`` maps each requested window size to its miss
-    bound.  ``elapsed`` (seconds), ``cache`` (counter deltas),
-    ``packing`` (the packing counters of
+    bound.  ``elapsed`` (seconds), ``cache`` (this job's own cache
+    lookup outcome, ``{"jobs": {"hits", "misses", "disk_hits"}}``, each
+    0 or 1), ``packing`` (the packing counters of
     :meth:`~repro.analysis.twca.ChainTwcaResult.packing_stats`) are
     observability fields excluded from deterministic exports.
     """
@@ -345,11 +345,13 @@ def job_result_key(
     enumeration: str,
 ) -> Optional[Hashable]:
     """The content identity of one (system, chain, parameters) work
-    unit — the ``jobs``-category cache key.  ``None`` when the system
-    has no canonical digest (user-defined event models), in which case
-    result reuse is skipped rather than risking key collisions."""
-    digest = content_key(system)
-    if digest is None:
+    unit — the result cache key.  ``None`` when the system has no
+    canonical digest (user-defined event models, or an object without
+    ``content_digest``), in which case result reuse is skipped rather
+    than risking key collisions."""
+    try:
+        digest = system.content_digest()
+    except (TypeError, AttributeError):
         return None
     return (
         digest,
@@ -372,37 +374,30 @@ def run_chain_job(
     label: str = "",
     cache: Optional[AnalysisCache] = None,
 ) -> JobResult:
-    """:func:`analyze_system_job` under ``cache``, with the cache
-    counter delta accumulated while running the job recorded on the
-    result — that is how parallel workers report aggregate hit rates
-    back to the parent process.  The shared execution primitive of
-    serialized jobs (:func:`execute_job`) and worker-loaded path jobs
-    (:func:`repro.runner.loader.execute_path_job`).
+    """:func:`analyze_system_job` behind the whole-result ``cache``:
+    the shared execution primitive of serialized jobs
+    (:func:`execute_job`), worker-loaded path jobs
+    (:func:`repro.runner.loader.execute_path_job`), the service and
+    :meth:`repro.runner.BatchRunner.analyze`.
 
-    Under a cache, whole results are reused through the ``jobs``
-    category keyed by :func:`job_result_key`: a content-identical job —
-    a duplicate in the same batch, or any job of a warm persistent run —
-    skips even the per-job assembly and is served the stored
-    :class:`JobResult` (analysis outcomes are pure functions of the key,
-    so served and recomputed results are identical; only the
-    observability fields differ).
+    Under a cache, a job does one lookup keyed by
+    :func:`job_result_key`.  A content-identical job — a duplicate in
+    the same batch, a revisited optimizer candidate, or any job of a
+    warm persistent run — is served the stored :class:`JobResult`
+    (analysis outcomes are pure functions of the key, so served and
+    recomputed results are identical; only the observability fields
+    differ).  On a miss the job runs the analysis and stores its
+    result.  The job records its own lookup outcome in
+    :attr:`JobResult.cache`, so per-job records sum to the cache's
+    counters even when concurrent jobs share one cache.
     """
-    if cache is None:
-        return analyze_system_job(
-            system,
-            chain_name,
-            ks=ks,
-            max_combinations=max_combinations,
-            exact_criterion=exact_criterion,
-            enumeration=enumeration,
-            label=label,
+    key = None
+    if cache is not None:
+        key = job_result_key(
+            system, chain_name, ks, max_combinations, exact_criterion, enumeration
         )
-    before = cache.counters()
     start = time.perf_counter()
-    key = job_result_key(
-        system, chain_name, ks, max_combinations, exact_criterion, enumeration
-    )
-    hit = cache.lookup("jobs", key) if key is not None else None
+    hit, from_disk = (None, False) if key is None else cache.lookup(key)
     if hit is not None:
         # Copies keep callers from mutating the cached payload; the
         # label is the caller's (the same content can carry different
@@ -412,35 +407,30 @@ def run_chain_job(
             label=label or hit.label,
             dmm=dict(hit.dmm),
             elapsed=time.perf_counter() - start,
-            cache={},
             packing={},
         )
     else:
-        with cache.activate():
-            result = analyze_system_job(
-                system,
-                chain_name,
-                ks=ks,
-                max_combinations=max_combinations,
-                exact_criterion=exact_criterion,
-                enumeration=enumeration,
-                label=label,
-            )
-        if key is not None:
-            cache.store(
-                "jobs",
-                key,
-                replace(
-                    result, dmm=dict(result.dmm), elapsed=0.0, cache={}, packing={}
-                ),
-            )
-    after = cache.counters()
+        result = analyze_system_job(
+            system,
+            chain_name,
+            ks=ks,
+            max_combinations=max_combinations,
+            exact_criterion=exact_criterion,
+            enumeration=enumeration,
+            label=label,
+        )
+        if key is None:
+            return result
+        cache.store(
+            key,
+            replace(result, dmm=dict(result.dmm), elapsed=0.0, cache={}, packing={}),
+        )
     result.cache = {
-        category: {
-            field: after[category][field] - before[category][field]
-            for field in after[category]
+        CATEGORY: {
+            "hits": int(hit is not None),
+            "misses": int(hit is None),
+            "disk_hits": int(from_disk),
         }
-        for category in after
     }
     return result
 

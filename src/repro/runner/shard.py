@@ -105,7 +105,6 @@ _START_LOCK = threading.Lock()
 def _shard_worker_loop(
     task_queue: Any,
     result_queue: Any,
-    cache_maxsize: int,
     cache_dir: Optional[str],
     use_cache: bool,
 ) -> None:
@@ -116,7 +115,7 @@ def _shard_worker_loop(
     bad input is a batch bug, not a worker death, and must not be
     retried.
     """
-    cache = _build_cache(use_cache, cache_dir, cache_maxsize)
+    cache = _build_cache(use_cache, cache_dir)
     # Persistent caches drop integrity-failed disk entries and count
     # them; the per-chunk delta rides back so the coordinator can
     # account for corruption observed inside worker processes.
@@ -158,13 +157,11 @@ class LocalShardWorker:
         *,
         use_cache: bool = True,
         cache_dir: Optional[str] = None,
-        cache_maxsize: int = 200_000,
         poll_interval: float = 0.05,
     ):
         self.name = name
         self.use_cache = use_cache
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self.cache_maxsize = cache_maxsize
         self.poll_interval = poll_interval
         self._ctx = multiprocessing.get_context()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
@@ -175,8 +172,9 @@ class LocalShardWorker:
         #: Corrupt persistent-cache entries this worker's processes
         #: detected and dropped (summed into the coordinator stats).
         self.corrupt_dropped = 0
-        #: Failure-injection seam: kill the process right after the
-        #: next N chunk dispatches (deterministic worker-death tests).
+        #: Failure-injection seam: kill the process in place of the
+        #: next N chunk dispatches, so those chunks are lost for sure
+        #: (deterministic worker-death tests).
         self.kill_next_dispatches = 0
 
     # -- process lifecycle ---------------------------------------------
@@ -192,7 +190,6 @@ class LocalShardWorker:
             args=(
                 self._task_queue,
                 self._result_queue,
-                self.cache_maxsize,
                 self.cache_dir,
                 self.use_cache,
             ),
@@ -241,10 +238,13 @@ class LocalShardWorker:
         self._ensure_process()
         assert self._task_queue is not None and self._result_queue is not None
         process, result_queue = self._process, self._result_queue
-        self._task_queue.put((chunk.index, list(chunk.jobs)))
         if self.kill_next_dispatches > 0:
+            # Killed before the chunk is sent: a process killed after
+            # the send may already have delivered the results.
             self.kill_next_dispatches -= 1
             self.kill()
+        else:
+            self._task_queue.put((chunk.index, list(chunk.jobs)))
         while True:
             try:
                 kind, index, payload = result_queue.get(timeout=self.poll_interval)
@@ -284,17 +284,11 @@ def local_shard_workers(
     *,
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
-    cache_maxsize: int = 200_000,
 ) -> List[LocalShardWorker]:
     """``count`` local workers, optionally sharing one persistent
     ``cache_dir`` (the shared-filesystem warm-cache deployment)."""
     return [
-        LocalShardWorker(
-            name=str(i),
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-            cache_maxsize=cache_maxsize,
-        )
+        LocalShardWorker(name=str(i), use_cache=use_cache, cache_dir=cache_dir)
         for i in range(count)
     ]
 
@@ -512,7 +506,6 @@ def run_sharded(
     worker_urls: Sequence[str] = (),
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
-    cache_maxsize: int = 200_000,
     chunk_size: Optional[int] = None,
     retry: RetryPolicy = RetryPolicy(),
     timeout: float = 600.0,
@@ -522,10 +515,7 @@ def run_sharded(
     remote worker per URL, run ``jobs`` through a
     :class:`ShardCoordinator`, and tear the workers down."""
     workers: List[Any] = local_shard_workers(
-        shards,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        cache_maxsize=cache_maxsize,
+        shards, use_cache=use_cache, cache_dir=cache_dir
     )
     workers.extend(
         RemoteShardWorker(url, timeout=timeout, retry=retry) for url in worker_urls

@@ -4,9 +4,9 @@ Two layers:
 
 * :class:`AnalysisService` — the in-process facade.  Typed
   :class:`AnalysisRequest` / :class:`AnalysisResponse` dataclasses wrap
-  ``analyze_twca`` / ``analyze_latency`` / the batch runner behind one
-  entrypoint that owns warm state: loaded systems keyed by content
-  digest and the (optionally persistent) analysis cache.
+  per-chain TWCA jobs and the batch runner behind one entrypoint that
+  owns warm state: loaded systems keyed by content digest and the
+  (optionally persistent) result cache.
 * ``repro serve`` — a stdlib HTTP/JSON server (:func:`serve_forever`,
   :func:`start_server`) exposing ``POST /analyze``, ``POST /batch``,
   ``POST /shard/run``, ``GET /cache/stats`` and ``GET /healthz``,
@@ -18,9 +18,10 @@ Two layers:
   the sharded batch coordinator (:mod:`repro.runner.shard`) drives
   remote hosts.
 
-The CLI's ``analyze`` and ``batch`` subcommands are clients of the same
-facade — in-process by default, against a daemon with ``--server URL`` —
-so service responses are byte-identical to the classic exports.
+The CLI's ``batch`` subcommand is a client of the same facade —
+in-process by default, against a daemon with ``--server URL``, as
+``analyze --server URL`` is — so service responses are byte-identical
+to the classic exports.
 """
 
 from .api import (

@@ -51,10 +51,9 @@ class AnalysisOptions:
     """The analysis knobs shared by every analyzing entrypoint.
 
     One dataclass carries the shared argparse options
-    (``--cache-dir``/``--no-cache``/``--exhaustive``) uniformly through
-    ``analyze``, ``experiment``, ``batch``, ``report`` and ``serve`` —
-    and configures an :class:`~repro.service.core.AnalysisService` the
-    same way.
+    (``--cache-dir``/``--no-cache``/``--exhaustive``) of every
+    subcommand that reads them — and configures an
+    :class:`~repro.service.core.AnalysisService` the same way.
     """
 
     cache_dir: Optional[str] = None
@@ -80,7 +79,7 @@ class AnalysisRequest:
     Exactly one of ``system_json`` (the canonical serialization, for
     first contact) and ``system_digest`` (the content digest of a
     system the service already holds warm) identifies the system.
-    ``use_cache=False`` bypasses the service's memoization for this
+    ``use_cache=False`` bypasses the service's result cache for this
     request only.
     """
 

@@ -1,18 +1,17 @@
-"""The in-process analysis service: one facade over every analyzing
-entrypoint, owning the warm state that used to die with each CLI
+"""The in-process analysis service: the request/response facade the
+daemon runs, owning the warm state that used to die with each CLI
 invocation.
 
-:class:`AnalysisService` wraps :func:`repro.analysis.analyze_twca` /
-:func:`repro.analysis.analyze_latency` / the batch runner behind one
-request/response entrypoint and keeps three kinds of state hot across
+:class:`AnalysisService` runs per-chain TWCA jobs
+(:func:`repro.runner.jobs.run_chain_job`) and batch runners behind one
+request/response entrypoint and keeps two kinds of state hot across
 calls:
 
 * **loaded systems**, keyed by content digest — a client can send a
   system once and reference it by digest forever after;
-* **the analysis cache** (in-memory, or persistent under
-  ``options.cache_dir``) — memoized Theorem 1 fixed points, Omega
-  capacities, segment decompositions, exact Def. 10 verdicts and whole
-  job results, so a repeated request recomputes zero fixed points.
+* **the result cache** (in-memory, or persistent under
+  ``options.cache_dir``) — whole job results keyed by job content
+  identity, so a repeated request analyzes nothing.
 
 Concurrency model: the service is thread-safe and built for the
 threaded HTTP front.  Identical in-flight requests are *coalesced* on
@@ -22,23 +21,22 @@ their windows are a subset, and :meth:`AnalysisService.batch` merges
 compatible queued requests into one multi-q analysis.  The computes
 themselves run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 (``workers``, surfaced as ``repro serve --workers``) and genuinely
-overlap: the memoization hook of :mod:`repro.analysis.memo` is a
-``contextvars.ContextVar`` (each compute thread installs its own
-cache), the shared :class:`~repro.runner.cache.AnalysisCache` is locked
-internally, and the packing solver is stateless (a result shared
-across threads only memoizes deterministic optima) — so nothing is
-serialized globally, and no request changes process-global state.
+overlap: concurrent analyses share only the registered systems, whose
+memo tables (``eta_plus`` staircases) hold deterministic values, the
+shared :class:`~repro.runner.cache.AnalysisCache` is locked internally,
+and each job records its own cache lookup outcome — so nothing is
+serialized globally, no request changes process-global state, and the
+per-job cache records of overlapping computes still sum to the cache's
+own counters.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import ChainTwcaResult, LatencyResult, analyze_latency, analyze_twca
 from ..model import System
 from ..model.serialization import system_from_json
 from ..runner.batch import BatchResult, BatchRunner, _build_cache
@@ -101,7 +99,6 @@ class AnalysisService:
         *,
         ks: Tuple[int, ...] = DEFAULT_KS,
         cache: Optional[AnalysisCache] = None,
-        cache_maxsize: int = 200_000,
         workers: int = 1,
     ):
         if workers < 1:
@@ -112,9 +109,7 @@ class AnalysisService:
         if cache is not None:
             self.cache: Optional[AnalysisCache] = cache
         else:
-            self.cache = _build_cache(
-                self.options.use_cache, self.options.cache_dir, cache_maxsize
-            )
+            self.cache = _build_cache(self.options.use_cache, self.options.cache_dir)
         self._systems: Dict[str, System] = {}
         self._lock = threading.Lock()
         # Threads spawn lazily on first submit, so an in-process
@@ -381,34 +376,6 @@ class AnalysisService:
                 self._executing -= 1
         return system.content_digest(), jobs
 
-    # ------------------------------------------------------------------
-    # In-process conveniences (the CLI's non-batch subcommands)
-    # ------------------------------------------------------------------
-    def activate(self) -> contextlib.AbstractContextManager:
-        """Context manager installing the service cache (a no-op when
-        caching is disabled) — for callers that run analysis-layer
-        functions directly but want the service's warm state."""
-        if self.cache is None:
-            return contextlib.nullcontext()
-        return self.cache.activate()
-
-    def analyze_chain(self, system: System, chain_name: str) -> ChainTwcaResult:
-        """The full-fidelity TWCA of one chain under the service's
-        options and warm cache — the in-process path of
-        ``repro analyze``, which needs the rich
-        :class:`~repro.analysis.twca.ChainTwcaResult` for reporting."""
-        with self.activate():
-            return analyze_twca(
-                system,
-                system[chain_name],
-                enumeration=self.options.enumeration,
-            )
-
-    def latency(self, system: System, chain_name: str) -> LatencyResult:
-        """Theorem 2 worst-case latency under the service cache."""
-        with self.activate():
-            return analyze_latency(system, system[chain_name])
-
     def runner(
         self, *, workers: int = 1, ks: Optional[Tuple[int, ...]] = None
     ) -> BatchRunner:
@@ -429,8 +396,8 @@ class AnalysisService:
     # Observability
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, Any]:
-        """The ``GET /cache/stats`` payload: per-category cache
-        counters plus the service-level request accounting, the
+        """The ``GET /cache/stats`` payload: the cache counters
+        (``{"jobs": {...}}``) plus the service-level request accounting, the
         compute-pool bound (``workers``) and the number of computes
         executing right now (``inflight``)."""
         with self._lock:

@@ -16,8 +16,9 @@
   ``{"jobs": [...]}`` of full (non-deterministic-form) job results.
   This is the chunk endpoint the sharded batch coordinator drives —
   ``repro shard-worker`` is ``repro serve`` under another name.
-* ``GET /cache/stats`` — per-category cache counters plus service
-  request accounting (requests, computes, coalesced, merged, systems).
+* ``GET /cache/stats`` — the result cache's counters (``{"jobs": ...}``)
+  plus service request accounting (requests, computes, coalesced,
+  merged, systems).
 * ``GET /healthz`` — liveness and version.
 
 Malformed requests are answered with structured ``400`` bodies

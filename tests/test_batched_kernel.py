@@ -13,8 +13,7 @@ The contracts under test:
 * the block Def. 10 verdict (``verdict.many`` /
   ``verdict.exact_check_many``) decides every signature exactly like
   the one-``q``-at-a-time oracle (``tests/oracles/def10.py``), whether
-  the signatures come as one block or as blocks of one, and writes the
-  identical ``combo_exact`` cache entries;
+  the signatures come as one block or as blocks of one;
 * the batched wavefront search (``search_combinations(batch=True)``)
   reports the same counts, checks, nodes and minimal combinations as
   the depth-first recursion it replaces.
@@ -36,7 +35,6 @@ from repro.analysis.combinations import (
 from repro.analysis.exceptions import BusyWindowDivergence
 from repro.analysis.twca import _build_verdict
 from repro.kernel import solve_monotone_fixed_points, solve_monotone_fixed_points_2d
-from repro.runner import AnalysisCache
 from repro.synth import GeneratorConfig, figure4_system, generate_feasible_system
 
 from oracles.def10 import exact_unschedulable_scalar
@@ -319,35 +317,6 @@ class TestBlockVerdict:
             assert block == [
                 exact_unschedulable_scalar(system, chain, deltas, s) for s in signatures
             ]
-
-    @pytest.mark.parametrize("seed", (4, 16, 28))
-    def test_block_calls_write_the_scalar_cache_entries(self, seed):
-        system = random_system(seed, overload_chains=2)
-        for chain in system.typical_chains:
-            inputs = verdict_inputs(system, chain)
-            if inputs is None:
-                continue
-            _, _, segments = inputs
-            signatures = [c.signature for c in iter_combinations(segments)]
-            block_cache = AnalysisCache()
-            with block_cache.activate():
-                block_results = build(system, chain, inputs).many(signatures)
-            single_cache = AnalysisCache()
-            with single_cache.activate():
-                single = build(system, chain, inputs)
-                single_results = [single(s) for s in signatures]
-            assert block_results == single_results
-            assert (
-                block_cache.stats()["combo_exact"].misses
-                == single_cache.stats()["combo_exact"].misses
-            )
-            # A fresh verdict over the block-filled cache recomputes
-            # nothing: the block stored under exactly the scalar keys.
-            with block_cache.activate():
-                warm = build(system, chain, inputs)
-                assert warm.many(signatures) == block_results
-            after = block_cache.stats()["combo_exact"]
-            assert after.misses == single_cache.stats()["combo_exact"].misses
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ import os
 import random
 from pathlib import Path
 
-from repro.analysis import analyze_twca
 from repro.model.serialization import system_from_json, system_to_json
 from repro.runner import (
     AnalysisCache,
@@ -30,7 +29,9 @@ from repro.runner import (
     CacheStats,
     DiskStore,
     PersistentAnalysisCache,
+    job_result_key,
     merge_stats,
+    run_chain_job,
 )
 from repro.runner.diskcache import decode_entry, encode_entry, key_digest
 from repro.synth import GeneratorConfig, generate_feasible_system
@@ -122,16 +123,15 @@ class TestDifferentialExports:
             systems
         )
         assert rerun.to_json() == golden
-        assert sum(s["misses"] for s in rerun.cache_stats.values()) == 0
+        assert rerun.cache_stats["jobs"]["misses"] == 0
 
 
 class TestWarmAcceptance:
     def test_warm_duplicated_sweep_recomputes_nothing(self, tmp_path):
         """Acceptance: a duplicated system list against a warm
-        --cache-dir performs zero busy-window fixed-point
-        recomputations — every job is served whole from the ``jobs``
-        result cache, skipping even per-job assembly — and its export
-        is byte-identical to the cold serial run."""
+        --cache-dir analyzes nothing — every job is served whole from
+        the ``jobs`` result cache (zero misses) — and its export is
+        byte-identical to the cold serial run."""
         systems = synth_systems(3, seed=404)
         duplicated = systems + systems
         cache_dir = tmp_path / "cache"
@@ -142,9 +142,6 @@ class TestWarmAcceptance:
             duplicated
         )
         assert warm.to_json() == cold.to_json()
-        assert warm.cache_stats["busy_time"]["misses"] == 0
-        assert warm.cache_stats["omega"]["misses"] == 0
-        assert warm.cache_stats["segments"]["misses"] == 0
         assert warm.cache_stats["jobs"]["misses"] == 0
         assert warm.job_hits == len(warm.jobs)
 
@@ -165,8 +162,9 @@ class TestWarmAcceptance:
             systems
         )
         assert (
-            batch.cache_stats["busy_time"]["misses"]
-            == unique.cache_stats["busy_time"]["misses"]
+            batch.cache_stats["jobs"]["misses"]
+            == unique.cache_stats["jobs"]["misses"]
+            == len(unique.jobs)
         )
         assert batch.job_hits == 2 * len(unique.jobs)
         assert unique.job_hits == 0
@@ -178,30 +176,28 @@ class TestCorruptionHandling:
         chain = next(c for c in system.typical_chains if c.has_deadline)
         cache_dir = tmp_path / "cache"
         cache = PersistentAnalysisCache(cache_dir)
-        with cache.activate():
-            fresh = analyze_twca(system, chain)
-        fresh_dmm = {k: fresh.dmm(k) for k in KS}
+        fresh = run_chain_job(system, chain.name, ks=KS, cache=cache)
         damaged = corrupt_entries(cache_dir)
         again = PersistentAnalysisCache(cache_dir)
-        with again.activate():
-            recomputed = analyze_twca(system, chain)
-        assert {k: recomputed.dmm(k) for k in KS} == fresh_dmm
-        assert recomputed.status is fresh.status
+        recomputed = run_chain_job(system, chain.name, ks=KS, cache=again)
+        assert recomputed.to_dict() == fresh.to_dict()
         # Every damaged entry consulted was detected, not trusted.
         assert again.disk.corrupt_dropped > 0
         assert again.disk.corrupt_dropped <= damaged
-        assert again.disk_hit_count == 0
+        assert again.stats().disk_hits == 0
+        assert recomputed.cache["jobs"]["misses"] == 1
 
     def test_garbage_files_are_dropped_and_replaced(self, tmp_path):
         store = DiskStore(tmp_path)
-        store.store("busy_time", ("digest", "sigma", 1), {"value": 1})
-        path = store.path_for("busy_time", ("digest", "sigma", 1))
+        store.store(("digest", "sigma", 1), {"value": 1})
+        path = store.path_for(("digest", "sigma", 1))
+        assert path.parent.parent == tmp_path / "jobs"
         path.write_bytes(b"not a cache entry at all")
-        assert store.load("busy_time", ("digest", "sigma", 1)) is None
+        assert store.load(("digest", "sigma", 1)) is None
         assert store.corrupt_dropped == 1
         assert not path.exists()
-        store.store("busy_time", ("digest", "sigma", 1), {"value": 2})
-        assert store.load("busy_time", ("digest", "sigma", 1)) == {"value": 2}
+        store.store(("digest", "sigma", 1), {"value": 2})
+        assert store.load(("digest", "sigma", 1)) == {"value": 2}
 
     def test_frame_round_trip_and_rejection(self):
         value = {"total": 12.5, "names": ("a", "b")}
@@ -219,8 +215,8 @@ class TestRoundTripProperty:
     def test_serialized_round_trip_shares_cache_with_equal_results(self):
         """Guards ``content_digest()`` against fields it silently
         ignores: a round-tripped system shares the original's digest,
-        so it *will* be served the original's cached Omega/DMM
-        artifacts — those must equal its own fresh analysis."""
+        so it *will* be served the original's cached ``JobResult`` —
+        which must equal the clone's own fresh analysis."""
         for seed in (11, 12, 13):
             system = synth_systems(1, seed=seed)[0]
             clone = system_from_json(system_to_json(system))
@@ -228,44 +224,41 @@ class TestRoundTripProperty:
             for chain in system.typical_chains:
                 if not chain.has_deadline:
                     continue
-                cold = analyze_twca(clone, clone[chain.name])
-                cold_dmm = {k: cold.dmm(k) for k in KS}
+                cold = run_chain_job(clone, chain.name, ks=KS)
                 cache = AnalysisCache()
-                with cache.activate():
-                    analyze_twca(system, chain)
-                    served = analyze_twca(clone, clone[chain.name])
-                    served_dmm = {k: served.dmm(k) for k in KS}
-                assert cache.hit_count > 0
-                assert served_dmm == cold_dmm
-                assert served.status is cold.status
-                assert served.wcl == cold.wcl
+                run_chain_job(system, chain.name, ks=KS, cache=cache)
+                served = run_chain_job(clone, chain.name, ks=KS, cache=cache)
+                assert served.cache["jobs"]["hits"] == 1
+                assert served.to_dict() == cold.to_dict()
 
     def test_key_digest_stable_for_primitive_tuples(self):
-        key = ("deadbeef", "sigma_c", 3, False, 0.0, None, 12.5)
+        key = ("deadbeef", "sigma_c", (1, 10, 100), 100_000, True, "pruned")
         assert key_digest(key) == key_digest(("deadbeef",) + key[1:])
-        assert key_digest(key) != key_digest(key[:-1] + (12.6,))
+        assert key_digest(key) != key_digest(key[:-1] + ("exhaustive",))
+        system = synth_systems(1, seed=21)[0]
+        clone = system_from_json(system_to_json(system))
+        params = (system.typical_chains[0].name, (1, 10), 100_000, True, "pruned")
+        digests = {key_digest(job_result_key(s, *params)) for s in (system, clone)}
+        assert len(digests) == 1
 
 
 class TestStatsAccounting:
     def test_merged_stats_sum_per_job_lookups(self, tmp_path):
         """Hits + misses merged across processes equal the summed
-        per-job lookup counts, category by category."""
+        per-job lookup records: one lookup per job."""
         systems = synth_systems(3, seed=707)
         batch = BatchRunner(
             workers=2, cache_dir=tmp_path / "cache", ks=KS
         ).run_systems(systems + systems)
         totals = {}
         for job in batch.jobs:
-            assert job.cache, "worker jobs must report counter deltas"
+            assert job.cache, "worker jobs must report their lookup"
             merge_stats(totals, job.cache)
         assert totals == batch.cache_stats
-        for category, stats in batch.cache_stats.items():
-            per_job = sum(
-                job.cache[category]["hits"] + job.cache[category]["misses"]
-                for job in batch.jobs
-            )
-            assert stats["hits"] + stats["misses"] == per_job
-            assert 0 <= stats["disk_hits"] <= stats["hits"]
+        assert list(batch.cache_stats) == ["jobs"]
+        stats = batch.cache_stats["jobs"]
+        assert stats["hits"] + stats["misses"] == len(batch.jobs)
+        assert 0 <= stats["disk_hits"] <= stats["hits"]
 
     def test_hit_rate_zero_lookup_edge(self):
         assert CacheStats().hit_rate == 0.0
@@ -279,11 +272,12 @@ class TestStatsAccounting:
         """A tiny LRU front spills to disk and promotes back, counting
         the promotion as hit + disk_hit."""
         cache = PersistentAnalysisCache(tmp_path, maxsize=1)
-        cache.store("busy_time", "a", 1)
-        cache.store("busy_time", "b", 2)  # evicts "a" from the front
-        assert cache.lookup("busy_time", "a") == 1  # promoted from disk
-        stats = cache.stats()["busy_time"]
-        assert stats.hits == 1 and stats.disk_hits == 1 and stats.misses == 0
+        cache.store("a", 1)
+        cache.store("b", 2)  # evicts "a" from the front
+        assert cache.lookup("a") == (1, True)  # promoted from disk
+        assert cache.lookup("a") == (1, False)  # now in the front
+        stats = cache.stats()
+        assert stats.hits == 2 and stats.disk_hits == 1 and stats.misses == 0
         assert stats.entries == 1  # the front stays bounded
 
 
@@ -306,5 +300,5 @@ class TestOptIntegration:
             system, "sigma_a", "sigma_c", factors, k=10, runner=warm_runner
         )
         assert warm == plain
-        assert warm_runner.cache.miss_count == 0
-        assert warm_runner.cache.disk_hit_count > 0
+        assert warm_runner.cache.stats().misses == 0
+        assert warm_runner.cache.stats().disk_hits > 0

@@ -123,9 +123,9 @@ class TestBatch:
         for index, line in enumerate(lines):
             assert line.startswith(f"[job {index:04d}] ")
             assert line.rstrip().endswith("s") and "/" in line
-        # The summary line carries the merged per-category counters,
+        # The summary line carries the merged jobs-cache counters,
         # followed by the aggregated packing counters.
-        assert "busy_time" in err.splitlines()[-2]
+        assert "[jobs 0h/6m/0d]" in err.splitlines()[-2]
         assert err.splitlines()[-1].startswith("packing: resolves ")
         assert "resolves" in err.splitlines()[-1]
 
@@ -184,13 +184,16 @@ class TestCacheCommand:
 
     def test_reports_per_category_sizes(self, tmp_path, capsys):
         cache = self._warm_cache(tmp_path)
+        (cache / "busy_time" / "ab").mkdir(parents=True)
+        (cache / "busy_time" / "ab" / "old.bin").write_bytes(b"x")
         capsys.readouterr()
         assert main(["cache", str(cache)]) == 0
         out = capsys.readouterr().out
-        for category in ("busy_time", "omega", "segments", "jobs",
-                         "total"):
-            assert category in out
         assert "entries" in out and "size" in out
+        # Whole job results only: 2 systems x 2 chains, and an old
+        # artifact directory is neither counted nor reported.
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [row[:2] for row in rows] == [["jobs", "4"]]
 
     def test_prune_older_than_zero_empties_the_store(self, tmp_path,
                                                      capsys):

@@ -29,7 +29,7 @@ from repro.analysis import (
     overload_active_segments,
     search_combinations,
 )
-from repro.runner import BatchRunner, PersistentAnalysisCache
+from repro.runner import BatchRunner
 from repro.synth import GeneratorConfig, generate_feasible_system
 
 KS = (1, 3, 5, 10)
@@ -301,23 +301,6 @@ class TestWarmStartedFixedPoints:
                 assert self._breakdown_fields(pinned) == self._breakdown_fields(cold)
                 assert pinned.iterations == 1
                 previous = cold.total
-
-    @pytest.mark.parametrize("seed", (2, 8, 21))
-    def test_cache_warm_start_probes_are_counter_neutral(self, tmp_path, seed):
-        system = random_system(seed)
-        chain = system.typical_chains[0]
-        cold = busy_time(system, chain, 3)
-        cache = PersistentAnalysisCache(tmp_path / "cache")
-        with cache.activate():
-            for q in (1, 2, 3):
-                busy_time(system, chain, q, include_overload=False)
-            warm = busy_time(system, chain, 3)
-        assert self._breakdown_fields(warm) == self._breakdown_fields(cold)
-        stats = cache.stats()["busy_time"]
-        # Four fixed points computed, four misses — the q-1 and typical
-        # warm-start probes peek without touching the counters.
-        assert stats.misses == 4
-        assert stats.hits == 0
 
     def test_full_latency_unaffected_by_warm_starts(self, figure4):
         from repro.analysis import analyze_latency

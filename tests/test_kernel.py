@@ -8,7 +8,7 @@ The contracts under test:
 * the batched multi-q Kleene iteration (``busy_times``, the block-mode
   latency scan, the block Def. 10 exact check) lands on the
   bit-identical fixed points and verdicts as the scalar references, on
-  randomized systems, cold and cached;
+  randomized systems;
 * the simplex is a pure function of its data on randomized LPs: same
   statuses, objectives, values and pivot counts however the data is
   typed and in whatever order an rhs schedule is solved;
@@ -35,7 +35,7 @@ from repro.arrivals import ArrivalCurve, SporadicBurstModel, StaircaseKernel
 from repro.arrivals.algebra import scaled, tightest
 from repro.ilp.simplex import solve_lp
 from repro.kernel import kernel_name
-from repro.runner import AnalysisCache, BatchRunner
+from repro.runner import BatchRunner
 from repro.synth import GeneratorConfig, generate_feasible_system
 
 from oracles.def10 import exact_unschedulable_scalar
@@ -228,26 +228,6 @@ class TestBatchedKleene:
             assert {q: strip(b) for q, b in batched.items()} == {
                 q: strip(b) for q, b in scalar.items()
             }
-
-    @pytest.mark.parametrize("seed", (1, 7, 13))
-    def test_busy_times_under_cache_matches_and_hits(self, seed):
-        system = random_system(seed)
-        chain = next(iter(system.typical_chains))
-        qs = (1, 2, 4)
-        cold = {q: busy_time(system, chain, q) for q in qs}
-        cache = AnalysisCache()
-        with cache.activate():
-            first = busy_times(system, chain, qs)
-            second = busy_times(system, chain, qs)
-        assert {q: strip(b) for q, b in first.items()} == {
-            q: strip(b) for q, b in cold.items()
-        }
-        # The second batch is served entirely from the cache — the
-        # batched path stores under exactly the scalar keys.
-        assert {q: strip(b) for q, b in second.items()} == {
-            q: strip(b) for q, b in first.items()
-        }
-        assert cache.stats()["busy_time"].hits >= len(qs)
 
     @pytest.mark.parametrize("seed", range(0, 24, 5))
     def test_latency_scan_matches_across_kernels(self, seed):

@@ -3,8 +3,8 @@
 Covers the four properties the runner guarantees:
 
 * determinism — serial and parallel runs export byte-identical JSON;
-* cache correctness — memoized analyses equal cold ones on random
-  systems, with LRU recency in the in-process front;
+* cache correctness — cache-served job results equal cold ones on
+  random systems, with LRU recency in the in-process front;
 * worker-side loading — path jobs parse files inside the workers,
   memoized per process and revalidated by content digest;
 * error propagation — analysis failures are data, everything else
@@ -22,8 +22,6 @@ import random
 
 import pytest
 
-from repro.analysis import analyze_twca, busy_time
-from repro.analysis.memo import active_cache, using_cache
 from repro.model.serialization import system_to_json
 from repro.runner import (
     AnalysisCache,
@@ -34,6 +32,7 @@ from repro.runner import (
     SystemPathJob,
     execute_job,
     execute_path_job,
+    run_chain_job,
 )
 from repro.synth import (
     GeneratorConfig,
@@ -97,44 +96,30 @@ class TestCacheCorrectness:
             for chain in system.typical_chains:
                 if not chain.has_deadline:
                     continue
-                cold = analyze_twca(system, chain)
-                cold_dmm = {k: cold.dmm(k) for k in ks}
+                cold = run_chain_job(system, chain.name, ks=ks)
                 cache = AnalysisCache()
-                with cache.activate():
-                    warm_up = analyze_twca(system, chain)
-                    warm_up_dmm = {k: warm_up.dmm(k) for k in ks}
-                    cached = analyze_twca(system, chain)
-                    cached_dmm = {k: cached.dmm(k) for k in ks}
-                assert cached.status is cold.status
-                assert cached_dmm == cold_dmm == warm_up_dmm
-                assert cached.wcl == cold.wcl
-                assert cache.hit_count > 0
-
-    def test_busy_time_memoized_breakdown_equal(self):
-        system = figure4_system()
-        chain = system["sigma_c"]
-        cold = busy_time(system, chain, 2)
-        cache = AnalysisCache()
-        with cache.activate():
-            first = busy_time(system, chain, 2)
-            second = busy_time(system, chain, 2)
-        assert first == cold
-        assert second == cold
-        stats = cache.stats()["busy_time"]
-        assert stats.hits == 1 and stats.misses == 1
-        assert stats.entries == 1
-        assert stats.disk_hits == 0
+                warm_up = run_chain_job(system, chain.name, ks=ks, cache=cache)
+                cached = run_chain_job(system, chain.name, ks=ks, cache=cache)
+                assert cached.to_dict() == cold.to_dict() == warm_up.to_dict()
+                assert warm_up.cache == {
+                    "jobs": {"hits": 0, "misses": 1, "disk_hits": 0}
+                }
+                assert cached.cache == {
+                    "jobs": {"hits": 1, "misses": 0, "disk_hits": 0}
+                }
+                assert cache.stats().entries == 1
 
     def test_cache_distinguishes_system_content(self):
         system = figure4_system(calibrated=False)
         other = figure4_system(calibrated=True)
         assert system.content_digest() != other.content_digest()
         cache = AnalysisCache()
-        with cache.activate():
-            a = analyze_twca(system, system["sigma_c"])
-            b = analyze_twca(other, other["sigma_c"])
-        # Calibration changes the overload curves, hence the DMM tail.
-        assert a.dmm(250) != b.dmm(250)
+        a = run_chain_job(system, "sigma_c", ks=(250,), cache=cache)
+        b = run_chain_job(other, "sigma_c", ks=(250,), cache=cache)
+        # Calibration changes the overload curves, hence the DMM tail;
+        # the second system's job is a miss, never the first's result.
+        assert a.dmm[250] != b.dmm[250]
+        assert cache.stats().misses == 2 and cache.stats().hits == 0
 
     def test_identical_content_shares_digest(self):
         one = figure4_system()
@@ -145,38 +130,24 @@ class TestCacheCorrectness:
     def test_maxsize_bounds_entries(self):
         cache = AnalysisCache(maxsize=3)
         for index in range(10):
-            cache.store("busy_time", ("key", index), index)
-        assert cache.stats()["busy_time"].entries == 3
+            cache.store(("key", index), index)
+        assert cache.stats().entries == 3
 
     def test_lookup_refreshes_lru_order(self):
         cache = AnalysisCache(maxsize=2)
-        cache.store("busy_time", "a", 1)
-        cache.store("busy_time", "b", 2)
-        assert cache.lookup("busy_time", "a") == 1  # refresh "a"
-        cache.store("busy_time", "c", 3)  # evicts "b", not "a"
-        assert cache.lookup("busy_time", "a") == 1
-        assert cache.lookup("busy_time", "b") is None
-        assert cache.lookup("busy_time", "c") == 3
+        cache.store("a", 1)
+        cache.store("b", 2)
+        assert cache.lookup("a") == (1, False)  # refresh "a"
+        cache.store("c", 3)  # evicts "b", not "a"
+        assert cache.lookup("a") == (1, False)
+        assert cache.lookup("b") == (None, False)
+        assert cache.lookup("c") == (3, False)
 
     def test_counters_track_disk_hits_field(self):
         cache = AnalysisCache()
-        counters = cache.counters()
-        assert set(counters) == {
-            "busy_time",
-            "omega",
-            "segments",
-            "combo_exact",
-            "jobs",
+        assert cache.stats_dict() == {
+            "jobs": {"hits": 0, "misses": 0, "disk_hits": 0, "entries": 0}
         }
-        for fields in counters.values():
-            assert fields == {"hits": 0, "misses": 0, "disk_hits": 0}
-
-    def test_no_cache_outside_activation(self):
-        cache = AnalysisCache()
-        assert active_cache() is None
-        with using_cache(cache):
-            assert active_cache() is cache
-        assert active_cache() is None
 
     def test_runner_batch_warm_cache_hits(self):
         """Re-running identical jobs through one runner hits the cache."""
@@ -187,6 +158,21 @@ class TestCacheCorrectness:
         assert first.to_json() == second.to_json()
         assert second.cache_hit_rate > first.cache_hit_rate
         assert second.cache_hit_rate > 0.9
+
+    def test_repeated_analyze_is_served_from_jobs(self):
+        """The opt layer's in-process primitive goes through the result
+        cache: a revisited candidate is one ``jobs`` hit, equal to the
+        first evaluation."""
+        system = figure4_system(calibrated=True)
+        runner = BatchRunner(workers=1, ks=(3, 76))
+        first = runner.analyze(system, "sigma_c")
+        second = runner.analyze(system, "sigma_c")
+        assert second.to_dict() == first.to_dict()
+        assert first.label == second.label == system.name
+        assert first.cache["jobs"]["misses"] == 1
+        assert second.cache["jobs"]["hits"] == 1
+        stats = runner.cache.stats()
+        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
 
     def test_use_cache_false_disables_memoization(self):
         labels, systems = small_sweep(2)

@@ -138,11 +138,10 @@ class TestAnalysisService:
         warm = service.analyze(request)
         after = service.cache_stats()["cache"]
         # Byte-identical response, served whole from the jobs cache:
-        # zero fixed points (busy_time misses) recomputed.
+        # nothing analyzed (the jobs misses stand still).
         assert warm.to_json() == cold.to_json()
         assert after["jobs"]["hits"] == stats["jobs"]["hits"] + 1
-        for category in ("busy_time", "omega", "combo_exact"):
-            assert after[category]["misses"] == stats[category]["misses"]
+        assert after["jobs"]["misses"] == stats["jobs"]["misses"]
 
     def test_unknown_system_digest(self, service):
         with pytest.raises(UnknownSystemError, match="unknown system_digest"):
@@ -259,7 +258,7 @@ class TestHttpServer:
         after = client.cache_stats()["cache"]
         assert warm == cold
         assert after["jobs"]["hits"] == stats["jobs"]["hits"] + 1
-        assert after["busy_time"]["misses"] == stats["busy_time"]["misses"]
+        assert after["jobs"]["misses"] == stats["jobs"]["misses"]
 
     def test_batch_endpoint_matches_runner_export(self, server, system):
         text = ServiceClient(server.url).batch_text(
@@ -422,6 +421,19 @@ class TestHttpServer:
         assert flags == ["", "1"]
 
 
+#: The shared analysis flags each subcommand must accept (and no more).
+ANALYSIS_FLAG_TABLE = {
+    "analyze": {"--exhaustive", "--no-cache"},
+    "experiment": {"--exhaustive"},
+    "batch": {"--exhaustive", "--cache-dir", "--no-cache"},
+    "shard": {"--exhaustive", "--cache-dir", "--no-cache"},
+    "serve": {"--cache-dir", "--no-cache"},
+    "shard-worker": {"--cache-dir", "--no-cache"},
+    "simulate": set(),
+    "report": set(),
+}
+
+
 class TestCliIntegration:
     def test_batch_export_identical_via_server(self, server, capsys):
         args = ["batch", "--random", "3", "--seed", "7", "--json"]
@@ -463,18 +475,25 @@ class TestCliIntegration:
                      "--server", "http://127.0.0.1:9"]) == 2
         assert "cannot reach analysis server" in capsys.readouterr().err
 
-    def test_shared_options_on_every_analyzing_subcommand(self):
-        from repro.cli import build_parser
+    @pytest.mark.parametrize("flag", ["--exhaustive", "--cache-dir", "--no-cache"])
+    @pytest.mark.parametrize("command", sorted(ANALYSIS_FLAG_TABLE))
+    def test_analysis_flags_per_subcommand(self, command, flag, capsys):
+        """Each subcommand accepts exactly the shared analysis flags it
+        reads; any other is argparse's usage error."""
+        from repro.cli import analysis_options, build_parser
 
+        argv = [command] + (["table1"] if command == "experiment" else [])
+        argv += [flag] + (["DIR"] if flag == "--cache-dir" else [])
         parser = build_parser()
-        for command in ("analyze", "experiment", "batch", "report", "serve"):
-            args = parser.parse_args(
-                [command]
-                + ({"experiment": ["table1"], "cache": ["dir"]}.get(command, []))
-                + ["--no-cache", "--exhaustive"]
-            )
-            from repro.cli import analysis_options
-
-            options = args and analysis_options(args)
-            assert options.use_cache is False
-            assert options.enumeration == "exhaustive"
+        if flag not in ANALYSIS_FLAG_TABLE[command]:
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv)
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            return
+        options = analysis_options(parser.parse_args(argv))
+        assert options.enumeration == (
+            "exhaustive" if flag == "--exhaustive" else "pruned"
+        )
+        assert options.use_cache is (flag != "--no-cache")
+        assert options.cache_dir == ("DIR" if flag == "--cache-dir" else None)

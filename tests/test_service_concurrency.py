@@ -1,19 +1,19 @@
-"""Concurrency tests for the thread-safe analysis stack: the
-context-local memoization hook, the internally locked
-:class:`AnalysisCache`, and the :class:`AnalysisService` compute pool —
-overlapping computes must produce byte-identical results with balanced
-cache/service counters, and per-thread caches must never cross-talk."""
+"""Concurrency tests for the thread-safe analysis stack: the internally
+locked :class:`AnalysisCache` and the :class:`AnalysisService` compute
+pool — overlapping computes must produce byte-identical results with
+balanced cache/service counters, and each job's own cache record must
+sum to the shared cache's counters."""
 
 import json
+import sys
 import threading
 
 import pytest
 
-from repro.analysis import analyze_latency
-from repro.analysis.memo import active_cache, content_key, set_active_cache, using_cache
-from repro.runner.cache import CATEGORIES, AnalysisCache
+from repro.runner import AnalysisCache, BatchRunner, job_result_key, merge_stats
 from repro.service import AnalysisRequest, AnalysisService, ServiceClient, start_server
 from repro.synth import figure4_system, labeled_random_systems
+from repro.synth.corpus import CorpusSpec, generate_entry
 
 WORKERS = 4
 
@@ -79,9 +79,8 @@ class TestServiceConcurrency:
             assert service.counters["coalesced"] == 0
             assert service.cache.stats_dict() == serial_stats
             stats = service.cache.stats()
-            assert sum(s.lookups for s in stats.values()) > 0
-            for category, s in stats.items():
-                assert s.hits + s.misses == s.lookups, category
+            assert stats.lookups > 0
+            assert stats.hits + stats.misses == stats.lookups
 
     def test_concurrent_identical_requests_still_coalesce(self, monkeypatch):
         """The pool must not break coalescing: identical in-flight
@@ -187,18 +186,25 @@ class TestSharedCacheAccounting:
             tally = tallies[index]
             for op in range(ops):
                 key = keyspace[(op * (index + 1)) % len(keyspace)]
-                value = cache.lookup("busy_time", key)
+                value, _ = cache.lookup(key)
                 if value is None:
                     tally["misses"] += 1
-                    cache.store("busy_time", key, key)
+                    cache.store(key, key)
                 else:
                     assert value == key
                     tally["hits"] += 1
-                assert len(cache._stores["busy_time"]) <= maxsize
+                assert len(cache._entries) <= maxsize
 
-        fire_threads(worker, threads_n)
+        # A short switch interval makes the threads interleave inside
+        # lookup/store, where a lost counter update would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fire_threads(worker, threads_n)
+        finally:
+            sys.setswitchinterval(interval)
 
-        stats = cache.stats()["busy_time"]
+        stats = cache.stats()
         assert stats.hits == sum(t["hits"] for t in tallies)
         assert stats.misses == sum(t["misses"] for t in tallies)
         assert stats.hits + stats.misses == stats.lookups == threads_n * ops
@@ -206,7 +212,7 @@ class TestSharedCacheAccounting:
 
     def test_concurrent_store_and_clear_safe(self):
         """clear() racing stores must neither crash nor corrupt the
-        final snapshot (all categories consistent afterwards)."""
+        final snapshot (consistent afterwards)."""
         cache = AnalysisCache(maxsize=16)
 
         def worker(index):
@@ -214,79 +220,76 @@ class TestSharedCacheAccounting:
                 if index == 0 and op % 50 == 0:
                     cache.clear()
                 else:
-                    cache.store("omega", ("d", index, op % 8), op)
-                    cache.lookup("omega", ("d", index, op % 8))
+                    cache.store(("d", index, op % 8), op)
+                    cache.lookup(("d", index, op % 8))
 
         fire_threads(worker, 4)
-        stats = cache.stats()
-        for category in CATEGORIES:
-            assert stats[category].entries <= 16
+        assert cache.stats().entries <= 16
 
+    def test_pooled_per_job_records_sum_to_cache_counters(self):
+        """Overlapping computes on one shared cache: each job records
+        only its own lookup, so the per-job records of a pooled batch
+        sum to the cache's own counters and to the job count — cold
+        (all misses) and warm (all hits)."""
+        spec = CorpusSpec(count=24, seed=2017, family="waters", utilization=(0.7, 0.9))
+        requests = [
+            AnalysisRequest.from_system(generate_entry(spec, index), ks=KS)
+            for index in range(spec.count)
+        ]
+        with AnalysisService(workers=WORKERS) as service:
+            for expected in ("misses", "hits"):
+                before = service.cache.stats_dict()["jobs"]
+                batch = service.batch(requests)
+                after = service.cache.stats_dict()["jobs"]
+                totals = {}
+                for job in batch.jobs:
+                    merge_stats(totals, job.cache)
+                assert totals == batch.cache_stats
+                jobs = totals["jobs"]
+                assert jobs["hits"] + jobs["misses"] == len(batch.jobs)
+                assert jobs[expected] == len(batch.jobs)
+                for field in ("hits", "misses"):
+                    assert jobs[field] == after[field] - before[field]
 
-class TestContextLocalMemo:
-    def test_two_threads_two_caches_no_cross_talk(self):
-        """Each thread installs its own cache; entries land only in the
-        installing thread's cache, and the main thread stays at None."""
-        system = figure4_system()
-        chains = sorted(c.name for c in system.chains)[:2]
-        caches = [AnalysisCache(), AnalysisCache()]
-        seen = [None, None]
-
-        def worker(index):
-            with using_cache(caches[index]):
-                seen[index] = active_cache()
-                analyze_latency(system, system[chains[index]])
-
-        fire_threads(worker, 2)
-
-        assert seen[0] is caches[0]
-        assert seen[1] is caches[1]
-        assert active_cache() is None  # main thread untouched
-        for cache in caches:
-            assert cache.miss_count > 0  # each thread really memoized
-        # No cross-talk: each cache holds exactly the lookups its own
-        # thread performed — the two threads analyzed different chains,
-        # so the busy_time key sets must differ.
-        keys = [set(cache._stores["busy_time"]) for cache in caches]
-        assert keys[0] != keys[1]
-
-    def test_set_active_cache_is_context_local(self):
-        """The compat shim installs per-context, not process-wide."""
-        marker = AnalysisCache()
-        installed_in_thread = []
-
-        def worker(index):
-            previous = set_active_cache(marker)
-            installed_in_thread.append((previous, active_cache()))
-
-        fire_threads(worker, 1)
-        assert installed_in_thread == [(None, marker)]
-        assert active_cache() is None  # thread's install never leaked
-
-    def test_using_cache_restores_previous(self):
-        outer = AnalysisCache()
-        inner = AnalysisCache()
-        with using_cache(outer):
-            with using_cache(inner):
-                assert active_cache() is inner
-            assert active_cache() is outer
-        assert active_cache() is None
+    def test_process_pool_per_job_records_sum_to_job_count(self, tmp_path):
+        """The same balance across worker processes and the disk level:
+        a cold ``BatchRunner(workers=2, cache_dir=...)`` run records one
+        miss per job, a warm one (fresh worker processes) one disk hit
+        per job."""
+        labeled = labeled_random_systems(figure4_system(), 6, seed=11)
+        systems = [system for _, system in labeled]
+        for expected in ("misses", "disk_hits"):
+            runner = BatchRunner(workers=2, cache_dir=tmp_path / "cache", ks=KS)
+            batch = runner.run_systems(systems)
+            totals = {}
+            for job in batch.jobs:
+                assert sum(job.cache["jobs"].values()) == (
+                    1 if expected == "misses" else 2
+                )
+                merge_stats(totals, job.cache)
+            assert totals == batch.cache_stats
+            stats = totals["jobs"]
+            assert stats["hits"] + stats["misses"] == len(batch.jobs)
+            assert stats[expected] == len(batch.jobs)
 
 
 class TestContentKey:
+    PARAMS = ("sigma_c", (1, 10), 100_000, True, "pruned")
+
     def test_object_without_content_digest_is_uncacheable(self):
-        assert content_key(object()) is None
+        assert job_result_key(object(), *self.PARAMS) is None
 
     def test_unserializable_system_is_uncacheable(self):
         class Unserializable:
             def content_digest(self):
                 raise TypeError("user-defined event model")
 
-        assert content_key(Unserializable()) is None
+        assert job_result_key(Unserializable(), *self.PARAMS) is None
 
     def test_real_system_keys_by_digest(self):
         system = figure4_system()
-        assert content_key(system) == system.content_digest()
+        key = job_result_key(system, *self.PARAMS)
+        assert key == (system.content_digest(),) + self.PARAMS
 
 
 def test_response_payloads_are_json():

@@ -239,7 +239,7 @@ class TestJobWireForm:
     def test_result_roundtrip_carries_observability(self):
         jobs, _ = synth_jobs(count=1)
         result = execute_job(jobs[0], cache=None)
-        result.cache = {"busy_time": {"hits": 2, "misses": 1}}
+        result.cache = {"jobs": {"hits": 0, "misses": 1, "disk_hits": 0}}
         wire = result.to_dict(deterministic=False)
         clone = JobResult.from_dict(wire)
         assert clone.to_dict() == result.to_dict()
@@ -290,8 +290,9 @@ class TestCoordinatorIdentity:
         batch = run_sharded(
             jobs, shards=2, cache_dir=str(tmp_path / "c"), retry=FAST_RETRY
         )
-        assert batch.cache_stats
-        assert "busy_time" in batch.cache_stats
+        assert list(batch.cache_stats) == ["jobs"]
+        stats = batch.cache_stats["jobs"]
+        assert stats["hits"] + stats["misses"] == len(jobs)
 
     def test_worker_names_must_be_unique(self):
         with pytest.raises(ValueError, match="unique"):
