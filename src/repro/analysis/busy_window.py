@@ -14,12 +14,19 @@ auditability.  The q-independent interference structures (interferer
 lists, deferred-segment decompositions, static costs) are computed once
 per model, which is what makes the batched :func:`criterion_loads` cheap:
 one structure scan serves the whole ``q`` range of Eq. (5).
+
+One TWCA job builds one model from scratch, the overload-inclusive one
+of its full latency scan, and derives the typical one from it
+(:meth:`_InterferenceModel.without_overload`) for the typical scan, the
+Eq. (5) loads and the Def. 10 fixed points; both reach the callees as
+their ``model`` keyword, and neither outlives the job.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..model import System, TaskChain
 from .exceptions import BusyWindowDivergence
@@ -71,16 +78,16 @@ class _InterferenceModel:
 
     def __init__(self, system: System, target: TaskChain, include_overload: bool):
         self.target = target
-        self.interferers = [
+        interferers = [
             chain
             for chain in system.others(target)
             if include_overload or not chain.overload
         ]
-        self.deferred = {c.name: is_deferred(c, target) for c in self.interferers}
+        self.deferred = {c.name: is_deferred(c, target) for c in interferers}
         self.header_cost = sum(t.wcet for t in target.header_prefix())
         self.deferred_static: Dict[str, float] = {}
         self.deferred_async_headers: Dict[str, float] = {}
-        for chain in self.interferers:
+        for chain in interferers:
             if not self.deferred[chain.name]:
                 continue
             if chain.is_asynchronous:
@@ -93,13 +100,18 @@ class _InterferenceModel:
             else:
                 crit = critical_segment(chain, target)
                 self.deferred_static[chain.name] = crit.wcet if crit else 0.0
-        # Flat per-component terms, in interferer order, for :meth:`total`.
         self.base_wcet = target.total_wcet
         self.self_header = target.is_asynchronous and self.header_cost > 0
+        self._assemble(interferers)
+
+    def _assemble(self, interferers: List[TaskChain]) -> None:
+        """Flat per-component terms of ``interferers``, in interferer
+        order, for :meth:`total`."""
+        self.interferers = interferers
         self.arbitrary_terms = []
         self.async_terms = []
         sync_costs = []
-        for chain in self.interferers:
+        for chain in interferers:
             if not self.deferred[chain.name]:
                 self.arbitrary_terms.append((chain.activation, chain.total_wcet))
             elif chain.is_asynchronous:
@@ -113,6 +125,14 @@ class _InterferenceModel:
             else:
                 sync_costs.append(self.deferred_static[chain.name])
         self.sync_total = sum(sync_costs)
+
+    def without_overload(self) -> "_InterferenceModel":
+        """The ``include_overload=False`` model, term for term: each
+        (interferer, target) classification and segment cost depends on
+        that pair only, so dropping the overload interferers suffices."""
+        typical = copy.copy(self)
+        typical._assemble([c for c in self.interferers if not c.overload])
+        return typical
 
     def evaluate(
         self,
@@ -303,20 +323,22 @@ def _busy_times_block(
     include_overload: bool = True,
     combination_cost: float = 0.0,
     seeds: Optional[Mapping[int, float]] = None,
+    model: Optional[_InterferenceModel] = None,
 ) -> Dict[int, BusyOutcome]:
     """Theorem 1 fixed points of many ``q`` with per-``q`` failure
     capture.
 
     The engine behind :func:`busy_times` and the block-mode q-scan of
     :func:`repro.analysis.latency.analyze_latency`: one
-    :class:`_InterferenceModel` serves every ``q``, each ``q``'s Kleene
-    iteration starts from the fixed point of ``q - 1`` when the block
-    has it (a sound lower bound, so only the step count changes), and a
-    diverging ``q`` becomes a recorded :class:`BusyWindowDivergence`
-    instead of poisoning the block.  The converged breakdowns are
-    exactly those of the scalar :func:`busy_time` — the least fixed
-    point is unique, and the final breakdown is evaluated through the
-    scalar (type-preserving) path.
+    :class:`_InterferenceModel` (the caller's ``model``, or one built
+    here) serves every ``q``, each ``q``'s Kleene iteration starts from
+    the fixed point of ``q - 1`` when the block has it (a sound lower
+    bound, so only the step count changes), and a diverging ``q``
+    becomes a recorded :class:`BusyWindowDivergence` instead of
+    poisoning the block.  The converged breakdowns are exactly those of
+    the scalar :func:`busy_time` — the least fixed point is unique, and
+    the final breakdown is evaluated through the scalar
+    (type-preserving) path.
     """
     _check_membership(system, target)
     order = []
@@ -328,7 +350,8 @@ def _busy_times_block(
             seen.add(q)
             order.append(q)
     outcomes: Dict[int, BusyOutcome] = {}
-    model = _InterferenceModel(system, target, include_overload)
+    if model is None:
+        model = _InterferenceModel(system, target, include_overload)
     for q in order:
         base = q * target.total_wcet
         horizon = base if base > 0 else 1
@@ -420,21 +443,26 @@ def typical_busy_time(
 
 
 def criterion_loads(
-    system: System, target: TaskChain, qs: Iterable[int]
+    system: System,
+    target: TaskChain,
+    qs: Iterable[int],
+    *,
+    model: Optional[_InterferenceModel] = None,
 ) -> Dict[int, float]:
     """Batched ``L_b(q)`` of Eq. (4) over a whole ``q`` range.
 
     Byte-identical to calling :func:`criterion_load` per ``q`` — same
     arithmetic — but the interferer classification and deferred-segment
     scans are performed once for the entire range instead of once per
-    ``q``.
+    ``q``.  ``model``: the caller's ``include_overload=False`` model.
     """
     if not target.has_deadline:
         raise ValueError(f"L_b(q) needs a finite deadline for chain {target.name!r}")
     _check_membership(system, target)
     order = tuple(qs)
     loads: Dict[int, float] = {}
-    model = _InterferenceModel(system, target, include_overload=False)
+    if model is None:
+        model = _InterferenceModel(system, target, include_overload=False)
     for q in order:
         if q in loads:
             continue

@@ -5,15 +5,20 @@
 must accommodate; the worst-case latency maximizes ``B_b(q) -
 delta_minus(q)`` over ``q in [1, K_b]`` — the classic multiple-event
 busy-window argument of response-time analysis.
+
+One :func:`analyze_latency` call builds one interference structure
+(:class:`~repro.analysis.busy_window._InterferenceModel`), or takes the
+caller's through ``model``, and runs every q-block of its queue scan
+against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..model import System, TaskChain
-from .busy_window import BusyTimeBreakdown, _busy_times_block
+from .busy_window import BusyTimeBreakdown, _busy_times_block, _InterferenceModel
 from .exceptions import BusyWindowDivergence
 
 #: Safety cap on the busy-window queue-depth search.
@@ -81,6 +86,7 @@ def analyze_latency(
     *,
     include_overload: bool = True,
     max_q: int = MAX_Q,
+    model: Optional[_InterferenceModel] = None,
 ) -> LatencyResult:
     """Theorem 2: compute ``K_b`` and the worst-case latency of
     ``target`` within ``system``.
@@ -92,13 +98,16 @@ def analyze_latency(
 
     ``include_overload=False`` abstracts all overload chains away,
     producing the *typical* worst-case latency (the second analysis of
-    Experiment 1).
+    Experiment 1).  ``model`` is the interference structure of that
+    ``include_overload`` when the caller has built it already.
 
     Raises
     ------
     BusyWindowDivergence
         If the busy window never closes (overload at or above capacity).
     """
+    if model is None:
+        model = _InterferenceModel(system, target, include_overload)
     busy: List[BusyTimeBreakdown] = []
     latencies: List[float] = []
     q = 0
@@ -126,6 +135,7 @@ def analyze_latency(
             qs,
             include_overload=include_overload,
             seeds={qs[0]: busy[-1].total} if busy else None,
+            model=model,
         )
         for q in qs:
             outcome = outcomes[q]

@@ -26,6 +26,11 @@ restores the classic materializing pipeline; both modes classify every
 combination identically, so counts, DMM curves and exports are
 byte-identical.
 
+One analysis builds one interference structure from scratch and derives
+the typical one from it (see :mod:`repro.analysis.busy_window`); the
+Def. 10 check takes the typical fixed points of ``q <= K_typ`` from the
+typical latency scan.  Nothing outlives the call.
+
 Each ``dmm(k)`` builds the packing program for its ``Omega`` capacities
 (:meth:`ChainTwcaResult.packing_program`) and solves it with the one
 exact solver :func:`repro.ilp.solve`; the optimum is memoized per
@@ -146,6 +151,7 @@ class ChainTwcaResult:
                 loads,
                 self.active_segments,
                 exact_criterion=self.exact_criterion,
+                typical=self.typical_latency,
             )
         return self._membership
 
@@ -359,8 +365,10 @@ def analyze_twca(
         )
 
     # Step 1: full latency analysis (Theorem 2), overload included.
+    # The job's one interference structure built from scratch.
+    full_model = _InterferenceModel(system, target, include_overload=True)
     try:
-        full = analyze_latency(system, target, include_overload=True)
+        full = analyze_latency(system, target, include_overload=True, model=full_model)
     except BusyWindowDivergence:
         return ChainTwcaResult(
             system=system,
@@ -381,8 +389,11 @@ def analyze_twca(
         )
 
     # Step 2: typical latency (overload abstracted away).
+    typical_model = full_model.without_overload()
     try:
-        typical = analyze_latency(system, target, include_overload=False)
+        typical = analyze_latency(
+            system, target, include_overload=False, model=typical_model
+        )
     except BusyWindowDivergence:
         typical = None
     if typical is None or typical.wcl > target.deadline:
@@ -402,7 +413,7 @@ def analyze_twca(
     deltas = {
         q: target.activation.delta_minus(q) for q in range(1, full.max_queue + 1)
     }
-    loads = criterion_loads(system, target, tuple(deltas))
+    loads = criterion_loads(system, target, tuple(deltas), model=typical_model)
     slack = min(deltas[q] + target.deadline - loads[q] for q in deltas)
 
     # Step 4: combinations of overload active segments (Defs. 8 and 9)
@@ -415,6 +426,8 @@ def analyze_twca(
         loads,
         segments_by_chain,
         exact_criterion=exact_criterion,
+        model=typical_model,
+        typical=typical,
     )
 
     # Step 5: classify — frontier search by default, eager on request.
@@ -473,6 +486,8 @@ def _build_verdict(
     segments_by_chain: Dict[str, List[ActiveSegment]],
     *,
     exact_criterion: bool,
+    model: Optional[_InterferenceModel] = None,
+    typical: Optional[LatencyResult] = None,
 ) -> Callable[[CostSignature], bool]:
     """The memoized signature -> unschedulable predicate of Step 5.
 
@@ -484,12 +499,14 @@ def _build_verdict(
     monotone in it — the property the pruned search relies on.
 
     The Eq. (5) multiplicities are precomputed per (q, chain).  The
-    exact stage computes the typical fixed points once (batched, per
-    verdict), seeds every combination's Kleene iteration from them
-    (sound: the typical fixed point lower-bounds the combination-loaded
-    one, and any seed below the least fixed point converges to exactly
-    the same value), and its verdict is memoized per signature for the
-    lifetime of the predicate.
+    exact stage takes the typical fixed points of ``q <= K_typ`` from
+    the ``typical`` latency's busy times (the least fixed point does not
+    depend on the seed) and computes the rest once, over ``model`` (the
+    typical structure; built here when not given).  It seeds every
+    combination's Kleene iteration from them (sound: the typical fixed
+    point lower-bounds the combination-loaded one, and any seed below
+    the least fixed point converges to exactly the same value), and its
+    verdict is memoized per signature for the lifetime of the predicate.
 
     The returned predicate also exposes ``many(signatures)``: the same
     staged decision for a whole block of signatures, with the undecided
@@ -511,15 +528,28 @@ def _build_verdict(
         for q in deltas
     }
 
+    # One typical interference structure serves every signature and
+    # every sweep.
+    if model is None:
+        model = _InterferenceModel(system, target, include_overload=False)
     typical_fixed: Dict[int, float] = {}
 
     def typical_fixed_points_all() -> Dict[int, float]:
-        """Every typical fixed point of the q range, computed as one
-        batched block on first use (the same values as the scalar
-        ``busy_time``)."""
+        """Every typical fixed point of the q range on first use: the
+        typical latency's busy times, then the rest as one batched
+        block (the same values as the scalar ``busy_time``)."""
         if len(typical_fixed) < len(deltas):
+            known = () if typical is None else typical.busy_times
+            typical_fixed.update(
+                (q, known[q - 1].total) for q in deltas if q <= len(known)
+            )
             outcomes = _busy_times_block(
-                system, target, tuple(deltas), include_overload=False
+                system,
+                target,
+                [q for q in deltas if q > len(known)],
+                include_overload=False,
+                seeds={len(known) + 1: known[-1].total} if known else None,
+                model=model,
             )
             for q, outcome in outcomes.items():
                 typical_fixed[q] = (
@@ -538,10 +568,6 @@ def _build_verdict(
                 return True
         return False
 
-    # One typical interference structure serves every signature and
-    # every sweep (built lazily: most chains never reach Def. 10).
-    typical_model: List[Optional[_InterferenceModel]] = [None]
-
     def exact_unschedulable_block(signatures: Sequence[CostSignature]) -> List[bool]:
         """Def. 10 for a whole *block* of signatures: every
         ``(signature, q)`` cell is one independent Eq. (3) fixed point,
@@ -558,11 +584,6 @@ def _build_verdict(
         qs = [q for q in deltas]
         if any(math.isinf(typicals[q]) for q in qs):
             return [True] * len(signatures)  # typical part diverges
-        if typical_model[0] is None:
-            typical_model[0] = _InterferenceModel(
-                system, target, include_overload=False
-            )
-        model = typical_model[0]
         acts = [
             [(system[name].activation, weight) for name, weight in signature]
             for signature in signatures

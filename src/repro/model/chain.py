@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Tuple
 
 from ..arrivals import EventModel
@@ -116,12 +117,14 @@ class TaskChain:
         """The last task of the chain."""
         return self.tasks[-1]
 
-    @property
+    # Tasks and chains are frozen, so the two constants every Theorem 1
+    # evaluation reads are computed once per chain.
+    @cached_property
     def total_wcet(self) -> float:
         """``C_a``: the summed WCET of the whole chain."""
         return sum(t.wcet for t in self.tasks)
 
-    @property
+    @cached_property
     def min_priority(self) -> float:
         """The lowest priority among the chain's tasks."""
         return min(t.priority for t in self.tasks)

@@ -18,6 +18,11 @@ same directory, so results are shared across worker processes *and*
 across batch invocations, and a warm sweep analyzes nothing regardless
 of job placement.  ``use_cache=False`` disables the cache entirely.
 
+:meth:`BatchRunner.jobs_for` keeps a system's chain jobs together, and
+the serial path parses each consecutive run of one system's jobs once
+(an interleaved repeat parses again; one system is held at a time).
+The process pool still parses per job.
+
 Worker-side *analysis* failures (divergent busy windows, unanalyzable
 chains) are data: they become ``status="error"`` job results.  Anything
 else — a missing chain name, corrupt system JSON, an unreadable system
@@ -30,7 +35,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..model import System
@@ -251,7 +256,11 @@ class BatchRunner:
         ks: Optional[Tuple[int, ...]] = None,
     ) -> List[AnalysisJob]:
         """One job per (system, chain).  ``chains=None`` selects every
-        typical chain with a finite deadline of each system."""
+        typical chain with a finite deadline of each system.
+
+        A system's jobs are consecutive and share one ``system_json``
+        string: serialized once, pickled once per shard chunk, and
+        parsed once by the serial and shard runners."""
         job_ks = tuple(ks) if ks is not None else self.ks
         jobs: List[AnalysisJob] = []
         for index, system in enumerate(systems):
@@ -260,16 +269,13 @@ class BatchRunner:
             if names is None:
                 typical = system.typical_chains
                 names = [chain.name for chain in typical if chain.has_deadline]
-            for name in names:
-                jobs.append(
-                    AnalysisJob.from_system(
-                        system,
-                        name,
-                        ks=job_ks,
-                        enumeration=self.enumeration,
-                        label=label,
-                    )
-                )
+            if not names:
+                continue
+            first = AnalysisJob.from_system(
+                system, names[0], ks=job_ks, enumeration=self.enumeration, label=label
+            )
+            jobs.append(first)
+            jobs.extend(replace(first, chain_name=name) for name in names[1:])
         return jobs
 
     def path_jobs_for(
@@ -376,9 +382,13 @@ class BatchRunner:
 
     def _run_serial(self, jobs: Sequence[AnalysisJob]) -> List[JobResult]:
         results = []
+        # Consecutive jobs of one system share one parse.
+        text, system = None, None
         for job in jobs:
             try:
-                results.append(execute_job(job, cache=self.cache))
+                if job.system_json != text:
+                    text, system = job.system_json, job.system()
+                results.append(execute_job(job, cache=self.cache, system=system))
             except Exception as exc:
                 raise BatchExecutionError(job, exc) from exc
         return results

@@ -9,6 +9,12 @@ the equivalent tuple the result cache keys on.
 process-pool runners, the shard workers and the service — one cache
 lookup per job, and on a miss one analysis and one store — which is
 what makes ``workers=1`` and ``workers=N`` byte-identical.
+
+The system is the unit of parsing, the job the unit of analysis: the
+jobs :meth:`repro.runner.BatchRunner.jobs_for` builds for one system
+share one ``system_json`` string, and the runners parse a run of
+consecutive jobs with one ``system_json`` once and pass the parsed
+system to each :func:`execute_job`.  Digests and cache keys stay per job.
 """
 
 from __future__ import annotations

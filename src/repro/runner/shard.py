@@ -3,7 +3,8 @@ shard workers with work-stealing, bounded retries, and a merge that is
 byte-identical to a serial run.
 
 The job list is split into :class:`ShardChunk` units of consecutive
-jobs.  A :class:`ShardCoordinator` drives one dispatch thread per
+jobs (a local worker parses each system's run of jobs in a chunk
+once).  A :class:`ShardCoordinator` drives one dispatch thread per
 worker; each thread pulls the next eligible chunk from a shared,
 lock-protected scheduler, runs it on its worker, and posts the results
 back.  Three scheduler behaviors make the fan-out robust:
@@ -110,10 +111,11 @@ def _shard_worker_loop(
 ) -> None:
     """Child-process loop: one cache, chunks in, result lists out.
 
-    Runs until the ``None`` sentinel.  A job exception is reported as
-    an ``("error", ...)`` message rather than crashing the process —
-    bad input is a batch bug, not a worker death, and must not be
-    retried.
+    Consecutive jobs with one ``system_json`` share one parse, as in
+    the serial runner.  Runs until the ``None`` sentinel.  A job
+    exception is reported as an ``("error", ...)`` message rather than
+    crashing the process — bad input is a batch bug, not a worker
+    death, and must not be retried.
     """
     cache = _build_cache(use_cache, cache_dir)
     # Persistent caches drop integrity-failed disk entries and count
@@ -126,8 +128,13 @@ def _shard_worker_loop(
             break
         chunk_index, jobs = item
         dropped_before = store.corrupt_dropped if store is not None else 0
+        results = []
+        text, system = None, None
         try:
-            results = [execute_job(job, cache=cache) for job in jobs]
+            for job in jobs:
+                if job.system_json != text:
+                    text, system = job.system_json, job.system()
+                results.append(execute_job(job, cache=cache, system=system))
         except Exception as exc:
             result_queue.put(
                 ("error", chunk_index, f"{type(exc).__name__}: {exc}")

@@ -144,6 +144,7 @@ class AnalysisRequest:
         _require(not unknown, f"unknown request fields: {unknown}")
 
         system_json: Optional[str] = None
+        system: Optional[System] = None
         raw_system = data.get("system")
         if raw_system is not None:
             if isinstance(raw_system, str):
@@ -166,7 +167,7 @@ class AnalysisRequest:
             isinstance(ks, (list, tuple)),
             f"'ks' must be a list of window sizes, got {type(ks).__name__}",
         )
-        return cls(
+        request = cls(
             system_json=system_json,
             system_digest=data.get("system_digest"),
             chain=data.get("chain"),
@@ -175,6 +176,14 @@ class AnalysisRequest:
             use_cache=data.get("use_cache", True),
             label=data.get("label", ""),
         )
+        # Kept for the service to register; not part of the request.
+        object.__setattr__(request, "_system", system)
+        return request
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_system", None)
+        return state
 
     def to_dict(self) -> Dict[str, Any]:
         """Wire form (the inverse of :meth:`from_dict`).  The system

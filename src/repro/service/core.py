@@ -8,7 +8,8 @@ request/response entrypoint and keeps two kinds of state hot across
 calls:
 
 * **loaded systems**, keyed by content digest — a client can send a
-  system once and reference it by digest forever after;
+  system once and reference it by digest forever after.  A wire request
+  registers the system its ``from_dict`` parsed (no second parse);
 * **the result cache** (in-memory, or persistent under
   ``options.cache_dir``) — whole job results keyed by job content
   identity, so a repeated request analyzes nothing.
@@ -152,7 +153,8 @@ class AnalysisService:
 
     def system_for(self, request: AnalysisRequest) -> System:
         """Resolve the request's system: the warm instance when the
-        digest is known, else parse (and register) the inline payload.
+        digest is known, else register the inline payload (the system
+        :meth:`AnalysisRequest.from_dict` parsed, or a parse).
         :class:`UnknownSystemError` for an unregistered reference."""
         digest = request.system_identity
         with self._lock:
@@ -164,7 +166,9 @@ class AnalysisService:
                 f"unknown system_digest {request.system_digest!r}; "
                 "send the request once with the system inline to register it"
             )
-        system = system_from_json(request.system_json)
+        system = getattr(request, "_system", None)
+        if system is None:
+            system = system_from_json(request.system_json)
         # The request carries the canonical serialization, so the digest
         # is already content-true; seed it to skip the re-hash.
         system.__dict__["_content_digest"] = digest

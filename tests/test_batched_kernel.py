@@ -13,7 +13,10 @@ The contracts under test:
 * the block Def. 10 verdict (``verdict.many`` /
   ``verdict.exact_check_many``) decides every signature exactly like
   the one-``q``-at-a-time oracle (``tests/oracles/def10.py``), whether
-  the signatures come as one block or as blocks of one;
+  the signatures come as one block or as blocks of one, and whether it
+  computes its typical fixed points itself or reuses the typical
+  latency's busy times over a typical model derived from the full one
+  (the ``analyze_twca`` construction);
 * the batched wavefront search (``search_combinations(batch=True)``)
   reports the same counts, checks, nodes and minimal combinations as
   the depth-first recursion it replaces.
@@ -27,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_latency, criterion_loads
+from repro.analysis.busy_window import _InterferenceModel
 from repro.analysis.combinations import (
     iter_combinations,
     overload_active_segments,
@@ -36,6 +40,7 @@ from repro.analysis.exceptions import BusyWindowDivergence
 from repro.analysis.twca import _build_verdict
 from repro.kernel import solve_monotone_fixed_points, solve_monotone_fixed_points_2d
 from repro.synth import GeneratorConfig, figure4_system, generate_feasible_system
+from repro.synth.corpus import CorpusSpec, generate_entry
 
 from oracles.def10 import exact_unschedulable_scalar
 
@@ -278,10 +283,53 @@ def build(system, chain, inputs):
     )
 
 
+def typical_inputs(system, chain):
+    """The typical model derived from the full one, and the typical
+    latency scanned with it (``None`` when it diverges): what
+    ``analyze_twca`` hands the verdict."""
+    model = _InterferenceModel(system, chain, include_overload=True).without_overload()
+    try:
+        typical = analyze_latency(system, chain, include_overload=False, model=model)
+    except BusyWindowDivergence:
+        typical = None
+    return model, typical
+
+
+def build_derived(system, chain, inputs):
+    """The verdict as ``analyze_twca`` builds it: the derived typical
+    model serves the loads and the Def. 10 sweeps, and the typical
+    latency's busy times are the fixed points of ``q <= K_typ``."""
+    deltas, _, segments = inputs
+    model, typical = typical_inputs(system, chain)
+    return _build_verdict(
+        system,
+        chain,
+        deltas,
+        criterion_loads(system, chain, tuple(deltas), model=model),
+        segments,
+        exact_criterion=True,
+        model=model,
+        typical=typical,
+    )
+
+
+#: Random systems (ints), plus entries of the default corpus (UUniFast,
+#: utilization 0.5-0.7, seed 2017) with a weakly-hard chain whose
+#: K_full > K_typ and whose flagged signatures Def. 10 partly clears.
+VERDICT_CASES = (*range(0, 40, 4), "corpus:4", "corpus:32", "corpus:135")
+
+
+def verdict_system(case):
+    if isinstance(case, int):
+        return random_system(case, overload_chains=1 + case % 3)
+    index = int(case.split(":")[1])
+    return generate_entry(CorpusSpec(count=index + 1, seed=2017), index)
+
+
 class TestBlockVerdict:
-    @pytest.mark.parametrize("seed", range(0, 40, 4))
+    @pytest.mark.parametrize("seed", VERDICT_CASES)
     def test_many_matches_the_scalar_pipeline(self, seed):
-        system = random_system(seed, overload_chains=1 + seed % 3)
+        system = verdict_system(seed)
         for chain in system.typical_chains:
             inputs = verdict_inputs(system, chain)
             if inputs is None:
@@ -300,6 +348,31 @@ class TestBlockVerdict:
             assert verdict.many(signatures) == reference
             single = build(system, chain, inputs)
             assert [single(s) for s in signatures] == reference
+            assert build_derived(system, chain, inputs).many(signatures) == reference
+
+    @pytest.mark.parametrize("case", [c for c in VERDICT_CASES if isinstance(c, str)])
+    def test_cases_reach_the_typical_remainder(self, case):
+        """The corpus cases reach Def. 10 with K_full > K_typ, so the
+        derived verdict computes the q > K_typ fixed points on top of
+        the typical latency's busy times; and Def. 10 clears some
+        signature Eq. (5) flags, so a typical fixed point set too high
+        would show as a wrong miss."""
+        system = verdict_system(case)
+        reached = []
+        for chain in system.typical_chains:
+            inputs = verdict_inputs(system, chain)
+            typical = typical_inputs(system, chain)[1]
+            if inputs is None or typical is None:
+                continue
+            deltas, _, segments = inputs
+            verdict = build(system, chain, inputs)
+            cleared = [
+                s
+                for s in (c.signature for c in iter_combinations(segments))
+                if verdict.eq5_flags(s) and not verdict(s)
+            ]
+            reached.append(len(deltas) > typical.max_queue and bool(cleared))
+        assert any(reached)
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 19))
     def test_exact_check_many_matches_per_signature(self, seed):
