@@ -9,11 +9,17 @@ the arrival curves over the fixed window ``delta_minus(q) + D_b`` instead
 of the fixed point, yielding the linear schedulability criterion Eq. (5).
 
 This module implements all three through one parameterized evaluator
-(:class:`_InterferenceModel`) that records a per-component breakdown for
-auditability.  The q-independent interference structures (interferer
-lists, deferred-segment decompositions, static costs) are computed once
-per model, which is what makes the batched :func:`criterion_loads` cheap:
-one structure scan serves the whole ``q`` range of Eq. (5).
+(:class:`_InterferenceModel`).  The q-independent interference
+structures (interferer lists, deferred-segment decompositions, static
+costs, each term's event counter) are computed once per model, which is
+what makes the batched :func:`criterion_loads` cheap: one structure
+scan serves the whole ``q`` range of Eq. (5).
+
+The analysis path (the Theorem 2 scan, the Eq. (4)/(5) loads and the
+Def. 10 re-check) carries plain busy-time totals
+(:meth:`_InterferenceModel.total`); only the public scalar
+:func:`busy_time` and :func:`busy_times` build the per-component
+:class:`BusyTimeBreakdown`, for audits.
 
 One TWCA job builds one model from scratch, the overload-inclusive one
 of its full latency scan, and derives the typical one from it
@@ -69,14 +75,17 @@ class _InterferenceModel:
     """The q-independent structures of the Theorem 1 sum for one
     (system, target, include_overload) configuration.
 
-    Building the model performs the interferer classification and the
-    deferred-segment scans; :meth:`evaluate` then applies the sum for
-    any ``(q, horizon)`` without repeating them.  One model instance
-    serves a whole fixed-point iteration — and, through
-    :func:`criterion_loads`, a whole Eq. (5) ``q`` range.
+    Building the model checks that ``target`` belongs to ``system`` and
+    performs the interferer classification and the deferred-segment
+    scans; :meth:`total` (and :meth:`evaluate`, its audit form) then
+    applies the sum for any ``(q, horizon)`` without repeating them.
+    One model instance serves a whole fixed-point iteration — and,
+    through :func:`criterion_loads`, a whole Eq. (5) ``q`` range.
     """
 
     def __init__(self, system: System, target: TaskChain, include_overload: bool):
+        if target.name not in system or system[target.name] != target:
+            raise ValueError(f"chain {target.name!r} not in system")
         self.target = target
         interferers = [
             chain
@@ -102,22 +111,28 @@ class _InterferenceModel:
                 self.deferred_static[chain.name] = crit.wcet if crit else 0.0
         self.base_wcet = target.total_wcet
         self.self_header = target.is_asynchronous and self.header_cost > 0
+        self.self_count = (
+            target.activation.eta_plus_counter() if self.self_header else None
+        )
         self._assemble(interferers)
 
     def _assemble(self, interferers: List[TaskChain]) -> None:
         """Flat per-component terms of ``interferers``, in interferer
-        order, for :meth:`total`."""
+        order, for :meth:`total`; each term holds its chain's event
+        counter (:meth:`repro.arrivals.base.EventModel.eta_plus_counter`)."""
         self.interferers = interferers
         self.arbitrary_terms = []
         self.async_terms = []
         sync_costs = []
         for chain in interferers:
             if not self.deferred[chain.name]:
-                self.arbitrary_terms.append((chain.activation, chain.total_wcet))
+                self.arbitrary_terms.append(
+                    (chain.activation.eta_plus_counter(), chain.total_wcet)
+                )
             elif chain.is_asynchronous:
                 self.async_terms.append(
                     (
-                        chain.activation,
+                        chain.activation.eta_plus_counter(),
                         self.deferred_async_headers[chain.name],
                         self.deferred_static[chain.name],
                     )
@@ -141,7 +156,9 @@ class _InterferenceModel:
         combination_cost: float = 0.0,
         base_demand: Optional[float] = None,
     ) -> BusyTimeBreakdown:
-        """One application of the Theorem 1 sum at window ``horizon``."""
+        """One application of the Theorem 1 sum at window ``horizon``,
+        with its per-component breakdown (the audit form of
+        :meth:`total`)."""
         target = self.target
         base = q * target.total_wcet if base_demand is None else base_demand
         arbitrary: Dict[str, float] = {}
@@ -186,25 +203,20 @@ class _InterferenceModel:
     def total(self, q: int, horizon: float, combination_cost: float = 0.0) -> float:
         """``evaluate(q, horizon, combination_cost).total`` without the
         per-chain breakdown: the same float operations in the same
-        order, so the value is bit-identical.  The Kleene sweeps' hot
-        path."""
+        order, and each counter answers as its model's ``eta_plus``, so
+        the value is bit-identical.  The analysis path's one evaluator."""
         self_interference = 0.0
         if self.self_header:
-            backlog = max(0, self.target.activation.eta_plus(horizon) - q)
+            backlog = max(0, self.self_count(horizon) - q)
             self_interference = backlog * self.header_cost
         return (
             q * self.base_wcet
             + self_interference
-            + sum([a.eta_plus(horizon) * wcet for a, wcet in self.arbitrary_terms])
-            + sum([a.eta_plus(horizon) * h + s for a, h, s in self.async_terms])
+            + sum([count(horizon) * wcet for count, wcet in self.arbitrary_terms])
+            + sum([count(horizon) * h + s for count, h, s in self.async_terms])
             + self.sync_total
             + combination_cost
         )
-
-
-def _check_membership(system: System, target: TaskChain) -> None:
-    if target.name not in system or system[target.name] != target:
-        raise ValueError(f"chain {target.name!r} not in system")
 
 
 def busy_time(
@@ -261,8 +273,6 @@ def busy_time(
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    _check_membership(system, target)
-
     model = _InterferenceModel(system, target, include_overload)
 
     if window is not None:
@@ -310,37 +320,33 @@ def busy_time(
     )
 
 
-#: Per-q outcome of a batched block: the breakdown, or the divergence
+#: Per-q outcome of a batched block: the busy time, or the divergence
 #: the equivalent scalar call would have raised.
-BusyOutcome = Union[BusyTimeBreakdown, BusyWindowDivergence]
+BusyOutcome = Union[float, BusyWindowDivergence]
 
 
 def _busy_times_block(
-    system: System,
-    target: TaskChain,
+    model: _InterferenceModel,
     qs: Sequence[int],
     *,
-    include_overload: bool = True,
     combination_cost: float = 0.0,
     seeds: Optional[Mapping[int, float]] = None,
-    model: Optional[_InterferenceModel] = None,
 ) -> Dict[int, BusyOutcome]:
-    """Theorem 1 fixed points of many ``q`` with per-``q`` failure
-    capture.
+    """Theorem 1 fixed points of many ``q`` of ``model``'s target, with
+    per-``q`` failure capture: ``{q: busy time | BusyWindowDivergence}``.
 
-    The engine behind :func:`busy_times` and the block-mode q-scan of
-    :func:`repro.analysis.latency.analyze_latency`: one
-    :class:`_InterferenceModel` (the caller's ``model``, or one built
-    here) serves every ``q``, each ``q``'s Kleene iteration starts from
-    the fixed point of ``q - 1`` when the block has it (a sound lower
-    bound, so only the step count changes), and a diverging ``q``
-    becomes a recorded :class:`BusyWindowDivergence` instead of
-    poisoning the block.  The converged breakdowns are exactly those of
-    the scalar :func:`busy_time` — the least fixed point is unique, and
-    the final breakdown is evaluated through the scalar
-    (type-preserving) path.
+    The engine behind :func:`busy_times`, the block-mode q-scan of
+    :func:`repro.analysis.latency.analyze_latency` and the Def. 10
+    typical fixed points: one :class:`_InterferenceModel` serves every
+    ``q``, each ``q``'s Kleene iteration starts from the fixed point of
+    ``q - 1`` when the block has it (a sound lower bound, so only the
+    step count changes), and a diverging ``q`` becomes a recorded
+    :class:`BusyWindowDivergence` instead of poisoning the block.  Each
+    converged value is exactly the scalar :func:`busy_time`'s ``total``:
+    the least fixed point is unique, and :meth:`_InterferenceModel.total`
+    repeats the float operations of :meth:`_InterferenceModel.evaluate`.
     """
-    _check_membership(system, target)
+    target = model.target
     order = []
     seen = set()
     for q in qs:
@@ -350,8 +356,6 @@ def _busy_times_block(
             seen.add(q)
             order.append(q)
     outcomes: Dict[int, BusyOutcome] = {}
-    if model is None:
-        model = _InterferenceModel(system, target, include_overload)
     for q in order:
         base = q * target.total_wcet
         horizon = base if base > 0 else 1
@@ -359,9 +363,9 @@ def _busy_times_block(
         if seed is not None and seed > horizon:
             horizon = seed
         # B(q - 1) lower-bounds B(q): the sum is pointwise monotone in q.
-        below = outcomes.get(q - 1)
-        if isinstance(below, BusyTimeBreakdown) and below.total > horizon:
-            horizon = below.total
+        below = outcomes.get(q - 1, horizon)
+        if not isinstance(below, BusyWindowDivergence) and below > horizon:
+            horizon = below
         iterations = 0
         failure = None
         while True:
@@ -385,18 +389,7 @@ def _busy_times_block(
         if failure is not None:
             outcomes[q] = BusyWindowDivergence(target.name, q, failure)
             continue
-        final = model.evaluate(q, total, combination_cost)
-        outcomes[q] = BusyTimeBreakdown(
-            q=final.q,
-            base=final.base,
-            self_interference=final.self_interference,
-            arbitrary=final.arbitrary,
-            deferred_async=final.deferred_async,
-            deferred_sync=final.deferred_sync,
-            combination=final.combination,
-            total=final.total,
-            iterations=iterations,
-        )
+        outcomes[q] = total
     return outcomes
 
 
@@ -413,23 +406,20 @@ def busy_times(
 
     Bit-identical to calling :func:`busy_time` per ``q`` — same
     converged breakdowns (``iterations`` is the one diagnostic allowed
-    to differ) — but the whole range shares a single interference
-    structure.
+    to differ; it is 0 here) — but the whole range shares a single
+    interference structure.  The fixed points are found on totals
+    alone; each breakdown is evaluated once, at its fixed point.
     Raises :class:`BusyWindowDivergence` for the smallest diverging
     ``q``, matching an ascending scalar loop.
     """
+    model = _InterferenceModel(system, target, include_overload)
     outcomes = _busy_times_block(
-        system,
-        target,
-        qs,
-        include_overload=include_overload,
-        combination_cost=combination_cost,
-        seeds=seeds,
+        model, qs, combination_cost=combination_cost, seeds=seeds
     )
     for q in sorted(outcomes):
         if isinstance(outcomes[q], BusyWindowDivergence):
             raise outcomes[q]
-    return {q: outcomes[q] for q in qs}
+    return {q: model.evaluate(q, outcomes[q], combination_cost) for q in qs}
 
 
 def typical_busy_time(
@@ -458,7 +448,6 @@ def criterion_loads(
     """
     if not target.has_deadline:
         raise ValueError(f"L_b(q) needs a finite deadline for chain {target.name!r}")
-    _check_membership(system, target)
     order = tuple(qs)
     loads: Dict[int, float] = {}
     if model is None:
@@ -469,7 +458,7 @@ def criterion_loads(
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
         horizon = target.activation.delta_minus(q) + target.deadline
-        loads[q] = model.evaluate(q, horizon).total
+        loads[q] = model.total(q, horizon)
     return {q: loads[q] for q in order}
 
 

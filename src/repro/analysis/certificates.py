@@ -6,9 +6,9 @@ This module extracts, for every bound the library reports, a small
 sharing no code with the analyses) can re-verify:
 
 * :class:`LatencyCertificate` — for a WCL claim: the busy-window depth
-  ``K_b``, the per-q busy times, and every interference term with the
-  arrival-curve value it used.  The checker recomputes each term from
-  the raw model and re-runs the stopping condition.
+  ``K_b`` and the per-q busy times.  The checker recomputes the
+  Theorem 1 demand at each claimed busy time from the raw model,
+  re-runs the stopping condition and the WCL arithmetic.
 * :class:`DmmCertificate` — for a ``dmm(k)`` claim: the unschedulable
   combinations, the packing variables, the Omega capacities and ``N_b``.
   The checker re-validates combination unschedulability (Def. 10 via
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..ilp import solve
 from ..model import System
@@ -39,16 +39,6 @@ class CertificateError(AssertionError):
 # Latency certificates
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class LatencyTerm:
-    """One interference term of a busy-time value."""
-
-    chain_name: str
-    kind: str  # "arbitrary" | "deferred-async" | "deferred-sync"
-    events: int  # arrival-curve value used (0 for static terms)
-    cost: float  # contribution to the busy time
-
-
-@dataclass(frozen=True)
 class LatencyCertificate:
     """Evidence for ``WCL(chain) == wcl``."""
 
@@ -56,8 +46,6 @@ class LatencyCertificate:
     wcl: float
     max_queue: int
     busy_times: Tuple[float, ...]
-    deltas: Tuple[float, ...]  # delta_minus(1..K+1)
-    terms: Tuple[Tuple[LatencyTerm, ...], ...]  # per q
     include_overload: bool = True
 
 
@@ -65,23 +53,11 @@ def latency_certificate(
     result: LatencyResult, include_overload: bool = True
 ) -> LatencyCertificate:
     """Extract a certificate from an analysis result."""
-    terms: List[Tuple[LatencyTerm, ...]] = []
-    for breakdown in result.busy_times:
-        row: List[LatencyTerm] = []
-        for name, cost in breakdown.arbitrary.items():
-            row.append(LatencyTerm(name, "arbitrary", -1, cost))
-        for name, cost in breakdown.deferred_async.items():
-            row.append(LatencyTerm(name, "deferred-async", -1, cost))
-        for name, cost in breakdown.deferred_sync.items():
-            row.append(LatencyTerm(name, "deferred-sync", 0, cost))
-        terms.append(tuple(row))
     return LatencyCertificate(
         chain_name=result.chain_name,
         wcl=result.wcl,
         max_queue=result.max_queue,
-        busy_times=tuple(b.total for b in result.busy_times),
-        deltas=tuple(),
-        terms=tuple(terms),
+        busy_times=result.busy_times,
         include_overload=include_overload,
     )
 

@@ -9,7 +9,10 @@ busy-window argument of response-time analysis.
 One :func:`analyze_latency` call builds one interference structure
 (:class:`~repro.analysis.busy_window._InterferenceModel`), or takes the
 caller's through ``model``, and runs every q-block of its queue scan
-against it.
+against it.  The scan carries busy times as plain numbers:
+:attr:`LatencyResult.busy_times` holds ``B_b(q)`` itself, and the
+scalar :func:`~repro.analysis.busy_window.busy_time` gives the
+per-component breakdown of any ``q`` for an audit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..model import System, TaskChain
-from .busy_window import BusyTimeBreakdown, _busy_times_block, _InterferenceModel
+from .busy_window import _busy_times_block, _InterferenceModel
 from .exceptions import BusyWindowDivergence
 
 #: Safety cap on the busy-window queue-depth search.
@@ -41,7 +44,7 @@ class LatencyResult:
     chain_name:
         The analyzed chain.
     busy_times:
-        ``busy_times[q - 1]`` is the :class:`BusyTimeBreakdown` for ``q``
+        ``busy_times[q - 1]`` is the busy time ``B_b(q)`` of ``q``
         events, for ``q in [1, K_b]``.
     latencies:
         ``latencies[q - 1] == B_b(q) - delta_minus(q)``.
@@ -57,7 +60,7 @@ class LatencyResult:
     """
 
     chain_name: str
-    busy_times: Tuple[BusyTimeBreakdown, ...]
+    busy_times: Tuple[float, ...]
     latencies: Tuple[float, ...]
     max_queue: int
     wcl: float
@@ -68,7 +71,7 @@ class LatencyResult:
         """``B_b(q)`` for ``q in [1, K_b]``."""
         if not 1 <= q <= self.max_queue:
             raise IndexError(f"q={q} outside [1, {self.max_queue}]")
-        return self.busy_times[q - 1].total
+        return self.busy_times[q - 1]
 
     def deadline_miss_count(self, deadline: float) -> int:
         """``N_b`` (Lemma 3): how many of the ``K_b`` positions in a busy
@@ -108,7 +111,7 @@ def analyze_latency(
     """
     if model is None:
         model = _InterferenceModel(system, target, include_overload)
-    busy: List[BusyTimeBreakdown] = []
+    busy: List[float] = []
     latencies: List[float] = []
     q = 0
     closed = False
@@ -130,20 +133,15 @@ def analyze_latency(
         # iteration; a q diverging beyond the closure point is ignored,
         # exactly as the scalar scan would never have evaluated it.
         outcomes = _busy_times_block(
-            system,
-            target,
-            qs,
-            include_overload=include_overload,
-            seeds={qs[0]: busy[-1].total} if busy else None,
-            model=model,
+            model, qs, seeds={qs[0]: busy[-1]} if busy else None
         )
         for q in qs:
-            outcome = outcomes[q]
-            if isinstance(outcome, BusyWindowDivergence):
-                raise outcome
-            busy.append(outcome)
-            latencies.append(outcome.total - target.activation.delta_minus(q))
-            if outcome.total <= target.activation.delta_minus(q + 1):
+            total = outcomes[q]
+            if isinstance(total, BusyWindowDivergence):
+                raise total
+            busy.append(total)
+            latencies.append(total - target.activation.delta_minus(q))
+            if total <= target.activation.delta_minus(q + 1):
                 closed = True
                 break
 

@@ -516,14 +516,18 @@ def _build_verdict(
     however the signatures are grouped.
     """
     deadline = target.deadline
+    # One event counter per overload chain, for both stages.
+    counters = {
+        name: system[name].activation.eta_plus_counter() for name in segments_by_chain
+    }
     # Within-window overload multiplicities for the fixed Eq. (5)
     # windows.  The paper assumes at most one overload activation per
     # busy window; bursty models can violate that, so every chain is
     # charged its eta_plus over the window (1 in the paper's setting).
     eq5_mults = {
         q: {
-            name: max(1, system[name].activation.eta_plus(deltas[q] + deadline))
-            for name in segments_by_chain
+            name: max(1, count(deltas[q] + deadline))
+            for name, count in counters.items()
         }
         for q in deltas
     }
@@ -540,22 +544,15 @@ def _build_verdict(
         block (the same values as the scalar ``busy_time``)."""
         if len(typical_fixed) < len(deltas):
             known = () if typical is None else typical.busy_times
-            typical_fixed.update(
-                (q, known[q - 1].total) for q in deltas if q <= len(known)
-            )
+            typical_fixed.update((q, known[q - 1]) for q in deltas if q <= len(known))
             outcomes = _busy_times_block(
-                system,
-                target,
+                model,
                 [q for q in deltas if q > len(known)],
-                include_overload=False,
-                seeds={len(known) + 1: known[-1].total} if known else None,
-                model=model,
+                seeds={len(known) + 1: known[-1]} if known else None,
             )
             for q, outcome in outcomes.items():
                 typical_fixed[q] = (
-                    math.inf
-                    if isinstance(outcome, BusyWindowDivergence)
-                    else outcome.total
+                    math.inf if isinstance(outcome, BusyWindowDivergence) else outcome
                 )
         return typical_fixed
 
@@ -584,16 +581,15 @@ def _build_verdict(
         qs = [q for q in deltas]
         if any(math.isinf(typicals[q]) for q in qs):
             return [True] * len(signatures)  # typical part diverges
-        acts = [
-            [(system[name].activation, weight) for name, weight in signature]
+        terms = [
+            [(counters[name], weight) for name, weight in signature]
             for signature in signatures
         ]
         delta_by_col = [deltas[q] for q in qs]
 
         def totals_one(r, c, horizon):
             return model.total(qs[c], horizon) + sum(
-                weight * max(1, activation.eta_plus(horizon))
-                for activation, weight in acts[r]
+                weight * max(1, count(horizon)) for count, weight in terms[r]
             )
 
         def totals_many(cells, horizons):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class EventModel(ABC):
     subclass provides one through :meth:`_compile_kernel` (all shipped
     models do); models without a staircase form fall back to the
     generic galloping pseudo-inverse search over ``delta_minus``.
+    :meth:`eta_plus_counter` hands out that choice as one function,
+    which the busy-window fixed points call directly, so a subclass
+    shapes its curve through ``delta_minus`` (and ``_compile_kernel``),
+    not by overriding ``eta_plus``.
     """
 
     #: Safety bound for pseudo-inverse searches.  ``eta_plus`` of a window
@@ -98,17 +102,25 @@ class EventModel(ABC):
 
         Derived from ``delta_minus`` by pseudo-inversion:
         ``eta_plus(dt) = max{k : delta_minus(k) < dt}`` for ``dt > 0``.
-        Served by the compiled staircase kernel when the model has one,
-        by the generic galloping search otherwise.
+        Answered by :meth:`eta_plus_counter`'s function.
         """
-        if dt <= 0:
-            return 0
-        if math.isinf(dt):
+        if dt == math.inf:
             return self._eta_plus_unbounded()
+        return self.eta_plus_counter()(dt)
+
+    def eta_plus_counter(self) -> Callable[[float], int]:
+        """The function :meth:`eta_plus` dispatches to: the compiled
+        :meth:`StaircaseKernel.eta_plus` when the model has a kernel, the
+        generic search (:meth:`_eta_plus_search`) otherwise.
+
+        It answers every finite window exactly as :meth:`eta_plus` does
+        and raises ``OverflowError`` for an unbounded one, so a caller
+        that counts many windows of one model fetches it once.
+        """
         kernel = self.staircase_kernel()
         if kernel is not None:
-            return kernel.eta_plus(dt)
-        return self._eta_plus_search(dt)
+            return kernel.eta_plus
+        return self._eta_plus_search
 
     def delta_minus_many(self, ks: Sequence[int]) -> Sequence[float]:
         """Batched :meth:`delta_minus` over a vector of event counts, as
@@ -132,9 +144,11 @@ class EventModel(ABC):
     def _eta_plus_search(self, dt: float) -> int:
         """The generic pseudo-inverse: exponential galloping followed by
         binary search over ``delta_minus`` — logarithmic in the answer,
-        which matters for long windows.  Fallback for models without a
-        staircase kernel and the differential reference of the
-        staircase parity tests."""
+        which matters for long windows (0 for ``dt <= 0``).  Fallback
+        for models without a staircase kernel and the differential
+        reference of the staircase parity tests."""
+        if dt <= 0:
+            return 0
         lo, hi = 1, 2
         while self.delta_minus(hi) < dt:
             lo = hi

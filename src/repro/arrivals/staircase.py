@@ -11,7 +11,9 @@ prefix ``delta_minus(0..L-1)`` followed by a repeating tail that adds
 :class:`StaircaseKernel` stores exactly that pair of arrays and answers
 ``eta_plus`` — the pseudo-inverse ``max {k : delta_minus(k) < dt}`` —
 per window (:meth:`eta_plus`, a ``bisect`` over the prefix plus tail
-arithmetic with an exact fix-up against :meth:`delta`, memoized).
+arithmetic with an exact fix-up against :meth:`delta`).  There is no
+per-window memo: evaluating a window reads the kernel and writes
+nothing.
 :meth:`delta_many` materializes the staircase over a whole vector of
 event counts with numpy, for the simulator's activation streams.
 
@@ -28,11 +30,6 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-#: Entry bound of the per-kernel scalar ``eta_plus`` memo table;
-#: reaching it clears the table (analyses probe a bounded set of
-#: windows, so this only guards against pathological callers).
-ETA_MEMO_LIMIT = 65_536
 
 #: Breakpoint budget of algebra closures (:func:`merge_tightest`) and
 #: long jitter prefixes; beyond it compilation returns ``None`` and the
@@ -63,7 +60,6 @@ class StaircaseKernel:
         "tail_events",
         "tail_span",
         "max_events",
-        "_memo",
         "_np_breaks",
     )
 
@@ -94,7 +90,6 @@ class StaircaseKernel:
         self.tail_events = int(tail_events)
         self.tail_span = tail_span
         self.max_events = max_events
-        self._memo: dict = {}
         self._np_breaks = None
 
     # ------------------------------------------------------------------
@@ -148,27 +143,11 @@ class StaircaseKernel:
     # eta_plus
     # ------------------------------------------------------------------
     def eta_plus(self, dt: float) -> int:
-        """``max {k : delta_minus(k) < dt}`` for one window ``dt``.
-
-        Memoized per window: the busy-window fixed points and the
-        Eq. (3) re-checks probe the same handful of windows over and
-        over.
-        """
+        """``max {k : delta_minus(k) < dt}`` for one window ``dt``."""
         if dt <= 0:
             return 0
         if math.isinf(dt):
             raise OverflowError("eta_plus(inf) is unbounded for this staircase")
-        memo = self._memo
-        hit = memo.get(dt)
-        if hit is not None:
-            return hit
-        k = self._eta_one(dt)
-        if len(memo) >= ETA_MEMO_LIMIT:
-            memo.clear()
-        memo[dt] = k
-        return k
-
-    def _eta_one(self, dt: float) -> int:
         breaks = self.breaks
         last = breaks[-1]
         if dt <= last:

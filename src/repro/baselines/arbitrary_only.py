@@ -73,7 +73,7 @@ def analyze_latency_arbitrary(
     max_q: int = MAX_Q,
 ) -> LatencyResult:
     """Theorem 2 on top of the arbitrary-only busy time."""
-    busy: List[BusyTimeBreakdown] = []
+    busy: List[float] = []
     latencies: List[float] = []
     q = 0
     while True:
@@ -85,7 +85,7 @@ def analyze_latency_arbitrary(
         breakdown = busy_time_arbitrary(
             system, target, q, include_overload=include_overload
         )
-        busy.append(breakdown)
+        busy.append(breakdown.total)
         latencies.append(breakdown.total - target.activation.delta_minus(q))
         if breakdown.total <= target.activation.delta_minus(q + 1):
             break

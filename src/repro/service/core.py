@@ -23,7 +23,8 @@ compatible queued requests into one multi-q analysis.  The computes
 themselves run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 (``workers``, surfaced as ``repro serve --workers``) and genuinely
 overlap: concurrent analyses share only the registered systems, whose
-memo tables (``eta_plus`` staircases) hold deterministic values, the
+lazily built state (compiled staircase kernels, cached chain constants)
+comes out the same whichever request builds it, the
 shared :class:`~repro.runner.cache.AnalysisCache` is locked internally,
 and each job records its own cache lookup outcome — so nothing is
 serialized globally, no request changes process-global state, and the

@@ -2,10 +2,14 @@
 hand-computed case-study values (see DESIGN.md §3)."""
 
 
+import dataclasses
+
 import pytest
 
 from repro import BusyWindowDivergence, PeriodicModel, SystemBuilder
-from repro.analysis import busy_time, criterion_load, typical_busy_time
+from repro.analysis import (analyze_latency, analyze_twca, busy_time,
+                            busy_times, criterion_load, criterion_loads,
+                            typical_busy_time)
 from repro.model import ChainKind
 
 
@@ -54,6 +58,37 @@ class TestCaseStudyFixedPoints:
     def test_rejects_foreign_chain(self, figure4, figure1):
         with pytest.raises(ValueError):
             busy_time(figure4, figure1["sigma_a"], 1)
+
+
+#: Every entry point that builds an interference structure for a chain.
+ENTRY_POINTS = {
+    "busy_time": lambda system, chain: busy_time(system, chain, 1),
+    "busy_times": lambda system, chain: busy_times(system, chain, (1, 2)),
+    "criterion_loads": lambda system, chain: criterion_loads(
+        system, chain, (1, 2)),
+    "analyze_latency": analyze_latency,
+    "analyze_twca": analyze_twca,
+}
+
+
+class TestMembership:
+    """A chain the system does not hold is refused, whether its name is
+    unknown or a member's name labels a different chain."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", ["unknown-name", "other-wcet"])
+    def test_rejects_chain_outside_system(self, figure4, entry, case):
+        chain = figure4["sigma_c"]
+        if case == "unknown-name":
+            foreign = dataclasses.replace(chain, name="sigma_x")
+        else:
+            header = dataclasses.replace(chain.header,
+                                         wcet=chain.header.wcet + 1)
+            foreign = dataclasses.replace(
+                chain, tasks=(header,) + chain.tasks[1:])
+            assert foreign.name in figure4
+        with pytest.raises(ValueError, match="not in system"):
+            ENTRY_POINTS[entry](figure4, foreign)
 
 
 class TestTypicalBusyTime:

@@ -2,13 +2,15 @@
 
 The contracts under test:
 
-* the compiled staircase ``eta_plus`` equals the generic galloping
+* the compiled staircase ``eta_plus`` — and the event counter the
+  interference terms hold — equals the generic galloping
   pseudo-inverse search pointwise, for every shipped event model
   (hypothesis property test);
 * the batched multi-q Kleene iteration (``busy_times``, the block-mode
   latency scan, the block Def. 10 exact check) lands on the
   bit-identical fixed points and verdicts as the scalar references, on
-  randomized systems;
+  randomized systems, and the totals the analysis path carries are
+  bit-identical to the scalar breakdowns' ``total``;
 * the simplex is a pure function of its data on randomized LPs: same
   statuses, objectives, values and pivot counts however the data is
   typed and in whatever order an rhs schedule is solved;
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro import PeriodicModel, SporadicModel, SystemBuilder, analyze_twca
 from repro.analysis import analyze_latency, busy_time, criterion_loads
-from repro.analysis.busy_window import busy_times
+from repro.analysis.busy_window import _InterferenceModel, busy_times
 from repro.analysis.combinations import (
     iter_combinations,
     overload_active_segments,
@@ -41,7 +43,7 @@ from repro.synth import GeneratorConfig, generate_feasible_system
 from oracles.def10 import exact_unschedulable_scalar
 
 
-def random_system(seed, overload_chains=2):
+def random_system(seed, overload_chains=2, asynchronous_fraction=0.0):
     rng = random.Random(seed)
     return generate_feasible_system(
         rng,
@@ -51,8 +53,15 @@ def random_system(seed, overload_chains=2):
             utilization=0.5,
             overload_utilization=0.06,
             tasks_per_chain=(2, 4),
+            asynchronous_fraction=asynchronous_fraction,
         ),
     )
+
+
+def exact(values):
+    """Values to compare bit for bit: type and ``repr`` (which
+    round-trips every float and tells ``0.0`` from ``-0.0``)."""
+    return [(type(value), repr(value)) for value in values]
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +142,10 @@ class TestEtaParity:
     @given(model=any_model, dts=windows)
     def test_batched_equals_scalar_equals_search(self, model, dts):
         reference = [model._eta_plus_search(dt) if dt > 0 else 0 for dt in dts]
-        assert [model.eta_plus(dt) for dt in dts] == reference
+        count = model.eta_plus_counter()  # what the interference terms hold
+        for _ in range(2):  # a repeat answers like the first call
+            assert [model.eta_plus(dt) for dt in dts] == reference
+            assert [count(dt) for dt in dts] == reference
 
     @settings(max_examples=60, deadline=None)
     @given(model=any_model, k=st.integers(min_value=2, max_value=48))
@@ -214,25 +226,75 @@ def strip(breakdown):
     )
 
 
+#: Random systems (ints), plus ones with asynchronous chains
+#: (``"async:<seed>"``), checked under a non-zero combination cost: they
+#: reach every Theorem 1 component (arbitrary, deferred asynchronous and
+#: synchronous interferers, the target's own header backlog).
+BUSY_CASES = (*range(0, 30, 3), "async:1", "async:4", "async:7")
+
+
+def busy_case(case):
+    """The system and combination cost of a ``BUSY_CASES`` entry."""
+    if isinstance(case, int):
+        return random_system(case, overload_chains=1 + case % 3), 0.0
+    seed = int(case.split(":")[1])
+    system = random_system(seed, 1 + seed % 3, asynchronous_fraction=0.5)
+    return system, 7.5
+
+
 class TestBatchedKleene:
-    @pytest.mark.parametrize("seed", range(0, 30, 3))
+    @pytest.mark.parametrize("seed", BUSY_CASES)
     def test_busy_times_matches_scalar(self, seed):
-        system = random_system(seed, overload_chains=1 + seed % 3)
+        system, cost = busy_case(seed)
+        components = set()
         for chain in system.typical_chains:
             qs = (1, 2, 3, 5)
             try:
-                scalar = {q: busy_time(system, chain, q) for q in qs}
+                scalar = {
+                    q: busy_time(system, chain, q, combination_cost=cost) for q in qs
+                }
             except BusyWindowDivergence:
                 continue
-            batched = busy_times(system, chain, qs)
+            batched = busy_times(system, chain, qs, combination_cost=cost)
             assert {q: strip(b) for q, b in batched.items()} == {
                 q: strip(b) for q, b in scalar.items()
             }
+            # The Eq. (4) loads are the scalar window-mode totals.
+            loads = criterion_loads(system, chain, qs)
+            windows = {q: chain.activation.delta_minus(q) + chain.deadline for q in qs}
+            typical = {
+                q: busy_time(system, chain, q, include_overload=False, window=window)
+                for q, window in windows.items()
+            }
+            assert exact(loads.values()) == exact(b.total for b in typical.values())
+            # total() is evaluate().total at fixed points, at every
+            # chain's first staircase steps and off them.
+            steps = {c.activation.delta_minus(k) for c in system.chains for k in (2, 3)}
+            horizons = sorted(
+                {0.5, 1, 97, 333.25, *windows.values(), *steps}
+                | {b.total for b in scalar.values()}
+            )
+            cells = [(q, horizon) for q in qs for horizon in horizons]
+            for include_overload in (True, False):
+                model = _InterferenceModel(system, chain, include_overload)
+                assert exact(model.total(q, h, cost) for q, h in cells) == exact(
+                    model.evaluate(q, h, cost).total for q, h in cells
+                )
+            reached = {
+                "arbitrary": scalar[1].arbitrary,
+                "async": scalar[1].deferred_async,
+                "sync": scalar[1].deferred_sync,
+                "self": model.self_header,
+            }
+            components.update(name for name, present in reached.items() if present)
+        if isinstance(seed, str):
+            assert components == {"arbitrary", "async", "sync", "self"}
 
     @pytest.mark.parametrize("seed", range(0, 24, 5))
     def test_latency_scan_matches_across_kernels(self, seed):
-        """The block-mode latency scan equals per-``q`` scalar fixed
-        points (Theorem 2 over ``q = 1 .. K``)."""
+        """The block-mode latency scan's busy times are the per-``q``
+        scalar fixed points' totals, bit for bit (Theorem 2 over
+        ``q = 1 .. K``)."""
         system = random_system(seed, overload_chains=1 + seed % 2)
         for chain in system.typical_chains:
             try:
@@ -240,13 +302,12 @@ class TestBatchedKleene:
             except BusyWindowDivergence:
                 continue
             scalar = [
-                busy_time(system, chain, q) for q in range(1, result.max_queue + 1)
+                busy_time(system, chain, q).total
+                for q in range(1, result.max_queue + 1)
             ]
-            assert tuple(strip(b) for b in result.busy_times) == tuple(
-                strip(b) for b in scalar
-            )
+            assert exact(result.busy_times) == exact(scalar)
             latencies = [
-                b.total - chain.activation.delta_minus(q)
+                b - chain.activation.delta_minus(q)
                 for q, b in enumerate(scalar, start=1)
             ]
             assert tuple(result.latencies) == tuple(latencies)
@@ -304,7 +365,9 @@ class TestBatchedKleene:
 # Simplex parity: no state survives a solve
 # ----------------------------------------------------------------------
 def random_lp(rng, num_vars, num_rows):
-    objective = [rng.randint(0, 5) + rng.choice([0.0, rng.random()]) for _ in range(num_vars)]
+    objective = [
+        rng.randint(0, 5) + rng.choice([0.0, rng.random()]) for _ in range(num_vars)
+    ]
     rows = [
         [rng.choice([0.0, 0.0, 1.0, 2.0, rng.random() * 3]) for _ in range(num_vars)]
         for _ in range(num_rows)
