@@ -17,9 +17,11 @@ scan serves the whole ``q`` range of Eq. (5).
 
 The analysis path (the Theorem 2 scan, the Eq. (4)/(5) loads and the
 Def. 10 re-check) carries plain busy-time totals
-(:meth:`_InterferenceModel.total`); only the public scalar
-:func:`busy_time` and :func:`busy_times` build the per-component
-:class:`BusyTimeBreakdown`, for audits.
+(:meth:`_InterferenceModel.total`), and finds each Theorem 1 fixed
+point with one scalar Kleene iteration per ``q``
+(:func:`_fixed_point`); only the public scalar :func:`busy_time` and
+:func:`busy_times` build the per-component :class:`BusyTimeBreakdown`,
+for audits.
 
 One TWCA job builds one model from scratch, the overload-inclusive one
 of its full latency scan, and derives the typical one from it
@@ -320,8 +322,57 @@ def busy_time(
     )
 
 
-#: Per-q outcome of a batched block: the busy time, or the divergence
-#: the equivalent scalar call would have raised.
+def _fixed_point(
+    model: _InterferenceModel,
+    q: int,
+    seed: Optional[float] = None,
+    combination_cost: float = 0.0,
+) -> float:
+    """The Theorem 1 fixed point ``B(q)`` of ``model``'s target, as a
+    plain total: exactly the scalar :func:`busy_time`'s ``total``, since
+    the least fixed point is unique and :meth:`_InterferenceModel.total`
+    repeats the float operations of :meth:`_InterferenceModel.evaluate`.
+
+    The Kleene iteration starts from ``q * C_b`` (1 for a zero base), or
+    from ``seed`` when that is larger; ``seed`` must be a sound lower
+    bound on the least fixed point, such as ``B(q - 1)`` (the sum is
+    pointwise monotone in ``q``), so it changes the step count only.
+
+    Raises
+    ------
+    BusyWindowDivergence
+        When the iteration passes :data:`MAX_WINDOW`, runs more than
+        :data:`MAX_ITERATIONS` steps, or an arrival curve refuses a
+        window (``OverflowError``).
+    """
+    base = q * model.base_wcet
+    horizon = base if base > 0 else 1
+    if seed is not None and seed > horizon:
+        horizon = seed
+    iterations = 0
+    while True:
+        try:
+            total = model.total(q, horizon, combination_cost)
+        except OverflowError as exc:
+            # A curve refused a huge window: the fixed point is running
+            # away, which is a divergence, not a curve bug.
+            raise BusyWindowDivergence(model.target.name, q, str(exc)) from exc
+        iterations += 1
+        if total <= horizon:
+            return total
+        if total > MAX_WINDOW:
+            raise BusyWindowDivergence(
+                model.target.name, q, f"busy time exceeded {MAX_WINDOW:g} time units"
+            )
+        if iterations > MAX_ITERATIONS:
+            raise BusyWindowDivergence(
+                model.target.name, q, f"no fixed point after {iterations} steps"
+            )
+        horizon = total
+
+
+#: Per-q outcome of :func:`_busy_times_block`: the busy time, or the
+#: divergence the equivalent scalar call would have raised.
 BusyOutcome = Union[float, BusyWindowDivergence]
 
 
@@ -335,18 +386,13 @@ def _busy_times_block(
     """Theorem 1 fixed points of many ``q`` of ``model``'s target, with
     per-``q`` failure capture: ``{q: busy time | BusyWindowDivergence}``.
 
-    The engine behind :func:`busy_times`, the block-mode q-scan of
-    :func:`repro.analysis.latency.analyze_latency` and the Def. 10
-    typical fixed points: one :class:`_InterferenceModel` serves every
-    ``q``, each ``q``'s Kleene iteration starts from the fixed point of
-    ``q - 1`` when the block has it (a sound lower bound, so only the
-    step count changes), and a diverging ``q`` becomes a recorded
-    :class:`BusyWindowDivergence` instead of poisoning the block.  Each
-    converged value is exactly the scalar :func:`busy_time`'s ``total``:
-    the least fixed point is unique, and :meth:`_InterferenceModel.total`
-    repeats the float operations of :meth:`_InterferenceModel.evaluate`.
+    Behind :func:`busy_times` and the Def. 10 typical fixed points of
+    ``q > K_typ``: one :class:`_InterferenceModel` serves every ``q``,
+    each ``q`` runs :func:`_fixed_point` seeded from the larger of
+    ``seeds[q]`` and the fixed point of ``q - 1`` when the block has it,
+    and a diverging ``q`` becomes a recorded
+    :class:`BusyWindowDivergence` instead of ending the block.
     """
-    target = model.target
     order = []
     seen = set()
     for q in qs:
@@ -357,39 +403,15 @@ def _busy_times_block(
             order.append(q)
     outcomes: Dict[int, BusyOutcome] = {}
     for q in order:
-        base = q * target.total_wcet
-        horizon = base if base > 0 else 1
         seed = None if seeds is None else seeds.get(q)
-        if seed is not None and seed > horizon:
-            horizon = seed
-        # B(q - 1) lower-bounds B(q): the sum is pointwise monotone in q.
-        below = outcomes.get(q - 1, horizon)
-        if not isinstance(below, BusyWindowDivergence) and below > horizon:
-            horizon = below
-        iterations = 0
-        failure = None
-        while True:
-            try:
-                total = model.total(q, horizon, combination_cost)
-            except OverflowError as exc:
-                # A curve refused a huge window: the fixed point is
-                # running away, which is a divergence, not a curve bug.
-                failure = str(exc)
-                break
-            iterations += 1
-            if total <= horizon:
-                break
-            if total > MAX_WINDOW:
-                failure = f"busy time exceeded {MAX_WINDOW:g} time units"
-                break
-            if iterations > MAX_ITERATIONS:
-                failure = f"no fixed point after {iterations} steps"
-                break
-            horizon = total
-        if failure is not None:
-            outcomes[q] = BusyWindowDivergence(target.name, q, failure)
-            continue
-        outcomes[q] = total
+        below = outcomes.get(q - 1)
+        if below is not None and not isinstance(below, BusyWindowDivergence):
+            if seed is None or below > seed:
+                seed = below
+        try:
+            outcomes[q] = _fixed_point(model, q, seed, combination_cost)
+        except BusyWindowDivergence as exc:
+            outcomes[q] = exc
     return outcomes
 
 

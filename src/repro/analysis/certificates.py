@@ -49,16 +49,15 @@ class LatencyCertificate:
     include_overload: bool = True
 
 
-def latency_certificate(
-    result: LatencyResult, include_overload: bool = True
-) -> LatencyCertificate:
-    """Extract a certificate from an analysis result."""
+def latency_certificate(result: LatencyResult) -> LatencyCertificate:
+    """Extract a certificate from an analysis result (full or typical,
+    as ``result.include_overload`` says)."""
     return LatencyCertificate(
         chain_name=result.chain_name,
         wcl=result.wcl,
         max_queue=result.max_queue,
         busy_times=result.busy_times,
-        include_overload=include_overload,
+        include_overload=result.include_overload,
     )
 
 

@@ -26,7 +26,8 @@ offers, besides the classic materializing :func:`enumerate_combinations`:
   *without* visiting every member: per chain the choices are sorted by
   cost and the schedulability frontier is located by binary search,
   while whole cones of the lattice are settled by evaluating their
-  cheapest and costliest signatures only.
+  cheapest and costliest signatures only.  It is one depth-first walk
+  that asks the predicate about one signature at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..model import System, TaskChain
 from .segments import ActiveSegment, active_segments
@@ -296,59 +297,9 @@ class CombinationSearchResult:
     nodes: int = 0
 
 
-#: Sentinel for generators the batched driver has not started yet.
-_START = object()
-
-
-def _drive_batched(generators, evaluate_block, memo) -> None:
-    """Run signature-querying generators in lock-step rounds.
-
-    Each generator yields cost signatures and receives their boolean
-    verdicts back; requests already in ``memo`` are answered
-    immediately, so a generator only parks when it hits a genuinely
-    undecided signature.  Every round gathers one such blocked
-    signature per parked generator, deduplicates them, and resolves the
-    whole block through one ``evaluate_block`` call (which must fill
-    ``memo``).  A finished generator may return (via its
-    ``StopIteration`` value) a list of new generators to schedule —
-    that is how lattice nodes spawn their children.
-
-    Because every generator's query sequence is fully determined by the
-    verdicts it receives — which are deterministic — batching changes
-    neither the set of signatures evaluated nor any generator's
-    behaviour, only how many evaluator calls serve them.
-    """
-    active = [(gen, _START) for gen in generators]
-    while active:
-        waiting: List[Tuple[object, CostSignature]] = []
-        spawned: List[object] = []
-        for gen, send in active:
-            try:
-                request = next(gen) if send is _START else gen.send(send)
-                while request in memo:
-                    request = gen.send(memo[request])
-            except StopIteration as stop:
-                if stop.value:
-                    spawned.extend(stop.value)
-                continue
-            waiting.append((gen, request))
-        if waiting:
-            block: List[CostSignature] = []
-            seen = set()
-            for _, signature in waiting:
-                if signature not in seen:
-                    seen.add(signature)
-                    block.append(signature)
-            evaluate_block(block)
-        active = [(gen, memo[signature]) for gen, signature in waiting]
-        active.extend((gen, _START) for gen in spawned)
-
-
 def search_combinations(
     segments_by_chain: Dict[str, List[ActiveSegment]],
     flagged: Callable[[CostSignature], bool],
-    *,
-    batch: Optional[bool] = None,
 ) -> CombinationSearchResult:
     """Count the unschedulable combinations and collect the
     inclusion-minimal ones under a **monotone** signature predicate.
@@ -370,17 +321,8 @@ def search_combinations(
     only frontier-crossing cones recurse.  The counts are exact: the
     three cases partition every cone.
 
-    ``batch`` selects the driver.  The default (``None``) batches when
-    ``flagged`` exposes a ``many(signatures)`` hook (the TWCA
-    verdict does): the lattice walk then runs as a wavefront of
-    suspended node visits whose pending signature stream is decided in
-    deduplicated blocks — one 2-D (signature x q) fixed-point sweep per
-    round instead of one evaluation per query.  ``batch=False`` forces
-    the historic depth-first recursion (the differential reference);
-    ``batch=True`` forces the wavefront even for plain callables (each
-    block then falls back to mapping ``flagged``).  Both drivers visit
-    the same nodes and evaluate the same signature set, so counts,
-    minimal representatives, ``checks`` and ``nodes`` are identical.
+    The walk is one depth-first recursion; every distinct signature is
+    evaluated once (``checks``), each through one ``flagged`` call.
     """
     chains = per_chain_choices(segments_by_chain)
     names = [name for name, _ in chains]
@@ -392,23 +334,8 @@ def search_combinations(
     if total <= 0:
         return CombinationSearchResult(total=max(total, 0), unschedulable=0, minimal=[])
 
-    flagged_many = getattr(flagged, "many", None)
-    if batch is None:
-        batch = flagged_many is not None
-
     memo: Dict[CostSignature, bool] = {}
     checks = 0
-
-    def evaluate_block(block: Sequence[CostSignature]) -> None:
-        nonlocal checks
-        results = (
-            flagged_many(block)
-            if flagged_many is not None
-            else [flagged(signature) for signature in block]
-        )
-        checks += len(block)
-        for signature, value in zip(block, results):
-            memo[signature] = bool(value)
 
     def verdict(signature: CostSignature) -> bool:
         nonlocal checks
@@ -419,12 +346,7 @@ def search_combinations(
             checks += 1
         return value
 
-    if batch:
-        evaluate_block([()])
-        root_flagged = memo[()]
-    else:
-        root_flagged = verdict(())
-    if root_flagged:
+    if verdict(()):
         # Even the empty signature is flagged: every non-empty
         # combination is unschedulable, and the minimal ones are exactly
         # the singletons (no non-empty strict subsets exist).
@@ -511,92 +433,20 @@ def search_combinations(
                 next_parts = parts + [choice] if choice else parts
                 visit(i + 1, next_parts, child_signature)
 
-    def node_gen(i: int, parts: List[Choice], signature: CostSignature):
-        """:func:`visit` as a suspended generator: every ``verdict``
-        call becomes a yield answered by the batched driver, children
-        are returned for scheduling instead of recursed into.  The
-        query sequence and side effects mirror :func:`visit` line by
-        line."""
-        nonlocal count, nodes
-        nodes += 1
-        if (yield signature):
-            count += suffix[i]
-            emit(parts)
-            return None
-        if i == d:
-            return None
-        rest_max = tuple(
-            (names[j], max_costs[j]) for j in range(i + 1, d) if max_costs[j] > 0
-        )
-
-        def with_cost(cost: float, extra: CostSignature) -> CostSignature:
-            if cost > 0:
-                return signature + ((names[i], cost),) + extra
-            return signature + extra
-
-        if not (yield with_cost(max_costs[i], rest_max)):
-            return None
-
-        entries = grouped[i]
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (yield with_cost(entries[mid][0], ())):
-                hi = mid
-            else:
-                lo = mid + 1
-        t_all = lo
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (yield with_cost(entries[mid][0], rest_max)):
-                hi = mid
-            else:
-                lo = mid + 1
-        t_any = lo
-        for cost, bucket in entries[t_all:]:
-            count += len(bucket) * suffix[i + 1]
-            for choice in bucket:
-                emit(parts + [choice])
-        children = []
-        for cost, bucket in entries[t_any:t_all]:
-            child_signature = with_cost(cost, ())
-            for choice in bucket:
-                next_parts = parts + [choice] if choice else parts
-                children.append(node_gen(i + 1, next_parts, child_signature))
-        return children
-
-    if batch:
-        _drive_batched([node_gen(0, [], ())], evaluate_block, memo)
-        flags = [False] * len(candidates)
-
-        def minimal_gen(index: int, combo: Combination):
-            flags[index] = bool((yield from _minimal_probe(combo)))
-            return None
-
-        _drive_batched(
-            [minimal_gen(index, combo) for index, combo in enumerate(candidates)],
-            evaluate_block,
-            memo,
-        )
-        minimal = [combo for combo, keep in zip(candidates, flags) if keep]
-    else:
-        visit(0, [], ())
-        minimal = [c for c in candidates if _is_minimal(c, verdict)]
+    visit(0, [], ())
+    minimal = [c for c in candidates if _is_minimal(c, verdict)]
     minimal.sort(key=lambda c: tuple(sorted(c.keys)))
     return CombinationSearchResult(
         total=total, unschedulable=count, minimal=minimal, checks=checks, nodes=nodes
     )
 
 
-def _minimal_probe(combo: Combination):
-    """The query protocol behind :func:`_is_minimal` as a generator:
-    yields the per-chain reduced signatures to test (in the order the
-    sequential check always used), receives each verdict via ``send``,
-    and returns the minimality decision — ``False`` as soon as a
-    flagged strict subset appears, ``True`` when every probe survived.
-    Driving it sequentially reproduces the historic early-exit check
-    exactly; the batched driver advances many probes per round.
+def _is_minimal(combo: Combination, verdict: Callable[[CostSignature], bool]) -> bool:
+    """True iff no strict subset of ``combo`` is itself flagged.
+
+    By monotonicity it suffices to test, per chain, the subset dropping
+    that chain's cheapest member — the co-atom leaving the most residual
+    cost; every other single-removal is dominated by it.
     """
     if len(combo.segments) == 1:
         return True
@@ -611,22 +461,6 @@ def _minimal_probe(combo: Combination):
         if reduced > 0:
             entries.append((name, reduced))
         entries.sort()
-        if (yield tuple(entries)):
+        if verdict(tuple(entries)):
             return False
     return True
-
-
-def _is_minimal(combo: Combination, verdict: Callable[[CostSignature], bool]) -> bool:
-    """True iff no strict subset of ``combo`` is itself flagged.
-
-    By monotonicity it suffices to test, per chain, the subset dropping
-    that chain's cheapest member — the co-atom leaving the most residual
-    cost; every other single-removal is dominated by it.
-    """
-    probe = _minimal_probe(combo)
-    try:
-        request = next(probe)
-        while True:
-            request = probe.send(verdict(request))
-    except StopIteration as stop:
-        return bool(stop.value)

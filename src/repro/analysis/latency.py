@@ -8,11 +8,13 @@ busy-window argument of response-time analysis.
 
 One :func:`analyze_latency` call builds one interference structure
 (:class:`~repro.analysis.busy_window._InterferenceModel`), or takes the
-caller's through ``model``, and runs every q-block of its queue scan
-against it.  The scan carries busy times as plain numbers:
-:attr:`LatencyResult.busy_times` holds ``B_b(q)`` itself, and the
-scalar :func:`~repro.analysis.busy_window.busy_time` gives the
-per-component breakdown of any ``q`` for an audit.
+caller's through ``model``, and scans ``q = 1, 2, ...`` against it one
+fixed point at a time, each seeded from ``B_b(q - 1)``, stopping at the
+busy-window closure ``K_b``: no ``q`` past it is evaluated.  The scan
+carries busy times as plain numbers: :attr:`LatencyResult.busy_times`
+holds ``B_b(q)`` itself, and the scalar
+:func:`~repro.analysis.busy_window.busy_time` gives the per-component
+breakdown of any ``q`` for an audit.
 """
 
 from __future__ import annotations
@@ -21,18 +23,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..model import System, TaskChain
-from .busy_window import _busy_times_block, _InterferenceModel
+from .busy_window import _fixed_point, _InterferenceModel
 from .exceptions import BusyWindowDivergence
 
 #: Safety cap on the busy-window queue-depth search.
 MAX_Q = 65_536
-
-#: Largest q-block advanced per batched Kleene call of the queue scan.
-#: Blocks grow 1, 1, 2, 4, ... so short busy windows (the common case)
-#: compute nothing beyond their closure point, while long windows —
-#: where the per-q fixed points dominate — advance a whole block per
-#: interference-structure evaluation.
-MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -111,39 +106,23 @@ def analyze_latency(
     """
     if model is None:
         model = _InterferenceModel(system, target, include_overload)
+    delta_minus = target.activation.delta_minus
     busy: List[float] = []
     latencies: List[float] = []
     q = 0
-    closed = False
-    block = 1
-    while not closed:
-        if q >= max_q:
+    while True:
+        q += 1
+        if q > max_q:
             raise BusyWindowDivergence(
-                target.name,
-                q + 1,
-                f"no busy-window closure within {max_q} activations",
+                target.name, q, f"no busy-window closure within {max_q} activations"
             )
-        qs = range(q + 1, min(q + block, max_q) + 1)
-        if len(busy) >= 1:
-            block = min(block * 2, MAX_BLOCK)
-        # Warm-start the block from the previous fixed point: B(q-1)
-        # lower-bounds B(q) (the Theorem 1 sum is pointwise monotone in
-        # q), so the results are bit-identical and only the iteration
-        # counts shrink.  The whole block advances as one masked Kleene
-        # iteration; a q diverging beyond the closure point is ignored,
-        # exactly as the scalar scan would never have evaluated it.
-        outcomes = _busy_times_block(
-            model, qs, seeds={qs[0]: busy[-1]} if busy else None
-        )
-        for q in qs:
-            total = outcomes[q]
-            if isinstance(total, BusyWindowDivergence):
-                raise total
-            busy.append(total)
-            latencies.append(total - target.activation.delta_minus(q))
-            if total <= target.activation.delta_minus(q + 1):
-                closed = True
-                break
+        # B(q-1) lower-bounds B(q) (the Theorem 1 sum is pointwise
+        # monotone in q), so the warm start changes only the step count.
+        total = _fixed_point(model, q, busy[-1] if busy else None)
+        busy.append(total)
+        latencies.append(total - delta_minus(q))
+        if total <= delta_minus(q + 1):
+            break
 
     wcl = max(latencies)
     critical_q = latencies.index(wcl) + 1

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ilp import IntegerProgram, solve
-from ..kernel import solve_monotone_fixed_points_2d
 from ..model import System, TaskChain
 from .busy_window import (
     _busy_times_block,
@@ -502,18 +501,18 @@ def _build_verdict(
     exact stage takes the typical fixed points of ``q <= K_typ`` from
     the ``typical`` latency's busy times (the least fixed point does not
     depend on the seed) and computes the rest once, over ``model`` (the
-    typical structure; built here when not given).  It seeds every
-    combination's Kleene iteration from them (sound: the typical fixed
-    point lower-bounds the combination-loaded one, and any seed below
-    the least fixed point converges to exactly the same value), and its
+    typical structure; built here when not given).  It checks one
+    signature at a time with a loop over ``q``, each ``q``'s Kleene
+    iteration seeded from its typical fixed point (sound: the typical
+    fixed point lower-bounds the combination-loaded one, and any seed
+    below the least fixed point converges to exactly the same value).
+    It returns at the first deadline miss, at a ``q`` without a fixed
+    point within 10,000 steps, or when a typical ``q`` diverged.  The
     verdict is memoized per signature for the lifetime of the predicate.
 
-    The returned predicate also exposes ``many(signatures)``: the same
-    staged decision for a whole block of signatures, with the undecided
-    remainder advanced as one 2-D (signature x q) masked Kleene
-    iteration.  A single signature is a block of one, so every exact
-    verdict comes from the one evaluator, and memo entries are identical
-    however the signatures are grouped.
+    The predicate exposes its two stages unmemoized for the
+    differential tests: ``eq5_flags(signature)`` and
+    ``exact_check(signature)``.
     """
     deadline = target.deadline
     # One event counter per overload chain, for both stages.
@@ -533,15 +532,16 @@ def _build_verdict(
     }
 
     # One typical interference structure serves every signature and
-    # every sweep.
+    # every q.
     if model is None:
         model = _InterferenceModel(system, target, include_overload=False)
     typical_fixed: Dict[int, float] = {}
 
     def typical_fixed_points_all() -> Dict[int, float]:
         """Every typical fixed point of the q range on first use: the
-        typical latency's busy times, then the rest as one batched
-        block (the same values as the scalar ``busy_time``)."""
+        typical latency's busy times, then the rest through
+        ``_busy_times_block`` (the same values as the scalar
+        ``busy_time``)."""
         if len(typical_fixed) < len(deltas):
             known = () if typical is None else typical.busy_times
             typical_fixed.update((q, known[q - 1]) for q in deltas if q <= len(known))
@@ -565,103 +565,48 @@ def _build_verdict(
                 return True
         return False
 
-    def exact_unschedulable_block(signatures: Sequence[CostSignature]) -> List[bool]:
-        """Def. 10 for a whole *block* of signatures: every
-        ``(signature, q)`` cell is one independent Eq. (3) fixed point,
-        advanced together as a 2-D masked Kleene iteration
-        (:func:`~repro.kernel.solve_monotone_fixed_points_2d`).  A cell
-        starts from the typical fixed point of its ``q``; a deadline
-        miss at any cell settles its whole signature row (the Def. 10
-        early exit), and a cell without a fixed point within 10,000
-        steps counts as a miss.
-        """
-        if not signatures:
-            return []
+    def exact_check(signature: CostSignature) -> bool:
+        """Def. 10 for one signature: for each ``q``, the Eq. (3) fixed
+        point (the typical sum plus the signature's overload cost)
+        iterated from the typical fixed point of ``q``."""
         typicals = typical_fixed_points_all()
-        qs = [q for q in deltas]
-        if any(math.isinf(typicals[q]) for q in qs):
-            return [True] * len(signatures)  # typical part diverges
-        terms = [
-            [(counters[name], weight) for name, weight in signature]
-            for signature in signatures
-        ]
-        delta_by_col = [deltas[q] for q in qs]
-
-        def totals_one(r, c, horizon):
-            return model.total(qs[c], horizon) + sum(
-                weight * max(1, count(horizon)) for count, weight in terms[r]
-            )
-
-        def totals_many(cells, horizons):
-            return [
-                totals_one(r, c, horizon) for (r, c), horizon in zip(cells, horizons)
-            ]
-
-        def stop_row(r, c, total):
-            return total - delta_by_col[c] > deadline
-
+        if any(math.isinf(typicals[q]) for q in deltas):
+            return True  # typical part diverges
+        terms = [(counters[name], weight) for name, weight in signature]
         wcet = target.total_wcet
-        row_seed = [max(typicals[q], q * wcet, 1.0) for q in qs]
-        seeds = [list(row_seed) for _ in signatures]
-        _values, _iterations, failures, stopped = solve_monotone_fixed_points_2d(
-            seeds,
-            totals_many,
-            totals_one,
-            max_window=math.inf,
-            max_iterations=9_999,
-            stop_row=stop_row,
-        )
-        results: List[bool] = []
-        for r in range(len(signatures)):
-            if stopped[r]:
-                results.append(True)  # some q missed its deadline
-                continue
-            value = False
-            for failure in failures[r]:
-                if failure is not None:
-                    if failure.startswith("overflow:"):
-                        raise OverflowError(failure[len("overflow: ") :])
-                    value = True  # no fixed point: treat as unschedulable
-            results.append(value)
-        return results
+        for q, delta in deltas.items():
+            horizon = max(typicals[q], q * wcet, 1.0)
+            for _ in range(10_000):
+                total = model.total(q, horizon) + sum(
+                    weight * max(1, count(horizon)) for count, weight in terms
+                )
+                if total - delta > deadline:
+                    return True  # q missed its deadline
+                if total <= horizon:
+                    break
+                horizon = total
+            else:
+                return True  # no fixed point: treat as unschedulable
+        return False
 
     memo: Dict[CostSignature, bool] = {}
 
     def verdict(signature: CostSignature) -> bool:
         value = memo.get(signature)
         if value is None:
-            value = verdict_many([signature])[0]
+            if not eq5_flags(signature):
+                value = False
+            elif not exact_criterion:
+                value = True
+            else:
+                value = exact_check(signature)
+            memo[signature] = value
         return value
 
-    def verdict_many(signatures: Sequence[CostSignature]) -> List[bool]:
-        """Batched :func:`verdict`: decide a whole block of signatures
-        through one 2-D (signature x q) masked Kleene iteration.
-
-        The Eq. (5) pre-filter and the ``exact_criterion`` switch run
-        per signature first; only the remaining undecided signatures
-        form the exact Def. 10 block.
-        """
-        undecided: Dict[CostSignature, None] = {}
-        for signature in signatures:
-            if signature in memo or signature in undecided:
-                continue
-            if not eq5_flags(signature):
-                memo[signature] = False
-            elif not exact_criterion:
-                memo[signature] = True
-            else:
-                undecided[signature] = None
-        if undecided:
-            block = list(undecided)
-            for signature, value in zip(block, exact_unschedulable_block(block)):
-                memo[signature] = value
-        return [memo[signature] for signature in signatures]
-
-    verdict.many = verdict_many
     # Unmemoized stage hooks for the differential tests (they bypass
     # the Eq. (5) pre-filter and the signature memo on purpose).
     verdict.eq5_flags = eq5_flags
-    verdict.exact_check_many = exact_unschedulable_block
+    verdict.exact_check = exact_check
     return verdict
 
 

@@ -5,11 +5,10 @@ independent tasks with arrival curves.  Needed here as the foundation of
 the independent-task TWCA baseline and as a sanity oracle for single-task
 chains (for a chain of one task, Theorem 1 degenerates to this).
 
-The multi-event scan of :func:`analyze_response_time` advances whole
-``q`` blocks as one masked Kleene iteration
-(:func:`repro.kernel.solve_monotone_fixed_points`); :func:`busy_time`
-remains the one-``q``-at-a-time reference, and both produce
-bit-identical busy times.
+The multi-event scan of :func:`analyze_response_time` runs one Kleene
+iteration per ``q``, seeded from ``B_i(q - 1)``, and stops at the
+busy-window closure; its busy times are bit-identical to
+:func:`busy_time`'s, which starts every ``q`` from its own base demand.
 """
 
 from __future__ import annotations
@@ -19,15 +18,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..arrivals import EventModel
-from ..kernel import solve_monotone_fixed_points
 
 #: Iteration / queue-depth guards (mirroring repro.analysis.busy_window).
 MAX_WINDOW = 10.0**12
 MAX_Q = 65_536
-
-#: Largest q-block advanced per batched Kleene call of the queue scan
-#: (grown 1, 1, 2, 4, ... exactly like the chain-latency scan).
-MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,6 +72,25 @@ def _demand(
     )
 
 
+def _fixed_point(
+    higher: Sequence[AnalyzedTask],
+    target: AnalyzedTask,
+    q: int,
+    extra_load: float,
+    horizon: float,
+) -> float:
+    """Kleene iteration of ``_demand`` from ``horizon``, a sound lower
+    bound on the least fixed point."""
+    for _ in range(100_000):
+        value = _demand(higher, target, q, horizon, extra_load)
+        if value <= horizon:
+            return value
+        if value > MAX_WINDOW:
+            raise OverflowError(f"busy window of {target.name!r} diverges")
+        horizon = value
+    raise OverflowError(f"no fixed point for {target.name!r}")
+
+
 def busy_time(
     tasks: Sequence[AnalyzedTask],
     target: AnalyzedTask,
@@ -94,15 +107,9 @@ def busy_time(
     higher = _higher_priority(tasks, target)
     if window is not None:
         return _demand(higher, target, q, window, extra_load)
-    horizon = max(q * target.wcet + extra_load, 1.0)
-    for _ in range(100_000):
-        value = _demand(higher, target, q, horizon, extra_load)
-        if value <= horizon:
-            return value
-        if value > MAX_WINDOW:
-            raise OverflowError(f"busy window of {target.name!r} diverges")
-        horizon = value
-    raise OverflowError(f"no fixed point for {target.name!r}")
+    return _fixed_point(
+        higher, target, q, extra_load, max(q * target.wcet + extra_load, 1.0)
+    )
 
 
 def analyze_response_time(
@@ -111,43 +118,25 @@ def analyze_response_time(
     """Multi-event busy-window WCRT analysis (Lehoczky / CPA style).
 
     Bit-identical to iterating :func:`busy_time` per ``q`` (the least
-    fixed point is unique), but whole ``q`` blocks advance together as
-    one masked Kleene iteration.
+    fixed point is unique); each ``q`` starts from ``B_i(q - 1)`` when
+    that is larger than its base demand, and no ``q`` past the closure
+    is evaluated.
     """
     higher = _higher_priority(tasks, target)
     busy: List[float] = []
     responses: List[float] = []
     q = 0
-    block = 1
     while True:
-        if q >= MAX_Q:
+        q += 1
+        if q > MAX_Q:
             raise OverflowError(f"busy window of {target.name!r} never closes")
-        qs = list(range(q + 1, min(q + block, MAX_Q) + 1))
-        if busy:
-            block = min(block * 2, MAX_BLOCK)
-        seeds = [max(qq * target.wcet, 1.0) for qq in qs]
-        values, _, failures = solve_monotone_fixed_points(
-            seeds,
-            lambda idx, hs: [
-                _demand(higher, target, qs[i], h, 0.0) for i, h in zip(idx, hs)
-            ],
-            lambda i, h: _demand(higher, target, qs[i], h, 0.0),
-            max_window=MAX_WINDOW,
-            max_iterations=100_000,
-        )
-        closed = False
-        for qq, value, failure in zip(qs, values, failures):
-            if failure == "window":
-                raise OverflowError(f"busy window of {target.name!r} diverges")
-            if failure is not None:
-                raise OverflowError(f"no fixed point for {target.name!r}")
-            busy.append(value)
-            responses.append(value - target.activation.delta_minus(qq))
-            q = qq
-            if value <= target.activation.delta_minus(qq + 1):
-                closed = True
-                break
-        if closed:
+        start = max(q * target.wcet, 1.0)
+        if busy and busy[-1] > start:
+            start = busy[-1]
+        value = _fixed_point(higher, target, q, 0.0, start)
+        busy.append(value)
+        responses.append(value - target.activation.delta_minus(q))
+        if value <= target.activation.delta_minus(q + 1):
             break
     wcrt = max(responses)
     return ResponseTimeResult(

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sim.engine import release_times
 from .model import DistributedChain, DistributedSystem
 
 
@@ -139,12 +140,9 @@ class DistributedSimulator:
     ) -> DistributedSimulationResult:
         records: Dict[str, List[DistributedInstanceRecord]] = {}
         releases: List[Tuple[float, DistributedChain, int]] = []
+        streams = release_times(self.system, activations, horizon)
         for chain in self.system.chains:
-            times = [
-                float(t) for t in activations.get(chain.name, ()) if t <= horizon
-            ]
-            if sorted(times) != times:
-                raise ValueError(f"activations of {chain.name!r} must be sorted")
+            times = streams[chain.name].tolist()
             records[chain.name] = [
                 DistributedInstanceRecord(chain.name, i, t)
                 for i, t in enumerate(times)

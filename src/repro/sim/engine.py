@@ -388,7 +388,9 @@ def release_times(
 ) -> Dict[str, np.ndarray]:
     """Every chain's activation timestamps up to ``horizon``, as float64.
 
-    The input check both backends share.  A NaN horizon and NaN or
+    The input check every simulator shares: both backends of
+    :class:`Simulator` and the distributed simulator (any ``system``
+    whose ``chains`` have names will do).  A NaN horizon and NaN or
     infinite timestamps are rejected: every comparison with NaN is
     false, so the horizon filter would otherwise drop them silently.
     Streams must be sorted.  Coercing to float64 here makes both

@@ -1,11 +1,15 @@
 """The textbook Def. 10 check: one ``q`` at a time, one scalar Theorem 1
 window evaluation per Kleene step.
 
-Oracle of the block evaluator behind ``_build_verdict``: a combination
-with per-chain cost ``signature`` is unschedulable when, for some ``q``
-of the busy window, the Eq. (3) fixed point (the typical interference
-plus the combination's overload cost) misses the deadline, or when
-that fixed point does not exist.
+Oracle of the per-signature check behind ``_build_verdict``
+(``verdict.exact_check``): a combination with per-chain cost
+``signature`` is unschedulable when, for some ``q`` of the busy window,
+the Eq. (3) fixed point (the typical interference plus the
+combination's overload cost) misses the deadline, or when that fixed
+point does not exist.  The production check runs the same loop over
+the typical interference structure it shares with the rest of the
+analysis; this one re-evaluates every window through the public
+scalar ``busy_time``.
 """
 
 from __future__ import annotations

@@ -172,6 +172,32 @@ class TestDivergence:
         assert info.value.chain_name == "low"
         assert info.value.q == 1
 
+    def test_overflow_is_a_divergence_of_its_q(self, figure4, monkeypatch):
+        # A curve refusing a window becomes the divergence of the q whose
+        # iteration asked for it; the other q keep their fixed points.
+        from repro.analysis.busy_window import (_busy_times_block,
+                                                _InterferenceModel)
+
+        chain = figure4["sigma_c"]
+        total = _InterferenceModel.total
+
+        def refusing(self, q, horizon, combination_cost=0.0):
+            if horizon > 500:
+                raise OverflowError("window too wide")
+            return total(self, q, horizon, combination_cost)
+
+        monkeypatch.setattr(_InterferenceModel, "total", refusing)
+        model = _InterferenceModel(figure4, chain, include_overload=True)
+        outcomes = _busy_times_block(model, [1, 2, 3])
+        assert (outcomes[1], outcomes[2]) == (331, 382)
+        assert isinstance(outcomes[3], BusyWindowDivergence)
+        assert outcomes[3].q == 3
+        assert "window too wide" in str(outcomes[3])
+        with pytest.raises(BusyWindowDivergence):
+            busy_times(figure4, chain, [1, 2, 3])
+        # The Theorem 2 scan closes at K = 2 and never asks for q = 3.
+        assert analyze_latency(figure4, chain).max_queue == 2
+
 
 class TestWindowOverride:
     def test_fixed_window_evaluation(self, figure4):

@@ -19,6 +19,20 @@ class TestLatencyCertificates:
             certificate = latency_certificate(result)
             check_latency_certificate(figure4, certificate)
 
+    def test_typical_scan_certificates_verify(self, figure4):
+        # The certificate takes the scan's interference scope from the
+        # result: the typical sigma_c busy times are no fixed points of
+        # the overload-inclusive sum.
+        for name in ("sigma_c", "sigma_d"):
+            result = analyze_latency(figure4, figure4[name],
+                                     include_overload=False)
+            certificate = latency_certificate(result)
+            assert not certificate.include_overload
+            check_latency_certificate(figure4, certificate)
+        forged = dataclasses.replace(certificate, include_overload=True)
+        with pytest.raises(CertificateError):
+            check_latency_certificate(figure4, forged)
+
     def test_tampered_wcl_rejected(self, figure4):
         result = analyze_latency(figure4, figure4["sigma_c"])
         certificate = latency_certificate(result)

@@ -102,6 +102,23 @@ class TestBasicExecution:
             DistributedSimulator(system).run(
                 {"pipeline": [10.0, 0.0]}, 100)
 
+    def test_nan_activation_rejected(self):
+        # NaN fails every comparison, so a horizon filter would drop it
+        # and simulate the two other instances.
+        with pytest.raises(ValueError, match="finite"):
+            DistributedSimulator(_system()).run(
+                {"pipeline": [0.0, float("nan"), 200.0]}, 400)
+
+    def test_nan_horizon_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            DistributedSimulator(_system()).run(
+                {"pipeline": [0.0, 100.0]}, float("nan"))
+
+    def test_infinite_activation_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DistributedSimulator(_system()).run(
+                {"pipeline": [0.0, float("inf")]}, float("inf"))
+
 
 class TestBoundsHold:
     def test_e2e_latency_below_analysis(self):

@@ -1,4 +1,4 @@
-"""Parity of the analysis' batched paths with their scalar references.
+"""Parity of the analysis' fast paths with their scalar references.
 
 The contracts under test:
 
@@ -6,11 +6,11 @@ The contracts under test:
   interference terms hold — equals the generic galloping
   pseudo-inverse search pointwise, for every shipped event model
   (hypothesis property test);
-* the batched multi-q Kleene iteration (``busy_times``, the block-mode
-  latency scan, the block Def. 10 exact check) lands on the
-  bit-identical fixed points and verdicts as the scalar references, on
-  randomized systems, and the totals the analysis path carries are
-  bit-identical to the scalar breakdowns' ``total``;
+* the analysis path's fixed points (``busy_times``, the latency scan,
+  the per-signature Def. 10 exact check) land on the bit-identical
+  fixed points and verdicts as the scalar references, on randomized
+  systems, and the totals the analysis path carries are bit-identical
+  to the scalar breakdowns' ``total``;
 * the simplex is a pure function of its data on randomized LPs: same
   statuses, objectives, values and pivot counts however the data is
   typed and in whatever order an rhs schedule is solved;
@@ -210,7 +210,7 @@ class TestEtaParity:
 
 
 # ----------------------------------------------------------------------
-# Batched multi-q Kleene bit-identity
+# Fixed-point bit-identity
 # ----------------------------------------------------------------------
 def strip(breakdown):
     """Every breakdown field except the ``iterations`` diagnostic."""
@@ -292,7 +292,7 @@ class TestBatchedKleene:
 
     @pytest.mark.parametrize("seed", range(0, 24, 5))
     def test_latency_scan_matches_across_kernels(self, seed):
-        """The block-mode latency scan's busy times are the per-``q``
+        """The latency scan's busy times are the per-``q``
         scalar fixed points' totals, bit for bit (Theorem 2 over
         ``q = 1 .. K``)."""
         system = random_system(seed, overload_chains=1 + seed % 2)
@@ -335,13 +335,13 @@ class TestBatchedKleene:
             )
             for combo in iter_combinations(segments):
                 signature = combo.signature
-                assert verdict.exact_check_many([signature]) == [
-                    exact_unschedulable_scalar(system, chain, deltas, signature)
-                ]
+                assert verdict.exact_check(signature) == exact_unschedulable_scalar(
+                    system, chain, deltas, signature
+                )
 
     @pytest.mark.parametrize("seed", (2, 9, 21))
     def test_analyze_twca_identical_across_kernels(self, seed):
-        """The pruned search (block Def. 10 checks) and the exhaustive
+        """The pruned search (memoized Def. 10 checks) and the exhaustive
         pipeline (one check per combination) agree end to end."""
         system = random_system(seed, overload_chains=2)
         for chain in system.typical_chains:

@@ -119,3 +119,54 @@ class TestDeferredChainBenefit:
         aware = analyze_latency(figure4, figure4["sigma_c"]).wcl
         blunt = analyze_latency_arbitrary(figure4, figure4["sigma_c"]).wcl
         assert aware == blunt
+
+
+class TestScanStopsAtClosure:
+    """The queue scans compute no fixed point past the busy-window
+    closure K: each ``q`` runs alone, so the largest ``q`` evaluated is
+    ``max_queue``."""
+
+    def test_latency_scan_evaluates_no_q_past_closure(self, monkeypatch):
+        from repro.analysis.busy_window import _InterferenceModel
+        from repro.synth.corpus import CorpusSpec, generate_entry
+
+        system = generate_entry(
+            CorpusSpec(count=2, seed=2017, family="waters",
+                       utilization=(0.7, 0.9)), 1)
+        chain = system["ecu_chain_1"]
+        seen = []
+        total = _InterferenceModel.total
+
+        def recording(self, q, horizon, combination_cost=0.0):
+            seen.append(q)
+            return total(self, q, horizon, combination_cost)
+
+        monkeypatch.setattr(_InterferenceModel, "total", recording)
+        result = analyze_latency(system, chain)
+        assert result.max_queue == 3
+        assert max(seen) == result.max_queue
+
+    def test_response_time_scan_evaluates_no_q_past_closure(
+            self, monkeypatch):
+        from repro.baselines import AnalyzedTask, analyze_response_time
+        from repro.baselines import rta
+
+        # hi (P=10, C=6), lo (P=13, C=5): the busy window of lo holds
+        # three jobs.
+        tasks = [
+            AnalyzedTask("hi", priority=2, wcet=6,
+                         activation=PeriodicModel(10)),
+            AnalyzedTask("lo", priority=1, wcet=5,
+                         activation=PeriodicModel(13)),
+        ]
+        seen = []
+        demand = rta._demand
+
+        def recording(higher, target, q, horizon, extra_load):
+            seen.append(q)
+            return demand(higher, target, q, horizon, extra_load)
+
+        monkeypatch.setattr(rta, "_demand", recording)
+        result = analyze_response_time(tasks, tasks[1])
+        assert result.max_queue == 3
+        assert max(seen) == result.max_queue
