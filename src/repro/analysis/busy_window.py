@@ -386,11 +386,10 @@ def _busy_times_block(
     """Theorem 1 fixed points of many ``q`` of ``model``'s target, with
     per-``q`` failure capture: ``{q: busy time | BusyWindowDivergence}``.
 
-    Behind :func:`busy_times` and the Def. 10 typical fixed points of
-    ``q > K_typ``: one :class:`_InterferenceModel` serves every ``q``,
-    each ``q`` runs :func:`_fixed_point` seeded from the larger of
-    ``seeds[q]`` and the fixed point of ``q - 1`` when the block has it,
-    and a diverging ``q`` becomes a recorded
+    Behind :func:`busy_times`: one :class:`_InterferenceModel` serves
+    every ``q``, each ``q`` runs :func:`_fixed_point` seeded from the
+    larger of ``seeds[q]`` and the fixed point of ``q - 1`` when the
+    block has it, and a diverging ``q`` becomes a recorded
     :class:`BusyWindowDivergence` instead of ending the block.
     """
     order = []

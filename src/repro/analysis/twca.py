@@ -28,8 +28,9 @@ byte-identical.
 
 One analysis builds one interference structure from scratch and derives
 the typical one from it (see :mod:`repro.analysis.busy_window`); the
-Def. 10 check takes the typical fixed points of ``q <= K_typ`` from the
-typical latency scan.  Nothing outlives the call.
+Def. 10 check seeds each ``q <= K_typ`` from the typical latency scan's
+busy time and each later ``q`` from its own fixed point of ``q - 1``.
+Nothing outlives the call.
 
 Each ``dmm(k)`` builds the packing program for its ``Omega`` capacities
 (:meth:`ChainTwcaResult.packing_program`) and solves it with the one
@@ -46,11 +47,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ilp import IntegerProgram, solve
 from ..model import System, TaskChain
-from .busy_window import (
-    _busy_times_block,
-    _InterferenceModel,
-    criterion_loads,
-)
+from .busy_window import _InterferenceModel, criterion_loads
 from .combinations import (
     Combination,
     CostSignature,
@@ -498,17 +495,19 @@ def _build_verdict(
     monotone in it — the property the pruned search relies on.
 
     The Eq. (5) multiplicities are precomputed per (q, chain).  The
-    exact stage takes the typical fixed points of ``q <= K_typ`` from
-    the ``typical`` latency's busy times (the least fixed point does not
-    depend on the seed) and computes the rest once, over ``model`` (the
-    typical structure; built here when not given).  It checks one
-    signature at a time with a loop over ``q``, each ``q``'s Kleene
-    iteration seeded from its typical fixed point (sound: the typical
-    fixed point lower-bounds the combination-loaded one, and any seed
-    below the least fixed point converges to exactly the same value).
-    It returns at the first deadline miss, at a ``q`` without a fixed
-    point within 10,000 steps, or when a typical ``q`` diverged.  The
-    verdict is memoized per signature for the lifetime of the predicate.
+    exact stage evaluates the Eq. (3) sum over ``model`` (the typical
+    structure; built here when not given) and checks one signature at
+    a time with a loop over ``q = 1, 2, ...`` (the order of
+    ``deltas``).  Each ``q``'s Kleene iteration starts from a sound
+    lower bound on its least fixed point, so it converges to exactly
+    that value: for ``q <= K_typ`` the ``typical`` latency's busy time
+    (the typical sum is below the loaded one), beyond it the Eq. (3)
+    fixed point of ``q - 1`` (the sum is monotone in ``q``), never
+    below ``q * C_b``.  It returns at the first deadline miss or at a
+    ``q`` without a fixed point within 10,000 steps; a ``q`` whose
+    typical part diverges drives the loaded sum past its deadline
+    first.  The verdict is memoized per signature for the lifetime of
+    the predicate.
 
     The predicate exposes its two stages unmemoized for the
     differential tests: ``eq5_flags(signature)`` and
@@ -535,26 +534,7 @@ def _build_verdict(
     # every q.
     if model is None:
         model = _InterferenceModel(system, target, include_overload=False)
-    typical_fixed: Dict[int, float] = {}
-
-    def typical_fixed_points_all() -> Dict[int, float]:
-        """Every typical fixed point of the q range on first use: the
-        typical latency's busy times, then the rest through
-        ``_busy_times_block`` (the same values as the scalar
-        ``busy_time``)."""
-        if len(typical_fixed) < len(deltas):
-            known = () if typical is None else typical.busy_times
-            typical_fixed.update((q, known[q - 1]) for q in deltas if q <= len(known))
-            outcomes = _busy_times_block(
-                model,
-                [q for q in deltas if q > len(known)],
-                seeds={len(known) + 1: known[-1]} if known else None,
-            )
-            for q, outcome in outcomes.items():
-                typical_fixed[q] = (
-                    math.inf if isinstance(outcome, BusyWindowDivergence) else outcome
-                )
-        return typical_fixed
+    typical_fixed = () if typical is None else typical.busy_times
 
     def eq5_flags(signature: CostSignature) -> bool:
         for q in deltas:
@@ -568,14 +548,14 @@ def _build_verdict(
     def exact_check(signature: CostSignature) -> bool:
         """Def. 10 for one signature: for each ``q``, the Eq. (3) fixed
         point (the typical sum plus the signature's overload cost)
-        iterated from the typical fixed point of ``q``."""
-        typicals = typical_fixed_points_all()
-        if any(math.isinf(typicals[q]) for q in deltas):
-            return True  # typical part diverges
+        iterated from the typical fixed point of ``q <= K_typ``, or
+        from the Eq. (3) fixed point of ``q - 1`` beyond."""
         terms = [(counters[name], weight) for name, weight in signature]
         wcet = target.total_wcet
+        total = 0.0
         for q, delta in deltas.items():
-            horizon = max(typicals[q], q * wcet, 1.0)
+            seed = typical_fixed[q - 1] if q <= len(typical_fixed) else total
+            horizon = max(seed, q * wcet, 1.0)
             for _ in range(10_000):
                 total = model.total(q, horizon) + sum(
                     weight * max(1, count(horizon)) for count, weight in terms

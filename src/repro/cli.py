@@ -52,7 +52,7 @@ import argparse
 import random
 import sys
 import urllib.error
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis import analyze_latency, analyze_twca
 from .model.serialization import load_system_file
@@ -134,18 +134,25 @@ def analysis_options(args: argparse.Namespace) -> AnalysisOptions:
     )
 
 
-def window_size(text: str) -> int:
-    """The argparse type of every ``--k`` option: a DMM window size,
-    an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"window sizes must be integers >= 1, got {text!r}"
-        )
-    return value
+def at_least(minimum: int, what: str = "must be an integer") -> Callable[[str], int]:
+    """The argparse type of an integer option with a floor: rejects
+    text that is not an integer >= ``minimum`` with ``"{what} >=
+    {minimum}, got {text!r}"``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: The type of every ``--k`` option: a DMM window size.
+window_size = at_least(1, "window sizes must be integers")
 
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
@@ -684,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--random",
-        type=int,
+        type=at_least(0),
         default=50,
         metavar="N",
         help="size of the random sweep when no --system files are "
@@ -699,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--workers",
-        type=int,
+        type=at_least(1),
         default=1,
         help="worker processes (1 = serial reference; ignored with "
         "--server, where the daemon owns execution)",
@@ -738,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8787)
     serve.add_argument(
         "--workers",
-        type=int,
+        type=at_least(1),
         default=1,
         help="concurrently executing computes (bounded thread pool; "
         "1 = serialized, the pre-pool behavior)",
@@ -756,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_worker.add_argument("--port", type=int, default=8788)
     shard_worker.add_argument(
         "--workers",
-        type=int,
+        type=at_least(1),
         default=1,
         help="concurrently executing computes on this worker host "
         "(bounded thread pool)",
@@ -777,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--limit",
-        type=int,
+        type=at_least(0),
         default=None,
         metavar="N",
         help="only the first N corpus entries",
@@ -790,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--random",
-        type=int,
+        type=at_least(0),
         default=50,
         metavar="N",
         help="size of the random sweep when neither --corpus nor "
@@ -821,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--chunk-size",
-        type=int,
+        type=at_least(1),
         default=None,
         metavar="N",
         help="jobs per dispatched chunk (default: about four chunks "
@@ -919,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_verify.add_argument("dir", help="corpus root")
     corpus_verify.add_argument(
         "--limit",
-        type=int,
+        type=at_least(0),
         default=None,
         metavar="N",
         help="only re-hash the first N system files (manifest digest "

@@ -10,10 +10,14 @@ lock-protected scheduler, runs it on its worker, and posts the results
 back.  Three scheduler behaviors make the fan-out robust:
 
 * **Work-stealing** — an idle worker with no pending chunk duplicates
-  the oldest still-running chunk (one extra claimant at most), so a
-  straggler or silently-wedged worker cannot stall the tail of a run.
+  the oldest still-running chunk once it is *overdue* (it has run for
+  twice the median duration of the chunks completed so far; any
+  running chunk before the first completes), one extra claimant at
+  most, so a straggler or silently-wedged worker cannot stall the tail
+  of a run while a healthy run ends with its last original chunk.
   Results are deterministic per job, so the first completion wins and
-  the duplicate is discarded.
+  the duplicate is discarded.  Idle dispatch threads sleep until a
+  chunk is released or the next chunk becomes due; none polls.
 * **Retry with backoff** — a chunk whose worker died
   (:class:`WorkerUnavailable`) is requeued under the coordinator's
   :class:`~repro.runner.retry.RetryPolicy`: bounded attempts,
@@ -28,7 +32,9 @@ back.  Three scheduler behaviors make the fan-out robust:
 
 Two worker kinds implement the same ``run_chunk`` protocol:
 :class:`LocalShardWorker` owns one OS process (killed workers are
-respawned transparently on the next chunk), and
+respawned transparently on the next chunk); :func:`local_shard_workers`
+pins worker ``i`` to CPU ``i mod n`` of the ``n`` CPUs the caller may
+run on, so the processes do not crowd onto one CPU; and
 :class:`RemoteShardWorker` posts chunks to a ``repro shard-worker``
 HTTP endpoint via the :class:`~repro.service.http.ServiceClient`.
 """
@@ -36,6 +42,7 @@ HTTP endpoint via the :class:`~repro.service.http.ServiceClient`.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue
 import threading
 import time
@@ -102,21 +109,32 @@ def make_chunks(
 #: join timeout).
 _START_LOCK = threading.Lock()
 
+#: Seconds a waiting :meth:`LocalShardWorker.run_chunk` blocks on the
+#: result queue between checks that the worker process is alive.
+_LIVENESS_CHECK_S = 0.05
+
 
 def _shard_worker_loop(
     task_queue: Any,
     result_queue: Any,
     cache_dir: Optional[str],
     use_cache: bool,
+    cpu: Optional[int] = None,
 ) -> None:
     """Child-process loop: one cache, chunks in, result lists out.
 
-    Consecutive jobs with one ``system_json`` share one parse, as in
-    the serial runner.  Runs until the ``None`` sentinel.  A job
-    exception is reported as an ``("error", ...)`` message rather than
-    crashing the process — bad input is a batch bug, not a worker
-    death, and must not be retried.
+    Pins the process to ``cpu`` first (``None``: no pinning), so every
+    respawned incarnation is pinned too.  Consecutive jobs with one
+    ``system_json`` share one parse, as in the serial runner.  Runs
+    until the ``None`` sentinel.  A job exception is reported as an
+    ``("error", ...)`` message rather than crashing the process — bad
+    input is a batch bug, not a worker death, and must not be retried.
     """
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass  # the CPU left the allowed set since: run unpinned
     cache = _build_cache(use_cache, cache_dir)
     # Persistent caches drop integrity-failed disk entries and count
     # them; the per-chunk delta rides back so the coordinator can
@@ -155,7 +173,8 @@ class LocalShardWorker:
     worker merely reports the death as :class:`WorkerUnavailable` and
     is ready again for the next ``run_chunk``.  Queues are re-created
     on respawn so a half-delivered message from the dead incarnation
-    can never corrupt a fresh chunk.
+    can never corrupt a fresh chunk.  With ``cpu`` set, every
+    incarnation of the process runs on that CPU alone.
     """
 
     def __init__(
@@ -164,12 +183,12 @@ class LocalShardWorker:
         *,
         use_cache: bool = True,
         cache_dir: Optional[str] = None,
-        poll_interval: float = 0.05,
+        cpu: Optional[int] = None,
     ):
         self.name = name
         self.use_cache = use_cache
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self.poll_interval = poll_interval
+        self.cpu = cpu
         self._ctx = multiprocessing.get_context()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._task_queue: Optional[Any] = None
@@ -199,6 +218,7 @@ class LocalShardWorker:
                 self._result_queue,
                 self.cache_dir,
                 self.use_cache,
+                self.cpu,
             ),
             name=f"repro-shard-{self.name}",
             daemon=True,
@@ -254,7 +274,7 @@ class LocalShardWorker:
             self._task_queue.put((chunk.index, list(chunk.jobs)))
         while True:
             try:
-                kind, index, payload = result_queue.get(timeout=self.poll_interval)
+                kind, index, payload = result_queue.get(timeout=_LIVENESS_CHECK_S)
             except queue.Empty:
                 assert process is not None
                 if process.is_alive():
@@ -293,9 +313,20 @@ def local_shard_workers(
     cache_dir: Optional[str] = None,
 ) -> List[LocalShardWorker]:
     """``count`` local workers, optionally sharing one persistent
-    ``cache_dir`` (the shared-filesystem warm-cache deployment)."""
+    ``cache_dir`` (the shared-filesystem warm-cache deployment).
+
+    Worker ``i`` is pinned to ``cpus[i % len(cpus)]``, where ``cpus``
+    are the CPUs the caller may run on, in order; where the platform
+    has no ``os.sched_setaffinity``, no worker is pinned.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     return [
-        LocalShardWorker(name=str(i), use_cache=use_cache, cache_dir=cache_dir)
+        LocalShardWorker(
+            name=str(i),
+            use_cache=use_cache,
+            cache_dir=cache_dir,
+            cpu=cpus[i % len(cpus)] if cpus else None,
+        )
         for i in range(count)
     ]
 
@@ -485,7 +516,7 @@ class ShardCoordinator:
             if kind == "done":
                 break
             if kind == "wait":
-                time.sleep(min(payload, 0.05))
+                state.wait(worker.name, payload)
                 continue
             chunk, stolen = payload
             note = " (stolen)" if stolen else ""

@@ -3,7 +3,11 @@
 Separated from :mod:`repro.runner.shard` so the scheduling policy —
 eligibility, backoff, stealing, first-completion-wins — is one small
 auditable unit with no process or HTTP machinery in sight.  All methods
-take the lock; dispatch threads are the only callers.
+take the lock; dispatch threads are the only callers.  An idle
+dispatch thread blocks on a condition of that lock until a chunk is
+released or its :meth:`_ShardState.acquire` deadline passes (the next
+retry becoming eligible, or the oldest running chunk becoming overdue),
+so no dispatch thread polls.
 
 Chunk lifecycle::
 
@@ -16,11 +20,16 @@ Chunk lifecycle::
 
 A running chunk can gain a *second* claimant through stealing; the
 first claimant to complete wins and later outcomes for the chunk —
-successes and failures alike — are discarded.
+successes and failures alike — are discarded.  Only an *overdue* chunk
+is stolen: one that has run for :data:`OVERDUE_FACTOR` (2) times the
+median duration of the chunks completed so far (any running chunk,
+before the first completes).  A healthy run therefore ends with
+its last original chunk instead of waiting out a duplicate of it.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from collections import deque
@@ -34,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 
 #: Maximum concurrent claimants per chunk (the original + one thief).
 MAX_CLAIMANTS = 2
+
+#: A running chunk is overdue, and may be stolen, once it has run this
+#: many times the median duration of the run's completed chunks.
+OVERDUE_FACTOR = 2.0
 
 
 class WorkerUnavailable(RuntimeError):
@@ -73,6 +86,13 @@ class _ShardState:
 
     def __init__(self, chunks: List[ShardChunk], retry: RetryPolicy):
         self._lock = threading.Lock()
+        #: Notified on every release; idle dispatch threads wait on it.
+        self._released = threading.Condition(self._lock)
+        #: Releases so far, and the count each worker last acquired at:
+        #: a release between a worker's ``acquire`` and its ``wait``
+        #: ends that wait at once instead of being missed.
+        self._releases = 0
+        self._seen: Dict[str, int] = {}
         self._retry = retry
         self._total = len(chunks)
         #: (chunk, not_before): eligible once the clock passes not_before.
@@ -81,6 +101,9 @@ class _ShardState:
         )
         self._attempts: Dict[int, int] = {chunk.index: 0 for chunk in chunks}
         self._running: Dict[int, _Running] = {}
+        #: Durations of the completed chunks, sorted (their median sets
+        #: when a running chunk is overdue).
+        self._durations: List[float] = []
         self.results: Dict[int, List[JobResult]] = {}
         self.failure: Optional[ShardExecutionError] = None
         self.retries = 0
@@ -97,10 +120,14 @@ class _ShardState:
         """The next action for ``worker``:
 
         * ``("run", (chunk, stolen))`` — run this chunk now;
-        * ``("wait", seconds)`` — nothing eligible yet, back off;
+        * ``("wait", seconds)`` — nothing eligible yet: call
+          :meth:`wait` with ``seconds``, the time until the next retry
+          becomes eligible or the oldest chunk ``worker`` could steal
+          becomes overdue (``None`` when neither will happen);
         * ``("done", None)`` — the run is over (completed or failed).
         """
         with self._lock:
+            self._seen[worker] = self._releases
             if self.failure is not None or len(self.results) == self._total:
                 return ("done", None)
             now = time.monotonic()
@@ -108,16 +135,20 @@ class _ShardState:
             if chunk is not None:
                 self._claim(chunk, worker, now)
                 return ("run", (chunk, False))
-            stolen = self._steal(worker, now)
+            overdue_age = self._overdue_age()
+            stolen = self._steal(worker, now, overdue_age)
             if stolen is not None:
                 self.steals += 1
                 return ("run", (stolen, True))
-            if not self._pending and not self._running:
-                # Nothing queued, nothing running, yet results are
-                # incomplete: only reachable transiently between a
-                # failure release and the requeue — treat as wait.
-                return ("wait", 0.01)
-            return ("wait", self._soonest_delay(now))
+            return ("wait", self._next_deadline(worker, now, overdue_age))
+
+    def wait(self, worker: str, seconds: Optional[float]) -> None:
+        """Block ``worker``'s dispatch thread until a chunk is released
+        after its last :meth:`acquire`, or ``seconds`` pass (``None``:
+        no time limit)."""
+        with self._released:
+            seen = self._seen[worker]
+            self._released.wait_for(lambda: self._releases != seen, seconds)
 
     def release_success(
         self, chunk: ShardChunk, worker: str, results: List[JobResult]
@@ -125,10 +156,14 @@ class _ShardState:
         """Record a completed chunk; returns whether this completion
         was the first (kept) or a discarded duplicate."""
         with self._lock:
+            self._notify()
+            entry = self._running.get(chunk.index)
             self._unclaim(chunk, worker)
             if chunk.index in self.results:
                 return False
             self.results[chunk.index] = results
+            if entry is not None:
+                bisect.insort(self._durations, time.monotonic() - entry.started)
             return True
 
     def release_failure(
@@ -142,6 +177,7 @@ class _ShardState:
         """Record a failed chunk attempt: requeue with backoff while
         the budget lasts, else mark the run failed."""
         with self._lock:
+            self._notify()
             self._unclaim(chunk, worker)
             if chunk.index in self.results:
                 return  # another claimant already delivered it
@@ -168,6 +204,11 @@ class _ShardState:
     # ------------------------------------------------------------------
     # Internals (lock held)
     # ------------------------------------------------------------------
+    def _notify(self) -> None:
+        """Wake every waiting dispatch thread once the lock is free."""
+        self._releases += 1
+        self._released.notify_all()
+
     def _pop_eligible(self, now: float) -> Optional[ShardChunk]:
         for _ in range(len(self._pending)):
             chunk, not_before = self._pending.popleft()
@@ -193,26 +234,51 @@ class _ShardState:
         if not entry.claimants:
             del self._running[chunk.index]
 
-    def _steal(self, worker: str, now: float) -> Optional[ShardChunk]:
-        """Duplicate the oldest running chunk this worker is not
-        already on (claimant cap :data:`MAX_CLAIMANTS`)."""
-        candidates = [
+    def _overdue_age(self) -> float:
+        """How long a chunk must have run before it is overdue:
+        :data:`OVERDUE_FACTOR` times the median completed duration, or
+        0 before any chunk completes (so a lone wedged chunk is still
+        covered at once)."""
+        done = self._durations
+        if not done:
+            return 0.0
+        half = len(done) // 2
+        # The middle duration, or the mean of the middle two.
+        return OVERDUE_FACTOR * (done[half] + done[-half - 1]) / 2
+
+    def _stealable(self, worker: str) -> List[_Running]:
+        """Running chunks ``worker`` may duplicate once overdue: not
+        its own, under the claimant cap :data:`MAX_CLAIMANTS`."""
+        return [
             entry
             for entry in self._running.values()
             if worker not in entry.claimants
             and len(entry.claimants) < MAX_CLAIMANTS
             and entry.chunk.index not in self.results
         ]
+
+    def _steal(
+        self, worker: str, now: float, overdue_age: float
+    ) -> Optional[ShardChunk]:
+        """Duplicate the oldest chunk ``worker`` may steal, if it is
+        overdue."""
+        candidates = self._stealable(worker)
         if not candidates:
             return None
         entry = min(candidates, key=lambda e: e.started)
+        if now < entry.started + overdue_age:
+            return None
         entry.claimants.add(worker)
         return entry.chunk
 
-    def _soonest_delay(self, now: float) -> float:
-        delays = [
-            max(0.0, not_before - now)
-            for chunk, not_before in self._pending
-            if chunk.index not in self.results
-        ]
-        return min(delays) if delays else 0.05
+    def _next_deadline(
+        self, worker: str, now: float, overdue_age: float
+    ) -> Optional[float]:
+        """Seconds until a queued retry becomes eligible or a chunk
+        ``worker`` may steal becomes overdue; ``None`` when neither is
+        ahead (only a release can give ``worker`` work).  Called right
+        after :meth:`_pop_eligible` found nothing, so every queued
+        chunk is still owed and not yet eligible."""
+        deadlines = [not_before for _, not_before in self._pending]
+        deadlines.extend(e.started + overdue_age for e in self._stealable(worker))
+        return max(0.0, min(deadlines) - now) if deadlines else None

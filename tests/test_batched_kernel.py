@@ -5,9 +5,10 @@ The contracts under test:
 * the memoized verdict (``_build_verdict``) decides every signature
   exactly like the staged pipeline of the Eq. (5) pre-filter and the
   one-``q``-at-a-time oracle (``tests/oracles/def10.py``), on a first
-  call and from its memo, whether it computes its typical fixed points
-  itself or reuses the typical latency's busy times over a typical
-  model derived from the full one (the ``analyze_twca`` construction);
+  call and from its memo, whether it seeds every q from the Def. 10
+  fixed point of q - 1 or reuses the typical latency's busy times over
+  a typical model derived from the full one (the ``analyze_twca``
+  construction);
 * its unmemoized ``exact_check`` hook matches the oracle for every
   signature, in any order.
 """
@@ -142,9 +143,9 @@ class TestBlockVerdict:
     @pytest.mark.parametrize("case", [c for c in VERDICT_CASES if isinstance(c, str)])
     def test_cases_reach_the_typical_remainder(self, case):
         """The corpus cases reach Def. 10 with K_full > K_typ, so the
-        derived verdict computes the q > K_typ fixed points on top of
-        the typical latency's busy times; and Def. 10 clears some
-        signature Eq. (5) flags, so a typical fixed point set too high
+        derived verdict seeds q > K_typ from the Def. 10 fixed point of
+        q - 1 on top of the typical latency's busy times; and Def. 10
+        clears some signature Eq. (5) flags, so a seed set too high
         would show as a wrong miss."""
         system = verdict_system(case)
         reached = []
@@ -162,6 +163,30 @@ class TestBlockVerdict:
             ]
             reached.append(len(deltas) > typical.max_queue and bool(cleared))
         assert any(reached)
+
+    def test_remainder_computes_no_typical_fixed_point(self, monkeypatch):
+        """Past K_typ each q's Def. 10 iteration starts from the fixed
+        point of q - 1, so ``analyze_twca`` of waters entry 0's
+        ``ecu_chain_0`` (K_typ 1, K_b 9, weakly-hard) computes no
+        typical fixed point of q = 2..9.  The latency scans call
+        ``_fixed_point`` through their own import, unrecorded."""
+        from repro.analysis import analyze_twca, busy_window
+
+        spec = CorpusSpec(count=1, seed=2017, family="waters", utilization=(0.7, 0.9))
+        system = generate_entry(spec, 0)
+        calls = []
+        fixed_point = busy_window._fixed_point
+
+        def recording(model, q, *args, **kwargs):
+            calls.append(q)
+            return fixed_point(model, q, *args, **kwargs)
+
+        monkeypatch.setattr(busy_window, "_fixed_point", recording)
+        result = analyze_twca(system, system["ecu_chain_0"])
+        assert result.typical_latency.max_queue == 1
+        assert result.full_latency.max_queue == 9
+        assert result.unschedulable_count == 1
+        assert calls == []
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 19))
     def test_exact_check_many_matches_per_signature(self, seed):

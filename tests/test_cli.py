@@ -289,6 +289,26 @@ class TestParser:
             f"got {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag, minimum", [
+        (["batch"], "--workers", 1),
+        (["serve"], "--workers", 1),
+        (["shard-worker"], "--workers", 1),
+        (["shard"], "--chunk-size", 1),
+        (["shard"], "--limit", 0),
+        (["corpus", "verify", "corpus-dir"], "--limit", 0),
+        (["batch"], "--random", 0),
+        (["shard"], "--random", 0)])
+    def test_bad_count_is_a_usage_error(self, command, flag, minimum,
+                                        capsys):
+        for value in (str(minimum - 1), "-5", "2.5", "ten"):
+            with pytest.raises(SystemExit) as info:
+                main(command + [flag, value])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: argument {flag}: must be an integer >= " \
+                f"{minimum}, got {value!r}" in err
+            assert "Traceback" not in err
+
     def test_backend_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["batch", "--backend", "greedy"])

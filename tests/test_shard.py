@@ -11,6 +11,7 @@ import io
 import json
 import os
 import random
+import sys
 import threading
 import time
 import urllib.error
@@ -35,6 +36,7 @@ from repro.runner import (
     make_chunks,
     run_sharded,
 )
+from repro.runner.shardstate import _ShardState
 from repro.service import AnalysisService, ServiceClient, ServiceError, start_server
 from repro.synth import GeneratorConfig, generate_feasible_system
 
@@ -369,6 +371,106 @@ class TestScheduling:
         coordinator.run(jobs)
         assert time.perf_counter() - start >= 0.2
 
+    def test_healthy_tail_is_not_duplicated(self):
+        """Equal chunks never get overdue: the run ends with its last
+        original chunk, and no chunk runs twice."""
+        jobs, runner = synth_jobs(count=4)
+        assert len(jobs) == 8
+        serial = runner.run(jobs).to_json()
+        workers = [InlineWorker("a", delay=0.05), InlineWorker("b", delay=0.05)]
+        coordinator = ShardCoordinator(workers, chunk_size=1)
+        batch = coordinator.run(jobs)
+        assert batch.to_json() == serial
+        assert coordinator.last_stats["steals"] == 0
+        assert sorted(workers[0].ran + workers[1].ran) == list(range(8))
+
+    def test_lone_chunk_is_stolen_at_once(self):
+        """Before any chunk completes there is no median to wait for:
+        the idle worker duplicates the running chunk right away."""
+        jobs, runner = synth_jobs(count=1)
+        serial = runner.run(jobs).to_json()
+        workers = [InlineWorker("a", delay=0.2), InlineWorker("b", delay=0.2)]
+        coordinator = ShardCoordinator(workers, chunk_size=len(jobs))
+        start = time.perf_counter()
+        batch = coordinator.run(jobs)
+        elapsed = time.perf_counter() - start
+        assert batch.to_json() == serial
+        assert coordinator.last_stats["steals"] == 1
+        assert workers[0].ran == workers[1].ran == [0]
+        assert elapsed < 0.4  # the two runs overlapped
+
+    def test_idle_dispatcher_wakes_on_the_last_completion(self):
+        """The worker left idle by the last chunk sleeps until that
+        chunk completes (~0.2 s), not until it would be overdue
+        (0.1 + 2 * 0.1 = 0.3 s), and steals nothing."""
+        jobs, runner = synth_jobs(count=3)
+        assert len(jobs) == 6
+        serial = runner.run(jobs).to_json()
+        workers = [InlineWorker("a", delay=0.1), InlineWorker("b", delay=0.1)]
+        coordinator = ShardCoordinator(workers, chunk_size=2)
+        start = time.perf_counter()
+        batch = coordinator.run(jobs)
+        elapsed = time.perf_counter() - start
+        assert batch.to_json() == serial
+        assert coordinator.last_stats["steals"] == 0
+        assert elapsed < 0.28
+
+    def test_release_before_wait_is_not_missed(self, monkeypatch):
+        """A release that lands after a dispatch thread's ``acquire``
+        said wait but before it waits still wakes it: here the last
+        release comes while the third worker, with nothing it may
+        steal, is between the two calls."""
+        acquire = _ShardState.acquire
+
+        def slow_to_wait(state, worker):
+            action = acquire(state, worker)
+            if action[0] == "wait":
+                time.sleep(0.05)
+            return action
+
+        monkeypatch.setattr(_ShardState, "acquire", slow_to_wait)
+        jobs, runner = synth_jobs(count=1)
+        serial = runner.run(jobs).to_json()
+        coordinator = ShardCoordinator(
+            [InlineWorker(name, delay=0.01) for name in "abc"], chunk_size=len(jobs)
+        )
+        done = {}
+        thread = threading.Thread(
+            target=lambda: done.setdefault("batch", coordinator.run(jobs)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert done["batch"].to_json() == serial
+        assert coordinator.last_stats["steals"] == 1
+
+    def test_no_dispatcher_sleeps_through_the_last_release(self):
+        """More dispatch threads than cores, switching every
+        microsecond: idle threads wait with no time limit at the tail,
+        so a release landing between a thread's ``acquire`` and its
+        ``wait`` must still wake it, or the run never returns."""
+        jobs, runner = synth_jobs(count=4)
+        serial = runner.run(jobs).to_json()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                coordinator = ShardCoordinator(
+                    [InlineWorker(str(i)) for i in range(8)], chunk_size=1
+                )
+                done = {}
+                thread = threading.Thread(
+                    target=lambda: done.setdefault("batch", coordinator.run(jobs)),
+                    daemon=True,
+                )
+                thread.start()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                assert done["batch"].to_json() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestRemoteWorkers:
     def test_remote_and_mixed_identical(self, tmp_path):
@@ -561,6 +663,32 @@ class TestLocalWorkerLifecycle:
             ]
         finally:
             worker.close()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity"
+    )
+    def test_workers_are_pinned_round_robin(self):
+        """Worker ``i`` runs on ``cpus[i % len(cpus)]`` (wrapping around
+        on hosts with fewer than three CPUs), and so does its respawned
+        process after a kill."""
+        cpus = sorted(os.sched_getaffinity(0))
+        jobs, _ = synth_jobs(count=1)
+        chunk = make_chunks(jobs, len(jobs))[0]
+        workers = local_shard_workers(3)
+        try:
+            for i, worker in enumerate(workers):
+                assert worker.run_chunk(chunk)
+                pinned = {cpus[i % len(cpus)]}
+                assert os.sched_getaffinity(worker._process.pid) == pinned
+            first = workers[0]
+            killed = first._process.pid
+            first.kill()
+            assert first.run_chunk(chunk)
+            assert first._process.pid != killed
+            assert os.sched_getaffinity(first._process.pid) == {cpus[0]}
+        finally:
+            for worker in workers:
+                worker.close()
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fdinfo"), reason="needs Linux /proc fdinfo"
