@@ -88,13 +88,14 @@ def parallel_sweep(workers: int, samples: int = 200):
 
 
 def test_parallel_speedup(benchmark):
-    """The headline claim of the batch runner: process fan-out turns
-    sweep wall-clock into roughly wall/workers.  Measured, not claimed
-    — the speedup assertion at 4 workers needs >= 4 cores to be
-    physical, so it is informational on smaller machines, and the gate
-    is tunable via ``REPRO_BENCH_SPEEDUP_GATE`` (0 disables it) so
-    shared CI runners can measure without gating merges on scheduler
-    noise.
+    """The headline claim of the batch runner: fanning a sweep out
+    over local shard worker processes (``BatchRunner(workers=4)`` runs
+    on the shard coordinator) turns its wall-clock into roughly
+    wall/workers.  Measured, not claimed — the speedup assertion at 4
+    workers needs >= 4 cores to be physical, so it is informational on
+    smaller machines, and the gate is tunable via
+    ``REPRO_BENCH_SPEEDUP_GATE`` (0 disables it) so shared CI runners
+    can measure without gating merges on scheduler noise.
     """
 
     def measure():

@@ -2,14 +2,15 @@
 
 Draws random priority permutations of the Figure 4 case study and
 analyzes every (system, chain) pair through ``repro.BatchRunner``,
-fanning the TWCA jobs out over worker processes.  The deterministic
-JSON export is byte-identical for any ``--workers`` value — parallelism
-only changes the wall-clock time reported on stderr.
+which fans the TWCA jobs out over local shard worker processes (the
+coordinator behind ``repro shard``) when ``workers`` > 1.  The
+deterministic JSON export is byte-identical for any ``workers`` value —
+parallelism only changes the wall-clock time reported.
 
 An optional cache directory demonstrates the persistent cross-process
 cache: run the script twice with the same directory and the second
-sweep serves every busy-window fixed point from disk (watch the hit
-rate and the "served from disk" count in the summary).
+sweep serves every job result from disk (watch the hit rate and the
+"served from disk" count in the summary).
 
 Run:  python examples/batch_sweep.py [samples] [workers] [cache-dir]
 """

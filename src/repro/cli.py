@@ -376,9 +376,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         workers=args.workers, ks=tuple(args.k) if args.k else DEFAULT_KS
     )
     if args.system:
-        # System files are read and parsed inside the workers (memoized
-        # per process, revalidated by content digest), so parse
-        # I/O overlaps analysis instead of serializing in the parent.
+        # System files are read and parsed here, before any job runs,
+        # as ``repro shard --system`` does; --workers N then fans the
+        # jobs out over N local shard workers.
         batch = runner.run_paths(args.system, args.chain or None)
     else:
         base = figure4_system(calibrated=args.calibrated)

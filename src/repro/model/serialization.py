@@ -144,10 +144,9 @@ def system_from_json(text: str) -> System:
 def load_system_file(path: str) -> System:
     """Parse a system from a JSON file.
 
-    The plain one-shot loading path (CLI ``analyze``/``simulate``);
-    the batch runner's worker-side
-    :class:`repro.runner.loader.SystemLoader` adds memoization and
-    digest revalidation on top of the same parser, so parent-parsed
-    and worker-parsed systems cannot diverge."""
+    The one file-loading path: CLI ``analyze``/``simulate``,
+    ``repro shard --system`` and
+    :meth:`repro.runner.BatchRunner.run_paths` (``repro batch
+    --system``) all read files through it, in the calling process."""
     with open(path, "r", encoding="utf-8") as handle:
         return system_from_json(handle.read())

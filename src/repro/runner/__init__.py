@@ -1,4 +1,5 @@
-"""Parallel batch analysis: process fan-out plus a whole-result cache.
+"""Batch analysis: in-process or over local shard workers, plus a
+whole-result cache.
 
 Public surface::
 
@@ -10,12 +11,15 @@ Public surface::
     payload = batch.to_json()                 # deterministic export
 
 The deterministic JSON export of a batch is byte-identical for any
-worker count; see :mod:`repro.runner.batch`.  Passing
-``BatchRunner(cache_dir=...)`` (CLI: ``repro batch --cache-dir``)
-backs every worker's result cache with a shared persistent on-disk
-store, so warm sweeps analyze nothing across processes and across
-runs; ``BatchRunner.run_paths`` additionally loads system files inside
-the workers so parse I/O overlaps analysis.
+worker count; see :mod:`repro.runner.batch`.  ``BatchRunner(workers=N)``
+with ``N > 1`` runs its jobs over ``N`` local shard workers
+(:func:`run_sharded`), and every job — in-process, in a shard worker
+or behind a ``repro shard-worker`` endpoint — runs through one loop,
+:func:`execute_jobs`.  Passing ``BatchRunner(cache_dir=...)`` (CLI:
+``repro batch --cache-dir``) backs every worker's result cache with a
+shared persistent on-disk store, so warm sweeps analyze nothing across
+processes and across runs; ``BatchRunner.run_paths`` reads and parses
+system files in the calling process, then runs them like any systems.
 
 Past one host, :mod:`repro.runner.shard` scales the same job lists over
 shard workers — local processes and/or remote ``repro shard-worker``
@@ -23,7 +27,7 @@ endpoints — with work-stealing and bounded retries, merging to the
 byte-identical deterministic export (CLI: ``repro shard``).
 """
 
-from .batch import BatchExecutionError, BatchResult, BatchRunner
+from .batch import BatchExecutionError, BatchResult, BatchRunner, execute_jobs
 from .cache import AnalysisCache, CacheStats, merge_stats
 from .diskcache import DiskStore, PersistentAnalysisCache
 from .jobs import (
@@ -36,10 +40,10 @@ from .jobs import (
     job_result_key,
     run_chain_job,
 )
-from .loader import SystemLoader, SystemPathJob, execute_path_job
 from .progress import NULL_LOG, ShardLog, TaggedLog
 from .retry import NO_RETRY, RetryPolicy
 from .shard import (
+    ChunkJobError,
     LocalShardWorker,
     RemoteShardWorker,
     ShardChunk,
@@ -65,17 +69,16 @@ __all__ = [
     "execute_job",
     "job_result_key",
     "run_chain_job",
-    "SystemLoader",
-    "SystemPathJob",
-    "execute_path_job",
     "BatchRunner",
     "BatchResult",
     "BatchExecutionError",
+    "execute_jobs",
     "RetryPolicy",
     "NO_RETRY",
     "ShardLog",
     "TaggedLog",
     "NULL_LOG",
+    "ChunkJobError",
     "ShardChunk",
     "ShardCoordinator",
     "ShardExecutionError",

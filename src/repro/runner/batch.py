@@ -1,53 +1,55 @@
-"""The parallel batch-analysis runner.
+"""The batch-analysis runner.
 
-:class:`BatchRunner` fans TWCA jobs out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (``workers > 1``) or
-runs them in-process (``workers = 1``, the deterministic reference
-path).  Both paths execute the identical
-:func:`repro.runner.jobs.execute_job` /
-:func:`repro.runner.loader.execute_path_job` code under an
-:class:`~repro.runner.cache.AnalysisCache`,
+:class:`BatchRunner` runs TWCA jobs in-process (``workers = 1``, the
+deterministic reference path) or over ``workers`` local shard worker
+processes through :func:`repro.runner.shard.run_sharded`
+(``workers > 1``).  Every job of a batch — in-process, in a shard
+worker, or behind ``POST /shard/run`` — runs through one loop,
+:func:`execute_jobs`, under an :class:`~repro.runner.cache.AnalysisCache`,
 so the deterministic export of a batch is byte-identical regardless of
 the worker count — parallelism only changes wall-clock time.
 
 The cache holds whole job results (:mod:`repro.runner.cache`): a job
 whose content identity was analyzed before is served its stored result.
-With ``cache_dir`` set, every worker (and the serial path) runs under a
-:class:`~repro.runner.diskcache.PersistentAnalysisCache` pointed at the
-same directory, so results are shared across worker processes *and*
-across batch invocations, and a warm sweep analyzes nothing regardless
-of job placement.  ``use_cache=False`` disables the cache entirely.
+With ``cache_dir`` set, every shard worker (and the serial path) runs
+under a :class:`~repro.runner.diskcache.PersistentAnalysisCache`
+pointed at the same directory, so results are shared across worker
+processes *and* across batch invocations, and a warm sweep analyzes
+nothing regardless of job placement.  ``use_cache=False`` disables the
+cache entirely.
 
 :meth:`BatchRunner.jobs_for` keeps a system's chain jobs together, and
-the serial path parses each consecutive run of one system's jobs once
-(an interleaved repeat parses again; one system is held at a time).
-The process pool still parses per job.
+:func:`execute_jobs` parses each consecutive run of one system's jobs
+once (an interleaved repeat parses again; one system is held at a
+time).  :meth:`BatchRunner.run_paths` reads and parses system files
+here, in the calling process, before any job runs.
 
-Worker-side *analysis* failures (divergent busy windows, unanalyzable
-chains) are data: they become ``status="error"`` job results.  Anything
-else — a missing chain name, corrupt system JSON, an unreadable system
-file, a crashed worker — is a bug in the batch itself and is re-raised
-in the parent as :class:`BatchExecutionError` naming the failing job.
+Analysis failures (divergent busy windows, unanalyzable chains) are
+data: they become ``status="error"`` job results.  Anything else — a
+missing chain name, corrupt system JSON, an unreadable system file, a
+shard worker that keeps dying — is a bug in the batch itself and is
+raised as :class:`BatchExecutionError` naming the failing job.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..model import System
+from ..model.serialization import load_system_file
 from .cache import AnalysisCache, merge_stats
 from .diskcache import PersistentAnalysisCache
-from .jobs import DEFAULT_KS, AnalysisJob, JobResult, execute_job, run_chain_job
-from .loader import SystemLoader, SystemPathJob, execute_path_job
-
-#: Per-worker cache and loader installed by the pool initializer (one
-#: of each per process).
-_WORKER_CACHE: Optional[AnalysisCache] = None
-_WORKER_LOADER: Optional[SystemLoader] = None
+from .jobs import (
+    DEFAULT_KS,
+    AnalysisJob,
+    JobResult,
+    default_chain_names,
+    execute_job,
+    run_chain_job,
+)
 
 
 def _build_cache(use_cache: bool, cache_dir: Optional[str]) -> Optional[AnalysisCache]:
@@ -60,31 +62,53 @@ def _build_cache(use_cache: bool, cache_dir: Optional[str]) -> Optional[Analysis
     return AnalysisCache()
 
 
-def _init_worker(cache_dir: Optional[str], use_cache: bool) -> None:
-    global _WORKER_CACHE, _WORKER_LOADER
-    _WORKER_CACHE = _build_cache(use_cache, cache_dir)
-    _WORKER_LOADER = SystemLoader()
-
-
-def _run_in_worker(job: AnalysisJob) -> JobResult:
-    return execute_job(job, cache=_WORKER_CACHE)
-
-
-def _run_path_in_worker(job: SystemPathJob) -> List[JobResult]:
-    return execute_path_job(job, cache=_WORKER_CACHE, loader=_WORKER_LOADER)
-
-
 class BatchExecutionError(RuntimeError):
-    """A job failed outside the analysis layer (bad input or worker
-    crash); carries the job and the original exception as ``cause``."""
+    """A job failed outside the analysis layer (bad input, or a shard
+    worker that kept dying); carries the job — or, for a system file
+    that did not load, its path — and the original exception as
+    ``cause``.
 
-    def __init__(self, job: Union[AnalysisJob, SystemPathJob], cause: BaseException):
+    :func:`execute_jobs` also records where the job failed: ``index``
+    is its position in the jobs it ran, and ``system`` its parsed
+    system (``None`` when the parse itself failed).
+    """
+
+    index: Optional[int] = None
+    system: Optional[System] = None
+
+    def __init__(self, job: Union[AnalysisJob, str], cause: BaseException):
         self.job = job
         self.cause = cause
-        super().__init__(
-            f"batch job {job.label!r} (chain {job.chain_name!r}) failed: "
-            f"{type(cause).__name__}: {cause}"
-        )
+        if isinstance(job, str):
+            subject = f"system file {job!r}"
+        else:
+            subject = f"batch job {job.label!r} (chain {job.chain_name!r})"
+        super().__init__(f"{subject} failed: {type(cause).__name__}: {cause}")
+
+
+def execute_jobs(
+    jobs: Sequence[AnalysisJob], cache: Optional[AnalysisCache] = None
+) -> List[JobResult]:
+    """Run ``jobs`` in order under ``cache``: the one job loop of the
+    serial runner, the shard worker processes and ``POST /shard/run``.
+
+    Consecutive jobs with one ``system_json`` share one parse.  The
+    first job that raises ends the loop with a
+    :class:`BatchExecutionError` on that job.
+    """
+    results: List[JobResult] = []
+    text, system = None, None
+    for job in jobs:
+        try:
+            if job.system_json != text:
+                text, system = job.system_json, job.system()
+            results.append(execute_job(job, cache=cache, system=system))
+        except Exception as exc:
+            error = BatchExecutionError(job, exc)
+            error.index = len(results)
+            error.system = system if text == job.system_json else None
+            raise error from exc
+    return results
 
 
 @dataclass
@@ -190,15 +214,18 @@ class BatchResult:
 
 
 class BatchRunner:
-    """Fan TWCA jobs out over worker processes with cached results.
+    """Run TWCA jobs in-process or over local shard workers, with
+    cached results.
 
     Parameters
     ----------
     workers:
         ``1`` runs jobs in-process (deterministic serial reference);
-        ``N > 1`` uses a :class:`ProcessPoolExecutor` with ``N``
-        processes.  Results are returned in submission order in both
-        modes and the deterministic exports are identical.
+        ``N > 1`` runs them over ``N`` local shard worker processes
+        (:func:`~repro.runner.shard.run_sharded`), with its retries of
+        chunks whose worker died.  Results are returned in submission
+        order in both modes and the deterministic exports are
+        identical.
     ks:
         DMM window sizes evaluated per job (overridable per job).
     enumeration:
@@ -211,8 +238,8 @@ class BatchRunner:
         :meth:`analyze`/:meth:`evaluate_dmm`; overrides the
         ``cache_dir``/``use_cache`` policy when given.
     cache_dir:
-        Root of the shared persistent cache.  Workers and the serial
-        path all run under a
+        Root of the shared persistent cache.  Shard workers and the
+        serial path all run under a
         :class:`~repro.runner.diskcache.PersistentAnalysisCache` on
         this directory, so warm batches analyze nothing across
         processes and across runs.
@@ -242,7 +269,6 @@ class BatchRunner:
             self.cache: Optional[AnalysisCache] = cache
         else:
             self.cache = _build_cache(use_cache, self.cache_dir)
-        self.loader = SystemLoader()
 
     # ------------------------------------------------------------------
     # Job construction
@@ -260,15 +286,12 @@ class BatchRunner:
 
         A system's jobs are consecutive and share one ``system_json``
         string: serialized once, pickled once per shard chunk, and
-        parsed once by the serial and shard runners."""
+        parsed once by :func:`execute_jobs`."""
         job_ks = tuple(ks) if ks is not None else self.ks
         jobs: List[AnalysisJob] = []
         for index, system in enumerate(systems):
             label = labels[index] if labels is not None else system.name
-            names = chains
-            if names is None:
-                typical = system.typical_chains
-                names = [chain.name for chain in typical if chain.has_deadline]
+            names = chains if chains is not None else default_chain_names(system)
             if not names:
                 continue
             first = AnalysisJob.from_system(
@@ -278,52 +301,25 @@ class BatchRunner:
             jobs.extend(replace(first, chain_name=name) for name in names[1:])
         return jobs
 
-    def path_jobs_for(
-        self,
-        paths: Sequence[str],
-        chains: Optional[Sequence[str]] = None,
-        *,
-        labels: Optional[Sequence[str]] = None,
-        ks: Optional[Tuple[int, ...]] = None,
-    ) -> List[SystemPathJob]:
-        """Worker-loaded jobs for system files, defaulting labels to
-        the paths.
-
-        Explicitly named ``chains`` fan out as one job per
-        (file, chain) — the same work granularity as :meth:`jobs_for`,
-        so few files with many chains still occupy the whole pool (the
-        worker-side loaders memoize the parse, so a file is read at
-        most once per worker).  ``chains=None`` must defer chain
-        discovery to the load, hence one job per file."""
-        job_ks = tuple(ks) if ks is not None else self.ks
-        jobs: List[SystemPathJob] = []
-        for index, path in enumerate(paths):
-            label = labels[index] if labels is not None else str(path)
-            per_path = [None] if chains is None else [(name,) for name in chains]
-            jobs.extend(
-                SystemPathJob(
-                    path=str(path),
-                    chains=selected,
-                    ks=job_ks,
-                    enumeration=self.enumeration,
-                    label=label,
-                )
-                for selected in per_path
-            )
-        return jobs
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[AnalysisJob]) -> BatchResult:
         """Execute ``jobs`` and collect a :class:`BatchResult`."""
         jobs = list(jobs)
+        if self.workers > 1 and len(jobs) > 1:
+            return self._run_sharded(jobs)
         start = time.perf_counter()
-        if self.workers == 1 or len(jobs) <= 1:
-            results = self._run_serial(jobs)
-        else:
-            results = self._run_parallel(jobs, _run_in_worker)
-        return self._collect(results, start)
+        results = execute_jobs(jobs, self.cache)
+        totals: Dict[str, Dict[str, int]] = {}
+        for result in results:
+            merge_stats(totals, result.cache)
+        return BatchResult(
+            jobs=results,
+            workers=self.workers,
+            wall_time=time.perf_counter() - start,
+            cache_stats=totals,
+        )
 
     def run_systems(
         self,
@@ -344,71 +340,43 @@ class BatchRunner:
         labels: Optional[Sequence[str]] = None,
         ks: Optional[Tuple[int, ...]] = None,
     ) -> BatchResult:
-        """Analyze system *files*, loading them inside the workers.
+        """Analyze system *files*: :meth:`run_systems` on the parsed
+        files, labeled by path unless ``labels`` are given.
 
-        The parent never reads the files: each worker parses its own
-        (memoized per process, revalidated by content digest), so parse
-        I/O overlaps analysis across the pool.  Results are flattened
-        in file-then-chain order, deterministically for any worker
-        count, and byte-identically to parsing in the parent and using
-        :meth:`run_systems`.
+        Every file is read and parsed here before any job runs; a
+        missing or unparsable one raises :class:`BatchExecutionError`
+        naming its path.
         """
-        path_jobs = self.path_jobs_for(paths, chains, labels=labels, ks=ks)
-        start = time.perf_counter()
-        if self.workers == 1 or len(path_jobs) <= 1:
-            nested = []
-            for job in path_jobs:
-                try:
-                    nested.append(
-                        execute_path_job(job, cache=self.cache, loader=self.loader)
-                    )
-                except Exception as exc:
-                    raise BatchExecutionError(job, exc) from exc
-        else:
-            nested = self._run_parallel(path_jobs, _run_path_in_worker)
-        results = [result for group in nested for result in group]
-        return self._collect(results, start)
-
-    def _collect(self, results: List[JobResult], start: float) -> BatchResult:
-        totals: Dict[str, Dict[str, int]] = {}
-        for result in results:
-            merge_stats(totals, result.cache)
-        return BatchResult(
-            jobs=results,
-            workers=self.workers,
-            wall_time=time.perf_counter() - start,
-            cache_stats=totals,
-        )
-
-    def _run_serial(self, jobs: Sequence[AnalysisJob]) -> List[JobResult]:
-        results = []
-        # Consecutive jobs of one system share one parse.
-        text, system = None, None
-        for job in jobs:
+        systems = []
+        for path in paths:
             try:
-                if job.system_json != text:
-                    text, system = job.system_json, job.system()
-                results.append(execute_job(job, cache=self.cache, system=system))
+                systems.append(load_system_file(path))
             except Exception as exc:
-                raise BatchExecutionError(job, exc) from exc
-        return results
+                raise BatchExecutionError(str(path), exc) from exc
+        if labels is None:
+            labels = [str(path) for path in paths]
+        return self.run_systems(systems, chains, labels=labels, ks=ks)
 
-    def _run_parallel(self, jobs: Sequence[Any], worker_fn: Any) -> List[Any]:
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(self.cache_dir, self.use_cache),
-        ) as pool:
-            futures = [pool.submit(worker_fn, job) for job in jobs]
-            results = []
-            for job, future in zip(jobs, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    for pending in futures:
-                        pending.cancel()
-                    raise BatchExecutionError(job, exc) from exc
-        return results
+    def _run_sharded(self, jobs: List[AnalysisJob]) -> BatchResult:
+        """``jobs`` over up to :attr:`workers` local shard workers."""
+        # Deferred import: repro.runner.shard imports this module.
+        from .shard import ChunkJobError, ShardExecutionError, run_sharded
+
+        try:
+            # No more processes than jobs: an idle one would only
+            # duplicate a running chunk.
+            return run_sharded(
+                jobs,
+                shards=min(self.workers, len(jobs)),
+                use_cache=self.use_cache,
+                cache_dir=self.cache_dir,
+            )
+        except ShardExecutionError as exc:
+            if isinstance(exc.cause, ChunkJobError):
+                job = exc.chunk.jobs[exc.cause.index]
+                raise BatchExecutionError(job, exc.cause) from exc
+            # The chunk's workers kept dying: name its first job.
+            raise BatchExecutionError(exc.chunk.jobs[0], exc) from exc
 
     # ------------------------------------------------------------------
     # In-process evaluation for sequential consumers (opt layer)

@@ -5,16 +5,17 @@ they pickle cheaply and identically across process boundaries, and so a
 job is itself content-addressed: :attr:`AnalysisJob.digest` identifies
 a (system, chain, parameters) work unit, and :func:`job_result_key` is
 the equivalent tuple the result cache keys on.
-:func:`run_chain_job` is the single execution path of the serial and
-process-pool runners, the shard workers and the service — one cache
-lookup per job, and on a miss one analysis and one store — which is
-what makes ``workers=1`` and ``workers=N`` byte-identical.
+:func:`run_chain_job` is the single execution path of the serial
+runner, the shard workers and the service — one cache lookup per job,
+and on a miss one analysis and one store — which is what makes
+``workers=1`` and ``workers=N`` byte-identical.
 
 The system is the unit of parsing, the job the unit of analysis: the
 jobs :meth:`repro.runner.BatchRunner.jobs_for` builds for one system
-share one ``system_json`` string, and the runners parse a run of
-consecutive jobs with one ``system_json`` once and pass the parsed
-system to each :func:`execute_job`.  Digests and cache keys stay per job.
+share one ``system_json`` string, and the one job loop,
+:func:`repro.runner.batch.execute_jobs`, parses a run of consecutive
+jobs with one ``system_json`` once and passes the parsed system to
+each :func:`execute_job`.  Digests and cache keys stay per job.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class AnalysisJob:
         """Content digest of (system, chain, parameters): the stable
         identity of this work unit across processes and runs.  The
         shared result cache keys the equivalent tuple identity (see
-        :func:`job_result_key`), reachable from both serialized and
-        worker-loaded jobs."""
+        :func:`job_result_key`), reachable from both serialized jobs
+        and live systems."""
         payload = json.dumps(
             [
                 self.system_json,
@@ -382,8 +383,7 @@ def run_chain_job(
 ) -> JobResult:
     """:func:`analyze_system_job` behind the whole-result ``cache``:
     the shared execution primitive of serialized jobs
-    (:func:`execute_job`), worker-loaded path jobs
-    (:func:`repro.runner.loader.execute_path_job`), the service and
+    (:func:`execute_job`), the service's ``/analyze`` computes and
     :meth:`repro.runner.BatchRunner.analyze`.
 
     Under a cache, a job does one lookup keyed by
@@ -398,7 +398,8 @@ def run_chain_job(
     counters even when concurrent jobs share one cache.
     """
     key = None
-    if cache is not None:
+    # A missing chain raises below without counting a cache lookup.
+    if cache is not None and chain_name in system:
         key = job_result_key(
             system, chain_name, ks, max_combinations, exact_criterion, enumeration
         )

@@ -2,19 +2,25 @@
 shard workers with work-stealing, bounded retries, and a merge that is
 byte-identical to a serial run.
 
-The job list is split into :class:`ShardChunk` units of consecutive
-jobs (a local worker parses each system's run of jobs in a chunk
-once).  A :class:`ShardCoordinator` drives one dispatch thread per
+This is the one local fan-out: ``BatchRunner(workers=N)`` with
+``N > 1`` runs its jobs here, over ``N`` local workers
+(:func:`run_sharded`).  The job list is split into :class:`ShardChunk`
+units of consecutive jobs, and a local worker runs each chunk through
+the serial runner's loop, :func:`~repro.runner.batch.execute_jobs`
+(which parses each system's run of jobs in a chunk once).  A job that
+raises fails its chunk with a :class:`ChunkJobError` naming the job.
+A :class:`ShardCoordinator` drives one dispatch thread per
 worker; each thread pulls the next eligible chunk from a shared,
 lock-protected scheduler, runs it on its worker, and posts the results
 back.  Three scheduler behaviors make the fan-out robust:
 
 * **Work-stealing** — an idle worker with no pending chunk duplicates
   the oldest still-running chunk once it is *overdue* (it has run for
-  twice the median duration of the chunks completed so far; any
-  running chunk before the first completes), one extra claimant at
-  most, so a straggler or silently-wedged worker cannot stall the tail
-  of a run while a healthy run ends with its last original chunk.
+  twice the median duration of the chunks completed so far, and at
+  least 50 ms; any running chunk before the first completes), one
+  extra claimant at most, so a straggler or silently-wedged worker
+  cannot stall the tail of a run while a healthy run ends with its
+  last original chunk.
   Results are deterministic per job, so the first completion wins and
   the duplicate is discarded.  Idle dispatch threads sleep until a
   chunk is released or the next chunk becomes due; none polls.
@@ -49,14 +55,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .batch import BatchResult, _build_cache
+from .batch import BatchExecutionError, BatchResult, _build_cache, execute_jobs
 from .cache import merge_stats
-from .jobs import AnalysisJob, JobResult, execute_job
+from .jobs import AnalysisJob, JobResult
 from .progress import NULL_LOG, ShardLog
 from .retry import RetryPolicy
 from .shardstate import ShardExecutionError, WorkerUnavailable, _ShardState
 
 __all__ = [
+    "ChunkJobError",
     "ShardChunk",
     "ShardCoordinator",
     "ShardExecutionError",
@@ -124,11 +131,12 @@ def _shard_worker_loop(
     """Child-process loop: one cache, chunks in, result lists out.
 
     Pins the process to ``cpu`` first (``None``: no pinning), so every
-    respawned incarnation is pinned too.  Consecutive jobs with one
-    ``system_json`` share one parse, as in the serial runner.  Runs
-    until the ``None`` sentinel.  A job exception is reported as an
-    ``("error", ...)`` message rather than crashing the process — bad
-    input is a batch bug, not a worker death, and must not be retried.
+    respawned incarnation is pinned too.  Each chunk runs through
+    :func:`~repro.runner.batch.execute_jobs`, the serial runner's loop.
+    Runs until the ``None`` sentinel.  A job exception is reported as
+    an ``("error", chunk, (position, message))`` message rather than
+    crashing the process — bad input is a batch bug, not a worker
+    death, and must not be retried.
     """
     if cpu is not None:
         try:
@@ -146,22 +154,30 @@ def _shard_worker_loop(
             break
         chunk_index, jobs = item
         dropped_before = store.corrupt_dropped if store is not None else 0
-        results = []
-        text, system = None, None
         try:
-            for job in jobs:
-                if job.system_json != text:
-                    text, system = job.system_json, job.system()
-                results.append(execute_job(job, cache=cache, system=system))
-        except Exception as exc:
-            result_queue.put(
-                ("error", chunk_index, f"{type(exc).__name__}: {exc}")
-            )
+            results = execute_jobs(jobs, cache)
+        except BatchExecutionError as exc:
+            message = f"{type(exc.cause).__name__}: {exc.cause}"
+            result_queue.put(("error", chunk_index, (exc.index, message)))
         else:
             dropped = (
                 store.corrupt_dropped - dropped_before if store is not None else 0
             )
             result_queue.put(("ok", chunk_index, (results, dropped)))
+
+
+class ChunkJobError(RuntimeError):
+    """A job of a chunk raised inside a local shard worker: bad input,
+    not a worker death, so the coordinator does not retry the chunk.
+    ``index`` is the job's position in the chunk."""
+
+    def __init__(self, chunk: ShardChunk, index: int, worker: str, message: str):
+        job = chunk.jobs[index]
+        self.index = index
+        super().__init__(
+            f"job {job.label!r} (chain {job.chain_name!r}) of chunk "
+            f"{chunk.index} failed on worker {worker!r}: {message}"
+        )
 
 
 class LocalShardWorker:
@@ -259,8 +275,8 @@ class LocalShardWorker:
 
         Raises :class:`WorkerUnavailable` when the process dies before
         delivering the chunk's results — the retryable failure mode.  A
-        job-level exception inside the chunk (bad input) propagates as
-        a plain ``RuntimeError`` and is *not* retried.
+        job-level exception inside the chunk (bad input) raises
+        :class:`ChunkJobError` naming the job, and is *not* retried.
         """
         self._ensure_process()
         assert self._task_queue is not None and self._result_queue is not None
@@ -297,10 +313,8 @@ class LocalShardWorker:
                 # completed after the parent gave up on it; drop it.
                 continue
             if kind == "error":
-                raise RuntimeError(
-                    f"shard chunk {chunk.index} failed on worker "
-                    f"{self.name!r}: {payload}"
-                )
+                position, message = payload
+                raise ChunkJobError(chunk, position, self.name, message)
             results, dropped = payload
             self.corrupt_dropped += dropped
             return results
@@ -514,7 +528,11 @@ class ShardCoordinator:
         while True:
             kind, payload = state.acquire(worker.name)
             if kind == "done":
-                break
+                if self.own_workers:
+                    # Closed here, the owned workers shut down in
+                    # parallel rather than one join after another.
+                    worker.close()
+                return
             if kind == "wait":
                 state.wait(worker.name, payload)
                 continue

@@ -22,9 +22,10 @@ A running chunk can gain a *second* claimant through stealing; the
 first claimant to complete wins and later outcomes for the chunk —
 successes and failures alike — are discarded.  Only an *overdue* chunk
 is stolen: one that has run for :data:`OVERDUE_FACTOR` (2) times the
-median duration of the chunks completed so far (any running chunk,
-before the first completes).  A healthy run therefore ends with
-its last original chunk instead of waiting out a duplicate of it.
+median duration of the chunks completed so far and at least
+:data:`OVERDUE_MIN_S` (any running chunk, before the first completes).
+A healthy run therefore ends with its last original chunk instead of
+waiting out a duplicate of it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ MAX_CLAIMANTS = 2
 #: A running chunk is overdue, and may be stolen, once it has run this
 #: many times the median duration of the run's completed chunks.
 OVERDUE_FACTOR = 2.0
+
+#: ... and at least this many seconds.  Twice a median of a few
+#: milliseconds is host scheduling noise, not a straggler, and a
+#: duplicate does not end the run sooner: the coordinator still waits
+#: for the original claimant.
+OVERDUE_MIN_S = 0.05
 
 
 class WorkerUnavailable(RuntimeError):
@@ -236,15 +243,16 @@ class _ShardState:
 
     def _overdue_age(self) -> float:
         """How long a chunk must have run before it is overdue:
-        :data:`OVERDUE_FACTOR` times the median completed duration, or
-        0 before any chunk completes (so a lone wedged chunk is still
-        covered at once)."""
+        :data:`OVERDUE_FACTOR` times the median completed duration, but
+        at least :data:`OVERDUE_MIN_S`, or 0 before any chunk completes
+        (so a lone wedged chunk is still covered at once)."""
         done = self._durations
         if not done:
             return 0.0
         half = len(done) // 2
         # The middle duration, or the mean of the middle two.
-        return OVERDUE_FACTOR * (done[half] + done[-half - 1]) / 2
+        median = (done[half] + done[-half - 1]) / 2
+        return max(OVERDUE_MIN_S, OVERDUE_FACTOR * median)
 
     def _stealable(self, worker: str) -> List[_Running]:
         """Running chunks ``worker`` may duplicate once overdue: not

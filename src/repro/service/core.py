@@ -41,14 +41,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..model import System
 from ..model.serialization import system_from_json
-from ..runner.batch import BatchResult, BatchRunner, _build_cache
+from ..runner.batch import (
+    BatchExecutionError,
+    BatchResult,
+    BatchRunner,
+    _build_cache,
+    execute_jobs,
+)
 from ..runner.cache import AnalysisCache, merge_stats
 from ..runner.jobs import (
     DEFAULT_KS,
     AnalysisJob,
     JobResult,
     default_chain_names,
-    execute_job,
     run_chain_job,
 )
 from .api import (
@@ -296,41 +301,41 @@ class AnalysisService:
 
         Jobs carry all their own parameters (the coordinator built
         them), so unlike :meth:`batch` there is no request resolution:
-        each job fans out over the compute pool and the results come
-        back in submission order, exactly as
-        :func:`~repro.runner.jobs.execute_job` would produce them
-        in-process — which is what keeps remote shards byte-identical
-        to local ones.  A job whose system does not parse or lacks its
-        chain raises :class:`RequestError` (HTTP 400): the sender's
-        error, which a coordinator must not retry.
+        the chunk runs as one compute on the pool, through the serial
+        runner's loop (:func:`~repro.runner.batch.execute_jobs`, one
+        parse per system), and the results come back in submission
+        order exactly as a local shard worker would produce them —
+        which is what keeps remote shards byte-identical to local ones.
+        A job whose system does not parse or lacks its chain raises
+        :class:`RequestError` (HTTP 400): the sender's error, which a
+        coordinator must not retry.  Any other failure raises as is.
         """
         jobs = list(jobs)
         if not jobs:
             raise RequestError("shard run requires at least one job")
         with self._lock:
             self.counters["requests"] += 1
-            self.counters["computes"] += len(jobs)
+            self.counters["computes"] += 1
             self._executing += 1
         try:
-            futures = [self._executor.submit(self._run_job, job) for job in jobs]
-            return [future.result() for future in futures]
+            return self._executor.submit(execute_jobs, jobs, self.cache).result()
+        except BatchExecutionError as exc:
+            job, cause, system = exc.job, exc.cause, exc.system
+            if system is None and isinstance(
+                cause, (AttributeError, KeyError, TypeError, ValueError)
+            ):
+                raise RequestError(
+                    f"job {job.label!r}: invalid system: {cause}"
+                ) from cause
+            if system is not None and job.chain_name not in system:
+                raise RequestError(
+                    f"job {job.label!r}: no chain named {job.chain_name!r} in "
+                    f"system {system.name!r}"
+                ) from cause
+            raise cause from None
         finally:
             with self._lock:
                 self._executing -= 1
-
-    def _run_job(self, job: AnalysisJob) -> JobResult:
-        """One :meth:`run_jobs` unit on the compute pool; the system is
-        parsed once, here."""
-        try:
-            system = job.system()
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise RequestError(f"job {job.label!r}: invalid system: {exc}") from exc
-        if job.chain_name not in system:
-            raise RequestError(
-                f"job {job.label!r}: no chain named {job.chain_name!r} in "
-                f"system {system.name!r}"
-            )
-        return execute_job(job, self.cache, system=system)
 
     def _respond(
         self, request: AnalysisRequest, entry: _InFlight, *, coalesced: bool
@@ -386,8 +391,8 @@ class AnalysisService:
     ) -> BatchRunner:
         """A batch runner sharing this service's cache and options —
         the in-process path of ``repro batch`` (``workers > 1`` fans
-        out over processes; the per-worker caches then share the
-        persistent ``cache_dir``, when one is configured)."""
+        out over local shard worker processes, whose own caches then
+        share the persistent ``cache_dir``, when one is configured)."""
         return BatchRunner(
             workers=workers,
             ks=tuple(ks) if ks is not None else self.ks,

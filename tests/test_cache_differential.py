@@ -7,7 +7,7 @@ byte-identical across every execution shape —
 * cold vs. warm persistent cache (in-process and on-disk),
 * pristine vs. corrupted/poisoned on-disk entries (detected, dropped,
   recomputed — never trusted),
-* parent-parsed systems vs. worker-side file loading,
+* live systems vs. system files (``run_paths``),
 
 and the merged cross-process ``CacheStats`` account exactly for every
 lookup of every job.

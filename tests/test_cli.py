@@ -156,8 +156,9 @@ class TestBatch:
         assert capsys.readouterr().out == pruned
 
     def test_system_files_load_in_workers(self, tmp_path, capsys):
-        """--system files are parsed worker-side; exports stay
-        identical to the serial reference and labeled by path."""
+        """--system files are parsed in the parent, then fanned out;
+        exports stay identical to the serial reference and labeled by
+        path."""
         paths = []
         for index, calibrated in enumerate((False, True)):
             path = tmp_path / f"sys{index}.json"

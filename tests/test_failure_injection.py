@@ -218,6 +218,29 @@ class TestShardFailureRecovery:
         assert stats["retries"] + stats["steals"] >= 1
         assert batch.to_json() == serial
 
+    def test_batch_runner_inherits_the_retry(self, monkeypatch):
+        """``BatchRunner(workers=2)`` runs on the shard coordinator, so
+        a chunk whose worker process died is re-run, losslessly."""
+        import repro.runner.shard as shard
+        from repro.runner import BatchRunner
+
+        jobs, runner = self._jobs()
+        serial = runner.run(jobs).to_json()
+        built = []
+        original = shard.local_shard_workers
+
+        def killing_first(count, **kwargs):
+            workers = original(count, **kwargs)
+            workers[0].kill_next_dispatches = 1
+            built.extend(workers)
+            return workers
+
+        monkeypatch.setattr(shard, "local_shard_workers", killing_first)
+        batch = BatchRunner(workers=2, ks=(1, 10)).run(jobs)
+        assert batch.to_json() == serial
+        assert len(built) == 2
+        assert built[0].respawns == 1
+
     def test_repeated_kills_exhaust_retry_budget(self):
         from repro.runner import (RetryPolicy, ShardCoordinator,
                                   ShardExecutionError, WorkerUnavailable,

@@ -5,11 +5,11 @@ Covers the four properties the runner guarantees:
 * determinism — serial and parallel runs export byte-identical JSON;
 * cache correctness — cache-served job results equal cold ones on
   random systems, with LRU recency in the in-process front;
-* worker-side loading — path jobs parse files inside the workers,
-  memoized per process and revalidated by content digest;
+* system files — ``run_paths`` parses files in the parent and runs
+  them like ``run_systems``, for any worker count;
 * error propagation — analysis failures are data, everything else
-  (missing chains, unreadable files, worker crashes) raises in the
-  parent.
+  (missing chains, unreadable files, failing shard chunks) raises in
+  the parent, naming the job or file.
 
 The persistent disk backend has its own differential suite in
 ``test_cache_differential.py``.
@@ -17,7 +17,6 @@ The persistent disk backend has its own differential suite in
 
 import json
 import math
-import os
 import random
 
 import pytest
@@ -28,10 +27,7 @@ from repro.runner import (
     AnalysisJob,
     BatchExecutionError,
     BatchRunner,
-    SystemLoader,
-    SystemPathJob,
     execute_job,
-    execute_path_job,
     run_chain_job,
 )
 from repro.synth import (
@@ -184,6 +180,8 @@ class TestCacheCorrectness:
 
 
 class TestWorkerSideLoading:
+    """System files: parsed in the parent, then run like systems."""
+
     def write_systems(self, tmp_path, count=3, seed=7):
         labels, systems = small_sweep(count, seed)
         paths = []
@@ -206,70 +204,13 @@ class TestWorkerSideLoading:
         assert serial.to_json() == parallel.to_json()
         assert [job.label for job in serial.jobs] == paths
 
-    def test_path_job_defaults_and_chain_display(self):
-        job = SystemPathJob(path="x.json")
-        assert job.chains is None
-        assert job.chain_name == "*"
-        named = SystemPathJob(path="x.json", chains=("sigma_c", "sigma_d"))
-        assert named.chain_name == "sigma_c, sigma_d"
-
-    def test_loader_memoizes_and_revalidates(self, tmp_path):
-        path = tmp_path / "system.json"
-        path.write_text(system_to_json(figure4_system()))
-        loader = SystemLoader()
-        first = loader.load(str(path))
-        assert loader.load(str(path)) is first
-        assert loader.parses == 1 and loader.reuses == 1
-        # A touched-but-identical file revalidates by digest, no reparse.
-        stat = path.stat()
-        os.utime(path, ns=(stat.st_atime_ns + 10**9, stat.st_mtime_ns + 10**9))
-        assert loader.load(str(path)) is first
-        assert loader.parses == 1 and loader.reuses == 2
-        # Changed content reparses.
-        path.write_text(system_to_json(figure4_system(calibrated=True)))
-        changed = loader.load(str(path))
-        assert changed is not first
-        assert loader.parses == 2
-
-    def test_loader_never_serves_stale_same_tick_rewrite(self, tmp_path):
-        """Rewriting a file without advancing its mtime (the clock-tick
-        race) must still invalidate the memoized parse: revalidation is
-        by content digest, not stat signature."""
-        path = tmp_path / "system.json"
-        path.write_text(system_to_json(figure4_system()))
-        loader = SystemLoader()
-        first = loader.load(str(path))
-        stat = path.stat()
-        path.write_text(system_to_json(figure4_system(calibrated=True)))
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        changed = loader.load(str(path))
-        assert changed is not first
-        assert changed.content_digest() != first.content_digest()
-        assert loader.parses == 2
-
     def test_named_chains_fan_out_per_file_and_chain(self, tmp_path):
-        """Explicit chains split into one path job per (file, chain),
-        so few files with many chains still fill the pool; default
-        chain discovery stays per-file."""
+        """Explicit chains run as one job per (file, chain), byte-
+        identically over shard workers and in-process."""
         paths, _ = self.write_systems(tmp_path, count=2)
-        runner = BatchRunner(workers=1)
-        jobs = runner.path_jobs_for(paths, ["sigma_c", "sigma_d"])
-        assert len(jobs) == 4
-        assert [job.chains for job in jobs] == [("sigma_c",), ("sigma_d",)] * 2
-        assert len(runner.path_jobs_for(paths)) == 2
         fanned = BatchRunner(workers=2).run_paths(paths, ["sigma_c", "sigma_d"])
         reference = BatchRunner(workers=1).run_paths(paths, ["sigma_c", "sigma_d"])
         assert fanned.to_json() == reference.to_json()
-
-    def test_execute_path_job_selects_default_chains(self, tmp_path):
-        path = tmp_path / "system.json"
-        path.write_text(system_to_json(figure4_system()))
-        results = execute_path_job(SystemPathJob(path=str(path)))
-        assert sorted(result.chain_name for result in results) == [
-            "sigma_c",
-            "sigma_d",
-        ]
-        assert all(result.label == str(path) for result in results)
 
     def test_missing_file_raises_with_job(self, tmp_path):
         missing = str(tmp_path / "absent.json")
@@ -283,7 +224,7 @@ class TestWorkerSideLoading:
         bad.write_text("{not json")
         with pytest.raises(BatchExecutionError) as excinfo:
             BatchRunner(workers=2).run_paths(paths + [str(bad)])
-        assert excinfo.value.job.path == str(bad)
+        assert str(bad) in str(excinfo.value)
 
 
 class TestErrorPropagation:

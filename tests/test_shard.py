@@ -14,6 +14,7 @@ import random
 import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -36,7 +37,8 @@ from repro.runner import (
     make_chunks,
     run_sharded,
 )
-from repro.runner.shardstate import _ShardState
+import repro.runner.shardstate as shardstate
+from repro.runner.shardstate import OVERDUE_MIN_S, _ShardState
 from repro.service import AnalysisService, ServiceClient, ServiceError, start_server
 from repro.synth import GeneratorConfig, generate_feasible_system
 
@@ -414,6 +416,30 @@ class TestScheduling:
         assert batch.to_json() == serial
         assert coordinator.last_stats["steals"] == 0
         assert elapsed < 0.28
+
+    def test_short_overrun_is_not_overdue(self, monkeypatch):
+        """Ten times a 1 ms median is host noise, not a straggler: a
+        running chunk becomes stealable only once it has also run
+        ``OVERDUE_MIN_S``."""
+        clock = types.SimpleNamespace(now=0.0)
+        monkeypatch.setattr(
+            shardstate, "time", types.SimpleNamespace(monotonic=lambda: clock.now)
+        )
+        jobs, _ = synth_jobs(count=2)
+        chunks = make_chunks(jobs, 1)
+        assert len(chunks) >= 3
+        state = _ShardState(chunks, FAST_RETRY)
+        assert state.acquire("a") == ("run", (chunks[0], False))
+        for chunk in chunks[1:]:
+            assert state.acquire("b") == ("run", (chunk, False))
+            clock.now += 0.001
+            assert state.release_success(chunk, "b", [])
+        clock.now = 0.01
+        kind, seconds = state.acquire("b")
+        assert kind == "wait"
+        assert seconds == pytest.approx(OVERDUE_MIN_S - 0.01)
+        clock.now = OVERDUE_MIN_S
+        assert state.acquire("b") == ("run", (chunks[0], True))
 
     def test_release_before_wait_is_not_missed(self, monkeypatch):
         """A release that lands after a dispatch thread's ``acquire``

@@ -6,8 +6,11 @@
 * the serial runner and the shard worker loop parse each consecutive
   run of one system's jobs once, keep submission order, and export
   byte-identically to per-job ``execute_job``;
+* ``POST /shard/run`` (``AnalysisService.run_jobs``) runs a chunk
+  through the same loop: one parse per system;
 * a bad job inside a run of one system fails exactly as before: the
-  serial runner names it, the shard chunk fails without a retry;
+  serial runner names it, the shard chunk fails without a retry, and
+  the shard failure names the job;
 * one weakly-hard ``analyze_twca`` builds one interference structure
   from scratch and derives the typical one from it;
 * the daemon registers the system a wire request's ``from_dict``
@@ -120,6 +123,16 @@ class TestOneParsePerSystem:
         assert len(parses) == len(systems)
         assert BatchResult(jobs=results).to_json() == expected
 
+    def test_shard_run_endpoint_chunk(self, systems, parses):
+        jobs = BatchRunner(ks=KS).jobs_for(systems[:2])
+        assert len(jobs) == 6  # 3 + 3
+        expected = BatchRunner(workers=1, ks=KS).run(jobs).to_json()
+        del parses[:]
+        with AnalysisService() as service:
+            results = service.run_jobs(jobs)
+        assert len(parses) == 2
+        assert BatchResult(jobs=results).to_json() == expected
+
     def test_interleaved_systems_keep_submission_order(self, systems, parses):
         a = BatchRunner(ks=KS).jobs_for(systems[:1])
         b = BatchRunner(ks=KS).jobs_for(systems[1:2])
@@ -145,11 +158,18 @@ def with_bad_job(systems, bad):
 
 def missing_chain(systems):
     job = BatchRunner(ks=KS).jobs_for(systems[:1])[0]
-    return AnalysisJob(system_json=job.system_json, chain_name="no_such_chain", ks=KS)
+    return AnalysisJob(
+        system_json=job.system_json,
+        chain_name="no_such_chain",
+        ks=KS,
+        label="bad-chain-job",
+    )
 
 
 def corrupt_system(systems):
-    return AnalysisJob(system_json="{not json", chain_name="chain_0", ks=KS)
+    return AnalysisJob(
+        system_json="{not json", chain_name="chain_0", ks=KS, label="bad-system-job"
+    )
 
 
 @pytest.mark.parametrize("make_bad", [missing_chain, corrupt_system])
@@ -161,9 +181,9 @@ class TestBadJobInAGroup:
         assert info.value.job is jobs[position]
 
     def test_shard_chunk_fails_without_retry(self, systems, make_bad):
-        jobs, _ = with_bad_job(systems, make_bad(systems))
-        kind, index, message = run_chunk_in_process(jobs)
-        assert (kind, index) == ("error", 0)
+        jobs, position = with_bad_job(systems, make_bad(systems))
+        kind, index, (failed_at, message) = run_chunk_in_process(jobs)
+        assert (kind, index, failed_at) == ("error", 0, position)
         coordinator = ShardCoordinator(
             local_shard_workers(1),
             chunk_size=len(jobs),
@@ -175,6 +195,8 @@ class TestBadJobInAGroup:
         assert info.value.attempts == 1
         assert message in str(info.value.cause)
         assert coordinator.last_stats["retries"] == 0
+        bad = jobs[position]
+        assert f"job {bad.label!r} (chain {bad.chain_name!r})" in str(info.value)
 
 
 class TestOneStructurePerJob:
