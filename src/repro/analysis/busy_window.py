@@ -33,6 +33,7 @@ their ``model`` keyword, and neither outlives the job.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -258,10 +259,13 @@ def busy_time(
         Override for the ``q * C_b`` base term; used by the per-stage
         latency analysis (``(q-1) * C_b + C_prefix``).
     seed:
-        Warm start for the Kleene iteration.  Must be a *sound* lower
-        bound on the least fixed point — e.g. the fixed point of the
-        same configuration at ``q - 1`` (the sum is pointwise monotone
-        in ``q``) or the overload-free fixed point of the same ``q``.
+        Warm start for the Kleene iteration, which otherwise starts at
+        the base demand (``math.ulp(0.0)`` for a zero base, the least
+        window in which every interferer counts its first event).
+        Must be a *sound* lower bound on the least fixed point — e.g.
+        the fixed point of the same configuration at ``q - 1`` (the sum
+        is pointwise monotone in ``q``) or the overload-free fixed point
+        of the same ``q``.
         Any seed at or below the least fixed point yields the
         bit-identical breakdown (every component of the Theorem 1 sum is
         monotone in the horizon, so the converged evaluation is unique);
@@ -286,7 +290,7 @@ def busy_time(
     # iteration converges to exactly that fixed point — seeds change
     # the step count, never the result.
     base = q * target.total_wcet if base_demand is None else base_demand
-    horizon = base if base > 0 else 1
+    horizon = base if base > 0 else math.ulp(0.0)
     if seed is not None and seed > horizon:
         horizon = seed
     iterations = 0
@@ -333,10 +337,11 @@ def _fixed_point(
     the least fixed point is unique and :meth:`_InterferenceModel.total`
     repeats the float operations of :meth:`_InterferenceModel.evaluate`.
 
-    The Kleene iteration starts from ``q * C_b`` (1 for a zero base), or
-    from ``seed`` when that is larger; ``seed`` must be a sound lower
-    bound on the least fixed point, such as ``B(q - 1)`` (the sum is
-    pointwise monotone in ``q``), so it changes the step count only.
+    The Kleene iteration starts from ``q * C_b`` (``math.ulp(0.0)`` for
+    a zero base, never a floor above it), or from ``seed`` when that is
+    larger; ``seed`` must be a sound lower bound on the least fixed
+    point, such as ``B(q - 1)`` (the sum is pointwise monotone in
+    ``q``), so it changes the step count only.
 
     Raises
     ------
@@ -346,7 +351,7 @@ def _fixed_point(
         window (``OverflowError``).
     """
     base = q * model.base_wcet
-    horizon = base if base > 0 else 1
+    horizon = base if base > 0 else math.ulp(0.0)
     if seed is not None and seed > horizon:
         horizon = seed
     iterations = 0

@@ -549,13 +549,14 @@ def _build_verdict(
         """Def. 10 for one signature: for each ``q``, the Eq. (3) fixed
         point (the typical sum plus the signature's overload cost)
         iterated from the typical fixed point of ``q <= K_typ``, or
-        from the Eq. (3) fixed point of ``q - 1`` beyond."""
+        from the Eq. (3) fixed point of ``q - 1`` beyond, or from
+        ``q * C_b`` when larger (``math.ulp(0.0)`` when all are 0)."""
         terms = [(counters[name], weight) for name, weight in signature]
         wcet = target.total_wcet
         total = 0.0
         for q, delta in deltas.items():
             seed = typical_fixed[q - 1] if q <= len(typical_fixed) else total
-            horizon = max(seed, q * wcet, 1.0)
+            horizon = max(seed, q * wcet) or math.ulp(0.0)
             for _ in range(10_000):
                 total = model.total(q, horizon) + sum(
                     weight * max(1, count(horizon)) for count, weight in terms

@@ -11,6 +11,7 @@ the simple one-``q``-at-a-time scalar loop: it is an ablation
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..analysis.busy_window import MAX_ITERATIONS, MAX_WINDOW, BusyTimeBreakdown
@@ -51,7 +52,7 @@ def busy_time_arbitrary(
             total=total,
         )
 
-    horizon = base if base > 0 else 1
+    horizon = base if base > 0 else math.ulp(0.0)
     iterations = 0
     while True:
         current = evaluate(horizon)

@@ -108,7 +108,7 @@ def busy_time(
     if window is not None:
         return _demand(higher, target, q, window, extra_load)
     return _fixed_point(
-        higher, target, q, extra_load, max(q * target.wcet + extra_load, 1.0)
+        higher, target, q, extra_load, q * target.wcet + extra_load or math.ulp(0.0)
     )
 
 
@@ -130,7 +130,7 @@ def analyze_response_time(
         q += 1
         if q > MAX_Q:
             raise OverflowError(f"busy window of {target.name!r} never closes")
-        start = max(q * target.wcet, 1.0)
+        start = q * target.wcet or math.ulp(0.0)
         if busy and busy[-1] > start:
             start = busy[-1]
         value = _fixed_point(higher, target, q, 0.0, start)

@@ -22,21 +22,26 @@ of array passes and retires them wholesale:
    every isolated instance at once, writing trace *arrays*;
 4. the remaining maximal runs of non-isolated releases ("stretches",
    each opening at a provably idle instant) run through the *identical*
-   scalar event loop (:func:`repro.sim.engine.run_event_loop`), seeded
-   with the per-task FIFO counters a full scalar run would have reached.
+   scalar event loop (:func:`repro.sim.engine.run_event_loop`), all in
+   one call that jumps the idle gaps between them; each chain's first
+   release in a stretch re-seeds its tasks' FIFO counters to the values
+   a full scalar run would have reached.
 
 The result is bit-identical to the scalar loop run over the whole
 horizon (:meth:`repro.sim.engine.Simulator._run_python`) — same
 ``ExecutionSlice`` sequence, same ``InstanceRecord`` values, so exports
 compare byte-for-byte — but the per-activation Python cost is paid only
-for the contended minority.  Object views are materialized lazily by
-:class:`TraceArrays`; metric queries (latencies, miss counts, (m,k)
-windows, busy windows) answer directly from the arrays.
+for the contended minority.  No Python object per slice or instance
+outlives the run: the loop's slices land in five columns, and
+:class:`TraceArrays` materializes the object views lazily; metric
+queries (latencies, maximum latency, miss counts, (m,k) windows, busy
+windows) answer directly from the arrays.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -66,9 +71,11 @@ MARGIN_REL_FLOOR = 1e-9
 class TraceArrays:
     """Simulation trace held as per-chain arrays plus slice chunks.
 
-    ``slice_chunks`` mixes array chunks ``(chain, task, instances,
-    starts, ends)`` from batch retirement with one list of
-    :class:`ExecutionSlice` from the scalar stretches; slices
+    ``slice_chunks`` holds ``(chain, task, instances, starts, ends)``
+    chunks: from batch retirement, one per chain and task with numpy
+    columns; from the event loop, one chunk of five lists with one
+    entry per slice of every contended stretch.  :meth:`build_slices`
+    turns both into :class:`ExecutionSlice` objects on demand.  Slices
     never overlap and zero-length slices are never emitted, so slice
     start times are globally unique and a sort by start reconstructs
     the exact scalar emission order.
@@ -140,34 +147,36 @@ class TraceArrays:
 
     def build_slices(self) -> List[ExecutionSlice]:
         out: List[ExecutionSlice] = []
-        for chunk in self.slice_chunks:
-            if isinstance(chunk, list):
-                out.extend(chunk)
-                continue
-            chain_name, task_name, instances, starts, ends = chunk
-            out.extend(
-                ExecutionSlice(chain_name, task_name, instance, start, end)
-                for instance, start, end in zip(
-                    instances.tolist(), starts.tolist(), ends.tolist()
-                )
-            )
+        for chain, task, *columns in self.slice_chunks:
+            if isinstance(chain, str):  # a batch chunk of one task
+                chain, task = repeat(chain), repeat(task)
+                columns = [column.tolist() for column in columns]
+            out.extend(map(ExecutionSlice, chain, task, *columns))
         out.sort(key=lambda piece: piece.start)
         return out
 
     # -- array metric paths -------------------------------------------
-    def latencies(self, chain: str) -> List[float]:
+    def _latency(self, chain: str):
+        """Latencies of the finished instances of ``chain``, as an array."""
         finish = self.finish[chain]
         done = ~np.isnan(finish)
-        return (finish[done] - self.activation[chain][done]).tolist()
+        return finish[done] - self.activation[chain][done]
+
+    def latencies(self, chain: str) -> List[float]:
+        return self._latency(chain).tolist()
+
+    def max_latency(self, chain: str) -> float:
+        latency = self._latency(chain)
+        return float(latency.max()) if latency.size else 0.0
 
     def miss_flags(self, chain: str, deadline: float) -> List[bool]:
-        return [latency > deadline for latency in self.latencies(chain)]
+        return (self._latency(chain) > deadline).tolist()
+
+    def miss_count(self, chain: str, deadline: float) -> int:
+        return int(np.count_nonzero(self._latency(chain) > deadline))
 
     def empirical_dmm(self, chain: str, deadline: float, k: int) -> int:
-        finish = self.finish[chain]
-        done = ~np.isnan(finish)
-        latency = finish[done] - self.activation[chain][done]
-        flags = (latency > deadline).astype(np.int64)
+        flags = (self._latency(chain) > deadline).astype(np.int64)
         if flags.size < k:
             return int(flags.sum())
         sums = np.cumsum(flags)
@@ -330,32 +339,30 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
             trace.finish[chain.name][instances] = clock
 
     # 4. Contended stretches — maximal runs of non-isolated releases —
-    # replay through the exact scalar loop.  Every stretch opens at an
+    # replay through the exact scalar loop, all in one call: the loop
+    # jumps the idle gaps between stretches.  Every stretch opens at an
     # idle instant (its predecessor is isolated and finished strictly
-    # earlier), so fresh sync/FIFO state plus seeded turn counters
-    # reproduce the full scalar run's behaviour over the stretch.
+    # earlier), so the loop's sync and FIFO state is empty there; only
+    # the FIFO turns lag behind the batch-retired instances, and each
+    # chain's first release in a stretch re-seeds them (``fresh``).
     slow_idx = np.flatnonzero(~fast)
     if slow_idx.size:
-        store = _ArrayStore(trace)
-        chain_list = list(chains)
-        slow_chain = [chain_list[c] for c in cid[slow_idx].tolist()]
-        releases = list(zip(t[slow_idx].tolist(), slow_chain, inst[slow_idx].tolist()))
-        cuts = np.flatnonzero(np.diff(slow_idx) > 1) + 1
-        bounds = [0, *cuts.tolist(), len(releases)]
-        execution_time = simulator._execution_time
-        # One slice list serves every stretch: a stretch's first slice
-        # never continues the previous stretch's last (no instance
-        # spans two stretches), and build_slices sorts by start.
-        stretch_slices: List[ExecutionSlice] = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            pending = releases[lo:hi]
-            task_turn: Dict[str, int] = {}
-            for _, chain, instance in pending:
-                if chain.tasks[0].name not in task_turn:
-                    for task in chain.tasks:
-                        task_turn[task.name] = instance
-            run_event_loop(pending, execution_time, store, stretch_slices, task_turn)
-        if stretch_slices:
-            trace.slice_chunks.append(stretch_slices)
+        slow_cid = cid[slow_idx]
+        stretch = np.cumsum(np.diff(slow_idx, prepend=slow_idx[0]) > 1)
+        _, first = np.unique(stretch * len(chains) + slow_cid, return_index=True)
+        fresh = np.zeros(slow_idx.size, dtype=bool)
+        fresh[first] = True
+        slow_chain = [chains[c] for c in slow_cid.tolist()]
+        slow_t, slow_inst = t[slow_idx].tolist(), inst[slow_idx].tolist()
+        releases = list(zip(slow_t, slow_chain, slow_inst, fresh.tolist()))
+        # One column chunk holds every stretch's slices: a stretch's
+        # first slice never continues the previous stretch's last (no
+        # instance spans two stretches), and build_slices sorts by start.
+        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        run_event_loop(
+            releases, simulator._execution_time, _ArrayStore(trace), columns
+        )
+        if columns[0]:
+            trace.slice_chunks.append(columns)
 
     return result

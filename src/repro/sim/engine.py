@@ -17,9 +17,10 @@ The simulator is event-driven and deterministic given the activation
 streams and execution times.  :meth:`Simulator.run` goes through the
 numpy event calendar (:mod:`repro.sim.calendar`), which retires
 isolated activations in batch array operations and runs the event loop
-below only over the contended stretches.  :meth:`Simulator._run_python`
+below once, over the contended stretches.  :meth:`Simulator._run_python`
 runs the same loop over the whole horizon; it is the oracle the
-calendar is tested against, trace for trace.
+calendar is tested against, trace for trace.  The loop records slices
+in five plain columns, not one Python object per slice.
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ class SimulationResult:
 
     The scalar loop (:meth:`Simulator._run_python`) fills
     :attr:`instances` and :attr:`slices` with objects directly; the
-    numpy calendar carries the trace as arrays and materializes the
-    object views lazily on first access, so soak-scale runs pay for
-    Python objects only when somebody actually iterates them.  Metric
-    queries answer from the arrays when they are present — with
-    value-identical arithmetic, checked by the calendar parity suite.
+    numpy calendar carries the trace as arrays and slice columns and
+    materializes the object views lazily on first access, so soak-scale
+    runs pay for Python objects only when somebody actually iterates
+    them.  Metric queries (``max_latency`` and ``miss_count`` included)
+    answer from the arrays when they are present — with value-identical
+    arithmetic and Python scalars, checked by the calendar parity suite.
     """
 
     def __init__(
@@ -117,6 +119,8 @@ class SimulationResult:
 
     def max_latency(self, chain: str) -> float:
         """Largest observed latency of ``chain`` (0.0 if none finished)."""
+        if self._instances is None and self._trace is not None:
+            return self._trace.max_latency(chain)
         observed = self.latencies(chain)
         return max(observed) if observed else 0.0
 
@@ -132,6 +136,8 @@ class SimulationResult:
         ]
 
     def miss_count(self, chain: str) -> int:
+        if self._instances is None and self._trace is not None:
+            return self._trace.miss_count(chain, self.system[chain].deadline)
         return sum(self.miss_flags(chain))
 
     def empirical_dmm(self, chain: str, k: int) -> int:
@@ -225,22 +231,28 @@ class _ObjectStore:
 
 
 def run_event_loop(
-    pending_releases: List[Tuple[float, TaskChain, int]],
+    pending_releases: List[Tuple[float, TaskChain, int, bool]],
     execution_time: Callable[[TaskChain, int], float],
     store,
-    slices: List[ExecutionSlice],
-    task_turn: Dict[str, int],
+    columns: Tuple[list, list, list, list, list],
 ) -> None:
     """The SPP event loop, shared verbatim between both backends.
 
-    ``pending_releases`` must be sorted by time; ``store`` receives the
-    record lifecycle callbacks (``mark_start`` / ``task_finish`` /
-    ``finish``); ``slices`` collects execution slices in chronological
-    order; ``task_turn`` carries the per-task FIFO counters — the python
-    backend starts it empty, the calendar backend seeds it with the
-    first instance index of every chain present in a contended stretch
-    (the loop state a full scalar run would have reached at the idle
-    point opening the stretch).
+    ``pending_releases`` holds ``(time, chain, instance, fresh)``
+    sorted by time.  A ``fresh`` release sets the per-task FIFO turn of
+    every task of its chain to its instance: the python backend marks
+    each chain's instance 0, the calendar backend each chain's first
+    release in every contended stretch (the turn a full scalar run
+    would have reached at the idle point opening the stretch).  The
+    loop jumps idle gaps, so one call serves any number of busy
+    periods; the iteration guard counts per busy period.
+
+    ``store`` receives the record lifecycle callbacks (``mark_start`` /
+    ``task_finish`` / ``finish``).  ``columns`` are five lists (chain,
+    task, instance, start, end) that receive the execution slices in
+    chronological order, one entry per slice and no object; the open
+    slice's end lives in a local until the next slice starts or the
+    loop drains.
 
     The ready set is a binary heap keyed ``(-priority, release,
     instance, seq)``: highest priority first, then the earliest release,
@@ -251,6 +263,8 @@ def run_event_loop(
     release_count = len(pending_releases)
     ready: List[Tuple[float, float, int, int, _Job]] = []
     pushes = itertools.count()
+    #: Per-task FIFO counters: the instance whose turn it is.
+    task_turn: Dict[str, int] = {}
     #: Whether an instance of a sync chain is currently in flight.
     sync_busy: Dict[str, bool] = {}
     #: Instances of synchronous chains waiting for their predecessor.
@@ -258,6 +272,12 @@ def run_event_loop(
     #: Jobs blocked by the per-task FIFO order.
     fifo_backlog: Dict[str, List[_Job]] = {}
     mark_start, task_finish, finish = store.mark_start, store.task_finish, store.finish
+    add_chain, add_task, add_instance, add_start, add_end = (
+        column.append for column in columns
+    )
+    #: Job and end of the open slice (None before the first slice).
+    open_job: Optional[_Job] = None
+    open_end = 0.0
 
     time = 0.0
 
@@ -266,7 +286,7 @@ def run_event_loop(
 
     def admit(job: _Job) -> None:
         """Place a job into the ready set, honouring per-task FIFO."""
-        if job.instance == task_turn.setdefault(job.task_name, 0):
+        if job.instance == task_turn[job.task_name]:
             push(job)
         else:
             fifo_backlog.setdefault(job.task_name, []).append(job)
@@ -322,8 +342,11 @@ def run_event_loop(
             next_release_index < release_count
             and pending_releases[next_release_index][0] <= time
         ):
-            at, chain, instance = pending_releases[next_release_index]
+            at, chain, instance, fresh = pending_releases[next_release_index]
             next_release_index += 1
+            if fresh:
+                for task in chain.tasks:
+                    task_turn[task.name] = instance
             job = _Job(chain, 0, instance, at, execution_time(chain, 0))
             if chain.is_synchronous:
                 if sync_busy.get(chain.name):
@@ -336,7 +359,9 @@ def run_event_loop(
         if not ready:
             if next_release_index >= release_count:
                 break  # no work left and no future releases
+            # Idle until the next release: a new busy period.
             time = pending_releases[next_release_index][0]
+            iterations = 0
             continue
 
         job = heappop(ready)[-1]
@@ -361,26 +386,24 @@ def run_event_loop(
             finish_job(job, time)
             continue
         if run_until > time:
-            if (
-                slices
-                and slices[-1].chain == job.chain.name
-                and slices[-1].task == job.task_name
-                and slices[-1].instance == job.instance
-                and slices[-1].end == time
-            ):
-                slices[-1].end = run_until
+            if job is open_job and open_end == time:
+                open_end = run_until
             else:
-                slices.append(
-                    ExecutionSlice(
-                        job.chain.name, job.task_name, job.instance, time, run_until
-                    )
-                )
+                if open_job is not None:
+                    add_end(open_end)
+                add_chain(job.chain.name)
+                add_task(job.task_name)
+                add_instance(job.instance)
+                add_start(time)
+                open_job, open_end = job, run_until
         job.remaining -= run_until - time
         time = run_until
         if job.remaining <= 1e-12:
             finish_job(job, time)
         else:
             push(job)
+    if open_job is not None:
+        add_end(open_end)
 
 
 def release_times(
@@ -452,18 +475,19 @@ class Simulator:
     ) -> SimulationResult:
         prepared = self.prepare_releases(activations, horizon)
         records: Dict[str, List[InstanceRecord]] = {}
-        pending_releases: List[Tuple[float, TaskChain, int]] = []
+        pending_releases: List[Tuple[float, TaskChain, int, bool]] = []
         for chain in self.system.chains:
             times = prepared[chain.name]
             records[chain.name] = [
                 InstanceRecord(chain.name, i, t) for i, t in enumerate(times)
             ]
             for i, t in enumerate(times):
-                pending_releases.append((t, chain, i))
+                pending_releases.append((t, chain, i, i == 0))
         pending_releases.sort(key=lambda item: item[0])
 
-        slices: List[ExecutionSlice] = []
+        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
         run_event_loop(
-            pending_releases, self._execution_time, _ObjectStore(records), slices, {}
+            pending_releases, self._execution_time, _ObjectStore(records), columns
         )
+        slices = list(map(ExecutionSlice, *columns))
         return SimulationResult(self.system, horizon, records, slices)

@@ -14,6 +14,8 @@ scalar ``busy_time``.
 
 from __future__ import annotations
 
+import math
+
 from repro.analysis import busy_time
 from repro.analysis.exceptions import BusyWindowDivergence
 
@@ -27,7 +29,7 @@ def exact_unschedulable_scalar(system, target, deltas, signature) -> bool:
             typical_total = busy_time(system, target, q, include_overload=False).total
         except BusyWindowDivergence:
             return True  # typical part diverges: no fixed point
-        horizon = max(typical_total, q * target.total_wcet, 1.0)
+        horizon = max(typical_total, q * target.total_wcet) or math.ulp(0.0)
         for _ in range(10_000):
             typical = busy_time(
                 system, target, q, include_overload=False, window=horizon

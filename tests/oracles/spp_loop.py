@@ -55,11 +55,8 @@ def run_event_loop(
     ``pending_releases`` must be sorted by time; ``store`` receives the
     record lifecycle callbacks (``mark_start`` / ``task_finish`` /
     ``finish``); ``slices`` collects execution slices in chronological
-    order; ``task_turn`` carries the per-task FIFO counters — the python
-    backend starts it empty, the calendar backend seeds it with the
-    first instance index of every chain present in a contended stretch
-    (the loop state a full scalar run would have reached at the idle
-    point opening the stretch).
+    order; ``task_turn`` carries the per-task FIFO counters
+    (:func:`simulate` starts it empty, so every turn starts at 0).
     """
     next_release_index = 0
     ready: List[_Job] = []

@@ -3,11 +3,13 @@ systems."""
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GuaranteeStatus, analyze_latency, analyze_twca
 from repro.analysis import busy_time
+from repro.model.serialization import system_from_dict, system_to_dict
 from repro.synth import GeneratorConfig, generate_feasible_system
 
 
@@ -125,3 +127,49 @@ def test_omega_monotone_in_k(seed):
             omega = result.omega(overload, k)
             assert omega >= previous
             previous = omega
+
+
+#: Scaling by a power of two is exact in binary floats.
+TIME_SCALE = 2.0 ** -10
+
+#: Serialized fields that hold a time (or a list of times).
+TIME_FIELDS = {
+    "period", "jitter", "min_distance", "inner_distance", "outer_distance",
+    "tail_distance", "delta_min_points", "delta_max_points", "deadline",
+    "wcet", "bcet",
+}
+
+
+def scale_times(data):
+    """``data`` (a serialized system) with every time field scaled."""
+    if isinstance(data, list):
+        return [scale_times(item) for item in data]
+    if not isinstance(data, dict):
+        return data
+    scaled = {}
+    for key, value in data.items():
+        if key in TIME_FIELDS and isinstance(value, list):
+            value = [item * TIME_SCALE for item in value]
+        elif key in TIME_FIELDS and value is not None:
+            value = value * TIME_SCALE
+        scaled[key] = scale_times(value)
+    return scaled
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_analysis_is_invariant_under_time_scaling(seed):
+    """The analysis has no absolute time unit: scaling every time of a
+    system by a power of two keeps each TWCA status and DMM curve and
+    scales the WCL exactly.  A Kleene iteration that started at a floor
+    of 1 time unit instead of the base demand broke this on small time
+    scales."""
+    system = generate_feasible_system(random.Random(seed), GeneratorConfig(
+        chains=3, overload_chains=1, utilization=0.6,
+        overload_utilization=0.1, deadline_factor=0.8))
+    small = system_from_dict(scale_times(system_to_dict(system)))
+    for chain in system.typical_chains:
+        result = analyze_twca(system, chain)
+        scaled = analyze_twca(small, small[chain.name])
+        assert scaled.status is result.status
+        assert scaled.dmm_curve((3, 10, 100)) == result.dmm_curve((3, 10, 100))
+        assert scaled.wcl == result.wcl * TIME_SCALE

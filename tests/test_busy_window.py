@@ -6,10 +6,13 @@ import dataclasses
 
 import pytest
 
-from repro import BusyWindowDivergence, PeriodicModel, SystemBuilder
+from repro import (BusyWindowDivergence, PeriodicModel, SporadicModel,
+                   SystemBuilder)
 from repro.analysis import (analyze_latency, analyze_twca, busy_time,
                             busy_times, criterion_load, criterion_loads,
                             typical_busy_time)
+from repro.baselines import (AnalyzedTask, analyze_response_time,
+                             busy_time_arbitrary)
 from repro.model import ChainKind
 
 
@@ -197,6 +200,39 @@ class TestDivergence:
             busy_times(figure4, chain, [1, 2, 3])
         # The Theorem 2 scan closes at K = 2 and never asks for q = 3.
         assert analyze_latency(figure4, chain).max_queue == 2
+
+
+class TestZeroBaseKleeneStart:
+    """A zero base demand starts the Kleene iteration at the least
+    positive window, not at a floor of 1 time unit: from 1, a
+    ``SporadicModel(0.3)`` interferer counts 4 events and the iteration
+    stops at the pre-fixed point 0.4 above the least fixed point 0.1."""
+
+    @staticmethod
+    def system():
+        return (
+            SystemBuilder("zero-base")
+            .chain("idle", PeriodicModel(10), deadline=10)
+            .task("idle.t", priority=1, wcet=0)
+            .chain("irq", SporadicModel(0.3))
+            .task("irq.t", priority=2, wcet=0.1)
+            .build()
+        )
+
+    def test_busy_time_is_least_fixed_point(self):
+        system = self.system()
+        assert busy_time(system, system["idle"], 1).total == 0.1
+
+    def test_latency_scan_is_least_fixed_point(self):
+        system = self.system()
+        assert analyze_latency(system, system["idle"]).busy_times == (0.1,)
+
+    def test_baselines_start_at_base_demand(self):
+        system = self.system()
+        assert busy_time_arbitrary(system, system["idle"], 1).total == 0.1
+        irq = AnalyzedTask("irq", 2, 0.1, SporadicModel(0.3))
+        idle = AnalyzedTask("idle", 1, 0.0, PeriodicModel(10))
+        assert analyze_response_time([irq, idle], idle).busy_times == (0.1,)
 
 
 class TestWindowOverride:

@@ -12,6 +12,7 @@ builders, the metric helpers, the soak workload and the distributed
 simulator.
 """
 
+import gc
 import random
 
 import pytest
@@ -184,6 +185,37 @@ class TestMetricParity:
             assert miss_streaks(fast, name) == miss_streaks(reference, name)
             assert busy_window_activation_counts(fast, name) == \
                 busy_window_activation_counts(reference, name)
+
+    def test_array_queries_return_python_scalars(self):
+        """The soak digest JSON-encodes these answers, so the array path
+        returns Python ``float``/``int`` exactly as the object path."""
+        system, (fast, reference) = self._results()
+        for chain in system.chains:
+            name = chain.name
+            assert type(fast.max_latency(name)) is float
+            assert type(fast.miss_count(name)) is int
+            assert repr(fast.max_latency(name)) == repr(reference.max_latency(name))
+        silent = Simulator(system).run({}, 100.0)
+        name = system.chains[0].name
+        assert silent.max_latency(name) == 0.0
+        assert type(silent.max_latency(name)) is float
+        assert silent.miss_count(name) == 0
+
+
+class TestTraceObjects:
+    def test_result_holds_no_per_slice_objects(self):
+        """The calendar keeps its trace in arrays and slice columns:
+        one ``ExecutionSlice`` per contended slice would leave ~9,000
+        objects for the collector to track here."""
+        system, activations, horizon = soak_workload(events=20_000)
+        simulator = Simulator(system)
+        gc.collect()
+        before = len(gc.get_objects())
+        result = simulator.run(activations, horizon)
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        assert held < 100
+        assert len(result.slices) > 60_000
 
 
 class TestStreamParity:

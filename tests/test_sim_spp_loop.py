@@ -22,7 +22,7 @@ from oracles import spp_loop
 
 from repro import ChainKind, PeriodicModel, SystemBuilder
 from repro.arrivals import SporadicBurstModel
-from repro.sim import Simulator, random_stream, worst_case_stream
+from repro.sim import Simulator, calendar, engine, random_stream, worst_case_stream
 from repro.synth import soak_workload
 
 #: Budgets from zero (the zero-remaining cascade) and 1e-8 (below float
@@ -134,3 +134,42 @@ def test_soak_matches_oracle():
     stretches the calendar replays through the production loop."""
     system, activations, horizon = soak_workload(events=4_000)
     assert_matches_oracle(system, activations, horizon)
+
+
+def test_one_loop_call_reseeds_fifo_turns(monkeypatch):
+    """The calendar replays every contended stretch in one loop call.
+    Between the stretches of asynchronous chain ``a``, instances of
+    ``a`` retire in batch, unseen by the loop, so each stretch's first
+    release of ``a`` must re-seed the FIFO turns of ``a``'s tasks: a
+    stale turn would park that instance in the FIFO backlog."""
+    system = (
+        SystemBuilder("stretches")
+        .chain("a", PeriodicModel(100), deadline=50.0, kind=ChainKind.ASYNCHRONOUS)
+        .task("a.t0", priority=3, wcet=3.0)
+        .task("a.t1", priority=1, wcet=4.0)
+        .chain("h", PeriodicModel(100), deadline=50.0)
+        .task("h.t", priority=2, wcet=5.0)
+        .build()
+    )
+    bursts = [0.0, 1.0, 2.0, 400.0, 400.5, 401.0, 700.0, 702.0]
+    isolated = [100.0, 200.0, 300.0, 500.0, 600.0]
+    activations = {"a": sorted(bursts + isolated), "h": [1.5, 250.0, 401.5, 703.0]}
+    calls = []
+
+    def counting(releases, *args):
+        calls.append(
+            [(chain.name, instance, fresh) for _, chain, instance, fresh in releases]
+        )
+        return engine.run_event_loop(releases, *args)
+
+    monkeypatch.setattr(calendar, "run_event_loop", counting)
+    assert_matches_oracle(system, activations)
+    assert len(calls) == 1
+    released = [(instance, fresh) for name, instance, fresh in calls[0] if name == "a"]
+    # Three stretches of ``a``, batch-retired instances between them.
+    assert [instance for instance, _ in released] == [0, 1, 2, 6, 7, 8, 11, 12]
+    assert [instance for instance, fresh in released if fresh] == [0, 6, 11]
+
+    system, activations, horizon = soak_workload(events=4_000)
+    Simulator(system).run(activations, horizon)
+    assert len(calls) == 2
