@@ -22,7 +22,7 @@ Subcommands::
         POST /shard/run).
     repro shard [--corpus DIR|--system FILE ...|--random N] [--shards S]
         Sharded TWCA: partition the jobs over S local worker processes
-        and/or remote --worker URLs with work-stealing and bounded
+        and/or remote --worker URLs, one worker per chunk, with bounded
         retries; the merged --json export is byte-identical to
         --serial (and to `repro batch --json`).
     repro corpus {generate,verify}
@@ -774,8 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     shard = sub.add_parser(
         "shard",
         help="sharded TWCA: partition jobs over local worker processes "
-        "and/or remote shard-worker endpoints with work-stealing "
-        "and bounded retries",
+        "and/or remote shard-worker endpoints, one worker per chunk, "
+        "with bounded retries",
     )
     shard.add_argument(
         "--corpus",

@@ -37,7 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sim.calendar import isolation_mask
 from ..sim.engine import release_times
+from ..sim.metrics import worst_case_activations
 from .model import DistributedChain, DistributedSystem
 
 
@@ -161,15 +163,12 @@ class DistributedSimulator:
     ) -> None:
         """Fast-forward isolated instances; scalar-replay the rest.
 
-        Mirrors :func:`repro.sim.calendar.run_calendar`: the prefix-scan
-        busy-finish bound classifies every release, misclassification
-        only routes releases to the exact scalar loop.
+        Mirrors :func:`repro.sim.calendar.run_calendar` and shares its
+        classifier, :func:`~repro.sim.calendar.isolation_mask`;
+        misclassification only routes releases to the exact scalar loop.
         """
-        from ..sim.calendar import MARGIN_ABS, MARGIN_REL_FLOOR, MARGIN_REL_PER_EVENT
-
         chains = self.system.chains
         chain_index = {chain.name: c for c, chain in enumerate(chains)}
-        total = len(releases)
         t = np.asarray([item[0] for item in releases])
         cid = np.asarray([chain_index[item[1].name] for item in releases])
         inst = np.asarray([item[2] for item in releases])
@@ -178,21 +177,7 @@ class DistributedSimulator:
             [float(mapped.task.wcet) for mapped in chain.tasks] for chain in chains
         ]
         chain_work = np.asarray([sum(w) for w in exec_times])
-        work = chain_work[cid]
-        cum = np.cumsum(work)
-        finish_bound = cum + np.maximum.accumulate(t - (cum - work))
-        margin = (
-            MARGIN_ABS
-            + max(MARGIN_REL_FLOOR, MARGIN_REL_PER_EVENT * total) * np.abs(t)
-        )
-
-        idle_before = np.empty(total, dtype=bool)
-        idle_before[0] = True
-        idle_before[1:] = t[1:] - finish_bound[:-1] > margin[1:]
-        gap_after = np.empty(total, dtype=bool)
-        gap_after[-1] = True
-        gap_after[:-1] = t[1:] - (t[:-1] + work[:-1]) > margin[1:]
-        fast = idle_before & gap_after
+        fast = isolation_mask(t, chain_work[cid])
 
         fast_idx = np.flatnonzero(fast)
         if fast_idx.size:
@@ -348,15 +333,6 @@ class DistributedSimulator:
                     finish_job(job, time)
 
 
-def worst_case_distributed_activations(
-    system: DistributedSystem, horizon: float
-) -> Dict[str, List[float]]:
-    """Critical-instant streams for every chain of a distributed
-    system, generated through the batched stream builder (one array op
-    per chain)."""
-    from ..sim.activations import worst_case_stream
-
-    return {
-        chain.name: worst_case_stream(chain.activation, horizon)
-        for chain in system.chains
-    }
+#: Critical-instant streams for every chain of a distributed system:
+#: the single-CPU helper, which reads only each chain's activation model.
+worst_case_distributed_activations = worst_case_activations

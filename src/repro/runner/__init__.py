@@ -23,7 +23,7 @@ system files in the calling process, then runs them like any systems.
 
 Past one host, :mod:`repro.runner.shard` scales the same job lists over
 shard workers — local processes and/or remote ``repro shard-worker``
-endpoints — with work-stealing and bounded retries, merging to the
+endpoints — with bounded chunk retries, merging to the
 byte-identical deterministic export (CLI: ``repro shard``).
 """
 

@@ -364,7 +364,7 @@ class BatchRunner:
 
         try:
             # No more processes than jobs: an idle one would only
-            # duplicate a running chunk.
+            # cost a process start.
             return run_sharded(
                 jobs,
                 shards=min(self.workers, len(jobs)),

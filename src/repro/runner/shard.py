@@ -1,6 +1,6 @@
 """The sharded batch coordinator: fan (system, chain) jobs over N
-shard workers with work-stealing, bounded retries, and a merge that is
-byte-identical to a serial run.
+shard workers with bounded retries and a merge that is byte-identical
+to a serial run.
 
 This is the one local fan-out: ``BatchRunner(workers=N)`` with
 ``N > 1`` runs its jobs here, over ``N`` local workers
@@ -14,27 +14,24 @@ worker; each thread pulls the next eligible chunk from a shared,
 lock-protected scheduler, runs it on its worker, and posts the results
 back.  Three scheduler behaviors make the fan-out robust:
 
-* **Work-stealing** — an idle worker with no pending chunk duplicates
-  the oldest still-running chunk once it is *overdue* (it has run for
-  twice the median duration of the chunks completed so far, and at
-  least 50 ms; any running chunk before the first completes), one
-  extra claimant at most, so a straggler or silently-wedged worker
-  cannot stall the tail of a run while a healthy run ends with its
-  last original chunk.
-  Results are deterministic per job, so the first completion wins and
-  the duplicate is discarded.  Idle dispatch threads sleep until a
-  chunk is released or the next chunk becomes due; none polls.
+* **One worker per chunk** — a chunk runs on one worker at a time,
+  and a worker that finishes early pulls the next pending chunk, so
+  the chunk size balances the load.  A pass waits for every chunk it
+  handed out: a remote worker is bounded by its client's ``timeout``,
+  a local one by its process staying alive.  Idle dispatch threads
+  sleep until a chunk is released or a queued retry becomes due; none
+  polls.
 * **Retry with backoff** — a chunk whose worker died
   (:class:`WorkerUnavailable`) is requeued under the coordinator's
   :class:`~repro.runner.retry.RetryPolicy`: bounded attempts,
-  exponentially delayed eligibility.  Exhausting the budget raises
-  :class:`ShardExecutionError`.
+  exponentially delayed eligibility, and possibly another worker.
+  Exhausting the budget raises :class:`ShardExecutionError`.
 * **Keyed merge** — every job's deterministic export depends only on
   the job itself, so merging is a pure keyed union: results are
   reassembled in global submission order and the combined
   :class:`~repro.runner.batch.BatchResult` export is byte-identical to
   ``BatchRunner(workers=1)`` over the same jobs, regardless of chunk
-  placement, steals, or retries.
+  placement or retries.
 
 Two worker kinds implement the same ``run_chunk`` protocol:
 :class:`LocalShardWorker` owns one OS process (killed workers are
@@ -410,7 +407,8 @@ class ShardCoordinator:
         ``run_chunk``/``close`` with a ``name``).
     chunk_size:
         Jobs per chunk; ``None`` auto-sizes to about four chunks per
-        worker so stealing and retries have useful granularity.
+        worker, so a worker that finishes early pulls another chunk
+        and a retry re-runs a small part of the work.
     retry:
         The per-chunk retry budget and backoff applied when a worker
         dies mid-chunk.
@@ -442,7 +440,8 @@ class ShardCoordinator:
         self.retry = retry
         self.log = log
         self.own_workers = own_workers
-        #: Scheduler counters of the last run (steals, retries).
+        #: Counters of the last run (retries, respawns,
+        #: corrupt_dropped).
         self.last_stats: Dict[str, int] = {}
 
     def _auto_chunk_size(self, job_count: int) -> int:
@@ -498,20 +497,16 @@ class ShardCoordinator:
             thread.start()
         for thread in threads:
             thread.join()
-        self.last_stats = state.counters()
-        self.last_stats["respawns"] = sum(
-            getattr(worker, "respawns", 0) for worker in self.workers
-        )
-        self.last_stats["corrupt_dropped"] = sum(
-            getattr(worker, "corrupt_dropped", 0) for worker in self.workers
-        )
+        self.last_stats = {
+            "retries": state.retries,
+            "respawns": sum(getattr(w, "respawns", 0) for w in self.workers),
+            "corrupt_dropped": sum(
+                getattr(w, "corrupt_dropped", 0) for w in self.workers
+            ),
+        }
         if state.failure is not None:
             raise state.failure
-        coordinator.line(
-            f"merged {len(chunks)} chunks "
-            f"(retries={self.last_stats['retries']}, "
-            f"steals={self.last_stats['steals']})"
-        )
+        coordinator.line(f"merged {len(chunks)} chunks (retries={state.retries})")
         # The keyed union: chunk results land at their global offsets,
         # reproducing submission order exactly.
         ordered: List[Optional[JobResult]] = [None] * len(jobs)
@@ -536,23 +531,21 @@ class ShardCoordinator:
             if kind == "wait":
                 state.wait(worker.name, payload)
                 continue
-            chunk, stolen = payload
-            note = " (stolen)" if stolen else ""
-            tag.line(f"chunk {chunk.index} start: {len(chunk)} jobs{note}")
+            chunk = payload
+            tag.line(f"chunk {chunk.index} start: {len(chunk)} jobs")
             started = time.perf_counter()
             try:
                 results = worker.run_chunk(chunk)
             except WorkerUnavailable as exc:
                 tag.line(f"chunk {chunk.index} lost: {exc}")
-                state.release_failure(chunk, worker.name, exc, retryable=True)
+                state.release_failure(chunk, exc, retryable=True)
             except Exception as exc:
                 tag.line(f"chunk {chunk.index} failed: {exc}")
-                state.release_failure(chunk, worker.name, exc, retryable=False)
+                state.release_failure(chunk, exc, retryable=False)
             else:
-                kept = state.release_success(chunk, worker.name, results)
+                state.release_success(chunk, results)
                 elapsed = time.perf_counter() - started
-                outcome = "done" if kept else "done (duplicate, discarded)"
-                tag.line(f"chunk {chunk.index} {outcome} in {elapsed:.3f}s")
+                tag.line(f"chunk {chunk.index} done in {elapsed:.3f}s")
 
 
 def run_sharded(

@@ -254,6 +254,34 @@ def _retire_task(release, budget: float):
     return time
 
 
+def isolation_mask(t: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Which releases of a time-sorted calendar run in isolation.
+
+    ``t`` holds the release times in order and ``work`` each release's
+    total execution time.  Release ``j`` is isolated when the processor
+    is idle at ``t[j]`` and ``j`` finishes strictly before ``t[j + 1]``,
+    both behind the conservative margin.  The busy-finish bound
+    ``F_j = max(F_{j-1}, t_j) + W_j`` after every release is one prefix
+    scan: with ``S`` the work cumsum, ``F = S + running_max(t -
+    S_shifted)``.  Float drift of the scan is covered by the margin,
+    below which a release is simply not isolated.
+    """
+    total = t.size
+    cum = np.cumsum(work)
+    finish_bound = cum + np.maximum.accumulate(t - (cum - work))
+    margin = MARGIN_ABS + max(
+        MARGIN_REL_FLOOR, MARGIN_REL_PER_EVENT * total
+    ) * np.abs(t)
+
+    idle_before = np.empty(total, dtype=bool)
+    idle_before[0] = True
+    idle_before[1:] = t[1:] - finish_bound[:-1] > margin[1:]
+    gap_after = np.empty(total, dtype=bool)
+    gap_after[-1] = True
+    gap_after[:-1] = t[1:] - (t[:-1] + work[:-1]) > margin[1:]
+    return idle_before & gap_after
+
+
 def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
     """Run one simulation through the array event calendar."""
     system = simulator.system
@@ -288,24 +316,8 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
     ]
     chain_work = np.asarray([sum(w) for w in exec_times])
 
-    # 2. Busy-finish bound F_j = max(F_{j-1}, t_j) + W_j after every
-    # release, as one prefix scan: with S the work cumsum,
-    # F = S + running_max(t - S_shifted).  Float drift of the scan is
-    # covered by `margin`, below which a release is simply not isolated.
-    work = chain_work[cid]
-    cum = np.cumsum(work)
-    finish_bound = cum + np.maximum.accumulate(t - (cum - work))
-    margin = MARGIN_ABS + max(
-        MARGIN_REL_FLOOR, MARGIN_REL_PER_EVENT * total
-    ) * np.abs(t)
-
-    idle_before = np.empty(total, dtype=bool)
-    idle_before[0] = True
-    idle_before[1:] = t[1:] - finish_bound[:-1] > margin[1:]
-    gap_after = np.empty(total, dtype=bool)
-    gap_after[-1] = True
-    gap_after[:-1] = t[1:] - (t[:-1] + work[:-1]) > margin[1:]
-    fast = idle_before & gap_after
+    # 2. Classify every release by the prefix-scan busy-finish bound.
+    fast = isolation_mask(t, chain_work[cid])
 
     # 3. Batch-retire the isolated instances, chain by chain, task by
     # task (vectorized over instances; tasks of an isolated instance run

@@ -64,7 +64,55 @@ def test_table_names_every_metric():
     table = perfbench_ab.format_rows(rows)
     assert "sim_events_per_s" in table and "+50.0%" in table and "1/1" in table
     assert "cold_p50_ms" in table and "0/1" in table
+    assert [row.split()[-1] for row in table.splitlines()[1:]] == ["ok", "ok"]
     json.dumps(rows)  # plain data
+
+
+def verdicts(parent, change):
+    """Each metric's verdict over runs given as (sim, cold) pairs."""
+    rows = perfbench_ab.summarize(
+        METRICS, [line(*run) for run in parent], [line(*run) for run in change]
+    )
+    return {row["name"]: row["verdict"] for row in rows}
+
+
+def test_verdict_worse_beyond_the_bound():
+    # Both medians 30% worse, against a bound of 24%.
+    parent = [(100, 2.0)] * 4
+    change = [(70, 2.6)] * 4
+    assert verdicts(parent, change) == {
+        "sim_events_per_s": "worse",
+        "cold_p50_ms": "worse",
+    }
+
+
+def test_verdict_ok_within_the_bound():
+    # Both medians ~20% worse, within 24%, and the parent runs are tight.
+    parent = [(100, 2.0), (101, 2.02), (102, 2.04), (103, 2.06)]
+    change = [(80, 2.4), (81, 2.42), (82, 2.44), (83, 2.46)]
+    assert verdicts(parent, change) == {
+        "sim_events_per_s": "ok",
+        "cold_p50_ms": "ok",
+    }
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound():
+    # Equal medians, but the parent's IQR is half its median.
+    parent = [(60, 1.0), (100, 2.0), (140, 3.0), (180, 4.0)]
+    change = [(110, 2.0), (115, 2.2), (125, 2.8), (200, 5.0)]
+    assert verdicts(parent, change) == {
+        "sim_events_per_s": "unresolved",
+        "cold_p50_ms": "unresolved",
+    }
+
+
+def test_verdict_ok_when_every_change_run_beats_every_parent_run():
+    parent = [(60, 1.0), (100, 2.0), (140, 3.0), (180, 4.0)]
+    change = [(200, 0.5), (210, 0.6), (220, 0.7), (230, 0.9)]
+    assert verdicts(parent, change) == {
+        "sim_events_per_s": "ok",
+        "cold_p50_ms": "ok",
+    }
 
 
 def test_rejects_a_checkout_without_the_benchmark(tmp_path, capsys):

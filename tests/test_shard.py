@@ -4,7 +4,9 @@ The load-bearing invariant is the one the ROADMAP promised: because
 every job's deterministic export is a pure function of the job, the
 coordinator's merged export is byte-identical to the serial runner —
 for any shard topology (local processes, remote endpoints, mixed), any
-chunk size, and any amount of stealing or retrying along the way.
+chunk size, and any amount of retrying along the way.  The scheduler's
+own invariant is that each chunk runs on one worker at a time: no chunk
+runs twice unless its worker died.
 """
 
 import io
@@ -26,6 +28,7 @@ from repro.runner import (
     BatchRunner,
     JobResult,
     LocalShardWorker,
+    PersistentAnalysisCache,
     RemoteShardWorker,
     RetryPolicy,
     ShardCoordinator,
@@ -33,12 +36,13 @@ from repro.runner import (
     ShardLog,
     WorkerUnavailable,
     execute_job,
+    execute_jobs,
     local_shard_workers,
     make_chunks,
     run_sharded,
 )
 import repro.runner.shardstate as shardstate
-from repro.runner.shardstate import OVERDUE_MIN_S, _ShardState
+from repro.runner.shardstate import _ShardState
 from repro.service import AnalysisService, ServiceClient, ServiceError, start_server
 from repro.synth import GeneratorConfig, generate_feasible_system
 
@@ -100,6 +104,26 @@ class FlakyWorker(InlineWorker):
             self.failures -= 1
             raise WorkerUnavailable(f"{self.name} injected failure")
         return super().run_chunk(chunk)
+
+
+class CachedWorker(InlineWorker):
+    """An inline worker with its own persistent cache, lagging
+    ``lag`` seconds after each job of the chunks in ``lag_chunks``."""
+
+    def __init__(self, name, cache_dir, *, lag=0.0, lag_chunks=()):
+        super().__init__(name)
+        self.cache = PersistentAnalysisCache(cache_dir)
+        self.lag = lag
+        self.lag_chunks = set(lag_chunks)
+
+    def run_chunk(self, chunk):
+        self.ran.append(chunk.index)
+        results = []
+        for job in chunk.jobs:
+            results.extend(execute_jobs([job], self.cache))
+            if chunk.index in self.lag_chunks:
+                time.sleep(self.lag)
+        return results
 
 
 class TestRetryPolicy:
@@ -308,21 +332,17 @@ class TestCoordinatorIdentity:
 
 
 class TestScheduling:
-    def test_straggler_chunk_is_stolen(self):
+    def test_straggler_chunk_runs_once(self):
+        """The idle worker waits for a straggler's chunk instead of
+        running it a second time."""
         jobs, runner = synth_jobs(count=4)
         serial = runner.run(jobs).to_json()
         slow = InlineWorker("slow", delay=0.8, delay_chunks={0})
         fast = InlineWorker("fast")
         coordinator = ShardCoordinator([slow, fast], chunk_size=1)
-        start = time.perf_counter()
         batch = coordinator.run(jobs)
-        elapsed = time.perf_counter() - start
         assert batch.to_json() == serial
-        assert coordinator.last_stats["steals"] >= 1
-        # The thief covered chunk 0; the run must not serialize behind
-        # the sleeping straggler *plus* the rest of the work.
-        assert 0 in fast.ran
-        assert elapsed < 10.0
+        assert sorted(slow.ran + fast.ran) == list(range(len(jobs)))
 
     def test_flaky_worker_chunk_retried(self):
         jobs, runner = synth_jobs(count=3)
@@ -374,8 +394,7 @@ class TestScheduling:
         assert time.perf_counter() - start >= 0.2
 
     def test_healthy_tail_is_not_duplicated(self):
-        """Equal chunks never get overdue: the run ends with its last
-        original chunk, and no chunk runs twice."""
+        """The run ends with its last chunk, and no chunk runs twice."""
         jobs, runner = synth_jobs(count=4)
         assert len(jobs) == 8
         serial = runner.run(jobs).to_json()
@@ -383,28 +402,37 @@ class TestScheduling:
         coordinator = ShardCoordinator(workers, chunk_size=1)
         batch = coordinator.run(jobs)
         assert batch.to_json() == serial
-        assert coordinator.last_stats["steals"] == 0
         assert sorted(workers[0].ran + workers[1].ran) == list(range(8))
 
-    def test_lone_chunk_is_stolen_at_once(self):
-        """Before any chunk completes there is no median to wait for:
-        the idle worker duplicates the running chunk right away."""
+    def test_lone_chunk_runs_on_one_worker(self):
+        """A lone chunk is not duplicated onto the idle worker."""
         jobs, runner = synth_jobs(count=1)
         serial = runner.run(jobs).to_json()
         workers = [InlineWorker("a", delay=0.2), InlineWorker("b", delay=0.2)]
         coordinator = ShardCoordinator(workers, chunk_size=len(jobs))
-        start = time.perf_counter()
         batch = coordinator.run(jobs)
-        elapsed = time.perf_counter() - start
         assert batch.to_json() == serial
-        assert coordinator.last_stats["steals"] == 1
-        assert workers[0].ran == workers[1].ran == [0]
-        assert elapsed < 0.4  # the two runs overlapped
+        assert workers[0].ran + workers[1].ran == [0]
+
+    def test_cold_shared_cache_records_no_disk_hit(self, tmp_path):
+        """Two workers with their own caches on one directory: a cold
+        pass records no disk hit, however far one worker lags behind
+        the other, because no chunk runs on both."""
+        jobs, runner = synth_jobs(count=4)
+        serial = runner.run(jobs).to_json()
+        workers = [
+            CachedWorker("slow", tmp_path, lag=0.1, lag_chunks={0}),
+            CachedWorker("fast", tmp_path),
+        ]
+        coordinator = ShardCoordinator(workers, chunk_size=3)
+        batch = coordinator.run(jobs)
+        assert batch.to_json() == serial
+        assert batch.disk_hit_count == 0
+        assert sorted(workers[0].ran + workers[1].ran) == [0, 1, 2]
 
     def test_idle_dispatcher_wakes_on_the_last_completion(self):
-        """The worker left idle by the last chunk sleeps until that
-        chunk completes (~0.2 s), not until it would be overdue
-        (0.1 + 2 * 0.1 = 0.3 s), and steals nothing."""
+        """The worker left idle by the last chunk waits with no time
+        limit, and that chunk's completion (~0.2 s) ends the wait."""
         jobs, runner = synth_jobs(count=3)
         assert len(jobs) == 6
         serial = runner.run(jobs).to_json()
@@ -414,13 +442,12 @@ class TestScheduling:
         batch = coordinator.run(jobs)
         elapsed = time.perf_counter() - start
         assert batch.to_json() == serial
-        assert coordinator.last_stats["steals"] == 0
         assert elapsed < 0.28
 
-    def test_short_overrun_is_not_overdue(self, monkeypatch):
-        """Ten times a 1 ms median is host noise, not a straggler: a
-        running chunk becomes stealable only once it has also run
-        ``OVERDUE_MIN_S``."""
+    def test_idle_worker_waits_for_a_release_or_a_retry(self, monkeypatch):
+        """While the only other chunk runs, an idle worker waits with
+        no time limit, however long that chunk takes; once the chunk
+        is lost, the worker waits out its backoff and then runs it."""
         clock = types.SimpleNamespace(now=0.0)
         monkeypatch.setattr(
             shardstate, "time", types.SimpleNamespace(monotonic=lambda: clock.now)
@@ -428,24 +455,29 @@ class TestScheduling:
         jobs, _ = synth_jobs(count=2)
         chunks = make_chunks(jobs, 1)
         assert len(chunks) >= 3
-        state = _ShardState(chunks, FAST_RETRY)
-        assert state.acquire("a") == ("run", (chunks[0], False))
+        state = _ShardState(
+            chunks, RetryPolicy(attempts=2, base_delay=0.05, max_delay=0.05)
+        )
+        assert state.acquire("a") == ("run", chunks[0])
         for chunk in chunks[1:]:
-            assert state.acquire("b") == ("run", (chunk, False))
+            assert state.acquire("b") == ("run", chunk)
             clock.now += 0.001
-            assert state.release_success(chunk, "b", [])
-        clock.now = 0.01
+            state.release_success(chunk, [])
+        for now in (0.01, 0.05, 10.0):
+            clock.now = now
+            assert state.acquire("b") == ("wait", None)
+        state.release_failure(chunks[0], WorkerUnavailable("a died"), retryable=True)
         kind, seconds = state.acquire("b")
         assert kind == "wait"
-        assert seconds == pytest.approx(OVERDUE_MIN_S - 0.01)
-        clock.now = OVERDUE_MIN_S
-        assert state.acquire("b") == ("run", (chunks[0], True))
+        assert seconds == pytest.approx(0.05)
+        clock.now += 0.06
+        assert state.acquire("b") == ("run", chunks[0])
 
     def test_release_before_wait_is_not_missed(self, monkeypatch):
         """A release that lands after a dispatch thread's ``acquire``
         said wait but before it waits still wakes it: here the last
-        release comes while the third worker, with nothing it may
-        steal, is between the two calls."""
+        release comes while the idle workers are between the two
+        calls."""
         acquire = _ShardState.acquire
 
         def slow_to_wait(state, worker):
@@ -469,7 +501,6 @@ class TestScheduling:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert done["batch"].to_json() == serial
-        assert coordinator.last_stats["steals"] == 1
 
     def test_no_dispatcher_sleeps_through_the_last_release(self):
         """More dispatch threads than cores, switching every

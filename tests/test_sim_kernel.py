@@ -257,6 +257,44 @@ def scalar_distributed_run(system, streams, horizon):
     return DistributedSimulationResult(system, horizon, records)
 
 
+def random_distributed_system(rng):
+    """2-3 resources and 2-4 chains of 1-4 tasks with fractional WCETs,
+    periodic or sporadic activations and both chain kinds; each chain
+    loads the system 5-35%."""
+    resources = [f"r{i}" for i in range(rng.randint(2, 3))]
+    priorities = {r: iter(rng.sample(range(1, 100), 16)) for r in resources}
+    chains = []
+    for c in range(rng.randint(2, 4)):
+        tasks = []
+        for k in range(rng.randint(1, 4)):
+            resource = rng.choice(resources)
+            task = Task(f"c{c}.t{k}", priority=next(priorities[resource]),
+                        wcet=round(rng.uniform(0.5, 12.0), 2))
+            tasks.append(on(resource, task))
+        load = sum(mapped.task.wcet for mapped in tasks)
+        period = round(load / rng.uniform(0.05, 0.35), 1)
+        model = (PeriodicModel if rng.random() < 0.5 else SporadicModel)(period)
+        kind = rng.choice([ChainKind.SYNCHRONOUS, ChainKind.ASYNCHRONOUS])
+        chains.append(DistributedChain(f"c{c}", tasks, model,
+                                       deadline=period, kind=kind))
+    return DistributedSystem(chains, name="random")
+
+
+def random_distributed_streams(system, horizon, rng):
+    """Each chain from a random offset: a periodic chain's densest
+    stream, a sporadic chain's randomized one."""
+    streams = {}
+    for chain in system.chains:
+        offset = round(rng.uniform(0.0, chain.activation.delta_minus(2)), 3)
+        if isinstance(chain.activation, PeriodicModel):
+            streams[chain.name] = worst_case_stream(
+                chain.activation, horizon, offset=offset)
+        else:
+            streams[chain.name] = random_stream(
+                chain.activation, horizon, rng, offset=offset)
+    return streams
+
+
 class TestDistributedParity:
     def _system(self):
         pipeline = DistributedChain(
@@ -289,3 +327,31 @@ class TestDistributedParity:
                 reference.latencies(chain.name)
             assert fast.empirical_dmm(chain.name, 10) == \
                 reference.empirical_dmm(chain.name, 10)
+
+    def test_random_systems_identical(self, monkeypatch):
+        """Seeded random systems match the scalar loop instance for
+        instance, and most of them send releases down both the batch
+        path and the loop."""
+        import repro.distributed.sim as dsim
+
+        shared_mask = dsim.isolation_mask
+        masks = []
+
+        def recording_mask(t, work):
+            masks.append(shared_mask(t, work))
+            return masks[-1]
+
+        monkeypatch.setattr(dsim, "isolation_mask", recording_mask)
+        horizon = 3000.0
+        mixed = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            system = random_distributed_system(rng)
+            streams = random_distributed_streams(system, horizon, rng)
+            masks.clear()
+            fast = DistributedSimulator(system).run(streams, horizon)
+            reference = scalar_distributed_run(system, streams, horizon)
+            assert fast.instances == reference.instances, seed
+            (mask,) = masks
+            mixed += bool(mask.any() and not mask.all())
+        assert mixed >= 80

@@ -6,8 +6,16 @@ order (even pairs run PARENT first, odd pairs CHANGE first), each run a
 fresh process whose working directory is its checkout, and parses the
 JSON result line each run prints last.  Then, for every end-to-end
 metric of ``BENCHMARK.json``, it prints the parent's median [IQR], the
-change's median [IQR], the change of the medians in %, and in how many
-pairs the change did better (by the metric's ``better`` direction).
+change's median [IQR], the change of the medians in %, in how many
+pairs the change did better (by the metric's ``better`` direction),
+and a verdict against the metric's ``bound``:
+
+* ``worse`` — the change's median is worse than the parent's by more
+  than ``bound`` times the parent's median;
+* ``unresolved`` — otherwise, the parent's IQR exceeds ``bound`` times
+  its median, so the runs spread too widely to tell, unless every
+  change run beats every parent run;
+* ``ok`` — everything else.
 
 Exits 1 when any run is not ``correct``, and 2 on bad arguments.
 
@@ -60,6 +68,21 @@ def quartiles(values: Sequence[float]) -> List[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def verdict(
+    parent: Sequence[float], change: Sequence[float], bound: float, higher: bool
+) -> str:
+    """``"worse"``, ``"unresolved"`` or ``"ok"`` for one metric's
+    values over the parent's and the change's runs (module docstring)."""
+    q1, old, q3 = quartiles(parent)
+    new = quartiles(change)[1]
+    if (old - new if higher else new - old) > bound * abs(old):
+        return "worse"
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    if q3 - q1 > bound * abs(old) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summarize(
     metrics: Sequence[Dict[str, Any]],
     parent: Sequence[Dict[str, Any]],
@@ -79,8 +102,8 @@ def summarize(
         ]
         if not pairs:
             continue
-        old = quartiles([a for a, _ in pairs])
-        new = quartiles([b for _, b in pairs])
+        olds, news = [a for a, _ in pairs], [b for _, b in pairs]
+        old, new = quartiles(olds), quartiles(news)
         wins = sum((b > a) if higher else (b < a) for a, b in pairs)
         delta = 100.0 * (new[1] - old[1]) / old[1] if old[1] else float("nan")
         rows.append(
@@ -93,6 +116,7 @@ def summarize(
                 "delta_pct": delta,
                 "wins": wins,
                 "pairs": len(pairs),
+                "verdict": verdict(olds, news, metric["bound"], higher),
             }
         )
     return rows
@@ -104,13 +128,14 @@ def format_rows(rows: Sequence[Dict[str, Any]]) -> str:
 
     lines = [
         f"{'metric':<18} {'better':<7} {'parent median [IQR]':<34} "
-        f"{'change median [IQR]':<34} {'change':>8}  wins"
+        f"{'change median [IQR]':<34} {'change':>8}  wins   verdict"
     ]
     for row in rows:
+        wins = f"{row['wins']}/{row['pairs']}"
         lines.append(
             f"{row['name']:<18} {row['better']:<7} {cell(row['parent']):<34} "
             f"{cell(row['change']):<34} {row['delta_pct']:>+7.1f}%  "
-            f"{row['wins']}/{row['pairs']}"
+            f"{wins:<6} {row['verdict']}"
         )
     return "\n".join(lines)
 
