@@ -76,23 +76,16 @@ def main(base_url: str = None) -> None:
     assert warm["jobs"] == cold["jobs"], "warm response must be identical"
     print(f"warm analyze ({warm_s:.3f}s): identical jobs, by digest only")
 
-    # 3. A batch: compatible requests (same system/chain, different k
-    #    windows) are merged into one multi-q analysis server-side.
-    batch = post(
+    # 3. Every chain, by digest: without "chain" the daemon analyzes
+    #    each typical chain with a deadline of the warm system; the
+    #    sigma_c result of step 1 is served from the cache.
+    both = post(
         base_url,
-        "/batch",
-        {
-            "requests": [
-                {"system_digest": cold["system_digest"], "chain": "sigma_c",
-                 "ks": [1]},
-                {"system_digest": cold["system_digest"], "chain": "sigma_c",
-                 "ks": [10, 100]},
-                {"system_digest": cold["system_digest"], "chain": "sigma_d",
-                 "ks": [10]},
-            ]
-        },
+        "/analyze",
+        {"system_digest": cold["system_digest"], "ks": [3, 76, 250]},
     )
-    print(f"batch: {batch['job_count']} jobs, statuses {batch['status_counts']}")
+    chains = [job["chain"] for job in both["jobs"]]
+    print(f"both chains: {chains}, statuses {both['status_counts']}")
 
     # 4. The warm-state ledger.
     stats = get(base_url, "/cache/stats")
@@ -100,7 +93,6 @@ def main(base_url: str = None) -> None:
     jobs_cache = stats["cache"].get("jobs", {})
     print(
         f"stats: {service['requests']} requests, {service['computes']} computes, "
-        f"{service['coalesced']} coalesced, {service['merged']} merged, "
         f"{service['systems']} warm system(s); "
         f"jobs cache {jobs_cache.get('hits', 0)}h/{jobs_cache.get('misses', 0)}m"
     )

@@ -14,7 +14,7 @@ Subcommands::
     repro serve [--host H] [--port P] [--workers N]
         Long-lived analysis daemon (HTTP/JSON): keeps systems and
         caches hot across requests and runs up to N computes
-        concurrently; see POST /analyze, POST /batch, POST /shard/run,
+        concurrently; see POST /analyze, POST /shard/run,
         GET /cache/stats, GET /healthz.
     repro shard-worker [--host H] [--port P] [--workers N]
         A shard-worker endpoint for `repro shard --worker URL`: the
@@ -36,11 +36,10 @@ Subcommands::
     The shared analysis options are wired through
     :func:`add_analysis_options` into one
     :class:`~repro.service.AnalysisOptions`; each subcommand accepts
-    only the ones it reads (see :data:`ANALYSIS_FLAGS`).  ``batch`` is
-    a client of the same :class:`~repro.service.AnalysisService` facade
-    the daemon runs — in-process by default, against a daemon with
-    ``--server URL`` (as ``analyze --server URL`` is) — and its JSON
-    export is byte-identical either way.
+    only the ones it reads (see :data:`ANALYSIS_FLAGS`).  ``batch``
+    runs its jobs in-process by default; with ``--server URL`` it sends
+    them to the daemon's ``POST /shard/run`` route, as ``shard --worker
+    URL`` does, and its JSON export is byte-identical either way.
 
 The module is intentionally thin: all logic lives in the library; the
 CLI parses arguments, loads/creates systems and prints reports.
@@ -52,6 +51,7 @@ import argparse
 import random
 import sys
 import urllib.error
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis import analyze_latency, analyze_twca
@@ -65,6 +65,7 @@ from .report.tables import (
     wcl_table,
 )
 from .runner import (
+    BatchExecutionError,
     BatchResult,
     JobResult,
     RetryPolicy,
@@ -72,6 +73,7 @@ from .runner import (
     ShardLog,
     run_sharded,
 )
+from .runner.batch import load_systems
 from .runner.jobs import DEFAULT_KS
 from .service import (
     AnalysisOptions,
@@ -102,7 +104,8 @@ _ANALYSIS_FLAG_SPECS: Dict[str, Dict[str, Any]] = {
     "--no-cache": dict(
         action="store_true",
         help="disable the result cache (escape hatch; results are "
-        "identical, only slower); on analyze, for the --server request",
+        "identical, only slower); on analyze, for the --server request; "
+        "batch --server leaves the cache to the daemon",
     ),
 }
 
@@ -310,121 +313,72 @@ def _batch_stderr_report(batch, timings: bool) -> None:
         print(f"packing: {format_packing_stats(packing)}", file=sys.stderr)
 
 
-def _batch_requests(
-    args: argparse.Namespace, options: AnalysisOptions
-) -> List[AnalysisRequest]:
-    """The service requests equivalent to one local batch invocation —
-    same systems, labels and (file-then-chain) expansion order, so the
-    daemon's export is byte-identical to the local one."""
-    common: Dict[str, Any] = dict(
-        ks=tuple(args.k) if args.k else DEFAULT_KS,
-        enumeration=options.enumeration,
-        use_cache=options.use_cache,
-    )
-    chains = args.chain or [None]
-    requests = []
-    if args.system:
-        for path in args.system:
-            system = load_system_file(path)
-            requests.extend(
-                AnalysisRequest.from_system(
-                    system, chain=chain, label=str(path), **common
-                )
-                for chain in chains
-            )
-    else:
-        base = figure4_system(calibrated=args.calibrated)
-        for label, system in labeled_random_systems(base, args.random, args.seed):
-            requests.extend(
-                AnalysisRequest.from_system(system, chain=chain, label=label, **common)
-                for chain in chains
-            )
-    return requests
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    options = analysis_options(args)
-    if args.server:
-        if args.timings:
-            print(
-                "error: --timings is local observability; it is not "
-                "available with --server",
-                file=sys.stderr,
-            )
-            return 2
-        client = _service_client(args)
-        text = client.batch_text(_batch_requests(args, options))
-        if args.json:
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as handle:
-                    handle.write(text + "\n")
-                print(f"wrote {args.output}", file=sys.stderr)
-            else:
-                print(text)
-        else:
-            import json as _json
-
-            payload = _json.loads(text)
-            batch = BatchResult(
-                jobs=[JobResult.from_dict(job) for job in payload["jobs"]]
-            )
-            print(batch.summary())
-        return 0
-
-    service = AnalysisService(options)
-    runner = service.runner(
-        workers=args.workers, ks=tuple(args.k) if args.k else DEFAULT_KS
-    )
-    if args.system:
-        # System files are read and parsed here, before any job runs,
-        # as ``repro shard --system`` does; --workers N then fans the
-        # jobs out over N local shard workers.
-        batch = runner.run_paths(args.system, args.chain or None)
-    else:
-        base = figure4_system(calibrated=args.calibrated)
-        labeled = labeled_random_systems(base, args.random, args.seed)
-        labels = [label for label, _ in labeled]
-        systems = [system for _, system in labeled]
-        batch = runner.run_systems(systems, args.chain or None, labels=labels)
-
+def _emit_batch(args: argparse.Namespace, batch: BatchResult, timings: bool) -> int:
+    """Print one batch as ``--json``/``--output`` ask (the summary
+    table otherwise); exit 1 under ``--strict`` when a job errored."""
     if args.json:
-        text = batch.to_json(deterministic=not args.timings)
+        text = batch.to_json(deterministic=not timings)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
             print(f"wrote {args.output}", file=sys.stderr)
         else:
             print(text)
-        _batch_stderr_report(batch, args.timings)
+        _batch_stderr_report(batch, timings)
     else:
         print(batch.summary())
-        if args.timings:
+        if timings:
             _batch_stderr_report(batch, True)
     return 1 if batch.errors and args.strict else 0
+
+
+def _batch_systems(args: argparse.Namespace):
+    """The (systems, labels) of one ``repro batch`` or ``repro shard``
+    invocation.
+
+    Corpus entries are named ``sys-<index>`` by the generator, so the
+    default labels are already stable; system files are read and
+    parsed here, before any job runs, and labeled by path."""
+    if getattr(args, "corpus", None):
+        manifest = CorpusManifest.load(args.corpus)
+        systems = list(manifest.systems(limit=args.limit))
+        return systems, None
+    if args.system:
+        return load_systems(args.system), [str(path) for path in args.system]
+    base = figure4_system(calibrated=args.calibrated)
+    labeled = labeled_random_systems(base, args.random, args.seed)
+    return [system for _, system in labeled], [label for label, _ in labeled]
+
+
+def _cmd_batch(args: argparse.Namespace) -> int:
+    options = analysis_options(args)
+    if args.server:
+        # The daemon's cache policy governs, as for `repro shard
+        # --worker`: --no-cache, --cache-dir and --workers configure
+        # local execution only.
+        options = replace(options, use_cache=False, cache_dir=None)
+    runner = AnalysisService(options).runner(
+        workers=args.workers, ks=tuple(args.k) if args.k else DEFAULT_KS
+    )
+    systems, labels = _batch_systems(args)
+    jobs = runner.jobs_for(systems, args.chain or None, labels=labels)
+    if args.server:
+        batch = run_sharded(
+            jobs,
+            worker_urls=[args.server],
+            retry=_retry_policy(args),
+            timeout=args.timeout,
+        )
+    else:
+        # --workers N fans the jobs out over N local shard workers.
+        batch = runner.run(jobs)
+    return _emit_batch(args, batch, args.timings)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     return serve_forever(
         args.host, args.port, analysis_options(args), workers=args.workers
     )
-
-
-def _shard_systems(args: argparse.Namespace):
-    """The (systems, labels) of one ``repro shard`` invocation.
-
-    Corpus entries are named ``sys-<index>`` by the generator, so the
-    default labels are already stable; file inputs keep the batch
-    convention of labeling by path."""
-    if args.corpus:
-        manifest = CorpusManifest.load(args.corpus)
-        systems = list(manifest.systems(limit=args.limit))
-        return systems, None
-    if args.system:
-        systems = [load_system_file(path) for path in args.system]
-        return systems, [str(path) for path in args.system]
-    base = figure4_system(calibrated=args.calibrated)
-    labeled = labeled_random_systems(base, args.random, args.seed)
-    return [system for _, system in labeled], [label for label, _ in labeled]
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
@@ -440,41 +394,25 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         return 2
     service = AnalysisService(options)
     runner = service.runner(ks=tuple(args.k) if args.k else DEFAULT_KS)
-    systems, labels = _shard_systems(args)
+    systems, labels = _batch_systems(args)
     jobs = runner.jobs_for(systems, args.chain or None, labels=labels)
     if args.serial:
         # The single-process reference the merged export must be
         # byte-identical to (the CI smoke diffs the two).
         batch = runner.run(jobs)
     else:
-        log = ShardLog(verbose=args.verbose)
-        try:
-            batch = run_sharded(
-                jobs,
-                shards=args.shards,
-                worker_urls=args.worker,
-                use_cache=options.use_cache,
-                cache_dir=options.cache_dir,
-                chunk_size=args.chunk_size,
-                retry=_retry_policy(args),
-                timeout=args.timeout,
-                log=log,
-            )
-        except ShardExecutionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.json:
-        text = batch.to_json()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-        _batch_stderr_report(batch, False)
-    else:
-        print(batch.summary())
-    return 1 if batch.errors and args.strict else 0
+        batch = run_sharded(
+            jobs,
+            shards=args.shards,
+            worker_urls=args.worker,
+            use_cache=options.use_cache,
+            cache_dir=options.cache_dir,
+            chunk_size=args.chunk_size,
+            retry=_retry_policy(args),
+            timeout=args.timeout,
+            log=ShardLog(verbose=args.verbose),
+        )
+    return _emit_batch(args, batch, False)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -956,7 +894,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ServiceError as exc:
+    except (BatchExecutionError, ShardExecutionError, ServiceError) as exc:
+        # Bad input (a missing file, an unknown chain) or a worker that
+        # kept failing: exit 2, apart from --strict's 1 for a job that
+        # errored inside the analysis.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (urllib.error.URLError, ConnectionError) as exc:

@@ -144,9 +144,9 @@ def system_from_json(text: str) -> System:
 def load_system_file(path: str) -> System:
     """Parse a system from a JSON file.
 
-    The one file-loading path: CLI ``analyze``/``simulate``,
-    ``repro shard --system`` and
-    :meth:`repro.runner.BatchRunner.run_paths` (``repro batch
-    --system``) all read files through it, in the calling process."""
+    The one file-loading path: CLI ``analyze``/``simulate`` and
+    :func:`repro.runner.batch.load_systems` (``repro batch --system``,
+    ``repro shard --system``, :meth:`repro.runner.BatchRunner.run_paths`)
+    all read files through it, in the calling process."""
     with open(path, "r", encoding="utf-8") as handle:
         return system_from_json(handle.read())

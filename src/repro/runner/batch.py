@@ -86,6 +86,18 @@ class BatchExecutionError(RuntimeError):
         super().__init__(f"{subject} failed: {type(cause).__name__}: {cause}")
 
 
+def load_systems(paths: Sequence[str]) -> List[System]:
+    """Read and parse system files, in order; a missing or unparsable
+    one raises :class:`BatchExecutionError` naming its path."""
+    systems = []
+    for path in paths:
+        try:
+            systems.append(load_system_file(path))
+        except Exception as exc:
+            raise BatchExecutionError(str(path), exc) from exc
+    return systems
+
+
 def execute_jobs(
     jobs: Sequence[AnalysisJob], cache: Optional[AnalysisCache] = None
 ) -> List[JobResult]:
@@ -343,19 +355,12 @@ class BatchRunner:
         """Analyze system *files*: :meth:`run_systems` on the parsed
         files, labeled by path unless ``labels`` are given.
 
-        Every file is read and parsed here before any job runs; a
-        missing or unparsable one raises :class:`BatchExecutionError`
-        naming its path.
+        Every file is read and parsed here before any job runs
+        (:func:`load_systems`).
         """
-        systems = []
-        for path in paths:
-            try:
-                systems.append(load_system_file(path))
-            except Exception as exc:
-                raise BatchExecutionError(str(path), exc) from exc
         if labels is None:
             labels = [str(path) for path in paths]
-        return self.run_systems(systems, chains, labels=labels, ks=ks)
+        return self.run_systems(load_systems(paths), chains, labels=labels, ks=ks)
 
     def _run_sharded(self, jobs: List[AnalysisJob]) -> BatchResult:
         """``jobs`` over up to :attr:`workers` local shard workers."""

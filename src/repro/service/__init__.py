@@ -8,20 +8,18 @@ Two layers:
   owns warm state: loaded systems keyed by content digest and the
   (optionally persistent) result cache.
 * ``repro serve`` — a stdlib HTTP/JSON server (:func:`serve_forever`,
-  :func:`start_server`) exposing ``POST /analyze``, ``POST /batch``,
-  ``POST /shard/run``, ``GET /cache/stats`` and ``GET /healthz``,
-  coalescing identical in-flight requests and merging compatible ones
-  into multi-q analyses.  :class:`ServiceClient` is the matching
-  ``urllib`` client, with configurable timeouts and bounded
-  retry-with-backoff for transport failures.  ``repro shard-worker``
-  serves the same endpoints — the ``/shard/run`` chunk route is how
-  the sharded batch coordinator (:mod:`repro.runner.shard`) drives
-  remote hosts.
+  :func:`start_server`) exposing ``POST /analyze``,
+  ``POST /shard/run``, ``GET /cache/stats`` and ``GET /healthz``.
+  :class:`ServiceClient` is the matching ``urllib`` client, with
+  configurable timeouts and bounded retry-with-backoff for transport
+  failures.  ``repro shard-worker`` serves the same endpoints — the
+  ``/shard/run`` chunk route is how the sharded batch coordinator
+  (:mod:`repro.runner.shard`) drives remote hosts.
 
-The CLI's ``batch`` subcommand is a client of the same facade —
-in-process by default, against a daemon with ``--server URL``, as
-``analyze --server URL`` is — so service responses are byte-identical
-to the classic exports.
+``repro analyze --server URL`` sends one request to ``/analyze``;
+``repro batch --server URL`` sends its jobs to ``/shard/run`` through
+the coordinator, as ``repro shard --worker URL`` does — so daemon
+exports are byte-identical to the in-process ones.
 """
 
 from .api import (

@@ -6,10 +6,8 @@ or over HTTP through ``repro serve`` — is described by an
 digest once the daemon has it warm), a chain selector, the DMM window
 sizes, the combination pipeline and the cache policy.
 Requests are content-addressed: :attr:`AnalysisRequest.digest` is the
-identity the daemon coalesces identical in-flight work on, and
-:attr:`AnalysisRequest.compat_key` (the digest *minus* the window sizes)
-is the identity compatible requests are merged on — two requests that
-differ only in ``ks`` share one multi-q analysis.
+same for identical requests, whether the system travels inline or by
+reference.
 
 :class:`AnalysisResponse` carries the resulting per-chain
 :class:`~repro.runner.jobs.JobResult` payloads.  Its deterministic
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..model import System
@@ -215,59 +213,20 @@ class AnalysisRequest:
         assert self.system_json is not None
         return hashlib.sha256(self.system_json.encode("utf-8")).hexdigest()
 
-    def _identity_payload(self, *, with_ks: bool) -> str:
+    @property
+    def digest(self) -> str:
+        """Content digest of the whole request: identical requests —
+        inline or by reference — share it."""
         fields = [
             self.system_identity,
             self.chain,
             self.enumeration,
             self.use_cache,
             self.label,
+            list(self.ks),
         ]
-        if with_ks:
-            fields.append(list(self.ks))
-        return json.dumps(fields, separators=(",", ":"))
-
-    @property
-    def digest(self) -> str:
-        """Content digest of the whole request: identical requests —
-        inline or by reference — share it, and the daemon coalesces
-        concurrent in-flight work on it."""
-        payload = self._identity_payload(with_ks=True)
+        payload = json.dumps(fields, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @property
-    def compat_key(self) -> str:
-        """The request identity *minus* the window sizes: requests that
-        agree on it differ only in ``ks`` and can be served by one
-        merged multi-q analysis."""
-        payload = self._identity_payload(with_ks=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def derive_jobs(
-    jobs: List[JobResult], ks: Tuple[int, ...], computed_ks: Tuple[int, ...]
-) -> List[JobResult]:
-    """Project merged multi-q results onto one request's window sizes.
-
-    Every :class:`JobResult` field except ``dmm`` is independent of the
-    evaluated windows, and ``dmm(k)`` is a pure per-``k`` function of
-    the (system, chain, enumeration) content — so sub-selecting the merged
-    curve is byte-identical to having analyzed the narrower request
-    directly (observability fields are zeroed: they belong to the
-    compute, not to the derived view).
-    """
-    if tuple(ks) == tuple(computed_ks):
-        return jobs
-    return [
-        replace(
-            job,
-            dmm={k: job.dmm[k] for k in ks} if job.ok else {},
-            elapsed=0.0,
-            cache={},
-            packing={},
-        )
-        for job in jobs
-    ]
 
 
 @dataclass
@@ -275,17 +234,14 @@ class AnalysisResponse:
     """The service's answer to one :class:`AnalysisRequest`.
 
     ``jobs`` holds one :class:`~repro.runner.jobs.JobResult` per
-    analyzed chain, in deterministic chain order.  ``coalesced`` is
-    observability (this response was served by attaching to an
-    identical in-flight compute) and is deliberately excluded from the
-    payload, so warm, cold and coalesced responses to one request are
-    byte-identical.
+    analyzed chain, in deterministic chain order; the payload carries
+    only their deterministic exports, so warm and cold responses to
+    one request are byte-identical.
     """
 
     request_digest: str
     system_digest: str
     jobs: List[JobResult] = field(default_factory=list)
-    coalesced: bool = False
 
     @property
     def job_count(self) -> int:

@@ -15,21 +15,19 @@ calls:
   identity, so a repeated request analyzes nothing.
 
 Concurrency model: the service is thread-safe and built for the
-threaded HTTP front.  Identical in-flight requests are *coalesced* on
-the request digest (one compute, N responders); requests that differ
-only in their DMM window sizes attach to the in-flight compute when
-their windows are a subset, and :meth:`AnalysisService.batch` merges
-compatible queued requests into one multi-q analysis.  The computes
-themselves run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-(``workers``, surfaced as ``repro serve --workers``) and genuinely
-overlap: concurrent analyses share only the registered systems, whose
-lazily built state (compiled staircase kernels, cached chain constants)
-comes out the same whichever request builds it, the
-shared :class:`~repro.runner.cache.AnalysisCache` is locked internally,
-and each job records its own cache lookup outcome — so nothing is
+threaded HTTP front.  Every request is one compute on a bounded
+:class:`~concurrent.futures.ThreadPoolExecutor` (``workers``, surfaced
+as ``repro serve --workers``), and computes genuinely overlap:
+concurrent analyses share only the registered systems, whose lazily
+built state (compiled staircase kernels, cached chain constants) comes
+out the same whichever request builds it, the shared
+:class:`~repro.runner.cache.AnalysisCache` is locked internally, and
+each job records its own cache lookup outcome — so nothing is
 serialized globally, no request changes process-global state, and the
 per-job cache records of overlapping computes still sum to the cache's
-own counters.
+own counters.  A repeated request is answered by the cache: one that
+queued behind its identical twin finds the twin's stored result when
+its own compute starts.
 """
 
 from __future__ import annotations
@@ -43,12 +41,11 @@ from ..model import System
 from ..model.serialization import system_from_json
 from ..runner.batch import (
     BatchExecutionError,
-    BatchResult,
     BatchRunner,
     _build_cache,
     execute_jobs,
 )
-from ..runner.cache import AnalysisCache, merge_stats
+from ..runner.cache import AnalysisCache
 from ..runner.jobs import (
     DEFAULT_KS,
     AnalysisJob,
@@ -62,22 +59,7 @@ from .api import (
     AnalysisResponse,
     RequestError,
     UnknownSystemError,
-    derive_jobs,
 )
-
-
-class _InFlight:
-    """One in-flight compute: the leader's window sizes, a completion
-    event, and the outcome shared with every coalesced waiter."""
-
-    __slots__ = ("ks", "event", "jobs", "system_digest", "error")
-
-    def __init__(self, ks: Tuple[int, ...]):
-        self.ks = tuple(ks)
-        self.event = threading.Event()
-        self.jobs: Optional[List[JobResult]] = None
-        self.system_digest = ""
-        self.error: Optional[BaseException] = None
 
 
 class AnalysisService:
@@ -124,15 +106,9 @@ class AnalysisService:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-compute"
         )
-        self._inflight: Dict[str, _InFlight] = {}
         self._executing = 0
         self.started_at = time.time()
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "computes": 0,
-            "coalesced": 0,
-            "merged": 0,
-        }
+        self.counters: Dict[str, int] = {"requests": 0, "computes": 0}
 
     def close(self) -> None:
         """Shut the compute pool down (idempotent).  In-flight computes
@@ -191,108 +167,14 @@ class AnalysisService:
     # The request/response entrypoint
     # ------------------------------------------------------------------
     def analyze(self, request: AnalysisRequest) -> AnalysisResponse:
-        """Serve one request, coalescing identical in-flight work.
-
-        The first thread in becomes the *leader* and computes; any
-        thread arriving with the same :attr:`~AnalysisRequest.compat_key`
-        while the compute is in flight attaches as a waiter when its
-        window sizes are a subset of the leader's, and is answered from
-        the leader's result (byte-identically — see
-        :func:`~repro.service.api.derive_jobs`).
-        """
-        key = request.compat_key
+        """Serve one request: one compute on the bounded pool, so at
+        most ``workers`` analyses execute at once no matter how many
+        HTTP threads pile in."""
         with self._lock:
             self.counters["requests"] += 1
-            entry = self._inflight.get(key)
-            if entry is not None and set(request.ks) <= set(entry.ks):
-                self.counters["coalesced"] += 1
-                leader = False
-            else:
-                entry = _InFlight(request.ks)
-                self._inflight[key] = entry
-                leader = True
-        if not leader:
-            entry.event.wait()
-            if entry.error is not None:
-                raise entry.error
-            return self._respond(request, entry, coalesced=True)
-        try:
-            # The leader's own thread blocks; the compute runs on the
-            # bounded pool so at most ``workers`` analyses execute at
-            # once no matter how many HTTP threads pile in.
-            entry.system_digest, entry.jobs = self._executor.submit(
-                self._execute, request
-            ).result()
-        except BaseException as exc:
-            entry.error = exc
-            raise
-        finally:
-            with self._lock:
-                if self._inflight.get(key) is entry:
-                    del self._inflight[key]
-            entry.event.set()
-        return self._respond(request, entry, coalesced=False)
-
-    def batch(self, requests: Sequence[AnalysisRequest]) -> BatchResult:
-        """Serve many requests as one batch, merging compatible ones.
-
-        Requests sharing a :attr:`~AnalysisRequest.compat_key` (same
-        system, chain selector, enumeration, cache policy and
-        label — different window sizes) are folded into a single
-        analysis over the union of their windows: one multi-q analysis
-        instead of one per request.  The result order
-        follows the request order, and the deterministic export is
-        byte-identical to running every request separately — which is
-        exactly what ``repro batch --json`` does client-side.
-        """
-        requests = list(requests)
-        if not requests:
-            raise RequestError("batch requires at least one request")
-        start = time.perf_counter()
-        with self._lock:
-            self.counters["requests"] += len(requests)
-        groups: Dict[str, List[int]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(request.compat_key, []).append(index)
-        per_request: List[Optional[List[JobResult]]] = [None] * len(requests)
-        totals: Dict[str, Dict[str, int]] = {}
-        pending: List[Tuple[List[int], Tuple[int, ...], Any]] = []
-        for indices in groups.values():
-            merged_ks = requests[indices[0]].ks
-            if len(indices) > 1:
-                merged_ks = tuple(
-                    sorted({k for i in indices for k in requests[i].ks})
-                )
-                with self._lock:
-                    self.counters["merged"] += len(indices) - 1
-            leader = requests[indices[0]]
-            if merged_ks != leader.ks:
-                leader = AnalysisRequest(
-                    system_json=leader.system_json,
-                    system_digest=leader.system_digest,
-                    chain=leader.chain,
-                    ks=merged_ks,
-                    enumeration=leader.enumeration,
-                    use_cache=leader.use_cache,
-                    label=leader.label,
-                )
-            # Distinct groups fan out over the compute pool; each
-            # group is still one merged multi-q analysis.
-            pending.append(
-                (indices, merged_ks, self._executor.submit(self._execute, leader))
-            )
-        for indices, merged_ks, future in pending:
-            _, jobs = future.result()
-            for job in jobs:
-                merge_stats(totals, job.cache)
-            for i in indices:
-                per_request[i] = derive_jobs(jobs, requests[i].ks, merged_ks)
-        flat = [job for group in per_request for job in group or []]
-        return BatchResult(
-            jobs=flat,
-            workers=1,
-            wall_time=time.perf_counter() - start,
-            cache_stats=totals,
+        system_digest, jobs = self._executor.submit(self._execute, request).result()
+        return AnalysisResponse(
+            request_digest=request.digest, system_digest=system_digest, jobs=jobs
         )
 
     def run_jobs(self, jobs: Sequence[AnalysisJob]) -> List[JobResult]:
@@ -300,7 +182,7 @@ class AnalysisService:
         service cache — the ``POST /shard/run`` compute path.
 
         Jobs carry all their own parameters (the coordinator built
-        them), so unlike :meth:`batch` there is no request resolution:
+        them), so unlike :meth:`analyze` there is no request resolution:
         the chunk runs as one compute on the pool, through the serial
         runner's loop (:func:`~repro.runner.batch.execute_jobs`, one
         parse per system), and the results come back in submission
@@ -336,17 +218,6 @@ class AnalysisService:
         finally:
             with self._lock:
                 self._executing -= 1
-
-    def _respond(
-        self, request: AnalysisRequest, entry: _InFlight, *, coalesced: bool
-    ) -> AnalysisResponse:
-        assert entry.jobs is not None
-        return AnalysisResponse(
-            request_digest=request.digest,
-            system_digest=entry.system_digest,
-            jobs=derive_jobs(entry.jobs, request.ks, entry.ks),
-            coalesced=coalesced,
-        )
 
     def _execute(self, request: AnalysisRequest) -> Tuple[str, List[JobResult]]:
         """One actual compute: resolve the system, select the chains,
@@ -412,6 +283,11 @@ class AnalysisService:
         executing right now (``inflight``)."""
         with self._lock:
             service: Dict[str, Any] = dict(self.counters)
+            # The service neither coalesces nor merges requests; these
+            # keys read 0 and stay because perfbench's traced run
+            # reads them.
+            service["coalesced"] = 0
+            service["merged"] = 0
             service["systems"] = len(self._systems)
             service["workers"] = self.workers
             service["inflight"] = self._executing

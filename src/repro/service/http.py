@@ -5,20 +5,15 @@
 
 * ``POST /analyze`` — one :class:`~repro.service.api.AnalysisRequest`
   body; the response is the deterministic
-  :class:`~repro.service.api.AnalysisResponse` payload.  Identical
-  concurrent requests are coalesced (one compute, N responders); a
-  coalesced response carries the ``X-Repro-Coalesced: 1`` header.
-* ``POST /batch`` — ``{"requests": [...]}``; the response body is the
-  deterministic batch export, byte-identical to the
-  ``repro batch --json`` output for the same jobs.
+  :class:`~repro.service.api.AnalysisResponse` payload.
 * ``POST /shard/run`` — ``{"jobs": [...]}`` of
   :class:`~repro.runner.jobs.AnalysisJob` wire dicts; the response is
   ``{"jobs": [...]}`` of full (non-deterministic-form) job results.
-  This is the chunk endpoint the sharded batch coordinator drives —
+  This is the chunk endpoint the sharded batch coordinator drives
+  (``repro shard --worker URL`` and ``repro batch --server URL``);
   ``repro shard-worker`` is ``repro serve`` under another name.
 * ``GET /cache/stats`` — the result cache's counters (``{"jobs": ...}``)
-  plus service request accounting (requests, computes, coalesced,
-  merged, systems).
+  plus service request accounting (requests, computes, systems).
 * ``GET /healthz`` — liveness and version.
 
 Malformed requests are answered with structured ``400`` bodies
@@ -79,8 +74,6 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         try:
             if self.path == "/analyze":
                 self._handle_analyze()
-            elif self.path == "/batch":
-                self._handle_batch()
             elif self.path == "/shard/run":
                 self._handle_shard_run()
             else:
@@ -92,21 +85,7 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_analyze(self) -> None:
         request = AnalysisRequest.from_dict(self._read_json())
-        response = self.service.analyze(request)
-        headers = {"X-Repro-Coalesced": "1"} if response.coalesced else None
-        self._send_text(200, response.to_json(), headers)
-
-    def _handle_batch(self) -> None:
-        payload = self._read_json()
-        if isinstance(payload, dict):
-            payload = payload.get("requests")
-        if not isinstance(payload, list) or not payload:
-            raise RequestError(
-                "batch body must be {'requests': [...]} with at least one request"
-            )
-        requests = [AnalysisRequest.from_dict(item) for item in payload]
-        result = self.service.batch(requests)
-        self._send_text(200, result.to_json(deterministic=True))
+        self._send_text(200, self.service.analyze(request).to_json())
 
     def _handle_shard_run(self) -> None:
         payload = self._read_json()
@@ -159,20 +138,14 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RequestError(f"invalid JSON body: {exc}") from exc
 
-    def _send_json(
-        self, status: int, payload: Any, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        self._send_text(status, json.dumps(payload, indent=2, sort_keys=True), headers)
+    def _send_json(self, status: int, payload: Any) -> None:
+        self._send_text(status, json.dumps(payload, indent=2, sort_keys=True))
 
-    def _send_text(
-        self, status: int, text: str, headers: Optional[Dict[str, str]] = None
-    ) -> None:
+    def _send_text(self, status: int, text: str) -> None:
         body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -187,8 +160,7 @@ class AnalysisServer(ThreadingHTTPServer):
 
     Handler threads give request *concurrency*; the service runs the
     computes on its bounded pool (``AnalysisService(workers=N)``), so
-    up to ``workers`` analyses genuinely overlap while identical
-    in-flight requests still coalesce.
+    up to ``workers`` analyses genuinely overlap.
     """
 
     daemon_threads = True
@@ -281,10 +253,9 @@ class ServiceError(RuntimeError):
 class ServiceClient:
     """Thin ``urllib`` client for a running ``repro serve`` daemon.
 
-    Used by ``repro analyze --server`` / ``repro batch --server`` and
-    by the sharded coordinator's remote workers; the raw-text
-    :meth:`batch_text` preserves the byte-identity of the server's
-    batch export.
+    Used by ``repro analyze --server`` and by the sharded
+    coordinator's remote workers (``repro batch --server``,
+    ``repro shard --worker``).
 
     ``timeout`` bounds every socket operation (a hung daemon can no
     longer block a client forever), and ``retry`` — a
@@ -325,20 +296,9 @@ class ServiceClient:
         self, request: Union[AnalysisRequest, Dict[str, Any]]
     ) -> Dict[str, Any]:
         """POST one request; the parsed response payload."""
-        return json.loads(self._request("POST", "/analyze", self._wire(request))[1])
-
-    def batch_text(
-        self, requests: Sequence[Union[AnalysisRequest, Dict[str, Any]]]
-    ) -> str:
-        """POST a batch; the *raw* response body — byte-identical to
-        the ``repro batch --json`` export for the same jobs."""
-        payload = {"requests": [self._wire(request) for request in requests]}
-        return self._request("POST", "/batch", payload)[1]
-
-    def batch(
-        self, requests: Sequence[Union[AnalysisRequest, Dict[str, Any]]]
-    ) -> Dict[str, Any]:
-        return json.loads(self.batch_text(requests))
+        if isinstance(request, AnalysisRequest):
+            request = request.to_dict()
+        return json.loads(self._request("POST", "/analyze", request)[1])
 
     def run_jobs(self, jobs: Sequence[AnalysisJob]) -> List[JobResult]:
         """POST a chunk of pre-built jobs to ``/shard/run`` and rebuild
@@ -350,12 +310,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _wire(request: Union[AnalysisRequest, Dict[str, Any]]) -> Dict[str, Any]:
-        if isinstance(request, AnalysisRequest):
-            return request.to_dict()
-        return dict(request)
-
     @staticmethod
     def _retryable(exc: ServiceError) -> bool:
         """Transport failures and server-side errors are retryable;

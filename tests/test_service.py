@@ -1,9 +1,11 @@
 """Tests for the analysis service: the typed request/response API, the
-in-process facade's warm state, the HTTP daemon, request coalescing and
-CLI-vs-server export equality."""
+in-process facade's warm state, the HTTP daemon and CLI-vs-server
+export equality."""
 
 import http.client
+import importlib.util
 import json
+import pathlib
 import socket
 import threading
 import time
@@ -14,7 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.model.serialization import system_to_json
-from repro.runner import BatchRunner
+from repro.runner import BatchResult, BatchRunner
 from repro.service import (
     AnalysisOptions,
     AnalysisRequest,
@@ -79,13 +81,12 @@ class TestRequestValidation:
         assert inline.system_identity == by_ref.system_identity
         assert inline.digest == by_ref.digest
 
-    def test_compat_key_ignores_ks_only(self, system):
+    def test_digest_covers_ks_and_chain(self, system):
         a = AnalysisRequest.from_system(system, chain="sigma_c", ks=(3,))
         b = AnalysisRequest.from_system(system, chain="sigma_c", ks=(76, 250))
         c = AnalysisRequest.from_system(system, chain="sigma_d", ks=(3,))
         assert a.digest != b.digest
-        assert a.compat_key == b.compat_key
-        assert a.compat_key != c.compat_key
+        assert a.digest != c.digest
 
     @pytest.mark.parametrize(
         "data, message",
@@ -173,33 +174,11 @@ class TestAnalysisService:
         assert [j.to_dict() for j in uncached.jobs] == jobs
         assert [j.to_dict() for j in again.jobs] == jobs
 
-    def test_batch_merges_compatible_requests(self, service, system):
-        requests = [
-            AnalysisRequest.from_system(system, chain="sigma_c", ks=(3,)),
-            AnalysisRequest.from_system(system, chain="sigma_c", ks=(76, 250)),
-            AnalysisRequest.from_system(system, chain="sigma_d", ks=(10,)),
-        ]
-        batch = service.batch(requests)
-        # Two compatible sigma_c requests fold into one multi-q
-        # analysis; sigma_d computes separately.
-        assert service.counters["merged"] == 1
-        assert service.counters["computes"] == 2
-        assert [job.chain_name for job in batch.jobs] == [
-            "sigma_c",
-            "sigma_c",
-            "sigma_d",
-        ]
-        assert batch.jobs[0].dmm == {3: 3}
-        assert batch.jobs[1].dmm == {76: 23, 250: 73}
-        # The merged results are byte-identical to direct computes.
-        direct = AnalysisService()
-        for request, job in zip(requests, batch.jobs):
-            expected = direct.analyze(request).jobs[0]
-            assert job.to_dict() == expected.to_dict()
-
     def test_batch_empty_rejected(self, service):
-        with pytest.raises(RequestError, match="at least one"):
-            service.batch([])
+        # The HTTP handler rejects an empty /shard/run body before the
+        # service sees it; an in-process caller reaches this check.
+        with pytest.raises(RequestError, match="at least one job"):
+            service.run_jobs([])
 
     def test_exhaustive_option_is_byte_identical(self, system):
         pruned = AnalysisService(AnalysisOptions())
@@ -261,11 +240,12 @@ class TestHttpServer:
         assert after["jobs"]["misses"] == stats["jobs"]["misses"]
 
     def test_batch_endpoint_matches_runner_export(self, server, system):
-        text = ServiceClient(server.url).batch_text(
-            [AnalysisRequest.from_system(system, ks=(1, 10, 100))]
-        )
+        """``repro batch --server`` sends its jobs to ``/shard/run``:
+        the results rebuild the runner's deterministic export."""
         runner = BatchRunner(ks=(1, 10, 100))
-        assert text == runner.run_systems([system]).to_json(deterministic=True)
+        results = ServiceClient(server.url).run_jobs(runner.jobs_for([system]))
+        expected = runner.run_systems([system]).to_json()
+        assert BatchResult(jobs=results).to_json() == expected
 
     def test_malformed_json_is_a_structured_400(self, server):
         status, _, text = _post_raw(server.url, "/analyze", b"{not json")
@@ -301,10 +281,17 @@ class TestHttpServer:
         status, _, _ = _post_raw(server.url, "/nope", {})
         assert status == 404
 
-    def test_batch_body_shape_enforced(self, server):
-        status, _, text = _post_raw(server.url, "/batch", {"requests": []})
-        assert status == 400
-        assert "at least one request" in json.loads(text)["error"]
+    def test_batch_body_shape_enforced(self, server, system):
+        """Batches go to ``/shard/run`` as ``{"jobs": [...]}``: there is
+        no ``/batch`` route, and its ``{"requests": [...]}`` body is a
+        400 on ``/shard/run``."""
+        request = AnalysisRequest.from_system(system).to_dict()
+        status, _, _ = _post_raw(server.url, "/batch", {"requests": [request]})
+        assert status == 404
+        for body in ({"requests": [request]}, {"jobs": []}):
+            status, _, text = _post_raw(server.url, "/shard/run", body)
+            assert status == 400
+            assert "at least one job" in json.loads(text)["error"]
 
     @staticmethod
     def _raw_http(server, head, body=b"", *, cut_body=False):
@@ -374,12 +361,13 @@ class TestHttpServer:
         assert "short request body" in error
         assert "4096" in error
 
-    def test_coalescing_one_compute_two_responses(
+    def test_identical_concurrent_requests_one_analysis(
         self, server, service, system, monkeypatch
     ):
-        """Two identical in-flight POST /analyze requests trigger
-        exactly one compute; the waiter is answered from the leader's
-        result and flagged by the X-Repro-Coalesced header."""
+        """Two identical POST /analyze requests in flight at once on a
+        ``workers=1`` daemon: the second queues behind the first and
+        finds its stored result, so the analysis runs once (one jobs
+        miss, one hit) and both bodies are identical."""
         entered, release = threading.Event(), threading.Event()
         original = AnalysisService._execute
 
@@ -397,28 +385,25 @@ class TestHttpServer:
 
         first = threading.Thread(target=post)
         first.start()
-        assert entered.wait(30), "leader never reached the compute"
+        assert entered.wait(30), "first request never reached the compute"
         second = threading.Thread(target=post)
         second.start()
-        # The waiter registers before the compute is released.
-        deadline = threading.Event()
+        # The second request is counted before the first compute ends.
         for _ in range(300):
-            if service.counters["coalesced"] == 1:
+            if service.counters["requests"] == 2:
                 break
-            deadline.wait(0.05)
-        assert service.counters["coalesced"] == 1, "second request never coalesced"
+            time.sleep(0.05)
+        assert service.counters["requests"] == 2, "second request never arrived"
         release.set()
         first.join(30)
         second.join(30)
         assert len(results) == 2
         assert all(status == 200 for status, _, _ in results)
-        bodies = [text for _, _, text in results]
-        assert bodies[0] == bodies[1]
-        assert service.counters["computes"] == 1
-        flags = sorted(
-            headers.get("X-Repro-Coalesced", "") for _, headers, _ in results
-        )
-        assert flags == ["", "1"]
+        assert results[0][2] == results[1][2]
+        assert not any("X-Repro-Coalesced" in headers for _, headers, _ in results)
+        assert service.counters["computes"] == 2
+        jobs = service.cache.stats_dict()["jobs"]
+        assert (jobs["misses"], jobs["hits"]) == (1, 1)
 
 
 #: The shared analysis flags each subcommand must accept (and no more).
@@ -465,10 +450,45 @@ class TestCliIntegration:
         out = capsys.readouterr().out
         assert "sample-0000" in out and "status" in out
 
-    def test_timings_rejected_with_server(self, server, capsys):
-        assert main(["batch", "--random", "2", "--json", "--timings",
-                     "--server", server.url]) == 2
-        assert "--timings" in capsys.readouterr().err
+    def test_timings_with_server(self, server, capsys):
+        args = ["batch", "--random", "2", "--json", "--timings"]
+        assert main(args + ["--server", server.url]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "cache" in payload
+        assert all("elapsed" in job for job in payload["jobs"])
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "server"])
+    def test_strict_exits_1_when_a_job_errored(self, server, remote, capsys):
+        # sigma_a has no finite deadline: its jobs end in status "error".
+        args = ["batch", "--random", "2", "--seed", "3", "--json"]
+        args += ["--chain", "sigma_a", "sigma_c"]
+        if remote:
+            args += ["--server", server.url]
+        assert main(args) == 0
+        assert '"error": 2' in capsys.readouterr().out
+        assert main(args + ["--strict"]) == 1
+
+    @pytest.mark.parametrize("bad", ["chain", "file"])
+    @pytest.mark.parametrize("mode", ["local", "workers", "server", "shard"])
+    def test_bad_batch_input_exits_2(self, server, tmp_path, mode, bad, capsys):
+        """An unknown chain or a missing system file is a clean
+        ``error: ...`` naming it and exit 2 on every batch path, not a
+        traceback and not --strict's exit 1."""
+        missing = str(tmp_path / "missing.json")
+        if bad == "chain":
+            args, named = ["--random", "2", "--chain", "sigma_zz"], "sigma_zz"
+        else:
+            args, named = ["--system", missing], missing
+        args = {
+            "local": ["batch"] + args,
+            "workers": ["batch"] + args + ["--workers", "2"],
+            "server": ["batch"] + args + ["--server", server.url],
+            "shard": ["shard", "--serial"] + args,
+        }[mode]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
 
     def test_unreachable_server_is_a_clean_error(self, capsys):
         assert main(["analyze", "--chain", "sigma_c",
@@ -497,3 +517,16 @@ class TestCliIntegration:
         )
         assert options.use_cache is (flag != "--no-cache")
         assert options.cache_dir == ("DIR" if flag == "--cache-dir" else None)
+
+
+def test_serve_client_example_runs(capsys):
+    """``examples/serve_client.py`` walks the wire protocol to the end
+    against its private daemon."""
+    path = pathlib.Path(__file__).parent.parent / "examples" / "serve_client.py"
+    spec = importlib.util.spec_from_file_location("serve_client", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    out = capsys.readouterr().out
+    assert "both chains: ['sigma_d', 'sigma_c']" in out
+    assert "stats: 3 requests, 3 computes, 1 warm system(s)" in out

@@ -23,7 +23,7 @@ KS = (1, 5, 25)
 def distinct_requests(count=6):
     """``count`` analysis requests over *distinct* systems (random
     priority permutations of the Figure 4 case study) — no two share a
-    compat key, so nothing coalesces and every request is a compute."""
+    cache entry, so every request analyzes."""
     samples = labeled_random_systems(figure4_system(), count, seed=7)
     return [
         AnalysisRequest.from_system(system, ks=KS, label=label)
@@ -76,60 +76,24 @@ class TestServiceConcurrency:
             assert payloads == reference
             assert service.counters["computes"] == len(requests)
             assert service.counters["requests"] == len(requests)
-            assert service.counters["coalesced"] == 0
             assert service.cache.stats_dict() == serial_stats
             stats = service.cache.stats()
             assert stats.lookups > 0
             assert stats.hits + stats.misses == stats.lookups
 
-    def test_concurrent_identical_requests_still_coalesce(self, monkeypatch):
-        """The pool must not break coalescing: identical in-flight
-        requests stay one compute, N responders."""
+    def test_identical_concurrent_requests_agree(self):
+        """Identical requests in flight at once on the pool each run a
+        compute, and every response is byte-identical."""
         request = distinct_requests(1)[0]
         with AnalysisService(workers=WORKERS) as service:
-            release = threading.Event()
-            original = AnalysisService._execute
-
-            def gated(self, req):
-                release.wait(timeout=30)
-                return original(self, req)
-
-            monkeypatch.setattr(AnalysisService, "_execute", gated)
-            responses = [None] * WORKERS
+            payloads = [None] * WORKERS
 
             def worker(index):
-                responses[index] = service.analyze(request)
+                payloads[index] = service.analyze(request).to_json()
 
-            threads = [
-                threading.Thread(target=worker, args=(index,))
-                for index in range(WORKERS)
-            ]
-            for thread in threads:
-                thread.start()
-            # Hold the compute until every follower has attached to the
-            # leader's in-flight entry, then let the leader answer all.
-            for _ in range(600):
-                if service.counters["coalesced"] == WORKERS - 1:
-                    break
-                threading.Event().wait(0.05)
-            release.set()
-            for thread in threads:
-                thread.join(timeout=60)
-
-            assert service.counters["coalesced"] == WORKERS - 1
-            assert service.counters["computes"] == 1
-            assert service.counters["coalesced"] == WORKERS - 1
-            assert len({r.to_json() for r in responses}) == 1
-
-    def test_batch_groups_fan_out_identically(self):
-        """``batch`` runs its merged groups on the pool; the
-        deterministic export must match the workers=1 service."""
-        requests = distinct_requests(4)
-        with AnalysisService(workers=1) as serial:
-            reference = serial.batch(requests).to_json(deterministic=True)
-        with AnalysisService(workers=WORKERS) as service:
-            export = service.batch(requests).to_json(deterministic=True)
-        assert export == reference
+            fire_threads(worker, WORKERS)
+            assert service.counters["computes"] == WORKERS
+        assert len(set(payloads)) == 1
 
     def test_workers_validated_and_surfaced(self):
         with pytest.raises(ValueError, match="workers"):
@@ -228,9 +192,9 @@ class TestSharedCacheAccounting:
 
     def test_pooled_per_job_records_sum_to_cache_counters(self):
         """Overlapping computes on one shared cache: each job records
-        only its own lookup, so the per-job records of a pooled batch
-        sum to the cache's own counters and to the job count — cold
-        (all misses) and warm (all hits)."""
+        only its own lookup, so the per-job records of concurrent
+        requests sum to the cache's own counters and to the job count —
+        cold (all misses) and warm (all hits)."""
         spec = CorpusSpec(count=24, seed=2017, family="waters", utilization=(0.7, 0.9))
         requests = [
             AnalysisRequest.from_system(generate_entry(spec, index), ks=KS)
@@ -239,15 +203,21 @@ class TestSharedCacheAccounting:
         with AnalysisService(workers=WORKERS) as service:
             for expected in ("misses", "hits"):
                 before = service.cache.stats_dict()["jobs"]
-                batch = service.batch(requests)
+                responses = [None] * len(requests)
+
+                def worker(index):
+                    responses[index] = service.analyze(requests[index])
+
+                fire_threads(worker, len(requests))
                 after = service.cache.stats_dict()["jobs"]
                 totals = {}
-                for job in batch.jobs:
-                    merge_stats(totals, job.cache)
-                assert totals == batch.cache_stats
+                for response in responses:
+                    for job in response.jobs:
+                        merge_stats(totals, job.cache)
                 jobs = totals["jobs"]
-                assert jobs["hits"] + jobs["misses"] == len(batch.jobs)
-                assert jobs[expected] == len(batch.jobs)
+                count = sum(response.job_count for response in responses)
+                assert jobs["hits"] + jobs["misses"] == count
+                assert jobs[expected] == count
                 for field in ("hits", "misses"):
                     assert jobs[field] == after[field] - before[field]
 
