@@ -3,7 +3,7 @@
 Draws random priority permutations of the Figure 4 case study and
 analyzes every (system, chain) pair through ``repro.BatchRunner``,
 which fans the TWCA jobs out over local shard worker processes (the
-coordinator behind ``repro shard``) when ``workers`` > 1.  The
+coordinator behind ``repro batch --workers N``) when ``workers`` > 1.  The
 deterministic JSON export is byte-identical for any ``workers`` value —
 parallelism only changes the wall-clock time reported.
 

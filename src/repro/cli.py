@@ -8,23 +8,21 @@ Subcommands::
         Critical-instant simulation with an ASCII schedule.
     repro experiment {table1,table2,figure5} [--samples N] [--seed S]
         Regenerate a paper artifact on stdout.
-    repro batch [--system FILE ...|--random N] [--workers W] [--json]
-        Parallel TWCA over many (system, chain) jobs via the batch
-        runner; the --json export is identical for any worker count.
+    repro batch [--corpus DIR|--system FILE ...|--random N]
+                [--workers N] [--worker URL ...] [--json]
+        TWCA over many (system, chain) jobs.  One local worker and no
+        URL runs in-process (the serial reference); any other topology
+        splits the jobs into chunks over N local worker processes
+        and/or remote daemons, with bounded retries.  The --json export
+        is byte-identical for every topology.  ``repro shard`` is an
+        alias, and ``--shards``/``--server`` are second spellings of
+        ``--workers``/``--worker``.
     repro serve [--host H] [--port P] [--workers N]
         Long-lived analysis daemon (HTTP/JSON): keeps systems and
         caches hot across requests and runs up to N computes
-        concurrently; see POST /analyze, POST /shard/run,
-        GET /cache/stats, GET /healthz.
-    repro shard-worker [--host H] [--port P] [--workers N]
-        A shard-worker endpoint for `repro shard --worker URL`: the
-        same daemon under its deployment name (the chunk route is
-        POST /shard/run).
-    repro shard [--corpus DIR|--system FILE ...|--random N] [--shards S]
-        Sharded TWCA: partition the jobs over S local worker processes
-        and/or remote --worker URLs, one worker per chunk, with bounded
-        retries; the merged --json export is byte-identical to
-        --serial (and to `repro batch --json`).
+        concurrently; see POST /analyze, POST /shard/run (the chunk
+        route of ``batch --worker URL``), GET /cache/stats,
+        GET /healthz.  ``repro shard-worker`` is an alias.
     repro corpus {generate,verify}
         Seeded benchmark corpora: generate a reproducible population
         of systems (same seed, same manifest digest — on any host)
@@ -36,10 +34,7 @@ Subcommands::
     The shared analysis options are wired through
     :func:`add_analysis_options` into one
     :class:`~repro.service.AnalysisOptions`; each subcommand accepts
-    only the ones it reads (see :data:`ANALYSIS_FLAGS`).  ``batch``
-    runs its jobs in-process by default; with ``--server URL`` it sends
-    them to the daemon's ``POST /shard/run`` route, as ``shard --worker
-    URL`` does, and its JSON export is byte-identical either way.
+    only the ones it reads (see :data:`ANALYSIS_FLAGS`).
 
 The module is intentionally thin: all logic lives in the library; the
 CLI parses arguments, loads/creates systems and prints reports.
@@ -51,11 +46,9 @@ import argparse
 import random
 import sys
 import urllib.error
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis import analyze_latency, analyze_twca
-from .model.serialization import load_system_file
 from .report.histogram import figure5_panel
 from .report.tables import (
     dmm_table,
@@ -67,6 +60,7 @@ from .report.tables import (
 from .runner import (
     BatchExecutionError,
     BatchResult,
+    BatchRunner,
     JobResult,
     RetryPolicy,
     ShardExecutionError,
@@ -78,7 +72,6 @@ from .runner.jobs import DEFAULT_KS
 from .service import (
     AnalysisOptions,
     AnalysisRequest,
-    AnalysisService,
     ServiceClient,
     ServiceError,
     serve_forever,
@@ -105,7 +98,7 @@ _ANALYSIS_FLAG_SPECS: Dict[str, Dict[str, Any]] = {
         action="store_true",
         help="disable the result cache (escape hatch; results are "
         "identical, only slower); on analyze, for the --server request; "
-        "batch --server leaves the cache to the daemon",
+        "remote batch workers leave the cache to their daemon",
     ),
 }
 
@@ -114,9 +107,7 @@ ANALYSIS_FLAGS: Dict[str, Tuple[str, ...]] = {
     "analyze": ("--exhaustive", "--no-cache"),
     "experiment": ("--exhaustive",),
     "batch": ("--exhaustive", "--cache-dir", "--no-cache"),
-    "shard": ("--exhaustive", "--cache-dir", "--no-cache"),
     "serve": ("--cache-dir", "--no-cache"),
-    "shard-worker": ("--cache-dir", "--no-cache"),
 }
 
 
@@ -160,13 +151,13 @@ window_size = at_least(1, "window sizes must be integers")
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
     """The retry policy carried by the shared ``--retries`` /
-    ``--retry-delay`` flags (transport failures and 5xx only; see
-    :class:`~repro.service.ServiceClient`)."""
+    ``--retry-delay`` flags: per call of ``analyze --server`` (see
+    :class:`~repro.service.ServiceClient`), per chunk of ``batch``."""
     return RetryPolicy(attempts=args.retries, base_delay=args.retry_delay)
 
 
 def _service_client(args: argparse.Namespace) -> ServiceClient:
-    """A :class:`ServiceClient` for ``--server`` mode, honoring the
+    """A :class:`ServiceClient` for ``analyze --server``, honoring the
     shared ``--timeout``/``--retries``/``--retry-delay`` flags."""
     return ServiceClient(args.server, timeout=args.timeout, retry=_retry_policy(args))
 
@@ -174,7 +165,8 @@ def _service_client(args: argparse.Namespace) -> ServiceClient:
 def _load_system(path: Optional[str], calibrated: bool):
     if path is None:
         return figure4_system(calibrated=calibrated)
-    return load_system_file(path)
+    # A file that does not load raises BatchExecutionError naming it.
+    return load_systems([path])[0]
 
 
 def _jobs_summary(jobs: List[JobResult]) -> str:
@@ -191,6 +183,14 @@ def _jobs_summary(jobs: List[JobResult]) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     options = analysis_options(args)
     system = _load_system(args.system, args.calibrated)
+    if args.chain is not None and args.chain not in system:
+        # The wording of the daemon's 400 for the same request.
+        print(
+            f"error: no chain named {args.chain!r} in system "
+            f"{system.name!r}; have {sorted(c.name for c in system.chains)}",
+            file=sys.stderr,
+        )
+        return 2
     if args.server:
         request = AnalysisRequest.from_system(
             system,
@@ -333,13 +333,12 @@ def _emit_batch(args: argparse.Namespace, batch: BatchResult, timings: bool) -> 
 
 
 def _batch_systems(args: argparse.Namespace):
-    """The (systems, labels) of one ``repro batch`` or ``repro shard``
-    invocation.
+    """The (systems, labels) of one ``repro batch`` invocation.
 
     Corpus entries are named ``sys-<index>`` by the generator, so the
     default labels are already stable; system files are read and
     parsed here, before any job runs, and labeled by path."""
-    if getattr(args, "corpus", None):
+    if args.corpus:
         manifest = CorpusManifest.load(args.corpus)
         systems = list(manifest.systems(limit=args.limit))
         return systems, None
@@ -352,59 +351,37 @@ def _batch_systems(args: argparse.Namespace):
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     options = analysis_options(args)
-    if args.server:
-        # The daemon's cache policy governs, as for `repro shard
-        # --worker`: --no-cache, --cache-dir and --workers configure
-        # local execution only.
-        options = replace(options, use_cache=False, cache_dir=None)
-    runner = AnalysisService(options).runner(
-        workers=args.workers, ks=tuple(args.k) if args.k else DEFAULT_KS
-    )
-    systems, labels = _batch_systems(args)
-    jobs = runner.jobs_for(systems, args.chain or None, labels=labels)
-    if args.server:
-        batch = run_sharded(
-            jobs,
-            worker_urls=[args.server],
-            retry=_retry_policy(args),
-            timeout=args.timeout,
-        )
-    else:
-        # --workers N fans the jobs out over N local shard workers.
-        batch = runner.run(jobs)
-    return _emit_batch(args, batch, args.timings)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    return serve_forever(
-        args.host, args.port, analysis_options(args), workers=args.workers
-    )
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    options = analysis_options(args)
-    if args.shards < 0:
-        print("error: --shards must be >= 0", file=sys.stderr)
-        return 2
-    if not args.serial and args.shards + len(args.worker) < 1:
+    urls = args.worker
+    # --workers counts local processes: 1 by default, 0 with a URL.
+    workers = args.workers if args.workers is not None else (0 if urls else 1)
+    if workers + len(urls) < 1:
         print(
-            "error: need at least one shard: --shards N and/or --worker URL",
+            "error: need at least one worker: --workers N and/or --worker URL",
             file=sys.stderr,
         )
         return 2
-    service = AnalysisService(options)
-    runner = service.runner(ks=tuple(args.k) if args.k else DEFAULT_KS)
+    if args.limit is not None and not args.corpus:
+        print("error: --limit applies only to --corpus", file=sys.stderr)
+        return 2
+    in_process = workers == 1 and not urls
+    runner = BatchRunner(
+        ks=tuple(args.k) if args.k else DEFAULT_KS,
+        enumeration=options.enumeration,
+        # Only the in-process run reads the parent's cache: workers
+        # build their own, and a daemon's cache policy is its own.
+        use_cache=options.use_cache and in_process,
+        cache_dir=options.cache_dir,
+    )
     systems, labels = _batch_systems(args)
     jobs = runner.jobs_for(systems, args.chain or None, labels=labels)
-    if args.serial:
-        # The single-process reference the merged export must be
-        # byte-identical to (the CI smoke diffs the two).
+    if in_process:
+        # The serial reference every other topology's export equals.
         batch = runner.run(jobs)
     else:
         batch = run_sharded(
             jobs,
-            shards=args.shards,
-            worker_urls=args.worker,
+            shards=workers,
+            worker_urls=urls,
             use_cache=options.use_cache,
             cache_dir=options.cache_dir,
             chunk_size=args.chunk_size,
@@ -412,7 +389,13 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             log=ShardLog(verbose=args.verbose),
         )
-    return _emit_batch(args, batch, False)
+    return _emit_batch(args, batch, args.timings)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    return serve_forever(
+        args.host, args.port, analysis_options(args), workers=args.workers
+    )
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -550,11 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_client_options(command) -> None:
-        """Transport knobs shared by every command that talks HTTP:
-        ``--server`` clients and the shard coordinator's remote
-        workers (also reused as the coordinator's chunk retry
-        budget)."""
+    def add_client_options(command, retries: str) -> None:
+        """Transport knobs shared by every command that talks HTTP;
+        ``retries`` says what ``--retries`` counts the attempts of."""
         command.add_argument(
             "--timeout",
             type=float,
@@ -568,9 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=3,
             metavar="N",
-            help="total attempts per call for transport failures and "
-            "server 5xx errors (default 3; analysis requests are "
-            "idempotent, so re-sending is always safe)",
+            help=f"total attempts {retries} (default 3; analysis is "
+            "idempotent, so re-running it is always safe)",
         )
         command.add_argument(
             "--retry-delay",
@@ -581,16 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
             "failure (default 0.1)",
         )
 
-    def add_server_option(command) -> None:
-        command.add_argument(
-            "--server",
-            metavar="URL",
-            help="send the analysis to a running `repro serve` daemon "
-            "instead of computing in-process (exports are "
-            "byte-identical either way)",
-        )
-        add_client_options(command)
-
     analyze = sub.add_parser("analyze", help="TWCA of chains")
     analyze.add_argument("--system", help="system JSON file")
     analyze.add_argument("--chain", help="analyze only this chain")
@@ -598,7 +568,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=window_size, nargs="*", help="window sizes for the DMM table"
     )
     add_analysis_options(analyze, "analyze")
-    add_server_option(analyze)
+    analyze.add_argument(
+        "--server",
+        metavar="URL",
+        help="send the analysis to a running `repro serve` daemon "
+        "instead of computing in-process (exports are "
+        "byte-identical either way)",
+    )
+    add_client_options(
+        analyze, "per call, for transport failures and server 5xx errors"
+    )
     analyze.set_defaults(func=_cmd_analyze)
 
     simulate = sub.add_parser("simulate", help="critical-instant simulation")
@@ -617,23 +596,38 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(func=_cmd_experiment)
 
     batch = sub.add_parser(
-        "batch", help="parallel TWCA over many (system, chain) jobs"
+        "batch",
+        aliases=["shard"],
+        help="TWCA over many (system, chain) jobs: in-process, or over "
+        "local worker processes and/or remote daemons",
     )
-    batch.add_argument(
+    inputs = batch.add_mutually_exclusive_group()
+    inputs.add_argument(
+        "--corpus",
+        metavar="DIR",
+        help="analyze a generated corpus (see `repro corpus generate`)",
+    )
+    inputs.add_argument(
         "--system",
         nargs="+",
-        help="system JSON files (default: a random priority sweep of "
-        "the case study); at least one file when given, so an "
-        "empty shell glob fails loudly instead of silently "
-        "analyzing the random sweep",
+        help="system JSON files, labeled by path; at least one file "
+        "when given, so an empty shell glob fails loudly instead of "
+        "silently analyzing the random sweep",
+    )
+    batch.add_argument(
+        "--limit",
+        type=at_least(0),
+        default=None,
+        metavar="N",
+        help="only the first N corpus entries (with --corpus only)",
     )
     batch.add_argument(
         "--random",
         type=at_least(0),
         default=50,
         metavar="N",
-        help="size of the random sweep when no --system files are "
-        "given (default 50)",
+        help="size of the random priority sweep of the case study, the "
+        "input when neither --corpus nor --system is given (default 50)",
     )
     batch.add_argument("--seed", type=int, default=2017)
     batch.add_argument(
@@ -644,27 +638,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--workers",
+        type=at_least(0),
+        default=None,
+        metavar="N",
+        help="local worker processes (default 1, or 0 with --worker); "
+        "1 and no --worker runs in-process, the serial reference",
+    )
+    batch.add_argument(
+        "--shards",
+        dest="workers",
+        type=at_least(0),
+        metavar="N",
+        help="second spelling of --workers",
+    )
+    batch.add_argument(
+        "--worker",
+        action="append",
+        default=[],
+        metavar="URL",
+        help="remote `repro serve` endpoint (repeatable; mixes freely "
+        "with local --workers)",
+    )
+    batch.add_argument(
+        "--server",
+        dest="worker",
+        action="append",
+        metavar="URL",
+        help="second spelling of --worker",
+    )
+    batch.add_argument(
+        "--chunk-size",
         type=at_least(1),
-        default=1,
-        help="worker processes (1 = serial reference; ignored with "
-        "--server, where the daemon owns execution)",
+        default=None,
+        metavar="N",
+        help="jobs per chunk sent to a worker (default: about four "
+        "chunks per worker)",
     )
     batch.add_argument(
         "--k", type=window_size, nargs="*", help="DMM window sizes (default 1 10 100)"
     )
+    batch.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="tagged per-chunk progress on stderr (line-buffered: "
+        "lines never interleave, whatever the worker count)",
+    )
     add_analysis_options(batch, "batch")
-    add_server_option(batch)
+    add_client_options(
+        batch, "per chunk whose worker died, was unreachable or answered 5xx"
+    )
     batch.add_argument(
         "--json",
         action="store_true",
-        help="deterministic JSON on stdout (identical for any "
-        "--workers value)",
+        help="deterministic JSON on stdout (identical for any worker "
+        "topology)",
     )
     batch.add_argument(
         "--timings",
         action="store_true",
         help="include timing/cache/packing fields in the JSON (no "
-        "longer worker-count invariant)",
+        "longer topology invariant)",
     )
     batch.add_argument("--output", help="write the JSON to a file")
     batch.add_argument(
@@ -676,8 +710,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        aliases=["shard-worker"],
         help="long-lived analysis daemon keeping systems and caches "
-        "hot across HTTP/JSON requests",
+        "hot across HTTP/JSON requests (also the remote worker of "
+        "`repro batch --worker URL`)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787)
@@ -690,119 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_analysis_options(serve, "serve")
     serve.set_defaults(func=_cmd_serve)
-
-    shard_worker = sub.add_parser(
-        "shard-worker",
-        help="a shard-worker endpoint for `repro shard --worker URL` "
-        "(the analysis daemon under its deployment name; chunks "
-        "arrive on POST /shard/run)",
-    )
-    shard_worker.add_argument("--host", default="127.0.0.1")
-    shard_worker.add_argument("--port", type=int, default=8788)
-    shard_worker.add_argument(
-        "--workers",
-        type=at_least(1),
-        default=1,
-        help="concurrently executing computes on this worker host "
-        "(bounded thread pool)",
-    )
-    add_analysis_options(shard_worker, "shard-worker")
-    shard_worker.set_defaults(func=_cmd_serve)
-
-    shard = sub.add_parser(
-        "shard",
-        help="sharded TWCA: partition jobs over local worker processes "
-        "and/or remote shard-worker endpoints, one worker per chunk, "
-        "with bounded retries",
-    )
-    shard.add_argument(
-        "--corpus",
-        metavar="DIR",
-        help="analyze a generated corpus (see `repro corpus generate`)",
-    )
-    shard.add_argument(
-        "--limit",
-        type=at_least(0),
-        default=None,
-        metavar="N",
-        help="only the first N corpus entries",
-    )
-    shard.add_argument(
-        "--system",
-        nargs="+",
-        help="system JSON files (labels follow the batch convention: "
-        "the file paths)",
-    )
-    shard.add_argument(
-        "--random",
-        type=at_least(0),
-        default=50,
-        metavar="N",
-        help="size of the random sweep when neither --corpus nor "
-        "--system is given (default 50)",
-    )
-    shard.add_argument("--seed", type=int, default=2017)
-    shard.add_argument(
-        "--chain",
-        nargs="*",
-        help="chains to analyze (default: every typical chain with a "
-        "finite deadline)",
-    )
-    shard.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="S",
-        help="local shard worker processes (default 2; 0 with "
-        "--worker runs remote-only)",
-    )
-    shard.add_argument(
-        "--worker",
-        action="append",
-        default=[],
-        metavar="URL",
-        help="remote `repro shard-worker` endpoint (repeatable; mixes "
-        "freely with local --shards)",
-    )
-    shard.add_argument(
-        "--chunk-size",
-        type=at_least(1),
-        default=None,
-        metavar="N",
-        help="jobs per dispatched chunk (default: about four chunks "
-        "per worker)",
-    )
-    shard.add_argument(
-        "--serial",
-        action="store_true",
-        help="run the single-process reference instead of sharding "
-        "(the export the merged run is byte-identical to)",
-    )
-    shard.add_argument(
-        "--k", type=window_size, nargs="*", help="DMM window sizes (default 1 10 100)"
-    )
-    shard.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="tagged per-chunk progress on stderr (line-buffered: "
-        "lines never interleave, whatever the shard count)",
-    )
-    add_analysis_options(shard, "shard")
-    add_client_options(shard)
-    shard.add_argument(
-        "--json",
-        action="store_true",
-        help="deterministic JSON on stdout (identical for any shard "
-        "topology, and to --serial)",
-    )
-    shard.add_argument("--output", help="write the JSON to a file")
-    shard.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero when any job errored",
-    )
-    shard.set_defaults(func=_cmd_shard)
 
     corpus = sub.add_parser(
         "corpus",

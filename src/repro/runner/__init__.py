@@ -14,7 +14,7 @@ The deterministic JSON export of a batch is byte-identical for any
 worker count; see :mod:`repro.runner.batch`.  ``BatchRunner(workers=N)``
 with ``N > 1`` runs its jobs over ``N`` local shard workers
 (:func:`run_sharded`), and every job — in-process, in a shard worker
-or behind a ``repro shard-worker`` endpoint — runs through one loop,
+or behind a ``repro serve`` endpoint — runs through one loop,
 :func:`execute_jobs`.  Passing ``BatchRunner(cache_dir=...)`` (CLI:
 ``repro batch --cache-dir``) backs every worker's result cache with a
 shared persistent on-disk store, so warm sweeps analyze nothing across
@@ -22,9 +22,10 @@ processes and across runs; ``BatchRunner.run_paths`` reads and parses
 system files in the calling process, then runs them like any systems.
 
 Past one host, :mod:`repro.runner.shard` scales the same job lists over
-shard workers — local processes and/or remote ``repro shard-worker``
+shard workers — local processes and/or remote ``repro serve``
 endpoints — with bounded chunk retries, merging to the
-byte-identical deterministic export (CLI: ``repro shard``).
+byte-identical deterministic export (CLI: ``repro batch --workers N
+--worker URL``).
 """
 
 from .batch import BatchExecutionError, BatchResult, BatchRunner, execute_jobs

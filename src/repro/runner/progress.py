@@ -11,7 +11,7 @@ full — tag, message, newline — and handed to the stream as *one*
 ``write()`` call under a lock, then flushed.  Workers and the
 coordinator funnel all progress through one shared instance (local
 worker processes report events back to the parent over their result
-queues rather than writing to stderr directly), so ``repro shard -v``
+queues rather than writing to stderr directly), so ``repro batch -v``
 output is parseable line-by-line no matter how many shards race.
 """
 

@@ -1,11 +1,13 @@
 """Bounded retry with exponential backoff — one policy object shared by
 every layer that talks to something that can die mid-call.
 
-The shard coordinator retries chunks whose worker crashed, the
-:class:`~repro.service.http.ServiceClient` retries transport failures
-against a restarting daemon, and both must agree on what "retry" means:
-a *bounded* number of attempts with exponentially growing, capped delays
-— never an unbounded hot loop against a dead peer.
+The shard coordinator retries chunks whose worker crashed or could not
+be reached, the :class:`~repro.service.http.ServiceClient` of ``repro
+analyze --server`` retries transport failures against a restarting
+daemon, and both mean the same by "retry": a *bounded* number of
+attempts with exponentially growing, capped delays — never an unbounded
+hot loop against a dead peer.  A remote shard worker's client makes one
+attempt per chunk attempt, so one budget governs each chunk.
 
 Analysis work is pure (a job's deterministic result is a function of
 its content identity), so re-running a request or a chunk is always
@@ -14,9 +16,7 @@ safe; the only question a policy answers is *how patiently*.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -53,29 +53,6 @@ class RetryPolicy:
     def retries_left(self, failures: int) -> bool:
         """Whether another attempt is allowed after ``failures`` tries."""
         return failures < self.attempts
-
-    def call(
-        self,
-        fn: Callable,
-        *,
-        retry_on: tuple = (Exception,),
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        """Run ``fn()`` under this policy: up to ``attempts`` tries,
-        sleeping :meth:`delay` between them, re-raising the last
-        failure once the budget is spent.  ``retry_on`` narrows which
-        exceptions are retryable — anything else propagates at once."""
-        failures = 0
-        while True:
-            try:
-                return fn()
-            except retry_on:
-                failures += 1
-                if not self.retries_left(failures):
-                    raise
-                pause = self.delay(failures)
-                if pause > 0:
-                    sleep(pause)
 
 
 #: Retry nothing: one attempt, the pre-policy behavior.

@@ -2,17 +2,19 @@
 shard workers with bounded retries and a merge that is byte-identical
 to a serial run.
 
-This is the one local fan-out: ``BatchRunner(workers=N)`` with
-``N > 1`` runs its jobs here, over ``N`` local workers
-(:func:`run_sharded`).  The job list is split into :class:`ShardChunk`
-units of consecutive jobs, and a local worker runs each chunk through
-the serial runner's loop, :func:`~repro.runner.batch.execute_jobs`
-(which parses each system's run of jobs in a chunk once).  A job that
-raises fails its chunk with a :class:`ChunkJobError` naming the job.
-A :class:`ShardCoordinator` drives one dispatch thread per
-worker; each thread pulls the next eligible chunk from a shared,
-lock-protected scheduler, runs it on its worker, and posts the results
-back.  Three scheduler behaviors make the fan-out robust:
+This is the one fan-out: ``BatchRunner(workers=N)`` with ``N > 1``
+runs its jobs here, over ``N`` local workers, and so does every
+``repro batch`` topology but the in-process one (one local worker and
+no ``--worker`` URL), through one :func:`run_sharded` call.  The job
+list is split into :class:`ShardChunk` units of consecutive jobs, and
+a local worker runs each chunk through the serial runner's loop,
+:func:`~repro.runner.batch.execute_jobs` (which parses each system's
+run of jobs in a chunk once).  A job that raises fails its chunk with
+a :class:`ChunkJobError` naming the job.  A :class:`ShardCoordinator`
+drives one dispatch thread per worker; each thread pulls the next
+eligible chunk from a shared, lock-protected scheduler, runs it on its
+worker, and posts the results back.  Three scheduler behaviors make
+the fan-out robust:
 
 * **One worker per chunk** — a chunk runs on one worker at a time,
   and a worker that finishes early pulls the next pending chunk, so
@@ -21,11 +23,12 @@ back.  Three scheduler behaviors make the fan-out robust:
   a local one by its process staying alive.  Idle dispatch threads
   sleep until a chunk is released or a queued retry becomes due; none
   polls.
-* **Retry with backoff** — a chunk whose worker died
-  (:class:`WorkerUnavailable`) is requeued under the coordinator's
-  :class:`~repro.runner.retry.RetryPolicy`: bounded attempts,
-  exponentially delayed eligibility, and possibly another worker.
-  Exhausting the budget raises :class:`ShardExecutionError`.
+* **Retry with backoff** — a chunk whose worker died or could not be
+  reached (:class:`WorkerUnavailable`) is requeued under the
+  coordinator's :class:`~repro.runner.retry.RetryPolicy`: bounded
+  attempts, exponentially delayed eligibility, and possibly another
+  worker.  That policy is the chunk's only retry budget.  Exhausting
+  it raises :class:`ShardExecutionError`.
 * **Keyed merge** — every job's deterministic export depends only on
   the job itself, so merging is a pure keyed union: results are
   reassembled in global submission order and the combined
@@ -38,8 +41,9 @@ Two worker kinds implement the same ``run_chunk`` protocol:
 respawned transparently on the next chunk); :func:`local_shard_workers`
 pins worker ``i`` to CPU ``i mod n`` of the ``n`` CPUs the caller may
 run on, so the processes do not crowd onto one CPU; and
-:class:`RemoteShardWorker` posts chunks to a ``repro shard-worker``
-HTTP endpoint via the :class:`~repro.service.http.ServiceClient`.
+:class:`RemoteShardWorker` posts chunks to the ``POST /shard/run``
+route of a ``repro serve`` daemon (``repro shard-worker`` is an alias)
+via the :class:`~repro.service.http.ServiceClient`.
 """
 
 from __future__ import annotations
@@ -343,17 +347,17 @@ def local_shard_workers(
 
 
 # ----------------------------------------------------------------------
-# Remote workers (repro shard-worker endpoints)
+# Remote workers (repro serve endpoints)
 # ----------------------------------------------------------------------
 class RemoteShardWorker:
-    """One shard behind a ``repro shard-worker`` HTTP endpoint.
+    """One shard behind a ``repro serve`` HTTP endpoint.
 
-    Chunks are POSTed to ``/shard/run`` through the
-    :class:`~repro.service.http.ServiceClient`, whose own
-    :class:`~repro.runner.retry.RetryPolicy` absorbs transient
-    transport blips; once the client gives up, the failure surfaces as
-    :class:`WorkerUnavailable` and the *coordinator's* policy decides
-    whether the chunk gets another attempt (possibly elsewhere).
+    Chunks are POSTed to ``/shard/run`` through a
+    :class:`~repro.service.http.ServiceClient` that sends each chunk
+    once: a transport failure or a 5xx surfaces as
+    :class:`WorkerUnavailable`, and the *coordinator's* policy alone
+    decides whether the chunk gets another attempt (possibly
+    elsewhere).
     """
 
     def __init__(
@@ -361,14 +365,13 @@ class RemoteShardWorker:
         url: str,
         *,
         timeout: float = 600.0,
-        retry: Optional[RetryPolicy] = None,
         name: Optional[str] = None,
     ):
         # Deferred import: repro.service imports repro.runner at module
         # load; importing it here keeps the packages cycle-free.
         from ..service.http import ServiceClient
 
-        self.client = ServiceClient(url, timeout=timeout, retry=retry)
+        self.client = ServiceClient(url, timeout=timeout)
         self.name = name if name is not None else url
 
     def run_chunk(self, chunk: ShardChunk) -> List[JobResult]:
@@ -414,7 +417,7 @@ class ShardCoordinator:
         dies mid-chunk.
     log:
         A :class:`~repro.runner.progress.ShardLog`; every progress line
-        is emitted atomically with a shard tag (``repro shard -v``).
+        is emitted atomically with a shard tag (``repro batch -v``).
     own_workers:
         When true (the :func:`run_sharded` path), :meth:`run` closes
         the workers on exit.
@@ -562,13 +565,12 @@ def run_sharded(
 ) -> BatchResult:
     """Convenience entrypoint: build ``shards`` local workers plus one
     remote worker per URL, run ``jobs`` through a
-    :class:`ShardCoordinator`, and tear the workers down."""
+    :class:`ShardCoordinator` under ``retry``, and tear the workers
+    down."""
     workers: List[Any] = local_shard_workers(
         shards, use_cache=use_cache, cache_dir=cache_dir
     )
-    workers.extend(
-        RemoteShardWorker(url, timeout=timeout, retry=retry) for url in worker_urls
-    )
+    workers.extend(RemoteShardWorker(url, timeout=timeout) for url in worker_urls)
     coordinator = ShardCoordinator(
         workers, chunk_size=chunk_size, retry=retry, log=log, own_workers=True
     )

@@ -3,9 +3,9 @@ daemon runs, owning the warm state that used to die with each CLI
 invocation.
 
 :class:`AnalysisService` runs per-chain TWCA jobs
-(:func:`repro.runner.jobs.run_chain_job`) and batch runners behind one
-request/response entrypoint and keeps two kinds of state hot across
-calls:
+(:func:`repro.runner.jobs.run_chain_job`) and chunks of pre-built batch
+jobs behind one request/response entrypoint and keeps two kinds of
+state hot across calls:
 
 * **loaded systems**, keyed by content digest — a client can send a
   system once and reference it by digest forever after.  A wire request
@@ -39,15 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..model import System
 from ..model.serialization import system_from_json
-from ..runner.batch import (
-    BatchExecutionError,
-    BatchRunner,
-    _build_cache,
-    execute_jobs,
-)
+from ..runner.batch import BatchExecutionError, _build_cache, execute_jobs
 from ..runner.cache import AnalysisCache
 from ..runner.jobs import (
-    DEFAULT_KS,
     AnalysisJob,
     JobResult,
     default_chain_names,
@@ -70,8 +64,6 @@ class AnalysisService:
     options:
         The shared analysis knobs (combination pipeline, cache policy);
         defaults to :class:`AnalysisOptions`'s defaults.
-    ks:
-        Default DMM window sizes for :meth:`runner`-built batches.
     cache:
         Explicit cache instance; overrides the ``options`` cache
         policy (used by tests and embedders sharing a cache).
@@ -86,14 +78,12 @@ class AnalysisService:
         self,
         options: Optional[AnalysisOptions] = None,
         *,
-        ks: Tuple[int, ...] = DEFAULT_KS,
         cache: Optional[AnalysisCache] = None,
         workers: int = 1,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.options = options if options is not None else AnalysisOptions()
-        self.ks = tuple(ks)
         self.workers = workers
         if cache is not None:
             self.cache: Optional[AnalysisCache] = cache
@@ -101,8 +91,8 @@ class AnalysisService:
             self.cache = _build_cache(self.options.use_cache, self.options.cache_dir)
         self._systems: Dict[str, System] = {}
         self._lock = threading.Lock()
-        # Threads spawn lazily on first submit, so an in-process
-        # one-shot service (the CLI path) never pays for the pool.
+        # Threads spawn lazily on first submit, so a service that
+        # never computes never pays for the pool.
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-compute"
         )
@@ -157,11 +147,6 @@ class AnalysisService:
         with self._lock:
             self._systems[digest] = system
         return system
-
-    @property
-    def system_count(self) -> int:
-        with self._lock:
-            return len(self._systems)
 
     # ------------------------------------------------------------------
     # The request/response entrypoint
@@ -256,22 +241,6 @@ class AnalysisService:
             with self._lock:
                 self._executing -= 1
         return system.content_digest(), jobs
-
-    def runner(
-        self, *, workers: int = 1, ks: Optional[Tuple[int, ...]] = None
-    ) -> BatchRunner:
-        """A batch runner sharing this service's cache and options —
-        the in-process path of ``repro batch`` (``workers > 1`` fans
-        out over local shard worker processes, whose own caches then
-        share the persistent ``cache_dir``, when one is configured)."""
-        return BatchRunner(
-            workers=workers,
-            ks=tuple(ks) if ks is not None else self.ks,
-            enumeration=self.options.enumeration,
-            cache=self.cache,
-            cache_dir=self.options.cache_dir,
-            use_cache=self.options.use_cache,
-        )
 
     # ------------------------------------------------------------------
     # Observability

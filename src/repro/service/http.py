@@ -10,8 +10,8 @@
   :class:`~repro.runner.jobs.AnalysisJob` wire dicts; the response is
   ``{"jobs": [...]}`` of full (non-deterministic-form) job results.
   This is the chunk endpoint the sharded batch coordinator drives
-  (``repro shard --worker URL`` and ``repro batch --server URL``);
-  ``repro shard-worker`` is ``repro serve`` under another name.
+  (``repro batch --worker URL``); ``repro shard-worker`` is an alias
+  of ``repro serve``.
 * ``GET /cache/stats`` — the result cache's counters (``{"jobs": ...}``)
   plus service request accounting (requests, computes, systems).
 * ``GET /healthz`` — liveness and version.
@@ -254,8 +254,7 @@ class ServiceClient:
     """Thin ``urllib`` client for a running ``repro serve`` daemon.
 
     Used by ``repro analyze --server`` and by the sharded
-    coordinator's remote workers (``repro batch --server``,
-    ``repro shard --worker``).
+    coordinator's remote workers (``repro batch --worker``).
 
     ``timeout`` bounds every socket operation (a hung daemon can no
     longer block a client forever), and ``retry`` — a
@@ -265,9 +264,9 @@ class ServiceClient:
     and server-side ``5xx``.  Analysis requests are pure and idempotent,
     so re-sending one is always safe.  ``4xx`` rejections are the
     caller's bug and surface immediately.  The default is
-    :data:`~repro.runner.retry.NO_RETRY` — single attempt, the
-    historical behavior; the CLI's ``--server`` mode and the shard
-    coordinator pass explicit policies.
+    :data:`~repro.runner.retry.NO_RETRY` — single attempt, what a
+    remote shard worker uses, since the coordinator retries its chunks;
+    ``repro analyze --server`` passes the ``--retries`` policy.
     """
 
     def __init__(

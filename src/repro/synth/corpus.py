@@ -19,8 +19,8 @@ or interruption/regeneration (the generators are pure Python).
 :class:`CorpusManifest` reopens a generated corpus: iterate entries,
 materialize systems, or :meth:`~CorpusManifest.verify` the whole tree
 against the recorded digests.  ``repro corpus generate``/``verify`` are
-the CLI fronts; ``repro shard --corpus`` feeds a corpus to the sharded
-batch coordinator.
+the CLI fronts; ``repro batch --corpus`` feeds a corpus to the batch
+runner or the shard coordinator.
 """
 
 from __future__ import annotations

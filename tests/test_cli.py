@@ -29,6 +29,23 @@ class TestAnalyze:
         assert "schedulable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["analyze", "--system", "missing.json"], "missing.json"),
+    (["analyze", "--chain", "sigma_zz"], "sigma_zz"),
+    (["simulate", "--system", "missing.json"], "missing.json"),
+], ids=["analyze-file", "analyze-chain", "simulate-file"])
+def test_bad_input_exits_2(tmp_path, monkeypatch, argv, named, capsys):
+    """A missing system file or an unknown chain is a clean ``error:
+    ...`` naming it and exit 2, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestSimulate:
     def test_runs_and_prints_gantt(self, capsys):
         assert main(["simulate", "--horizon", "1000"]) == 0
@@ -154,6 +171,28 @@ class TestBatch:
         pruned = capsys.readouterr().out
         assert main(args + ["--exhaustive"]) == 0
         assert capsys.readouterr().out == pruned
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--workers", "0"], ["shard", "--shards", "0"]])
+    def test_no_worker_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least one worker: --workers N and/or "
+            "--worker URL\n")
+
+    def test_corpus_and_system_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["shard", "--corpus", str(tmp_path), "--system",
+                  "missing.json", "--workers", "1"])
+        assert info.value.code == 2
+        assert "not allowed with argument --corpus" in \
+            capsys.readouterr().err
+
+    def test_limit_needs_corpus(self, capsys):
+        assert main(["batch", "--random", "2", "--limit", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --limit applies only to --corpus\n"
+        assert captured.out == ""
 
     def test_system_files_load_in_workers(self, tmp_path, capsys):
         """--system files are parsed in the parent, then fanned out;
@@ -291,7 +330,7 @@ class TestParser:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, minimum", [
-        (["batch"], "--workers", 1),
+        (["batch"], "--workers", 0),
         (["serve"], "--workers", 1),
         (["shard-worker"], "--workers", 1),
         (["shard"], "--chunk-size", 1),

@@ -28,6 +28,7 @@ from repro.service import (
     start_server,
 )
 from repro.synth import figure4_system
+from repro.synth.corpus import CorpusSpec, generate_corpus
 
 
 @pytest.fixture()
@@ -483,12 +484,46 @@ class TestCliIntegration:
             "local": ["batch"] + args,
             "workers": ["batch"] + args + ["--workers", "2"],
             "server": ["batch"] + args + ["--server", server.url],
-            "shard": ["shard", "--serial"] + args,
+            "shard": ["shard", "--workers", "1"] + args,
         }[mode]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert named in err
+
+    @pytest.mark.parametrize("case", ["in-process", "local", "corpus", "mixed"])
+    def test_shard_is_an_alias_of_batch(self, server, tmp_path, case, capsys):
+        """``repro shard`` parses to ``repro batch``: the same flags give
+        the same export, and every topology's export equals the
+        in-process one's."""
+        sweep = ["--random", "3", "--seed", "7"]
+        corpus = str(tmp_path / "corpus")
+        if case == "corpus":
+            generate_corpus(CorpusSpec(count=4, seed=2017), corpus)
+        inputs, topology = {
+            "in-process": (sweep, ["--workers", "1"]),
+            "local": (sweep, ["--workers", "2", "--chunk-size", "1"]),
+            "corpus": (["--corpus", corpus, "--limit", "3"], []),
+            "mixed": (sweep, ["--workers", "1", "--worker", server.url]),
+        }[case]
+        exports = []
+        for argv in (
+            ["batch"] + inputs,
+            ["batch"] + inputs + topology,
+            ["shard"] + inputs + topology,
+        ):
+            assert main(argv + ["--json"]) == 0
+            exports.append(capsys.readouterr().out)
+        assert exports[0] == exports[1] == exports[2]
+        assert json.loads(exports[0])["job_count"] > 0
+
+    def test_shard_worker_is_an_alias_of_serve(self):
+        from repro.cli import _cmd_serve, build_parser
+
+        for command in ("serve", "shard-worker"):
+            args = build_parser().parse_args([command])
+            assert args.func is _cmd_serve
+            assert (args.port, args.workers) == (8787, 1)
 
     def test_unreachable_server_is_a_clean_error(self, capsys):
         assert main(["analyze", "--chain", "sigma_c",

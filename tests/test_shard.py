@@ -154,31 +154,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             policy.delay(0)
 
-    def test_call_retries_then_reraises(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            raise OSError("down")
-
-        policy = RetryPolicy(attempts=3, base_delay=0.0)
-        with pytest.raises(OSError):
-            policy.call(flaky, retry_on=(OSError,))
-        assert len(calls) == 3
-
-    def test_call_passes_through_non_retryable(self):
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise ValueError("bug")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=3, base_delay=0.0).call(
-                broken, retry_on=(OSError,)
-            )
-        assert len(calls) == 1
-
 
 class TestShardLog:
     def test_lines_are_single_writes(self):
@@ -537,7 +512,7 @@ class TestRemoteWorkers:
         server = start_server(service)
         try:
             remote_only = ShardCoordinator(
-                [RemoteShardWorker(server.url, retry=FAST_RETRY)], chunk_size=3
+                [RemoteShardWorker(server.url)], chunk_size=3
             )
             assert remote_only.run(jobs).to_json() == serial
             mixed = ShardCoordinator(
@@ -555,12 +530,31 @@ class TestRemoteWorkers:
 
     def test_unreachable_endpoint_is_worker_unavailable(self):
         jobs, _ = synth_jobs(count=1)
-        worker = RemoteShardWorker(
-            "http://127.0.0.1:1", timeout=0.5, retry=NO_RETRY
-        )
+        worker = RemoteShardWorker("http://127.0.0.1:1", timeout=0.5)
         chunks = make_chunks(jobs, len(jobs))
         with pytest.raises(WorkerUnavailable):
             worker.run_chunk(chunks[0])
+
+    def test_dead_endpoint_spends_one_retry_budget(self, monkeypatch):
+        """The coordinator's policy is the chunk's only retry budget: a
+        dead URL under ``attempts=3`` is sent the chunk 3 times, not
+        3 x 3 (the worker's client sends each attempt once)."""
+        sent = []
+
+        def dead(self, method, path, payload=None):
+            sent.append(path)
+            raise ServiceError(0, "connection refused")
+
+        monkeypatch.setattr(ServiceClient, "_request_once", dead)
+        jobs, _ = synth_jobs(count=1)
+        with pytest.raises(ShardExecutionError):
+            run_sharded(
+                jobs,
+                worker_urls=["http://127.0.0.1:9"],
+                chunk_size=len(jobs),
+                retry=RetryPolicy(attempts=3, base_delay=0.0),
+            )
+        assert sent == ["/shard/run"] * 3
 
     @pytest.mark.parametrize(
         "field, value, message",
