@@ -149,6 +149,19 @@ def at_least(minimum: int, what: str = "must be an integer") -> Callable[[str], 
 window_size = at_least(1, "window sizes must be integers")
 
 
+#: The client flags' values when not given: ``analyze`` parses them as
+#: its defaults, ``batch`` resolves them (see :data:`WORKER_FLAGS`).
+CLIENT_DEFAULTS = {"timeout": 600.0, "retries": 3, "retry_delay": 0.1}
+
+#: ``repro batch`` flags that act only on the random sweep (without
+#: ``--corpus`` and ``--system``), and flags that act only on worker
+#: processes and URLs (not in-process), by dest, with their values when
+#: not given.  On ``batch`` they parse as ``None``, so a flag given
+#: where it cannot act is a usage error (exit 2), not silently dropped.
+SWEEP_FLAGS = {"random": 50, "seed": 2017}
+WORKER_FLAGS = {"chunk_size": None, "verbose": False, **CLIENT_DEFAULTS}
+
+
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
     """The retry policy carried by the shared ``--retries`` /
     ``--retry-delay`` flags: per call of ``analyze --server`` (see
@@ -349,6 +362,21 @@ def _batch_systems(args: argparse.Namespace):
     return [system for _, system in labeled], [label for label, _ in labeled]
 
 
+def _idle_batch_flag(args: argparse.Namespace, in_process: bool) -> Optional[str]:
+    """Why a given ``repro batch`` flag cannot act on this input and
+    topology, or ``None`` when every given flag acts."""
+    if args.limit is not None and not args.corpus:
+        return "--limit applies only to --corpus"
+    for flags, idle, where in (
+        (SWEEP_FLAGS, args.corpus or args.system, "without --corpus and --system"),
+        (WORKER_FLAGS, in_process, "with --workers N > 1 or a --worker URL"),
+    ):
+        for dest in flags:
+            if idle and getattr(args, dest) is not None:
+                return f"--{dest.replace('_', '-')} applies only {where}"
+    return None
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     options = analysis_options(args)
     urls = args.worker
@@ -360,10 +388,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.limit is not None and not args.corpus:
-        print("error: --limit applies only to --corpus", file=sys.stderr)
-        return 2
     in_process = workers == 1 and not urls
+    idle = _idle_batch_flag(args, in_process)
+    if idle is not None:
+        print(f"error: {idle}", file=sys.stderr)
+        return 2
+    for dest, value in {**SWEEP_FLAGS, **WORKER_FLAGS}.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     runner = BatchRunner(
         ks=tuple(args.k) if args.k else DEFAULT_KS,
         enumeration=options.enumeration,
@@ -539,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--timeout",
             type=float,
-            default=600.0,
+            default=CLIENT_DEFAULTS["timeout"],
             metavar="SECONDS",
             help="per-call socket timeout for daemon requests "
             "(default 600; a hung daemon can no longer block forever)",
@@ -547,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--retries",
             type=int,
-            default=3,
+            default=CLIENT_DEFAULTS["retries"],
             metavar="N",
             help=f"total attempts {retries} (default 3; analysis is "
             "idempotent, so re-running it is always safe)",
@@ -555,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--retry-delay",
             type=float,
-            default=0.1,
+            default=CLIENT_DEFAULTS["retry_delay"],
             metavar="SECONDS",
             help="base backoff before the first retry, doubling per "
             "failure (default 0.1)",
@@ -624,12 +656,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--random",
         type=at_least(0),
-        default=50,
         metavar="N",
         help="size of the random priority sweep of the case study, the "
         "input when neither --corpus nor --system is given (default 50)",
     )
-    batch.add_argument("--seed", type=int, default=2017)
+    batch.add_argument(
+        "--seed", type=int, help="seed of the random sweep (default 2017)"
+    )
     batch.add_argument(
         "--chain",
         nargs="*",
@@ -688,6 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_client_options(
         batch, "per chunk whose worker died, was unreachable or answered 5xx"
     )
+    # Not given, they read None: see SWEEP_FLAGS and WORKER_FLAGS.
+    batch.set_defaults(**dict.fromkeys({**SWEEP_FLAGS, **WORKER_FLAGS}))
     batch.add_argument(
         "--json",
         action="store_true",

@@ -25,7 +25,8 @@ Past one host, :mod:`repro.runner.shard` scales the same job lists over
 shard workers — local processes and/or remote ``repro serve``
 endpoints — with bounded chunk retries, merging to the
 byte-identical deterministic export (CLI: ``repro batch --workers N
---worker URL``).
+--worker URL``).  Its dispatch threads share one queue of chunks, and
+each local worker process talks to its thread over one pipe.
 """
 
 from .batch import BatchExecutionError, BatchResult, BatchRunner, execute_jobs

@@ -2,9 +2,9 @@
 
 Jobs carry the system as canonical JSON rather than a live object so
 they pickle cheaply and identically across process boundaries, and so a
-job is itself content-addressed: :attr:`AnalysisJob.digest` identifies
-a (system, chain, parameters) work unit, and :func:`job_result_key` is
-the equivalent tuple the result cache keys on.
+job is itself content-addressed: :func:`job_result_key` is the (system
+digest, chain, parameters) tuple the result cache keys on, and equal
+jobs are the same work unit.
 :func:`run_chain_job` is the single execution path of the serial
 runner, the shard workers and the service — one cache lookup per job,
 and on a miss one analysis and one store — which is what makes
@@ -15,7 +15,7 @@ jobs :meth:`repro.runner.BatchRunner.jobs_for` builds for one system
 share one ``system_json`` string, and the one job loop,
 :func:`repro.runner.batch.execute_jobs`, parses a run of consecutive
 jobs with one ``system_json`` once and passes the parsed system to
-each :func:`execute_job`.  Digests and cache keys stay per job.
+each :func:`execute_job`.  Cache keys stay per job.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ class AnalysisJob:
     system_json: str
     chain_name: str
     ks: Tuple[int, ...] = DEFAULT_KS
-    max_combinations: int = 100_000
-    exact_criterion: bool = True
     enumeration: str = "pruned"
     label: str = ""
 
@@ -79,13 +77,6 @@ class AnalysisJob:
                 f"unknown enumeration {self.enumeration!r}; "
                 f"choose from {list(ENUMERATION_MODES)}"
             )
-        limit = self.max_combinations
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise ValueError(
-                f"'max_combinations' must be an integer >= 1, got {limit!r}"
-            )
-        if not isinstance(self.exact_criterion, bool):
-            raise ValueError("'exact_criterion' must be a boolean")
 
     @classmethod
     def from_system(
@@ -94,8 +85,6 @@ class AnalysisJob:
         chain_name: str,
         *,
         ks: Tuple[int, ...] = DEFAULT_KS,
-        max_combinations: int = 100_000,
-        exact_criterion: bool = True,
         enumeration: str = "pruned",
         label: str = "",
     ) -> "AnalysisJob":
@@ -104,31 +93,9 @@ class AnalysisJob:
             system_json=canonical_system_json(system),
             chain_name=chain_name,
             ks=ks,
-            max_combinations=max_combinations,
-            exact_criterion=exact_criterion,
             enumeration=enumeration,
             label=label or system.name,
         )
-
-    @property
-    def digest(self) -> str:
-        """Content digest of (system, chain, parameters): the stable
-        identity of this work unit across processes and runs.  The
-        shared result cache keys the equivalent tuple identity (see
-        :func:`job_result_key`), reachable from both serialized jobs
-        and live systems."""
-        payload = json.dumps(
-            [
-                self.system_json,
-                self.chain_name,
-                list(self.ks),
-                self.max_combinations,
-                self.exact_criterion,
-                self.enumeration,
-            ],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def system(self) -> System:
         """Materialize the system object.
@@ -144,14 +111,11 @@ class AnalysisJob:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe wire form for remote shard transport.  The system
         travels as its canonical JSON string, so
-        ``from_dict(to_dict())`` reproduces the job — and its
-        :attr:`digest` — exactly."""
+        ``from_dict(to_dict())`` reproduces the job exactly."""
         return {
             "system_json": self.system_json,
             "chain_name": self.chain_name,
             "ks": list(self.ks),
-            "max_combinations": self.max_combinations,
-            "exact_criterion": self.exact_criterion,
             "enumeration": self.enumeration,
             "label": self.label,
         }
@@ -160,15 +124,7 @@ class AnalysisJob:
     def from_dict(cls, data: Dict[str, Any]) -> "AnalysisJob":
         """Inverse of :meth:`to_dict`; rejects unknown fields so wire
         drift between coordinator and worker versions fails loudly."""
-        known = {
-            "system_json",
-            "chain_name",
-            "ks",
-            "max_combinations",
-            "exact_criterion",
-            "enumeration",
-            "label",
-        }
+        known = {"system_json", "chain_name", "ks", "enumeration", "label"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown AnalysisJob fields: {sorted(unknown)}")
@@ -181,8 +137,6 @@ class AnalysisJob:
             system_json=system_json,
             chain_name=chain_name,
             ks=data.get("ks", DEFAULT_KS),
-            max_combinations=data.get("max_combinations", 100_000),
-            exact_criterion=data.get("exact_criterion", True),
             enumeration=data.get("enumeration", "pruned"),
             label=data.get("label", ""),
         )
@@ -290,8 +244,6 @@ def analyze_system_job(
     chain_name: str,
     *,
     ks: Tuple[int, ...] = DEFAULT_KS,
-    max_combinations: int = 100_000,
-    exact_criterion: bool = True,
     enumeration: str = "pruned",
     label: str = "",
 ) -> JobResult:
@@ -305,13 +257,7 @@ def analyze_system_job(
     chain = system[chain_name]
     start = time.perf_counter()
     try:
-        result = analyze_twca(
-            system,
-            chain,
-            max_combinations=max_combinations,
-            exact_criterion=exact_criterion,
-            enumeration=enumeration,
-        )
+        result = analyze_twca(system, chain, enumeration=enumeration)
     except AnalysisError as exc:
         return JobResult(
             label=label,
@@ -347,8 +293,6 @@ def job_result_key(
     system: System,
     chain_name: str,
     ks: Tuple[int, ...],
-    max_combinations: int,
-    exact_criterion: bool,
     enumeration: str,
 ) -> Optional[Hashable]:
     """The content identity of one (system, chain, parameters) work
@@ -360,14 +304,7 @@ def job_result_key(
         digest = system.content_digest()
     except (TypeError, AttributeError):
         return None
-    return (
-        digest,
-        chain_name,
-        tuple(ks),
-        max_combinations,
-        exact_criterion,
-        enumeration,
-    )
+    return (digest, chain_name, tuple(ks), enumeration)
 
 
 def run_chain_job(
@@ -375,8 +312,6 @@ def run_chain_job(
     chain_name: str,
     *,
     ks: Tuple[int, ...] = DEFAULT_KS,
-    max_combinations: int = 100_000,
-    exact_criterion: bool = True,
     enumeration: str = "pruned",
     label: str = "",
     cache: Optional[AnalysisCache] = None,
@@ -400,9 +335,7 @@ def run_chain_job(
     key = None
     # A missing chain raises below without counting a cache lookup.
     if cache is not None and chain_name in system:
-        key = job_result_key(
-            system, chain_name, ks, max_combinations, exact_criterion, enumeration
-        )
+        key = job_result_key(system, chain_name, ks, enumeration)
     start = time.perf_counter()
     hit, from_disk = (None, False) if key is None else cache.lookup(key)
     if hit is not None:
@@ -421,8 +354,6 @@ def run_chain_job(
             system,
             chain_name,
             ks=ks,
-            max_combinations=max_combinations,
-            exact_criterion=exact_criterion,
             enumeration=enumeration,
             label=label,
         )
@@ -455,8 +386,6 @@ def execute_job(
         job.system() if system is None else system,
         job.chain_name,
         ks=job.ks,
-        max_combinations=job.max_combinations,
-        exact_criterion=job.exact_criterion,
         enumeration=job.enumeration,
         label=job.label,
         cache=cache,

@@ -8,11 +8,11 @@ shards racing produce garbage like ``[shard 0] chunk[shard 2] 3 done``.
 
 :class:`ShardLog` fixes this at the source: every line is assembled in
 full — tag, message, newline — and handed to the stream as *one*
-``write()`` call under a lock, then flushed.  Workers and the
-coordinator funnel all progress through one shared instance (local
-worker processes report events back to the parent over their result
-queues rather than writing to stderr directly), so ``repro batch -v``
-output is parseable line-by-line no matter how many shards race.
+``write()`` call under a lock, then flushed.  The coordinator and its
+dispatch threads funnel all progress through one shared instance (a
+local worker process writes nothing: its dispatch thread in the parent
+logs its chunks), so ``repro batch -v`` output is parseable
+line-by-line no matter how many shards race.
 """
 
 from __future__ import annotations

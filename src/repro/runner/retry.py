@@ -2,12 +2,14 @@
 every layer that talks to something that can die mid-call.
 
 The shard coordinator retries chunks whose worker crashed or could not
-be reached, the :class:`~repro.service.http.ServiceClient` of ``repro
-analyze --server`` retries transport failures against a restarting
-daemon, and both mean the same by "retry": a *bounded* number of
-attempts with exponentially growing, capped delays — never an unbounded
-hot loop against a dead peer.  A remote shard worker's client makes one
-attempt per chunk attempt, so one budget governs each chunk.
+be reached (the dispatch thread that lost a chunk sleeps its delay, then
+queues the chunk again for any worker), the
+:class:`~repro.service.http.ServiceClient` of ``repro analyze --server``
+retries transport failures against a restarting daemon, and both mean
+the same by "retry": a *bounded* number of attempts with exponentially
+growing, capped delays — never an unbounded hot loop against a dead
+peer.  A remote shard worker's client makes one attempt per chunk
+attempt, so one budget governs each chunk.
 
 Analysis work is pure (a job's deterministic result is a function of
 its content identity), so re-running a request or a chunk is always

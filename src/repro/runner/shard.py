@@ -11,24 +11,25 @@ a local worker runs each chunk through the serial runner's loop,
 :func:`~repro.runner.batch.execute_jobs` (which parses each system's
 run of jobs in a chunk once).  A job that raises fails its chunk with
 a :class:`ChunkJobError` naming the job.  A :class:`ShardCoordinator`
-drives one dispatch thread per worker; each thread pulls the next
-eligible chunk from a shared, lock-protected scheduler, runs it on its
-worker, and posts the results back.  Three scheduler behaviors make
-the fan-out robust:
+puts the chunks on one :class:`queue.Queue` and drives one dispatch
+thread per worker; each thread gets the next chunk, runs it on its
+worker and records the results.  Three behaviors make the fan-out
+robust:
 
 * **One worker per chunk** — a chunk runs on one worker at a time,
-  and a worker that finishes early pulls the next pending chunk, so
-  the chunk size balances the load.  A pass waits for every chunk it
-  handed out: a remote worker is bounded by its client's ``timeout``,
-  a local one by its process staying alive.  Idle dispatch threads
-  sleep until a chunk is released or a queued retry becomes due; none
-  polls.
-* **Retry with backoff** — a chunk whose worker died or could not be
-  reached (:class:`WorkerUnavailable`) is requeued under the
-  coordinator's :class:`~repro.runner.retry.RetryPolicy`: bounded
-  attempts, exponentially delayed eligibility, and possibly another
-  worker.  That policy is the chunk's only retry budget.  Exhausting
-  it raises :class:`ShardExecutionError`.
+  and a worker that finishes early gets the next chunk, so the chunk
+  size balances the load.  A pass waits for every chunk it handed
+  out: a remote worker is bounded by its client's ``timeout``, a
+  local one by its process staying alive.  The last completion, or
+  the first terminal failure, puts one ``None`` per dispatch thread on
+  the queue; that ends each thread, and an idle one blocks in ``get``
+  until then.
+* **Retry with backoff** — the thread whose worker died or could not
+  be reached (:class:`WorkerUnavailable`) sleeps the chunk's backoff
+  under the coordinator's :class:`~repro.runner.retry.RetryPolicy`,
+  then puts the chunk back on the queue for any worker.  That policy
+  is the chunk's only retry budget.  Exhausting it raises
+  :class:`ShardExecutionError`.
 * **Keyed merge** — every job's deterministic export depends only on
   the job itself, so merging is a pure keyed union: results are
   reassembled in global submission order and the combined
@@ -37,10 +38,11 @@ the fan-out robust:
   placement or retries.
 
 Two worker kinds implement the same ``run_chunk`` protocol:
-:class:`LocalShardWorker` owns one OS process (killed workers are
-respawned transparently on the next chunk); :func:`local_shard_workers`
-pins worker ``i`` to CPU ``i mod n`` of the ``n`` CPUs the caller may
-run on, so the processes do not crowd onto one CPU; and
+:class:`LocalShardWorker` owns one OS process and one
+:func:`multiprocessing.Pipe` to it (a dead process is respawned, with
+a new pipe, on the next chunk); :func:`local_shard_workers` pins
+worker ``i`` to CPU ``i mod n`` of the ``n`` CPUs the caller may run
+on, so the processes do not crowd onto one CPU; and
 :class:`RemoteShardWorker` posts chunks to the ``POST /shard/run``
 route of a ``repro serve`` daemon (``repro shard-worker`` is an alias)
 via the :class:`~repro.service.http.ServiceClient`.
@@ -48,20 +50,23 @@ via the :class:`~repro.service.http.ServiceClient`.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .batch import BatchExecutionError, BatchResult, _build_cache, execute_jobs
 from .cache import merge_stats
 from .jobs import AnalysisJob, JobResult
 from .progress import NULL_LOG, ShardLog
 from .retry import RetryPolicy
-from .shardstate import ShardExecutionError, WorkerUnavailable, _ShardState
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "ChunkJobError",
@@ -106,38 +111,56 @@ def make_chunks(
     ]
 
 
+class WorkerUnavailable(RuntimeError):
+    """A shard worker died or became unreachable mid-chunk — the
+    *retryable* failure mode: the chunk itself is fine and can be
+    re-run, here or on another worker."""
+
+
+class ShardExecutionError(RuntimeError):
+    """A chunk failed terminally: its retry budget is spent, or it
+    failed in a non-retryable way (job-level bug).  Carries the chunk
+    and the last underlying exception as ``cause``."""
+
+    def __init__(self, chunk: ShardChunk, cause: BaseException, attempts: int):
+        self.chunk = chunk
+        self.cause = cause
+        self.attempts = attempts
+        super().__init__(
+            f"shard chunk {chunk.index} ({len(chunk.jobs)} jobs) failed "
+            f"after {attempts} attempt(s): {type(cause).__name__}: {cause}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Local worker processes
 # ----------------------------------------------------------------------
-#: Serializes worker starts across dispatch threads.  ``Process.start()``
-#: opens the child's sentinel pipe, forks, and only then closes the
-#: pipe's write end in the parent; a sibling forked inside that window
-#: inherits the write end, so ``join()`` cannot see the first child
-#: exit until the sibling exits too (``close()`` then waits out its
-#: join timeout).
+#: Serializes worker starts across dispatch threads.  A start makes the
+#: worker's pipe, forks the child and closes the parent's copy of the
+#: child's end; ``Process.start()`` also closes the write end of the
+#: child's sentinel pipe only after the fork.  A sibling forked inside
+#: that window would inherit both: the parent would read no end of file
+#: when the child dies, and ``join()`` could not see the child exit
+#: until the sibling exits too.
 _START_LOCK = threading.Lock()
-
-#: Seconds a waiting :meth:`LocalShardWorker.run_chunk` blocks on the
-#: result queue between checks that the worker process is alive.
-_LIVENESS_CHECK_S = 0.05
 
 
 def _shard_worker_loop(
-    task_queue: Any,
-    result_queue: Any,
+    conn: Connection,
     cache_dir: Optional[str],
     use_cache: bool,
     cpu: Optional[int] = None,
 ) -> None:
-    """Child-process loop: one cache, chunks in, result lists out.
+    """Child-process loop: one cache, job lists in and results out over
+    ``conn``, the child's end of the worker's pipe.
 
     Pins the process to ``cpu`` first (``None``: no pinning), so every
     respawned incarnation is pinned too.  Each chunk runs through
     :func:`~repro.runner.batch.execute_jobs`, the serial runner's loop.
-    Runs until the ``None`` sentinel.  A job exception is reported as
-    an ``("error", chunk, (position, message))`` message rather than
-    crashing the process — bad input is a batch bug, not a worker
-    death, and must not be retried.
+    Runs until ``None`` arrives.  A job exception is answered with
+    ``("error", (position, message))`` rather than crashing the
+    process — bad input is a batch bug, not a worker death, and must
+    not be retried.
     """
     if cpu is not None:
         try:
@@ -149,22 +172,18 @@ def _shard_worker_loop(
     # them; the per-chunk delta rides back so the coordinator can
     # account for corruption observed inside worker processes.
     store = getattr(cache, "disk", None)
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        chunk_index, jobs = item
+    for jobs in iter(conn.recv, None):
         dropped_before = store.corrupt_dropped if store is not None else 0
         try:
             results = execute_jobs(jobs, cache)
         except BatchExecutionError as exc:
             message = f"{type(exc.cause).__name__}: {exc.cause}"
-            result_queue.put(("error", chunk_index, (exc.index, message)))
+            conn.send(("error", (exc.index, message)))
         else:
             dropped = (
                 store.corrupt_dropped - dropped_before if store is not None else 0
             )
-            result_queue.put(("ok", chunk_index, (results, dropped)))
+            conn.send(("ok", (results, dropped)))
 
 
 class ChunkJobError(RuntimeError):
@@ -188,10 +207,10 @@ class LocalShardWorker:
     died (crash, OOM kill, or :meth:`kill` from a failure-injection
     test) — the coordinator owns the decision to retry the chunk; the
     worker merely reports the death as :class:`WorkerUnavailable` and
-    is ready again for the next ``run_chunk``.  Queues are re-created
-    on respawn so a half-delivered message from the dead incarnation
-    can never corrupt a fresh chunk.  With ``cpu`` set, every
-    incarnation of the process runs on that CPU alone.
+    is ready again for the next ``run_chunk``.  Each incarnation has a
+    pipe of its own, so nothing a dead incarnation sent can reach a
+    fresh chunk.  With ``cpu`` set, every incarnation of the process
+    runs on that CPU alone.
     """
 
     def __init__(
@@ -208,8 +227,8 @@ class LocalShardWorker:
         self.cpu = cpu
         self._ctx = multiprocessing.get_context()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
-        self._task_queue: Optional[Any] = None
-        self._result_queue: Optional[Any] = None
+        #: The parent's end of the running incarnation's pipe.
+        self._conn: Optional[Connection] = None
         #: Observed worker deaths (each triggers a respawn on next use).
         self.respawns = 0
         #: Corrupt persistent-cache entries this worker's processes
@@ -224,24 +243,19 @@ class LocalShardWorker:
     def _ensure_process(self) -> None:
         if self._process is not None and self._process.is_alive():
             return
-        if self._process is not None:
-            self._discard_process()
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        self._process = self._ctx.Process(
-            target=_shard_worker_loop,
-            args=(
-                self._task_queue,
-                self._result_queue,
-                self.cache_dir,
-                self.use_cache,
-                self.cpu,
-            ),
-            name=f"repro-shard-{self.name}",
-            daemon=True,
-        )
+        self._discard_process()
         with _START_LOCK:
-            self._process.start()
+            self._conn, child = self._ctx.Pipe()
+            self._process = self._ctx.Process(
+                target=_shard_worker_loop,
+                args=(child, self.cache_dir, self.use_cache, self.cpu),
+                name=f"repro-shard-{self.name}",
+                daemon=True,
+            )
+            try:
+                self._process.start()
+            finally:
+                child.close()
 
     def _discard_process(self) -> None:
         if self._process is not None:
@@ -249,11 +263,9 @@ class LocalShardWorker:
                 self._process.terminate()
             self._process.join(timeout=5.0)
             self._process = None
-        for q in (self._task_queue, self._result_queue):
-            if q is not None:
-                q.close()
-        self._task_queue = None
-        self._result_queue = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def kill(self) -> None:
         """Hard-kill the worker process (failure injection); the next
@@ -265,8 +277,9 @@ class LocalShardWorker:
     def close(self) -> None:
         """Shut the worker process down cleanly (idempotent)."""
         if self._process is not None and self._process.is_alive():
-            assert self._task_queue is not None
-            self._task_queue.put(None)
+            assert self._conn is not None
+            with contextlib.suppress(OSError):  # it died since the check
+                self._conn.send(None)
             self._process.join(timeout=5.0)
         self._discard_process()
 
@@ -274,51 +287,48 @@ class LocalShardWorker:
     def run_chunk(self, chunk: ShardChunk) -> List[JobResult]:
         """Run one chunk on the worker process.
 
-        Raises :class:`WorkerUnavailable` when the process dies before
+        Sends the chunk's jobs down the pipe and blocks until the
+        answer arrives or the process is gone.  Raises
+        :class:`WorkerUnavailable` when the process dies before
         delivering the chunk's results — the retryable failure mode.  A
         job-level exception inside the chunk (bad input) raises
         :class:`ChunkJobError` naming the job, and is *not* retried.
         """
+        # Imported here, not with the module: a process that runs no
+        # local worker (the daemon) need not load it and subprocess.
+        from multiprocessing.connection import wait
+
         self._ensure_process()
-        assert self._task_queue is not None and self._result_queue is not None
-        process, result_queue = self._process, self._result_queue
-        if self.kill_next_dispatches > 0:
-            # Killed before the chunk is sent: a process killed after
-            # the send may already have delivered the results.
-            self.kill_next_dispatches -= 1
-            self.kill()
-        else:
-            self._task_queue.put((chunk.index, list(chunk.jobs)))
-        while True:
-            try:
-                kind, index, payload = result_queue.get(timeout=_LIVENESS_CHECK_S)
-            except queue.Empty:
-                assert process is not None
-                if process.is_alive():
-                    continue
-                # The process died.  Drain once more: the result may
-                # have been enqueued in its final instants.
-                try:
-                    kind, index, payload = result_queue.get(timeout=0.2)
-                except queue.Empty:
-                    exitcode = process.exitcode
-                    self._discard_process()
-                    self.respawns += 1
-                    raise WorkerUnavailable(
-                        f"shard worker {self.name!r} died "
-                        f"(exit code {exitcode}) while running chunk "
-                        f"{chunk.index}"
-                    ) from None
-            if index != chunk.index:
-                # Stale message from a killed incarnation's chunk that
-                # completed after the parent gave up on it; drop it.
-                continue
-            if kind == "error":
-                position, message = payload
-                raise ChunkJobError(chunk, position, self.name, message)
-            results, dropped = payload
-            self.corrupt_dropped += dropped
-            return results
+        process, conn = self._process, self._conn
+        assert process is not None and conn is not None
+        try:
+            if self.kill_next_dispatches > 0:
+                # Killed before the chunk is sent: a process killed after
+                # the send may already have delivered the results.
+                self.kill_next_dispatches -= 1
+                self.kill()
+            else:
+                conn.send(list(chunk.jobs))
+            # A death leaves the pipe at end of file, as no other
+            # process holds the child's end; should one ever hold it,
+            # the sentinel still ends the wait.
+            if conn not in wait([conn, process.sentinel]):
+                raise EOFError
+            kind, payload = conn.recv()
+        except (EOFError, OSError):
+            self._discard_process()
+            self.respawns += 1
+            raise WorkerUnavailable(
+                f"shard worker {self.name!r} died "
+                f"(exit code {process.exitcode}) while running chunk "
+                f"{chunk.index}"
+            ) from None
+        if kind == "error":
+            position, message = payload
+            raise ChunkJobError(chunk, position, self.name, message)
+        results, dropped = payload
+        self.corrupt_dropped += dropped
+        return results
 
 
 def local_shard_workers(
@@ -486,11 +496,64 @@ class ShardCoordinator:
             f"dispatching {len(jobs)} jobs as {len(chunks)} chunks "
             f"over {len(self.workers)} workers"
         )
-        state = _ShardState(chunks, self.retry)
+        todo: "queue.Queue[Optional[ShardChunk]]" = queue.Queue()
+        for chunk in chunks:
+            todo.put(chunk)
+        lock = threading.Lock()
+        results: Dict[int, List[JobResult]] = {}
+        failures: List[ShardExecutionError] = []
+        # Failed attempts per chunk, counted by the thread holding it.
+        attempts = [0] * len(chunks)
+
+        def end_pass() -> None:
+            # One None per dispatch thread: each thread takes one, and
+            # a chunk requeued behind them is never run.
+            for _ in self.workers:
+                todo.put(None)
+
+        def drive(worker: Any) -> None:
+            """One worker's dispatch loop: get a chunk, run it, record
+            the outcome, until a ``None`` ends the pass."""
+            tag = self.log.tag(worker.name)
+            for chunk in iter(todo.get, None):
+                if failures:
+                    continue  # the pass failed: run nothing more
+                tag.line(f"chunk {chunk.index} start: {len(chunk)} jobs")
+                started = time.perf_counter()
+                try:
+                    outcome = worker.run_chunk(chunk)
+                except Exception as exc:
+                    lost = isinstance(exc, WorkerUnavailable)
+                    verb = "lost" if lost else "failed"
+                    tag.line(f"chunk {chunk.index} {verb}: {exc}")
+                    attempts[chunk.index] += 1
+                    failed = attempts[chunk.index]
+                    if lost and self.retry.retries_left(failed):
+                        time.sleep(self.retry.delay(failed))
+                        todo.put(chunk)
+                        continue
+                    with lock:
+                        failures.append(ShardExecutionError(chunk, exc, failed))
+                        first = len(failures) == 1
+                    if first:
+                        end_pass()
+                    continue
+                elapsed = time.perf_counter() - started
+                tag.line(f"chunk {chunk.index} done in {elapsed:.3f}s")
+                with lock:
+                    results[chunk.index] = outcome
+                    last = len(results) == len(chunks)
+                if last:
+                    end_pass()
+            if self.own_workers:
+                # Closed here, the owned workers shut down in parallel
+                # rather than one join after another.
+                worker.close()
+
         threads = [
             threading.Thread(
-                target=self._drive,
-                args=(worker, state),
+                target=drive,
+                args=(worker,),
                 name=f"repro-shard-dispatch-{worker.name}",
                 daemon=True,
             )
@@ -500,55 +563,22 @@ class ShardCoordinator:
             thread.start()
         for thread in threads:
             thread.join()
+        retries = sum(attempts) - len(failures)
         self.last_stats = {
-            "retries": state.retries,
+            "retries": retries,
             "respawns": sum(getattr(w, "respawns", 0) for w in self.workers),
             "corrupt_dropped": sum(
                 getattr(w, "corrupt_dropped", 0) for w in self.workers
             ),
         }
-        if state.failure is not None:
-            raise state.failure
-        coordinator.line(f"merged {len(chunks)} chunks (retries={state.retries})")
-        # The keyed union: chunk results land at their global offsets,
-        # reproducing submission order exactly.
-        ordered: List[Optional[JobResult]] = [None] * len(jobs)
-        for chunk in chunks:
-            chunk_results = state.results[chunk.index]
-            for offset, result in enumerate(chunk_results):
-                ordered[chunk.start + offset] = result
-        assert all(result is not None for result in ordered)
-        return ordered  # type: ignore[return-value]
-
-    def _drive(self, worker: Any, state: "_ShardState") -> None:
-        """One worker's dispatch loop: acquire, run, release."""
-        tag = self.log.tag(worker.name)
-        while True:
-            kind, payload = state.acquire(worker.name)
-            if kind == "done":
-                if self.own_workers:
-                    # Closed here, the owned workers shut down in
-                    # parallel rather than one join after another.
-                    worker.close()
-                return
-            if kind == "wait":
-                state.wait(worker.name, payload)
-                continue
-            chunk = payload
-            tag.line(f"chunk {chunk.index} start: {len(chunk)} jobs")
-            started = time.perf_counter()
-            try:
-                results = worker.run_chunk(chunk)
-            except WorkerUnavailable as exc:
-                tag.line(f"chunk {chunk.index} lost: {exc}")
-                state.release_failure(chunk, exc, retryable=True)
-            except Exception as exc:
-                tag.line(f"chunk {chunk.index} failed: {exc}")
-                state.release_failure(chunk, exc, retryable=False)
-            else:
-                state.release_success(chunk, results)
-                elapsed = time.perf_counter() - started
-                tag.line(f"chunk {chunk.index} done in {elapsed:.3f}s")
+        if failures:
+            raise failures[0]
+        coordinator.line(f"merged {len(chunks)} chunks (retries={retries})")
+        # The keyed union: chunks are consecutive runs of the job list,
+        # so their results in chunk order are in submission order.
+        ordered = [result for chunk in chunks for result in results[chunk.index]]
+        assert len(ordered) == len(jobs)
+        return ordered
 
 
 def run_sharded(

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..analysis.twca import ENUMERATION_MODES
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
 from ..runner.jobs import DEFAULT_KS, JobResult, checked_ks
@@ -38,10 +39,6 @@ class RequestError(ValueError):
 class UnknownSystemError(RequestError):
     """The request referenced a ``system_digest`` the service has not
     loaded; resend the request with the system inline to register it."""
-
-
-#: Valid ``enumeration`` values (mirrors ``analyze_twca``).
-ENUMERATIONS: Tuple[str, ...] = ("pruned", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,9 @@ class AnalysisRequest:
         except (TypeError, ValueError) as exc:
             raise RequestError(str(exc)) from None
         _require(
-            self.enumeration in ENUMERATIONS,
+            self.enumeration in ENUMERATION_MODES,
             f"unknown enumeration {self.enumeration!r}; "
-            f"choose from {list(ENUMERATIONS)}",
+            f"choose from {list(ENUMERATION_MODES)}",
         )
         _require(isinstance(self.use_cache, bool), "'use_cache' must be a boolean")
         _require(isinstance(self.label, str), "'label' must be a string")

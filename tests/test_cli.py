@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.model.serialization import system_to_json
 from repro.synth import figure4_system
+from repro.synth.corpus import CorpusSpec, generate_corpus
 
 
 class TestAnalyze:
@@ -193,6 +194,61 @@ class TestBatch:
         captured = capsys.readouterr()
         assert captured.err == "error: --limit applies only to --corpus\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("source", ["corpus", "system"])
+    @pytest.mark.parametrize("flag", ["--random", "--seed"])
+    def test_sweep_flags_with_other_input_exit_2(self, tmp_path, source,
+                                                 flag, capsys):
+        """--random and --seed shape only the random sweep: given with
+        --corpus or --system they exit 2, not silently dropped."""
+        if source == "corpus":
+            generate_corpus(CorpusSpec(count=2, seed=2017),
+                            str(tmp_path / "corpus"))
+            inputs = ["--corpus", str(tmp_path / "corpus")]
+        else:
+            path = tmp_path / "system.json"
+            path.write_text(system_to_json(figure4_system()))
+            inputs = ["--system", str(path)]
+        assert main(["batch"] + inputs + ["--json"]) == 0
+        capsys.readouterr()
+        assert main(["batch"] + inputs + [flag, "5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} applies only without --corpus and --system\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--chunk-size", "1", "-v", "--retries", "9"], "--chunk-size"),
+        (["--chunk-size", "1"], "--chunk-size"),
+        (["-v"], "--verbose"),
+        (["--verbose"], "--verbose"),
+        (["--timeout", "5"], "--timeout"),
+        (["--retries", "9"], "--retries"),
+        (["--retry-delay", "0.5"], "--retry-delay")])
+    @pytest.mark.parametrize("topology", [[], ["--workers", "1"]],
+                             ids=["default", "workers-1"])
+    def test_worker_flags_in_process_exit_2(self, flags, named, topology,
+                                            capsys):
+        """The worker-only flags cannot act on the in-process run (one
+        local worker, no URL): each exits 2 naming the flag."""
+        args = ["batch", "--random", "2"] + topology + flags
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {named} applies only with --workers N > 1 or a "
+            f"--worker URL\n")
+        assert captured.out == ""
+
+    def test_worker_flags_act_on_workers(self, capsys):
+        args = ["batch", "--random", "2", "--json"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        flags = ["--workers", "2", "--chunk-size", "1", "-v", "--retries",
+                 "9", "--retry-delay", "0.01", "--timeout", "30"]
+        assert main(args + flags) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert captured.err.count(" done in ") == 4
 
     def test_system_files_load_in_workers(self, tmp_path, capsys):
         """--system files are parsed in the parent, then fanned out;

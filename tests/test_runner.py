@@ -28,6 +28,7 @@ from repro.runner import (
     BatchExecutionError,
     BatchRunner,
     execute_job,
+    job_result_key,
     run_chain_job,
 )
 from repro.synth import (
@@ -276,8 +277,14 @@ class TestJobsAndResults:
         job1 = AnalysisJob.from_system(system, "sigma_c")
         job2 = AnalysisJob.from_system(figure4_system(), "sigma_c")
         job3 = AnalysisJob.from_system(system, "sigma_d")
-        assert job1.digest == job2.digest
-        assert job1.digest != job3.digest
+        assert job1 == job2
+        assert job1 != job3
+
+        def key(job):
+            return job_result_key(job.system(), job.chain_name, job.ks, job.enumeration)
+
+        assert key(job1) == key(job2)
+        assert key(job1) != key(job3)
 
     def test_job_roundtrips_system(self):
         system = figure4_system()

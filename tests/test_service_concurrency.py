@@ -244,7 +244,7 @@ class TestSharedCacheAccounting:
 
 
 class TestContentKey:
-    PARAMS = ("sigma_c", (1, 10), 100_000, True, "pruned")
+    PARAMS = ("sigma_c", (1, 10), "pruned")
 
     def test_object_without_content_digest_is_uncacheable(self):
         assert job_result_key(object(), *self.PARAMS) is None

@@ -11,12 +11,12 @@ runs twice unless its worker died.
 
 import io
 import json
+import multiprocessing
 import os
 import random
 import sys
 import threading
 import time
-import types
 import urllib.error
 import urllib.request
 
@@ -41,8 +41,7 @@ from repro.runner import (
     make_chunks,
     run_sharded,
 )
-import repro.runner.shardstate as shardstate
-from repro.runner.shardstate import _ShardState
+import repro.runner.shard as shard
 from repro.service import AnalysisService, ServiceClient, ServiceError, start_server
 from repro.synth import GeneratorConfig, generate_feasible_system
 
@@ -226,7 +225,7 @@ class TestJobWireForm:
         job = jobs[0]
         clone = AnalysisJob.from_dict(job.to_dict())
         assert clone == job
-        assert clone.digest == job.digest
+        assert clone.to_dict() == job.to_dict()
 
     def test_unknown_fields_rejected(self):
         jobs, _ = synth_jobs(count=1)
@@ -419,69 +418,41 @@ class TestScheduling:
         assert batch.to_json() == serial
         assert elapsed < 0.28
 
-    def test_idle_worker_waits_for_a_release_or_a_retry(self, monkeypatch):
-        """While the only other chunk runs, an idle worker waits with
-        no time limit, however long that chunk takes; once the chunk
-        is lost, the worker waits out its backoff and then runs it."""
-        clock = types.SimpleNamespace(now=0.0)
-        monkeypatch.setattr(
-            shardstate, "time", types.SimpleNamespace(monotonic=lambda: clock.now)
-        )
-        jobs, _ = synth_jobs(count=2)
-        chunks = make_chunks(jobs, 1)
-        assert len(chunks) >= 3
-        state = _ShardState(
-            chunks, RetryPolicy(attempts=2, base_delay=0.05, max_delay=0.05)
-        )
-        assert state.acquire("a") == ("run", chunks[0])
-        for chunk in chunks[1:]:
-            assert state.acquire("b") == ("run", chunk)
-            clock.now += 0.001
-            state.release_success(chunk, [])
-        for now in (0.01, 0.05, 10.0):
-            clock.now = now
-            assert state.acquire("b") == ("wait", None)
-        state.release_failure(chunks[0], WorkerUnavailable("a died"), retryable=True)
-        kind, seconds = state.acquire("b")
-        assert kind == "wait"
-        assert seconds == pytest.approx(0.05)
-        clock.now += 0.06
-        assert state.acquire("b") == ("run", chunks[0])
-
-    def test_release_before_wait_is_not_missed(self, monkeypatch):
-        """A release that lands after a dispatch thread's ``acquire``
-        said wait but before it waits still wakes it: here the last
-        release comes while the idle workers are between the two
-        calls."""
-        acquire = _ShardState.acquire
-
-        def slow_to_wait(state, worker):
-            action = acquire(state, worker)
-            if action[0] == "wait":
-                time.sleep(0.05)
-            return action
-
-        monkeypatch.setattr(_ShardState, "acquire", slow_to_wait)
-        jobs, runner = synth_jobs(count=1)
+    def test_idle_worker_waits_for_a_release_or_a_retry(self):
+        """Beside a healthy worker, a worker that loses its first chunk
+        sleeps out the chunk's backoff before the chunk is queued again,
+        for any worker: the pass still equals serial and counts one
+        retry."""
+        jobs, runner = synth_jobs(count=2)
         serial = runner.run(jobs).to_json()
+        backoff = 0.2
+        starts = []
+
+        class Timed(FlakyWorker):
+            def run_chunk(self, chunk):
+                starts.append((chunk.index, time.monotonic(), self.failures))
+                return super().run_chunk(chunk)
+
+        workers = [Timed("flaky", failures=1), Timed("healthy", failures=0)]
         coordinator = ShardCoordinator(
-            [InlineWorker(name, delay=0.01) for name in "abc"], chunk_size=len(jobs)
+            workers,
+            chunk_size=1,
+            retry=RetryPolicy(attempts=2, base_delay=backoff, max_delay=backoff),
         )
-        done = {}
-        thread = threading.Thread(
-            target=lambda: done.setdefault("batch", coordinator.run(jobs)),
-            daemon=True,
-        )
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert done["batch"].to_json() == serial
+        assert coordinator.run(jobs).to_json() == serial
+        assert coordinator.last_stats["retries"] == 1
+        ((lost, lost_at),) = [(i, at) for i, at, left in starts if left]
+        restarts = [at for i, at, left in starts if i == lost and not left]
+        assert len(restarts) == 1
+        assert restarts[0] - lost_at >= backoff
+        ran = sorted(i for i, _, left in starts if not left)
+        assert ran == list(range(len(jobs)))
 
     def test_no_dispatcher_sleeps_through_the_last_release(self):
         """More dispatch threads than cores, switching every
-        microsecond: idle threads wait with no time limit at the tail,
-        so a release landing between a thread's ``acquire`` and its
-        ``wait`` must still wake it, or the run never returns."""
+        microsecond: idle threads block in the queue's ``get`` with no
+        time limit at the tail, so the last completion must wake every
+        one of them, or the run never returns."""
         jobs, runner = synth_jobs(count=4)
         serial = runner.run(jobs).to_json()
         interval = sys.getswitchinterval()
@@ -716,6 +687,44 @@ class TestLocalWorkerLifecycle:
             worker.close()
 
     @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_death_after_the_send_is_a_lost_chunk(self, monkeypatch):
+        """A process that dies while it holds the chunk ends the wait on
+        its pipe: the chunk is lost with the exit code, the death counts
+        one respawn, and the next incarnation runs the chunk."""
+        jobs, _ = synth_jobs(count=1)
+        chunk = make_chunks(jobs, len(jobs))[0]
+        worker = LocalShardWorker("w")
+        worker._ctx = multiprocessing.get_context("fork")
+        try:
+            with monkeypatch.context() as patch:
+                # Forked, the child runs the patched loop body.
+                patch.setattr(shard, "execute_jobs", lambda jobs, cache: os._exit(3))
+                with pytest.raises(WorkerUnavailable, match=r"exit code 3\)"):
+                    worker.run_chunk(chunk)
+            assert worker.respawns == 1
+            again = worker.run_chunk(chunk)
+            assert [r.to_dict() for r in again] == [
+                r.to_dict() for r in execute_and_collect(chunk)
+            ]
+        finally:
+            worker.close()
+
+    def test_a_pass_leaves_no_thread_behind(self):
+        """``run_sharded`` joins its dispatch threads, and its workers'
+        pipes start none: no thread a pass started outlives it (a
+        queue's feeder thread did in about half the passes)."""
+        jobs, runner = synth_jobs(count=2)
+        serial = runner.run(jobs).to_json()
+        for _ in range(10):
+            before = set(threading.enumerate())
+            batch = run_sharded(jobs, shards=2, retry=FAST_RETRY)
+            assert set(threading.enumerate()) <= before
+            assert batch.to_json() == serial
+
+    @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity"
     )
     def test_workers_are_pinned_round_robin(self):
@@ -747,7 +756,9 @@ class TestLocalWorkerLifecycle:
     def test_concurrent_starts_leak_no_sentinel(self):
         """Two dispatch threads starting their workers at once must not
         let one child inherit the other's sentinel write end: ``join()``
-        would then wait for the sibling, stalling ``close()``."""
+        would then wait for the sibling, stalling ``close()``.  Nor may
+        it inherit the other's child end of its pipe: the parent would
+        then read no end of file when that child dies."""
         for _ in range(20):
             workers = [LocalShardWorker("a"), LocalShardWorker("b")]
             barrier = threading.Barrier(len(workers))
@@ -763,9 +774,14 @@ class TestLocalWorkerLifecycle:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
             try:
+                ours = sockets(os.getpid())
                 for worker, sibling in (workers, workers[::-1]):
                     sentinel = os.fstat(sibling._process.sentinel).st_ino
                     assert sentinel not in write_pipes(worker._process.pid)
+                    # The sibling's child end: its socket the parent lacks.
+                    child_end = sockets(sibling._process.pid) - ours
+                    assert child_end
+                    assert not child_end & sockets(worker._process.pid)
             finally:
                 for worker in workers:
                     began = time.perf_counter()
@@ -787,6 +803,19 @@ def write_pipes(pid):
             int(flags.split()[1], 8) & os.O_ACCMODE == os.O_WRONLY
         ):
             inodes.add(int(target[len("pipe:[") : -1]))
+    return inodes
+
+
+def sockets(pid):
+    """Inodes of the sockets process ``pid`` holds open."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed while we looked
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:[") : -1]))
     return inodes
 
 

@@ -1,8 +1,7 @@
 """The system as the unit of work.
 
 * ``BatchRunner.jobs_for`` serializes each system once: its chain jobs
-  share one ``system_json`` string, with the same digests as jobs built
-  one at a time;
+  share one ``system_json`` string, and equal jobs built one at a time;
 * the serial runner and the shard worker loop parse each consecutive
   run of one system's jobs once, keep submission order, and export
   byte-identically to per-job ``execute_job``;
@@ -18,7 +17,6 @@
 """
 
 import pickle
-import queue
 
 import pytest
 
@@ -72,14 +70,28 @@ def per_job_export(jobs):
     return BatchResult(jobs=[execute_job(job) for job in jobs]).to_json()
 
 
+class StubConnection:
+    """The child's end of a worker pipe: hands out ``inbox`` in order
+    and keeps what is sent."""
+
+    def __init__(self, *inbox):
+        self.inbox = list(inbox)
+        self.sent = []
+
+    def recv(self):
+        return self.inbox.pop(0)
+
+    def send(self, message):
+        self.sent.append(message)
+
+
 def run_chunk_in_process(jobs):
-    """One ``_shard_worker_loop`` chunk over plain queues: the worker
-    process's code path without the process."""
-    tasks, results = queue.Queue(), queue.Queue()
-    tasks.put((0, list(jobs)))
-    tasks.put(None)
-    _shard_worker_loop(tasks, results, None, True)
-    return results.get_nowait()
+    """One ``_shard_worker_loop`` chunk over a stub connection: the
+    worker process's code path without the process."""
+    conn = StubConnection(list(jobs), None)
+    _shard_worker_loop(conn, None, True)
+    (answer,) = conn.sent
+    return answer
 
 
 class TestJobsFor:
@@ -91,7 +103,6 @@ class TestJobsFor:
             assert len({id(job.system_json) for job in own}) == 1
             for job in own:
                 single = AnalysisJob.from_system(system, job.chain_name, ks=KS)
-                assert job.digest == single.digest
                 assert job == single
 
     def test_named_chains_share_too(self):
@@ -118,8 +129,8 @@ class TestOneParsePerSystem:
         jobs = BatchRunner(ks=KS).jobs_for(systems)
         expected = per_job_export(jobs)
         del parses[:]
-        kind, index, (results, dropped) = run_chunk_in_process(jobs)
-        assert (kind, index, dropped) == ("ok", 0, 0)
+        kind, (results, dropped) = run_chunk_in_process(jobs)
+        assert (kind, dropped) == ("ok", 0)
         assert len(parses) == len(systems)
         assert BatchResult(jobs=results).to_json() == expected
 
@@ -145,7 +156,7 @@ class TestOneParsePerSystem:
             (job.label, job.chain_name) for job in jobs
         ]
         assert batch.to_json() == expected
-        kind, _, (results, _) = run_chunk_in_process(jobs)
+        kind, (results, _) = run_chunk_in_process(jobs)
         assert kind == "ok"
         assert BatchResult(jobs=results).to_json() == expected
 
@@ -182,8 +193,8 @@ class TestBadJobInAGroup:
 
     def test_shard_chunk_fails_without_retry(self, systems, make_bad):
         jobs, position = with_bad_job(systems, make_bad(systems))
-        kind, index, (failed_at, message) = run_chunk_in_process(jobs)
-        assert (kind, index, failed_at) == ("error", 0, position)
+        kind, (failed_at, message) = run_chunk_in_process(jobs)
+        assert (kind, failed_at) == ("error", position)
         coordinator = ShardCoordinator(
             local_shard_workers(1),
             chunk_size=len(jobs),
