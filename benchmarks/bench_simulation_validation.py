@@ -15,6 +15,7 @@ import random
 
 import pytest
 from conftest import run_once
+from oracles.spp_loop import whole_horizon
 
 from repro import analyze_latency, analyze_twca
 from repro.report import format_table
@@ -26,12 +27,12 @@ from repro.synth import GeneratorConfig, figure4_system, \
 
 def simulate_checked(system, horizon):
     """Critical-instant simulation through the numpy event calendar,
-    asserted byte-identical (full JSON trace) against the scalar event
-    loop over the whole horizon — the validation bench doubles as a
-    calendar parity check."""
+    asserted byte-identical (full JSON trace) against the production
+    event loop over the whole horizon (``whole_horizon``) — the
+    validation bench doubles as a calendar parity check."""
     result = simulate_worst_case(system, horizon)
-    reference = Simulator(system)._run_python(
-        worst_case_activations(system, horizon), horizon)
+    reference = whole_horizon(
+        Simulator(system), worst_case_activations(system, horizon), horizon)
     assert trace_json(result) == trace_json(reference), \
         "the calendar diverged from the scalar loop"
     return result
@@ -92,11 +93,14 @@ def test_validation_random_population(benchmark, bench_horizon):
 @pytest.mark.parametrize("path", ("scalar", "calendar"))
 def test_simulation_speed(benchmark, bench_horizon, path):
     """Microbenchmark: simulating the case study's critical instant,
-    through the scalar event loop and through the numpy calendar."""
+    through the event loop over the whole horizon and through the numpy
+    calendar."""
     system = figure4_system()
     horizon = bench_horizon / 4
     simulator = Simulator(system)
-    run = simulator.run if path == "calendar" else simulator._run_python
     activations = worst_case_activations(system, horizon)
-    result = benchmark(run, activations, horizon)
+    if path == "calendar":
+        result = benchmark(simulator.run, activations, horizon)
+    else:
+        result = benchmark(whole_horizon, simulator, activations, horizon)
     assert result.latencies("sigma_c")

@@ -15,8 +15,8 @@ trajectory of earlier exports.
 packing with a *fat frontier* (24 inclusion-minimal combinations over
 16 capacity rows) along a growing ``Omega`` schedule; it is
 informational.  ``sim_soak`` times the simulator's numpy event calendar
-(``Simulator.run``) against the scalar event loop it replays
-(``Simulator._run_python``).
+(``Simulator.run``) against the production event loop run over the
+whole horizon (the test oracle ``oracles.spp_loop.whole_horizon``).
 
 Gates (0 disables each):
 
@@ -55,6 +55,7 @@ import time
 from pathlib import Path
 
 from conftest import run_once
+from oracles.spp_loop import whole_horizon
 
 from repro import PeriodicModel, SporadicModel, SystemBuilder, analyze_twca
 from repro.analysis.busy_window import criterion_load, criterion_loads
@@ -269,8 +270,8 @@ def run_service_section(count=8, workers=4):
 
 def run_sim_soak_section():
     """Soak-scale simulation: the numpy event calendar
-    (``Simulator.run``) vs the scalar event loop over the whole horizon
-    (``Simulator._run_python``) on the deterministic ``soak_workload``
+    (``Simulator.run``) vs the production event loop over the whole
+    horizon (``whole_horizon``) on the deterministic ``soak_workload``
     (co-prime periodic streams, ~10^6 activations by default, low
     enough utilization that most instances retire in batch while
     contention clusters still exercise the scalar-stretch path).  Both
@@ -297,7 +298,7 @@ def run_sim_soak_section():
         lambda: (lambda: collect(simulator.run(activations, horizon)))
     )
     reference_metrics, reference_s = time_best_of(
-        lambda: (lambda: collect(simulator._run_python(activations, horizon)))
+        lambda: (lambda: collect(whole_horizon(simulator, activations, horizon)))
     )
     assert fast_metrics == reference_metrics, (
         "soak metrics diverged between the calendar and the scalar loop"
@@ -310,7 +311,7 @@ def run_sim_soak_section():
     sub_system, sub_acts, sub_horizon = soak_workload(events=sub_events)
     fast_trace = trace_json(Simulator(sub_system).run(sub_acts, sub_horizon))
     reference_trace = trace_json(
-        Simulator(sub_system)._run_python(sub_acts, sub_horizon)
+        whole_horizon(Simulator(sub_system), sub_acts, sub_horizon)
     )
     assert fast_trace == reference_trace, (
         "trace exports diverged between the calendar and the scalar loop"

@@ -10,7 +10,7 @@ Public surface:
 * :class:`ArrivalCurve` — explicit staircase (trace-derived) curves
 * :class:`StaircaseKernel` — compiled breakpoint/value staircase behind
   every model's ``eta_plus`` and batched ``delta_minus_many``
-* :mod:`repro.arrivals.algebra` — curve combinators and duality checks
+* :mod:`repro.arrivals.algebra` — curve combinators
 """
 
 from .base import EventModel

@@ -43,6 +43,7 @@ CLI parses arguments, loads/creates systems and prints reports.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import urllib.error
@@ -147,6 +148,28 @@ def at_least(minimum: int, what: str = "must be an integer") -> Callable[[str], 
 
 #: The type of every ``--k`` option: a DMM window size.
 window_size = at_least(1, "window sizes must be integers")
+
+
+def finite_number(minimum: float, *, strict: bool) -> Callable[[str], float]:
+    """The argparse type of a number option with a floor: rejects text
+    that is not a finite number ``> minimum`` (``strict``) or ``>=
+    minimum`` with ``"must be a finite number > {minimum}, got
+    {text!r}"``."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        above = value > minimum if strict else value >= minimum
+        if not (above and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {relation} {minimum:g}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 #: The client flags' values when not given: ``analyze`` parses them as
@@ -369,6 +392,8 @@ def _idle_batch_flag(args: argparse.Namespace, in_process: bool) -> Optional[str
         return "--limit applies only to --corpus"
     for flags, idle, where in (
         (SWEEP_FLAGS, args.corpus or args.system, "without --corpus and --system"),
+        # Only a URL's client has a timeout; local chunks have none.
+        (("timeout",), not args.worker, "with a --worker URL"),
         (WORKER_FLAGS, in_process, "with --workers N > 1 or a --worker URL"),
     ):
         for dest in flags:
@@ -570,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         ``retries`` says what ``--retries`` counts the attempts of."""
         command.add_argument(
             "--timeout",
-            type=float,
+            type=finite_number(0, strict=True),
             default=CLIENT_DEFAULTS["timeout"],
             metavar="SECONDS",
             help="per-call socket timeout for daemon requests "
@@ -578,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--retries",
-            type=int,
+            type=at_least(1),
             default=CLIENT_DEFAULTS["retries"],
             metavar="N",
             help=f"total attempts {retries} (default 3; analysis is "
@@ -586,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--retry-delay",
-            type=float,
+            type=finite_number(0, strict=False),
             default=CLIENT_DEFAULTS["retry_delay"],
             metavar="SECONDS",
             help="base backoff before the first retry, doubling per "

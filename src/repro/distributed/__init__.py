@@ -15,11 +15,7 @@ from .analysis import (
 )
 from .model import DistributedChain, DistributedSystem, MappedTask, on
 from .propagation import PropagatedModel, jitter_of, propagate
-from .sim import (
-    DistributedSimulationResult,
-    DistributedSimulator,
-    worst_case_distributed_activations,
-)
+from .sim import DistributedSimulator, worst_case_distributed_activations
 
 __all__ = [
     "MappedTask",
@@ -35,6 +31,5 @@ __all__ = [
     "analyze_distributed",
     "distributed_dmm",
     "DistributedSimulator",
-    "DistributedSimulationResult",
     "worst_case_distributed_activations",
 ]

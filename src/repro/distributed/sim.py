@@ -14,6 +14,11 @@ as its tasks complete.  Semantics mirror :mod:`repro.sim.engine`:
 Used to validate the distributed analysis empirically — leg and
 end-to-end latencies must stay below the converged bounds.
 
+:meth:`DistributedSimulator.run` returns the single-CPU simulator's
+:class:`~repro.sim.engine.SimulationResult`, with the same queries and
+exports.  It records task finishes and finishes only: every record's
+``start`` is ``None``, and there are no execution slices.
+
 Every run is fast-forwarded with the same numpy event-calendar
 classification as :mod:`repro.sim.calendar`: the
 serialized busy-finish prefix scan remains a sound bound here because
@@ -32,79 +37,15 @@ horizon, which is the oracle of the calendar tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sim.calendar import isolation_mask
-from ..sim.engine import release_times
+from ..sim.engine import SimulationResult, release_times
 from ..sim.metrics import worst_case_activations
 from .model import DistributedChain, DistributedSystem
-
-
-@dataclass
-class DistributedInstanceRecord:
-    """Lifecycle of one chain instance across resources."""
-
-    chain: str
-    index: int
-    activation: float
-    finish: Optional[float] = None
-    task_finishes: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def latency(self) -> Optional[float]:
-        if self.finish is None:
-            return None
-        return self.finish - self.activation
-
-
-@dataclass
-class DistributedSimulationResult:
-    """Simulation output for a distributed system."""
-
-    system: DistributedSystem
-    horizon: float
-    instances: Dict[str, List[DistributedInstanceRecord]]
-
-    def latencies(self, chain: str) -> List[float]:
-        return [
-            rec.latency for rec in self.instances[chain] if rec.latency is not None
-        ]
-
-    def max_latency(self, chain: str) -> float:
-        observed = self.latencies(chain)
-        return max(observed) if observed else 0.0
-
-    def miss_flags(self, chain: str) -> List[bool]:
-        deadline = self.system[chain].deadline
-        return [
-            rec.latency > deadline
-            for rec in self.instances[chain]
-            if rec.latency is not None
-        ]
-
-    def empirical_dmm(self, chain: str, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        flags = self.miss_flags(chain)
-        if len(flags) < k:
-            return sum(flags)
-        window = sum(flags[:k])
-        best = window
-        for i in range(k, len(flags)):
-            window += flags[i] - flags[i - k]
-            best = max(best, window)
-        return best
-
-    def leg_latency(
-        self, chain: str, instance: int, leg_tasks: Sequence[str], leg_input: float
-    ) -> float:
-        """Observed latency of one leg of one instance (finish of the
-        leg's last task minus ``leg_input``)."""
-        record = self.instances[chain][instance]
-        return record.task_finishes[leg_tasks[-1]] - leg_input
 
 
 @dataclass
@@ -139,26 +80,22 @@ class DistributedSimulator:
 
     def run(
         self, activations: Dict[str, Sequence[float]], horizon: float
-    ) -> DistributedSimulationResult:
-        records: Dict[str, List[DistributedInstanceRecord]] = {}
-        releases: List[Tuple[float, DistributedChain, int]] = []
+    ) -> SimulationResult:
         streams = release_times(self.system, activations, horizon)
+        result = SimulationResult(self.system, horizon, streams)
+        releases: List[Tuple[float, DistributedChain, int]] = []
         for chain in self.system.chains:
             times = streams[chain.name].tolist()
-            records[chain.name] = [
-                DistributedInstanceRecord(chain.name, i, t)
-                for i, t in enumerate(times)
-            ]
             releases.extend((t, chain, i) for i, t in enumerate(times))
         releases.sort(key=lambda item: item[0])
 
         if releases:
-            self._run_calendar(records, releases)
-        return DistributedSimulationResult(self.system, horizon, records)
+            self._run_calendar(result, releases)
+        return result
 
     def _run_calendar(
         self,
-        records: Dict[str, List[DistributedInstanceRecord]],
+        result: SimulationResult,
         releases: List[Tuple[float, DistributedChain, int]],
     ) -> None:
         """Fast-forward isolated instances; scalar-replay the rest.
@@ -186,19 +123,17 @@ class DistributedSimulator:
                 sel = fast_idx[fast_cid == c]
                 if not sel.size:
                     continue
-                instances = inst[sel].tolist()
+                instances = inst[sel]
                 clock = t[sel]
-                rows = []
-                for wcet in exec_times[c]:
-                    clock = clock + wcet
-                    rows.append(clock.tolist())
-                names = [mapped.name for mapped in chain.tasks]
-                chain_records = records[chain.name]
-                for pos, instance in enumerate(instances):
-                    record = chain_records[instance]
-                    for name, row in zip(names, rows):
-                        record.task_finishes[name] = row[pos]
-                    record.finish = rows[-1][pos]
+                task_fin = result.task_fin[chain.name]
+                for k, wcet in enumerate(exec_times[c]):
+                    # The loop runs a released header one step, but
+                    # cascades a successor of budget <= 1e-12 at its
+                    # predecessor's finish.
+                    if k == 0 or wcet > 1e-12:
+                        clock = clock + wcet
+                    task_fin[k, instances] = clock
+                result.finish[chain.name][instances] = clock
 
         slow_idx = np.flatnonzero(~fast)
         if slow_idx.size:
@@ -212,12 +147,12 @@ class DistributedSimulator:
                     if chain.tasks[0].name not in task_turn:
                         for mapped in chain.tasks:
                             task_turn[mapped.name] = instance
-                self._event_loop(pending, records, task_turn)
+                self._event_loop(pending, result, task_turn)
 
     def _event_loop(
         self,
         releases: List[Tuple[float, DistributedChain, int]],
-        records: Dict[str, List[DistributedInstanceRecord]],
+        result: SimulationResult,
         task_turn: Dict[str, int],
     ) -> None:
         ready: Dict[str, List[_Job]] = {r: [] for r in self.system.resources}
@@ -246,8 +181,8 @@ class DistributedSimulator:
             admit(job)
 
         def finish_job(job: _Job, at: float) -> None:
-            record = records[job.chain.name][job.instance]
-            record.task_finishes[job.task_name] = at
+            chain_name = job.chain.name
+            result.task_fin[chain_name][job.task_index, job.instance] = at
             task_turn[job.task_name] = job.instance + 1
             queued = fifo_backlog.get(job.task_name, [])
             for i, blocked in enumerate(queued):
@@ -265,13 +200,13 @@ class DistributedSimulator:
                     )
                 )
                 return
-            record.finish = at
+            result.finish[chain_name][job.instance] = at
             if job.chain.kind.value == "synchronous":
-                backlog = sync_backlog[job.chain.name]
+                backlog = sync_backlog[chain_name]
                 if backlog:
                     admit(backlog.pop(0))
                 else:
-                    sync_busy[job.chain.name] = False
+                    sync_busy[chain_name] = False
 
         def top_of(resource: str) -> Optional[_Job]:
             jobs = ready[resource]

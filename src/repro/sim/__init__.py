@@ -1,7 +1,6 @@
 """Discrete-event SPP simulation of task chains (validation substrate)."""
 
 from .activations import periodic_stream, random_stream, single_burst, worst_case_stream
-from .calendar import TraceArrays
 from .engine import ExecutionSlice, InstanceRecord, SimulationResult, Simulator
 from .export import (
     instance_records,
@@ -34,7 +33,6 @@ from .metrics import (
 __all__ = [
     "Simulator",
     "SimulationResult",
-    "TraceArrays",
     "InstanceRecord",
     "ExecutionSlice",
     "periodic_stream",

@@ -27,33 +27,26 @@ of array passes and retires them wholesale:
    release in a stretch re-seeds its tasks' FIFO counters to the values
    a full scalar run would have reached.
 
-The result is bit-identical to the scalar loop run over the whole
-horizon (:meth:`repro.sim.engine.Simulator._run_python`) — same
-``ExecutionSlice`` sequence, same ``InstanceRecord`` values, so exports
-compare byte-for-byte — but the per-activation Python cost is paid only
-for the contended minority.  No Python object per slice or instance
-outlives the run: the loop's slices land in five columns, and
-:class:`TraceArrays` materializes the object views lazily; metric
-queries (latencies, maximum latency, miss counts, (m,k) windows, busy
-windows) answer directly from the arrays.
+The trace is bit-identical to the event loop run over the whole
+horizon (the oracle ``tests/oracles/spp_loop.py::whole_horizon``) —
+same ``ExecutionSlice`` sequence, same ``InstanceRecord`` values, so
+exports compare byte-for-byte — but the per-activation Python cost is
+paid only for the contended minority.  No Python object per slice or
+instance outlives the run: batch retirement and the loop's stretches
+both write the arrays and slice chunks of one
+:class:`~repro.sim.engine.SimulationResult`, whose metric queries
+(latencies, maximum latency, miss counts, (m,k) windows, busy windows)
+answer directly from them.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..model import System
-from .engine import (
-    ExecutionSlice,
-    InstanceRecord,
-    SimulationResult,
-    release_times,
-    run_event_loop,
-)
+from .engine import SimulationResult, release_times, run_event_loop
 
 #: Base absolute slack of the isolation classifier.  Must dominate the
 #: scalar loop's 1e-9 arrival-merge guard so no epsilon branch can
@@ -68,163 +61,29 @@ MARGIN_REL_PER_EVENT = 4e-15
 MARGIN_REL_FLOOR = 1e-9
 
 
-class TraceArrays:
-    """Simulation trace held as per-chain arrays plus slice chunks.
-
-    ``slice_chunks`` holds ``(chain, task, instances, starts, ends)``
-    chunks: from batch retirement, one per chain and task with numpy
-    columns; from the event loop, one chunk of five lists with one
-    entry per slice of every contended stretch.  :meth:`build_slices`
-    turns both into :class:`ExecutionSlice` objects on demand.  Slices
-    never overlap and zero-length slices are never emitted, so slice
-    start times are globally unique and a sort by start reconstructs
-    the exact scalar emission order.
-    """
-
-    __slots__ = (
-        "system",
-        "horizon",
-        "activation",
-        "start",
-        "finish",
-        "task_fin",
-        "slice_chunks",
-    )
-
-    def __init__(self, system: System, horizon: float):
-        self.system = system
-        self.horizon = horizon
-        self.activation: Dict[str, object] = {}
-        self.start: Dict[str, object] = {}
-        self.finish: Dict[str, object] = {}
-        self.task_fin: Dict[str, object] = {}
-        self.slice_chunks: List = []
-        for chain in system.chains:
-            self.activation[chain.name] = np.empty(0, dtype=np.float64)
-            self.start[chain.name] = np.empty(0, dtype=np.float64)
-            self.finish[chain.name] = np.empty(0, dtype=np.float64)
-            self.task_fin[chain.name] = np.empty((len(chain.tasks), 0))
-
-    def allocate(self, chain_name: str, times) -> None:
-        n = times.shape[0]
-        tasks = self.task_fin[chain_name].shape[0]
-        self.activation[chain_name] = times
-        self.start[chain_name] = np.full(n, np.nan)
-        self.finish[chain_name] = np.full(n, np.nan)
-        self.task_fin[chain_name] = np.full((tasks, n), np.nan)
-
-    # -- lazy object views --------------------------------------------
-    def build_instances(self) -> Dict[str, List[InstanceRecord]]:
-        records: Dict[str, List[InstanceRecord]] = {}
-        for chain in self.system.chains:
-            name = chain.name
-            acts = self.activation[name].tolist()
-            starts = self.start[name].tolist()
-            finishes = self.finish[name].tolist()
-            task_rows = [row.tolist() for row in self.task_fin[name]]
-            task_names = [task.name for task in chain.tasks]
-            chain_records = []
-            for i, activation in enumerate(acts):
-                start = starts[i]
-                finish = finishes[i]
-                task_finishes = {
-                    task_names[k]: row[i]
-                    for k, row in enumerate(task_rows)
-                    if row[i] == row[i]
-                }
-                chain_records.append(
-                    InstanceRecord(
-                        name,
-                        i,
-                        activation,
-                        start if start == start else None,
-                        finish if finish == finish else None,
-                        task_finishes,
-                    )
-                )
-            records[name] = chain_records
-        return records
-
-    def build_slices(self) -> List[ExecutionSlice]:
-        out: List[ExecutionSlice] = []
-        for chain, task, *columns in self.slice_chunks:
-            if isinstance(chain, str):  # a batch chunk of one task
-                chain, task = repeat(chain), repeat(task)
-                columns = [column.tolist() for column in columns]
-            out.extend(map(ExecutionSlice, chain, task, *columns))
-        out.sort(key=lambda piece: piece.start)
-        return out
-
-    # -- array metric paths -------------------------------------------
-    def _latency(self, chain: str):
-        """Latencies of the finished instances of ``chain``, as an array."""
-        finish = self.finish[chain]
-        done = ~np.isnan(finish)
-        return finish[done] - self.activation[chain][done]
-
-    def latencies(self, chain: str) -> List[float]:
-        return self._latency(chain).tolist()
-
-    def max_latency(self, chain: str) -> float:
-        latency = self._latency(chain)
-        return float(latency.max()) if latency.size else 0.0
-
-    def miss_flags(self, chain: str, deadline: float) -> List[bool]:
-        return (self._latency(chain) > deadline).tolist()
-
-    def miss_count(self, chain: str, deadline: float) -> int:
-        return int(np.count_nonzero(self._latency(chain) > deadline))
-
-    def empirical_dmm(self, chain: str, deadline: float, k: int) -> int:
-        flags = (self._latency(chain) > deadline).astype(np.int64)
-        if flags.size < k:
-            return int(flags.sum())
-        sums = np.cumsum(flags)
-        windows = sums[k - 1 :].copy()
-        windows[1:] -= sums[: flags.size - k]
-        return int(windows.max())
-
-    def busy_windows(self, chain: str) -> List[Tuple[float, float]]:
-        activation = self.activation[chain]
-        if activation.size == 0:
-            return []
-        finish = np.where(
-            np.isnan(self.finish[chain]), self.horizon, self.finish[chain]
-        )
-        order = np.lexsort((finish, activation))
-        starts = activation[order]
-        ends = finish[order]
-        running = np.maximum.accumulate(ends)
-        fresh = np.ones(starts.shape, dtype=bool)
-        fresh[1:] = starts[1:] > running[:-1]
-        window_starts = starts[fresh]
-        window_ends = np.maximum.reduceat(ends, np.flatnonzero(fresh))
-        return list(zip(window_starts.tolist(), window_ends.tolist()))
-
-
 class _ArrayStore:
     """Record sink writing scalar-stretch lifecycle events into arrays."""
 
-    __slots__ = ("trace",)
+    __slots__ = ("result",)
 
-    def __init__(self, trace: TraceArrays):
-        self.trace = trace
+    def __init__(self, result: SimulationResult):
+        self.result = result
 
     def mark_start(self, chain: str, instance: int, at: float) -> None:
-        start = self.trace.start[chain]
+        start = self.result.start[chain]
         if math.isnan(start[instance]):
             start[instance] = at
 
     def task_finish(
         self, chain: str, instance: int, task_index: int, task_name: str, at: float
     ) -> None:
-        self.trace.task_fin[chain][task_index, instance] = at
+        self.result.task_fin[chain][task_index, instance] = at
 
     def finish(self, chain: str, instance: int, at: float) -> None:
-        self.trace.finish[chain][instance] = at
+        self.result.finish[chain][instance] = at
 
 
-def _retire_task(release, budget: float):
+def _retire_task(release, budget: float, header: bool):
     """Finish times of one task executed in isolation, vectorized.
 
     Replays the scalar loop's execution arithmetic elementwise for a
@@ -234,10 +93,14 @@ def _retire_task(release, budget: float):
     (the loop's close-out guard).  The iteration converges in a couple
     of passes; each pass applies the identical float64 operations the
     scalar loop would, so the finish times are bit-identical.
+
+    The loop's cascade finishes only jobs already in the ready set,
+    which is how a successor is admitted; a released ``header`` is
+    popped and runs one step for any budget > 0.
     """
     time = release.copy()
     remaining = np.full(time.shape, budget)
-    active = remaining > 1e-12
+    active = remaining > (0.0 if header else 1e-12)
     rounds = 0
     while active.any():
         rounds += 1
@@ -286,21 +149,17 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
     """Run one simulation through the array event calendar."""
     system = simulator.system
     chains = system.chains
-    trace = TraceArrays(system, horizon)
-
     streams = release_times(system, activations, horizon)
-    for name, times in streams.items():
-        trace.allocate(name, times)
+    result = SimulationResult(system, horizon, streams)
     per_chain_times = list(streams.values())
 
     counts = [times.size for times in per_chain_times]
     total = int(sum(counts))
-    result = SimulationResult(system, horizon, trace=trace)
     if total == 0:
         return result
 
     # 1. One time-sorted calendar over all chains.  The stable sort
-    # reproduces the python backend's tie order (chain declaration
+    # reproduces the whole-horizon loop's tie order (chain declaration
     # order, then instance order).
     t_all = np.concatenate(per_chain_times)
     chain_of = np.repeat(np.arange(len(chains)), counts)
@@ -331,15 +190,15 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
                 continue
             instances = inst[sel]
             clock = t[sel].copy()
-            trace.start[chain.name][instances] = clock
-            task_fin = trace.task_fin[chain.name]
+            result.start[chain.name][instances] = clock
+            task_fin = result.task_fin[chain.name]
             for k, task in enumerate(chain.tasks):
                 segment_start = clock
-                clock = _retire_task(clock, exec_times[c][k])
+                clock = _retire_task(clock, exec_times[c][k], k == 0)
                 task_fin[k, instances] = clock
                 ran = clock > segment_start
                 if ran.any():
-                    trace.slice_chunks.append(
+                    result.slice_chunks.append(
                         (
                             chain.name,
                             task.name,
@@ -348,7 +207,7 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
                             clock[ran],
                         )
                     )
-            trace.finish[chain.name][instances] = clock
+            result.finish[chain.name][instances] = clock
 
     # 4. Contended stretches — maximal runs of non-isolated releases —
     # replay through the exact scalar loop, all in one call: the loop
@@ -369,12 +228,12 @@ def run_calendar(simulator, activations, horizon: float) -> SimulationResult:
         releases = list(zip(slow_t, slow_chain, slow_inst, fresh.tolist()))
         # One column chunk holds every stretch's slices: a stretch's
         # first slice never continues the previous stretch's last (no
-        # instance spans two stretches), and build_slices sorts by start.
+        # instance spans two stretches), and ``slices`` sorts by start.
         columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
         run_event_loop(
-            releases, simulator._execution_time, _ArrayStore(trace), columns
+            releases, simulator._execution_time, _ArrayStore(result), columns
         )
         if columns[0]:
-            trace.slice_chunks.append(columns)
+            result.slice_chunks.append(columns)
 
     return result

@@ -17,10 +17,11 @@ The simulator is event-driven and deterministic given the activation
 streams and execution times.  :meth:`Simulator.run` goes through the
 numpy event calendar (:mod:`repro.sim.calendar`), which retires
 isolated activations in batch array operations and runs the event loop
-below once, over the contended stretches.  :meth:`Simulator._run_python`
-runs the same loop over the whole horizon; it is the oracle the
-calendar is tested against, trace for trace.  The loop records slices
-in five plain columns, not one Python object per slice.
+below once, over the contended stretches.  The loop records slices in
+five plain columns, not one Python object per slice, and the run's
+:class:`SimulationResult` holds the trace as arrays.  The test oracle
+``tests/oracles/spp_loop.py`` runs the same loop over the whole horizon
+into plain records; the calendar must match it trace for trace.
 """
 
 from __future__ import annotations
@@ -72,73 +73,115 @@ class InstanceRecord:
 
 
 class SimulationResult:
-    """Everything a simulation run produced.
+    """One simulation trace, held as arrays.
 
-    The scalar loop (:meth:`Simulator._run_python`) fills
-    :attr:`instances` and :attr:`slices` with objects directly; the
-    numpy calendar carries the trace as arrays and slice columns and
-    materializes the object views lazily on first access, so soak-scale
-    runs pay for Python objects only when somebody actually iterates
-    them.  Metric queries (``max_latency`` and ``miss_count`` included)
-    answer from the arrays when they are present — with value-identical
-    arithmetic and Python scalars, checked by the calendar parity suite.
+    Per chain, indexed by instance: ``activation``, ``start`` and
+    ``finish`` (float64, NaN while unset) and ``task_fin`` (one row per
+    task).  ``slice_chunks`` holds ``(chain, task, instances, starts,
+    ends)`` chunks: from batch retirement, one per chain and task with
+    numpy columns; from the event loop, one chunk of five lists with
+    one entry per slice.  Slices never overlap and zero-length slices
+    are never emitted, so a sort by start reconstructs the loop's
+    emission order.
+
+    Both simulators fill one of these: :class:`Simulator` and the
+    distributed simulator, which records no start and no slices.  The
+    metric queries answer from the arrays, as Python scalars;
+    :attr:`instances` and :attr:`slices` materialize the object views
+    on first access, so soak-scale runs pay for Python objects only
+    when somebody iterates them.
     """
 
-    def __init__(
-        self,
-        system: System,
-        horizon: float,
-        instances: Optional[Dict[str, List[InstanceRecord]]] = None,
-        slices: Optional[List[ExecutionSlice]] = None,
-        *,
-        trace=None,
-    ):
+    def __init__(self, system, horizon: float, streams: Dict[str, np.ndarray]):
         self.system = system
         self.horizon = horizon
-        self._instances = instances
-        self._slices = slices
-        self._trace = trace
+        self.activation: Dict[str, np.ndarray] = {}
+        self.start: Dict[str, np.ndarray] = {}
+        self.finish: Dict[str, np.ndarray] = {}
+        self.task_fin: Dict[str, np.ndarray] = {}
+        self.slice_chunks: List = []
+        self._instances: Optional[Dict[str, List[InstanceRecord]]] = None
+        self._slices: Optional[List[ExecutionSlice]] = None
+        for chain in system.chains:
+            times = streams[chain.name]
+            n = times.shape[0]
+            self.activation[chain.name] = times
+            self.start[chain.name] = np.full(n, np.nan)
+            self.finish[chain.name] = np.full(n, np.nan)
+            self.task_fin[chain.name] = np.full((len(chain.tasks), n), np.nan)
 
     @property
     def instances(self) -> Dict[str, List[InstanceRecord]]:
         if self._instances is None:
-            self._instances = self._trace.build_instances()
+            self._instances = {
+                chain.name: self._chain_records(chain) for chain in self.system.chains
+            }
         return self._instances
+
+    def _chain_records(self, chain) -> List[InstanceRecord]:
+        name = chain.name
+        starts = self.start[name].tolist()
+        finishes = self.finish[name].tolist()
+        task_rows = [row.tolist() for row in self.task_fin[name]]
+        task_names = [task.name for task in chain.tasks]
+        records = []
+        for i, activation in enumerate(self.activation[name].tolist()):
+            start = starts[i]
+            finish = finishes[i]
+            task_finishes = {
+                task_names[k]: row[i]
+                for k, row in enumerate(task_rows)
+                if row[i] == row[i]
+            }
+            records.append(
+                InstanceRecord(
+                    name,
+                    i,
+                    activation,
+                    start if start == start else None,
+                    finish if finish == finish else None,
+                    task_finishes,
+                )
+            )
+        return records
 
     @property
     def slices(self) -> List[ExecutionSlice]:
         if self._slices is None:
-            self._slices = self._trace.build_slices()
+            out: List[ExecutionSlice] = []
+            for chain, task, *columns in self.slice_chunks:
+                if isinstance(chain, str):  # a batch chunk of one task
+                    chain, task = itertools.repeat(chain), itertools.repeat(task)
+                    columns = [column.tolist() for column in columns]
+                out.extend(map(ExecutionSlice, chain, task, *columns))
+            out.sort(key=lambda piece: piece.start)
+            self._slices = out
         return self._slices
+
+    def _latency(self, chain: str) -> np.ndarray:
+        """Latencies of the finished instances of ``chain``, as an array."""
+        finish = self.finish[chain]
+        done = ~np.isnan(finish)
+        return finish[done] - self.activation[chain][done]
+
+    def _missed(self, chain: str) -> np.ndarray:
+        return self._latency(chain) > self.system[chain].deadline
 
     def latencies(self, chain: str) -> List[float]:
         """Latencies of all *finished* instances of ``chain``."""
-        if self._instances is None and self._trace is not None:
-            return self._trace.latencies(chain)
-        return [rec.latency for rec in self.instances[chain] if rec.latency is not None]
+        return self._latency(chain).tolist()
 
     def max_latency(self, chain: str) -> float:
         """Largest observed latency of ``chain`` (0.0 if none finished)."""
-        if self._instances is None and self._trace is not None:
-            return self._trace.max_latency(chain)
-        observed = self.latencies(chain)
-        return max(observed) if observed else 0.0
+        latency = self._latency(chain)
+        return float(latency.max()) if latency.size else 0.0
 
     def miss_flags(self, chain: str) -> List[bool]:
         """Per finished instance: did it miss the chain deadline?"""
-        deadline = self.system[chain].deadline
-        if self._instances is None and self._trace is not None:
-            return self._trace.miss_flags(chain, deadline)
-        return [
-            rec.misses(deadline)
-            for rec in self.instances[chain]
-            if rec.finish is not None
-        ]
+        return self._missed(chain).tolist()
 
     def miss_count(self, chain: str) -> int:
-        if self._instances is None and self._trace is not None:
-            return self._trace.miss_count(chain, self.system[chain].deadline)
-        return sum(self.miss_flags(chain))
+        return int(np.count_nonzero(self._missed(chain)))
 
     def empirical_dmm(self, chain: str, k: int) -> int:
         """Maximum misses observed in any window of ``k`` consecutive
@@ -146,36 +189,33 @@ class SimulationResult:
         valid ``dmm(k)``."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if self._instances is None and self._trace is not None:
-            deadline = self.system[chain].deadline
-            return self._trace.empirical_dmm(chain, deadline, k)
-        flags = self.miss_flags(chain)
-        if len(flags) < k:
-            return sum(flags)
-        window = sum(flags[:k])
-        best = window
-        for i in range(k, len(flags)):
-            window += flags[i] - flags[i - k]
-            best = max(best, window)
-        return best
+        flags = self._missed(chain).astype(np.int64)
+        if flags.size < k:
+            return int(flags.sum())
+        sums = np.cumsum(flags)
+        windows = sums[k - 1 :].copy()
+        windows[1:] -= sums[: flags.size - k]
+        return int(windows.max())
 
     def busy_windows(self, chain: str) -> List[Tuple[float, float]]:
         """Maximal intervals during which at least one instance of
         ``chain`` was pending (activated, unfinished) — the
         sigma_b-busy-windows of Def. 6."""
-        if self._instances is None and self._trace is not None:
-            return self._trace.busy_windows(chain)
-        intervals = sorted(
-            (rec.activation, rec.finish if rec.finish is not None else self.horizon)
-            for rec in self.instances[chain]
+        activation = self.activation[chain]
+        if activation.size == 0:
+            return []
+        finish = np.where(
+            np.isnan(self.finish[chain]), self.horizon, self.finish[chain]
         )
-        merged: List[Tuple[float, float]] = []
-        for start, end in intervals:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
+        order = np.lexsort((finish, activation))
+        starts = activation[order]
+        ends = finish[order]
+        running = np.maximum.accumulate(ends)
+        fresh = np.ones(starts.shape, dtype=bool)
+        fresh[1:] = starts[1:] > running[:-1]
+        window_starts = starts[fresh]
+        window_ends = np.maximum.reduceat(ends, np.flatnonzero(fresh))
+        return list(zip(window_starts.tolist(), window_ends.tolist()))
 
 
 class _Job:
@@ -208,42 +248,20 @@ class _Job:
         self.is_last = task_index + 1 == len(chain.tasks)
 
 
-class _ObjectStore:
-    """Record sink of the scalar loop: plain :class:`InstanceRecord`s."""
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: Dict[str, List[InstanceRecord]]):
-        self.records = records
-
-    def mark_start(self, chain: str, instance: int, at: float) -> None:
-        record = self.records[chain][instance]
-        if record.start is None:
-            record.start = at
-
-    def task_finish(
-        self, chain: str, instance: int, task_index: int, task_name: str, at: float
-    ) -> None:
-        self.records[chain][instance].task_finishes[task_name] = at
-
-    def finish(self, chain: str, instance: int, at: float) -> None:
-        self.records[chain][instance].finish = at
-
-
 def run_event_loop(
     pending_releases: List[Tuple[float, TaskChain, int, bool]],
     execution_time: Callable[[TaskChain, int], float],
     store,
     columns: Tuple[list, list, list, list, list],
 ) -> None:
-    """The SPP event loop, shared verbatim between both backends.
+    """The SPP event loop of the calendar's contended stretches.
 
     ``pending_releases`` holds ``(time, chain, instance, fresh)``
     sorted by time.  A ``fresh`` release sets the per-task FIFO turn of
-    every task of its chain to its instance: the python backend marks
-    each chain's instance 0, the calendar backend each chain's first
-    release in every contended stretch (the turn a full scalar run
-    would have reached at the idle point opening the stretch).  The
+    every task of its chain to its instance: the calendar marks each
+    chain's first release in every contended stretch (the turn a run
+    over the whole horizon would have reached at the idle point opening
+    the stretch), and a whole-horizon run each chain's instance 0.  The
     loop jumps idle gaps, so one call serves any number of busy
     periods; the iteration guard counts per busy period.
 
@@ -411,13 +429,13 @@ def release_times(
 ) -> Dict[str, np.ndarray]:
     """Every chain's activation timestamps up to ``horizon``, as float64.
 
-    The input check every simulator shares: both backends of
-    :class:`Simulator` and the distributed simulator (any ``system``
-    whose ``chains`` have names will do).  A NaN horizon and NaN or
-    infinite timestamps are rejected: every comparison with NaN is
-    false, so the horizon filter would otherwise drop them silently.
-    Streams must be sorted.  Coercing to float64 here makes both
-    backends run identical arithmetic on integer timestamps.
+    The input check every simulator shares: :class:`Simulator` and the
+    distributed simulator (any ``system`` whose ``chains`` have names
+    will do).  A NaN horizon and NaN or infinite timestamps are
+    rejected: every comparison with NaN is false, so the horizon filter
+    would otherwise drop them silently.  Streams must be sorted.
+    Coercing to float64 here makes the batch arithmetic and the event
+    loop see identical values for integer timestamps.
     """
     if math.isnan(horizon):
         raise ValueError("horizon must not be NaN")
@@ -444,13 +462,6 @@ class Simulator:
         task = chain.tasks[task_index]
         return float(task.bcet if self.use_bcet else task.wcet)
 
-    def prepare_releases(
-        self, activations: Dict[str, Sequence[float]], horizon: float
-    ) -> Dict[str, List[float]]:
-        """The activation streams :func:`release_times` accepts, as lists."""
-        streams = release_times(self.system, activations, horizon)
-        return {name: times.tolist() for name, times in streams.items()}
-
     def run(
         self, activations: Dict[str, Sequence[float]], horizon: float
     ) -> SimulationResult:
@@ -469,25 +480,3 @@ class Simulator:
         from .calendar import run_calendar
 
         return run_calendar(self, activations, horizon)
-
-    def _run_python(
-        self, activations: Dict[str, Sequence[float]], horizon: float
-    ) -> SimulationResult:
-        prepared = self.prepare_releases(activations, horizon)
-        records: Dict[str, List[InstanceRecord]] = {}
-        pending_releases: List[Tuple[float, TaskChain, int, bool]] = []
-        for chain in self.system.chains:
-            times = prepared[chain.name]
-            records[chain.name] = [
-                InstanceRecord(chain.name, i, t) for i, t in enumerate(times)
-            ]
-            for i, t in enumerate(times):
-                pending_releases.append((t, chain, i, i == 0))
-        pending_releases.sort(key=lambda item: item[0])
-
-        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
-        run_event_loop(
-            pending_releases, self._execution_time, _ObjectStore(records), columns
-        )
-        slices = list(map(ExecutionSlice, *columns))
-        return SimulationResult(self.system, horizon, records, slices)

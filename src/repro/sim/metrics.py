@@ -108,14 +108,10 @@ def busy_window_activation_counts(result: SimulationResult, chain: str) -> List[
     — the empirical counterpart of ``K_b`` (Theorem 2).
 
     The per-window membership scan is two ``searchsorted`` calls over
-    the sorted activation array.
+    the activation array, which the simulators keep sorted.
     """
     windows = result.busy_windows(chain)
-    trace = getattr(result, "_trace", None)
-    if trace is not None:
-        activations = np.sort(trace.activation[chain])
-    else:
-        activations = np.sort([rec.activation for rec in result.instances[chain]])
+    activations = result.activation[chain]
     starts = np.asarray([start for start, _ in windows], dtype=np.float64)
     ends = np.asarray([end for _, end in windows], dtype=np.float64)
     lo = np.searchsorted(activations, starts, side="left")

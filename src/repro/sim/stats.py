@@ -39,13 +39,7 @@ class LatencyStats:
     ) -> "LatencyStats":
         if len(samples) == 0:
             raise ValueError(f"no finished instances for chain {chain!r}")
-        if isinstance(samples, np.ndarray):
-            # One vectorized sort; the mean below still runs the same
-            # sequential float summation as the list path, so the
-            # statistics are bit-identical either way.
-            ordered = np.sort(samples).tolist()
-        else:
-            ordered = sorted(samples)
+        ordered = sorted(samples)
         return cls(
             chain=chain,
             count=len(ordered),
@@ -72,12 +66,6 @@ def latency_stats(
     result: SimulationResult, chain: str, marks: Sequence[int] = (50, 90, 95, 99)
 ) -> LatencyStats:
     """Distribution summary of ``chain``'s latencies in ``result``."""
-    trace = getattr(result, "_trace", None)
-    if trace is not None and getattr(result, "_instances", None) is None:
-        finish = trace.finish[chain]
-        done = ~np.isnan(finish)
-        samples = finish[done] - trace.activation[chain][done]
-        return LatencyStats.from_samples(chain, samples, marks)
     return LatencyStats.from_samples(chain, result.latencies(chain), marks)
 
 

@@ -1,12 +1,19 @@
-"""The SPP event loop over a plain list: one ``max`` scan per pick.
+"""Reference simulations the production simulator is checked against.
 
-Oracle of the production loop, :func:`repro.sim.engine.run_event_loop`,
-which keeps the ready set in a binary heap.  Here every scheduling
-decision scans the whole ready list for the job with the largest
-``(priority, -release, -instance)``; ``max`` returns the *first*
-maximal job in list order, and list order is the order of each job's
-latest append (a preempted job is re-appended at the end), which is
-the tie-break among jobs of equal priority, release and instance.
+:func:`whole_horizon` runs the production loop,
+:func:`repro.sim.engine.run_event_loop`, over every release of the
+horizon into plain records; the numpy calendar behind
+``Simulator.run`` must match it trace for trace.  :func:`simulate` does
+the same with :func:`run_event_loop` below, the loop the heap replaced:
+every scheduling decision scans a plain ready list for the job with the
+largest ``(priority, -release, -instance)``.  ``max`` returns the
+*first* maximal job in list order, and list order is the order of each
+job's latest append (a preempted job is re-appended at the end), which
+is the tie-break among jobs of equal priority, release and instance.
+
+Both return a :class:`RecordResult`, whose query bodies walk the
+records one by one: the reference for the array queries of
+:class:`repro.sim.engine.SimulationResult`.
 """
 
 from __future__ import annotations
@@ -15,13 +22,131 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from repro.model import TaskChain
-from repro.sim.engine import (
-    ExecutionSlice,
-    InstanceRecord,
-    SimulationResult,
-    _ObjectStore,
-)
+from repro.sim import engine
+from repro.sim.engine import ExecutionSlice, InstanceRecord, release_times
+
+
+class RecordStore:
+    """Record sink of a whole-horizon run: plain :class:`InstanceRecord`s."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: Dict[str, List[InstanceRecord]]):
+        self.records = records
+
+    def mark_start(self, chain: str, instance: int, at: float) -> None:
+        record = self.records[chain][instance]
+        if record.start is None:
+            record.start = at
+
+    def task_finish(
+        self, chain: str, instance: int, task_index: int, task_name: str, at: float
+    ) -> None:
+        self.records[chain][instance].task_finishes[task_name] = at
+
+    def finish(self, chain: str, instance: int, at: float) -> None:
+        self.records[chain][instance].finish = at
+
+
+class RecordResult:
+    """A trace as records and slices, queried record by record."""
+
+    def __init__(
+        self,
+        system,
+        horizon: float,
+        instances: Dict[str, List[InstanceRecord]],
+        slices: List[ExecutionSlice],
+    ):
+        self.system = system
+        self.horizon = horizon
+        self.instances = instances
+        self.slices = slices
+
+    @property
+    def activation(self) -> Dict[str, np.ndarray]:
+        """Each chain's activation times, as ``SimulationResult`` has them."""
+        return {
+            name: np.asarray([rec.activation for rec in records], dtype=float)
+            for name, records in self.instances.items()
+        }
+
+    def latencies(self, chain: str) -> List[float]:
+        return [rec.latency for rec in self.instances[chain] if rec.latency is not None]
+
+    def max_latency(self, chain: str) -> float:
+        observed = self.latencies(chain)
+        return max(observed) if observed else 0.0
+
+    def miss_flags(self, chain: str) -> List[bool]:
+        deadline = self.system[chain].deadline
+        return [
+            rec.misses(deadline)
+            for rec in self.instances[chain]
+            if rec.finish is not None
+        ]
+
+    def miss_count(self, chain: str) -> int:
+        return sum(self.miss_flags(chain))
+
+    def empirical_dmm(self, chain: str, k: int) -> int:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        flags = self.miss_flags(chain)
+        if len(flags) < k:
+            return sum(flags)
+        window = sum(flags[:k])
+        best = window
+        for i in range(k, len(flags)):
+            window += flags[i] - flags[i - k]
+            best = max(best, window)
+        return best
+
+    def busy_windows(self, chain: str) -> List[Tuple[float, float]]:
+        intervals = sorted(
+            (rec.activation, rec.finish if rec.finish is not None else self.horizon)
+            for rec in self.instances[chain]
+        )
+        merged: List[Tuple[float, float]] = []
+        for start, end in intervals:
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        return merged
+
+
+def _records(simulator, activations, horizon):
+    """Empty records of every release up to ``horizon``, and the
+    releases ``(time, chain, instance)`` in time order (ties in chain
+    order, then instance order)."""
+    streams = release_times(simulator.system, activations, horizon)
+    records: Dict[str, List[InstanceRecord]] = {}
+    releases: List[Tuple[float, TaskChain, int]] = []
+    for chain in simulator.system.chains:
+        times = streams[chain.name].tolist()
+        records[chain.name] = [
+            InstanceRecord(chain.name, i, t) for i, t in enumerate(times)
+        ]
+        releases.extend((t, chain, i) for i, t in enumerate(times))
+    releases.sort(key=lambda item: item[0])
+    return records, releases
+
+
+def whole_horizon(simulator, activations, horizon) -> RecordResult:
+    """The production loop over every release of the horizon, each
+    chain's instance 0 ``fresh``, into plain records and slices."""
+    records, releases = _records(simulator, activations, horizon)
+    pending = [(t, chain, i, i == 0) for t, chain, i in releases]
+    columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+    engine.run_event_loop(
+        pending, simulator._execution_time, RecordStore(records), columns
+    )
+    slices = list(map(ExecutionSlice, *columns))
+    return RecordResult(simulator.system, horizon, records, slices)
 
 
 @dataclass
@@ -203,23 +328,12 @@ def run_event_loop(
             ready.append(job)
 
 
-def simulate(simulator, activations, horizon) -> SimulationResult:
-    """``Simulator._run_python`` with this loop in place of the
+def simulate(simulator, activations, horizon) -> RecordResult:
+    """:func:`whole_horizon` with this module's loop in place of the
     production one."""
-    prepared = simulator.prepare_releases(activations, horizon)
-    records: Dict[str, List[InstanceRecord]] = {}
-    pending_releases: List[Tuple[float, TaskChain, int]] = []
-    for chain in simulator.system.chains:
-        times = prepared[chain.name]
-        records[chain.name] = [
-            InstanceRecord(chain.name, i, t) for i, t in enumerate(times)
-        ]
-        for i, t in enumerate(times):
-            pending_releases.append((t, chain, i))
-    pending_releases.sort(key=lambda item: item[0])
-
+    records, releases = _records(simulator, activations, horizon)
     slices: List[ExecutionSlice] = []
     run_event_loop(
-        pending_releases, simulator._execution_time, _ObjectStore(records), slices, {}
+        releases, simulator._execution_time, RecordStore(records), slices, {}
     )
-    return SimulationResult(simulator.system, horizon, records, slices)
+    return RecordResult(simulator.system, horizon, records, slices)

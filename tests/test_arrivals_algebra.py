@@ -2,10 +2,10 @@
 
 
 import pytest
+from oracles.curves import check_duality, superadditive_closure_defect
 
 from repro.arrivals import PeriodicModel, SporadicModel
-from repro.arrivals.algebra import (check_duality, scaled,
-                                    superadditive_closure_defect, tightest)
+from repro.arrivals.algebra import scaled, tightest
 
 
 class TestScaled:

@@ -69,7 +69,7 @@ class TestEvaluation:
         ArrivalCurve([0, 0, 700, 15_200, 50_000]).validate()
 
     def test_duality(self):
-        from repro.arrivals.algebra import check_duality
+        from oracles.curves import check_duality
         check_duality(ArrivalCurve([0, 0, 700, 15_200, 50_000]))
 
 
@@ -114,6 +114,6 @@ class TestCalibratedCurves:
             assert curve.eta_plus(200 * 249 + 331) == 4  # k = 250
 
     def test_curves_are_superadditive(self):
-        from repro.arrivals.algebra import superadditive_closure_defect
+        from oracles.curves import superadditive_closure_defect
         for curve in calibrated_overload_curves().values():
             assert superadditive_closure_defect(curve, up_to=6) == 0.0

@@ -121,7 +121,7 @@ class TestDuality:
         (200, 0, 0), (100, 30, 0), (100, 90, 0), (100, 250, 10), (7, 3, 2),
     ])
     def test_eta_delta_duality(self, period, jitter, dmin):
-        from repro.arrivals.algebra import check_duality
+        from oracles.curves import check_duality
         check_duality(PeriodicModel(period, jitter, dmin))
 
     def test_generic_eta_agrees_with_closed_form(self):

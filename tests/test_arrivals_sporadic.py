@@ -79,7 +79,7 @@ class TestSporadicBurst:
         SporadicBurstModel(10, 3, 100).validate()
 
     def test_duality(self):
-        from repro.arrivals.algebra import check_duality
+        from oracles.curves import check_duality
         check_duality(SporadicBurstModel(10, 3, 100))
         check_duality(SporadicModel(600))
 

@@ -230,13 +230,24 @@ class TestBatch:
     def test_worker_flags_in_process_exit_2(self, flags, named, topology,
                                             capsys):
         """The worker-only flags cannot act on the in-process run (one
-        local worker, no URL): each exits 2 naming the flag."""
+        local worker, no URL): each exits 2 naming the flag.  Only a
+        URL's client reads --timeout."""
         args = ["batch", "--random", "2"] + topology + flags
         assert main(args) == 2
         captured = capsys.readouterr()
+        where = ("a --worker URL" if named == "--timeout"
+                 else "--workers N > 1 or a --worker URL")
+        assert captured.err == f"error: {named} applies only with {where}\n"
+        assert captured.out == ""
+
+    def test_timeout_without_url_exits_2(self, capsys):
+        """Local worker processes have no timeout: --timeout without a
+        --worker URL exits 2 on every topology."""
+        assert main(["batch", "--random", "2", "--workers", "2",
+                     "--timeout", "5"]) == 2
+        captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {named} applies only with --workers N > 1 or a "
-            f"--worker URL\n")
+            "error: --timeout applies only with a --worker URL\n")
         assert captured.out == ""
 
     def test_worker_flags_act_on_workers(self, capsys):
@@ -244,7 +255,7 @@ class TestBatch:
         assert main(args) == 0
         serial = capsys.readouterr().out
         flags = ["--workers", "2", "--chunk-size", "1", "-v", "--retries",
-                 "9", "--retry-delay", "0.01", "--timeout", "30"]
+                 "9", "--retry-delay", "0.01"]
         assert main(args + flags) == 0
         captured = capsys.readouterr()
         assert captured.out == serial
@@ -404,6 +415,36 @@ class TestParser:
             assert f"error: argument {flag}: must be an integer >= " \
                 f"{minimum}, got {value!r}" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag, expected", [
+        (["batch", "--random", "2", "--workers", "2", "--retries", "0"],
+         "--retries", "must be an integer >= 1, got '0'"),
+        (["batch", "--random", "2", "--workers", "2", "--retry-delay", "-1"],
+         "--retry-delay", "must be a finite number >= 0, got '-1'"),
+        (["batch", "--random", "2", "--workers", "2", "--retry-delay", "nan"],
+         "--retry-delay", "must be a finite number >= 0, got 'nan'"),
+        (["batch", "--random", "2", "--workers", "2", "--timeout", "0"],
+         "--timeout", "must be a finite number > 0, got '0'"),
+        (["analyze", "--server", "http://127.0.0.1:9", "--retries", "0"],
+         "--retries", "must be an integer >= 1, got '0'"),
+        (["analyze", "--server", "http://127.0.0.1:9", "--timeout", "0"],
+         "--timeout", "must be a finite number > 0, got '0'"),
+        (["analyze", "--server", "http://127.0.0.1:9", "--timeout", "nan"],
+         "--timeout", "must be a finite number > 0, got 'nan'"),
+    ], ids=["batch-retries-0", "batch-retry-delay-negative",
+            "batch-retry-delay-nan", "batch-timeout-0", "analyze-retries-0",
+            "analyze-timeout-0", "analyze-timeout-nan"])
+    def test_bad_client_number_is_a_usage_error(self, argv, flag, expected,
+                                                capsys):
+        """The client flags have the floors ``RetryPolicy`` and
+        ``ServiceClient`` enforce; below them argparse exits 2 naming
+        the flag, before any request is sent."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {expected}" in err
+        assert "Traceback" not in err
 
     def test_backend_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:

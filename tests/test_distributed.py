@@ -103,7 +103,7 @@ class TestPropagation:
             propagate(PeriodicModel(10), wcl=5, bcl=6)
 
     def test_propagated_duality(self):
-        from repro.arrivals.algebra import check_duality
+        from oracles.curves import check_duality
         check_duality(propagate(SporadicModel(100), 30, 10, 5))
 
     def test_output_rate_preserved(self):
@@ -215,7 +215,7 @@ class TestDistributedDmm:
 class TestMultiHopPropagation:
     def test_propagated_of_propagated(self):
         """Two hops over a curve model stack distortions correctly."""
-        from repro.arrivals.algebra import check_duality
+        from oracles.curves import check_duality
         base = SporadicModel(100)
         hop1 = propagate(base, wcl=30, bcl=10, last_task_bcet=5)
         hop2 = propagate(hop1, wcl=50, bcl=20, last_task_bcet=8)

@@ -10,6 +10,7 @@ from repro.distributed import (DistributedChain, DistributedSystem,
 from repro.distributed.sim import (DistributedSimulator,
                                    worst_case_distributed_activations)
 from repro.model import Task
+from repro.sim import SimulationResult, latency_stats, trace_json
 
 
 def _system(overload_wcet=25, deadline=120):
@@ -49,6 +50,23 @@ class TestBasicExecution:
         record = result.instances["solo"][0]
         assert record.task_finishes["s.x"] == 10
         assert record.task_finishes["s.y"] == 30
+
+    def test_result_is_the_single_cpu_result(self):
+        """The distributed simulator fills the single-CPU
+        ``SimulationResult``: the same queries and exports, with no
+        start times and no execution slices."""
+        result = simulate(_system())
+        assert isinstance(result, SimulationResult)
+        assert result.slices == []
+        assert all(record.start is None
+                   for record in result.instances["pipeline"])
+        assert result.miss_count("pipeline") == \
+            sum(result.miss_flags("pipeline"))
+        assert latency_stats(result, "pipeline").maximum == \
+            result.max_latency("pipeline")
+        windows = result.busy_windows("local")
+        assert windows and windows[0][0] == 0.0
+        assert '"start": null' in trace_json(result)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_empirical_dmm_rejects_k_below_one(self, k):

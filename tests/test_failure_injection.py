@@ -9,11 +9,11 @@ import math
 import random
 
 import pytest
+from oracles.curves import check_duality
 
 from repro import (BusyWindowDivergence, PeriodicModel, SporadicModel,
                    SystemBuilder, analyze_latency)
 from repro.arrivals import ArrivalCurve, EventModel
-from repro.arrivals.algebra import check_duality
 from repro.ilp import IntegerProgram, solve_lp
 from repro.sim import Simulator
 

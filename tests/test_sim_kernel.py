@@ -2,14 +2,16 @@
 
 The numpy event calendar (:mod:`repro.sim.calendar`, behind
 ``Simulator.run``) promises to be *bit-identical* to the scalar event
-loop run over the whole horizon (``Simulator._run_python``): same
-``ExecutionSlice`` sequence, same ``InstanceRecord`` values, and
-byte-identical exports.  This suite enforces that promise over
-hypothesis-randomized feasible systems (synchronous and asynchronous
-chains), a hand-built model zoo (periodic with jitter, sporadic,
-bursty, explicit arrival curves), the batched activation-stream
-builders, the metric helpers, the soak workload and the distributed
-simulator.
+loop run over the whole horizon (``oracles.spp_loop.whole_horizon``):
+same ``ExecutionSlice`` sequence, same ``InstanceRecord`` values, and
+byte-identical exports.  The array queries of the calendar's
+``SimulationResult`` must answer what the oracle's record-by-record
+queries answer.  This suite enforces both over hypothesis-randomized
+feasible systems (synchronous and asynchronous chains), a hand-built
+model zoo (periodic with jitter, sporadic, bursty, explicit arrival
+curves), the batched activation-stream builders, the metric helpers,
+the soak workload and the distributed simulator, whose oracle is its
+own scalar loop over the whole horizon.
 """
 
 import gc
@@ -18,19 +20,19 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import spp_loop
 
 from repro import ChainKind, PeriodicModel, SporadicModel, SystemBuilder
 from repro.arrivals import ArrivalCurve, SporadicBurstModel
 from repro.distributed import (DistributedChain, DistributedSystem, on,
                                worst_case_distributed_activations)
-from repro.distributed.sim import (DistributedInstanceRecord,
-                                   DistributedSimulationResult,
-                                   DistributedSimulator)
+from repro.distributed.sim import DistributedSimulator
 from repro.model import Task
-from repro.sim import (Simulator, busy_window_activation_counts,
-                       instances_csv, latency_stats, miss_streaks,
-                       random_stream, schedule_csv, trace_json,
-                       worst_case_stream)
+from repro.sim import (SimulationResult, Simulator,
+                       busy_window_activation_counts, instances_csv,
+                       latency_stats, miss_streaks, random_stream,
+                       schedule_csv, trace_json, worst_case_stream)
+from repro.sim.engine import release_times
 from repro.synth import (GeneratorConfig, generate_feasible_system,
                          soak_workload)
 
@@ -60,7 +62,8 @@ def zoo_system():
 
 def run_both(system, activations, horizon):
     fast = Simulator(system).run(activations, horizon)
-    reference = Simulator(system)._run_python(activations, horizon)
+    reference = spp_loop.whole_horizon(Simulator(system), activations,
+                                       horizon)
     return fast, reference
 
 
@@ -187,8 +190,9 @@ class TestMetricParity:
                 busy_window_activation_counts(reference, name)
 
     def test_array_queries_return_python_scalars(self):
-        """The soak digest JSON-encodes these answers, so the array path
-        returns Python ``float``/``int`` exactly as the object path."""
+        """The soak digest JSON-encodes these answers, so the array
+        queries return Python ``float``/``int`` exactly as the record
+        queries of the oracle."""
         system, (fast, reference) = self._results()
         for chain in system.chains:
             name = chain.name
@@ -243,18 +247,16 @@ class TestStreamParity:
 
 def scalar_distributed_run(system, streams, horizon):
     """The scalar event loop over the whole horizon, called directly
-    with the records and the time-sorted releases ``run`` builds."""
-    records = {
-        chain.name: [DistributedInstanceRecord(chain.name, i, t)
-                     for i, t in enumerate(streams[chain.name])]
-        for chain in system.chains
-    }
+    with the time-sorted releases ``run`` builds; its records are
+    queried by the oracle's record-by-record bodies."""
+    result = SimulationResult(system, horizon,
+                              release_times(system, streams, horizon))
     releases = sorted(
         ((t, chain, i) for chain in system.chains
-         for i, t in enumerate(streams[chain.name])),
+         for i, t in enumerate(result.activation[chain.name].tolist())),
         key=lambda item: item[0])
-    DistributedSimulator(system)._event_loop(releases, records, {})
-    return DistributedSimulationResult(system, horizon, records)
+    DistributedSimulator(system)._event_loop(releases, result, {})
+    return spp_loop.RecordResult(system, horizon, result.instances, [])
 
 
 def random_distributed_system(rng):
@@ -322,11 +324,34 @@ class TestDistributedParity:
         fast = DistributedSimulator(system).run(streams, horizon)
         reference = scalar_distributed_run(system, streams, horizon)
         assert fast.instances == reference.instances
+        assert fast.slices == []
         for chain in system.chains:
-            assert fast.latencies(chain.name) == \
-                reference.latencies(chain.name)
-            assert fast.empirical_dmm(chain.name, 10) == \
-                reference.empirical_dmm(chain.name, 10)
+            name = chain.name
+            assert fast.latencies(name) == reference.latencies(name)
+            assert fast.miss_count(name) == reference.miss_count(name)
+            assert fast.max_latency(name) == reference.max_latency(name)
+            assert fast.empirical_dmm(name, 10) == \
+                reference.empirical_dmm(name, 10)
+            assert fast.busy_windows(name) == reference.busy_windows(name)
+            assert all(record.start is None
+                       for record in fast.instances[name])
+
+    def test_sub_epsilon_successor(self):
+        """A successor's budget at or below the loop's 1e-12 threshold
+        adds nothing: the loop finishes that successor at its
+        predecessor's finish, and so must the batch path."""
+        chain = DistributedChain(
+            "c",
+            [on("r0", Task("c.t0", priority=2, wcet=1e-13)),
+             on("r1", Task("c.t1", priority=1, wcet=1e-13))],
+            PeriodicModel(10), deadline=5.0)
+        system = DistributedSystem([chain], name="eps")
+        streams = {"c": [0.0, 10.0, 20.0]}
+        fast = DistributedSimulator(system).run(streams, 100.0)
+        reference = scalar_distributed_run(system, streams, 100.0)
+        assert fast.instances == reference.instances
+        assert fast.instances["c"][0].task_finishes == \
+            {"c.t0": 1e-13, "c.t1": 1e-13}
 
     def test_random_systems_identical(self, monkeypatch):
         """Seeded random systems match the scalar loop instance for

@@ -3,14 +3,14 @@
 ``repro.sim.engine.run_event_loop`` keeps its ready set in a binary
 heap keyed ``(-priority, release, instance, seq)``.
 ``tests/oracles/spp_loop.py`` keeps the loop it replaced, which scans a
-plain list with ``max`` and so breaks full ties by list order.  Both
-backends, the scalar ``Simulator._run_python`` and the numpy calendar
-behind ``Simulator.run``, must reproduce the oracle's slices and
-records exactly.  The systems below share priorities (the ties the
-``seq`` counter decides) and mix synchronous and asynchronous chains.
-Their streams bring coincident releases, bursts that queue in the
-per-task FIFO backlog, and releases and budgets below the loop's
-epsilon guards.
+plain list with ``max`` and so breaks full ties by list order.  The
+production loop over the whole horizon (``spp_loop.whole_horizon``)
+and the numpy calendar behind ``Simulator.run`` must both reproduce
+the oracle's slices and records exactly.  The systems below share
+priorities (the ties the ``seq`` counter decides) and mix synchronous
+and asynchronous chains.  Their streams bring coincident releases,
+bursts that queue in the per-task FIFO backlog, and releases and
+budgets below the loop's epsilon guards.
 """
 
 import math
@@ -25,9 +25,10 @@ from repro.arrivals import SporadicBurstModel
 from repro.sim import Simulator, calendar, engine, random_stream, worst_case_stream
 from repro.synth import soak_workload
 
-#: Budgets from zero (the zero-remaining cascade) and 1e-8 (below float
-#: resolution at t = 1e9, the close-out guard) up to whole units.
-WCETS = (0.0, 1e-8, 0.1, 0.3, 1.0, 2.5, 7.0)
+#: Budgets from zero (the zero-remaining cascade), 1e-13 (below the
+#: cascade's 1e-12 threshold) and 1e-8 (below float resolution at
+#: t = 1e9, the close-out guard) up to whole units.
+WCETS = (0.0, 1e-13, 1e-8, 0.1, 0.3, 1.0, 2.5, 7.0)
 
 #: Gaps between consecutive releases of one chain: coincident, inside
 #: the 1e-9 arrival guard, bursty and spread out.
@@ -66,7 +67,7 @@ def assert_matches_oracle(system, activations, horizon=math.inf):
     simulator = Simulator(system)
     oracle = spp_loop.simulate(simulator, activations, horizon)
     for result in (
-        simulator._run_python(activations, horizon),
+        spp_loop.whole_horizon(simulator, activations, horizon),
         simulator.run(activations, horizon),
     ):
         assert result.slices == oracle.slices
@@ -125,6 +126,28 @@ def test_full_ties_run_in_push_order():
         ("h", 5.0, 15.0),
         ("b", 15.0, 25.0),
         ("a", 25.0, 30.0),
+    ]
+    assert_matches_oracle(system, activations, 100.0)
+
+
+def test_sub_epsilon_header_runs_one_step():
+    """A released header runs one step for any budget > 0; only its
+    successor, admitted at the header's finish, cascades below the
+    loop's 1e-12 threshold without a slice of its own."""
+    system = (
+        SystemBuilder("sub-epsilon")
+        .chain("c", PeriodicModel(10), deadline=5.0)
+        .task("c.t0", priority=2, wcet=1e-13)
+        .task("c.t1", priority=1, wcet=1e-13)
+        .build()
+    )
+    activations = {"c": [0.0, 10.0, 20.0]}
+    result = Simulator(system).run(activations, 100.0)
+    assert result.instances["c"][0].task_finishes == {"c.t0": 1e-13, "c.t1": 1e-13}
+    assert [(s.task, s.start) for s in result.slices] == [
+        ("c.t0", 0.0),
+        ("c.t0", 10.0),
+        ("c.t0", 20.0),
     ]
     assert_matches_oracle(system, activations, 100.0)
 

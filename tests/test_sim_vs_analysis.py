@@ -5,6 +5,7 @@ implementation."""
 import random
 
 import pytest
+from oracles import spp_loop
 
 from repro import analyze_latency, analyze_twca
 from repro.sim import (Simulator, randomized_activations,
@@ -17,11 +18,12 @@ from repro.synth import (GeneratorConfig, figure4_system,
 @pytest.fixture(autouse=True, params=("numpy", "python"))
 def sim_kernel(request, monkeypatch):
     """Every soundness check runs once per simulation path: the numpy
-    calendar behind ``Simulator.run`` and the scalar event loop over
-    the whole horizon.  The analytical bounds must hold for the
-    (identical) traces of both."""
+    calendar behind ``Simulator.run``, and the scalar event loop over
+    the whole horizon (``oracles.spp_loop.whole_horizon``), whose
+    records the oracle queries one by one.  The analytical bounds must
+    hold for the (identical) traces of both."""
     if request.param == "python":
-        monkeypatch.setattr(Simulator, "run", Simulator._run_python)
+        monkeypatch.setattr(Simulator, "run", spp_loop.whole_horizon)
     yield request.param
 
 
