@@ -1,10 +1,12 @@
 """Drive the `repro serve` analysis daemon end-to-end with urllib.
 
-The daemon keeps systems and results hot across requests: the first
+The daemon keeps its results hot across requests: the first
 ``POST /analyze`` of a system pays the cold analysis, every identical
 request after that is served whole from the warm ``jobs`` cache —
 ``GET /cache/stats`` shows the ``jobs`` hits climbing while the
-``jobs`` misses stand still (nothing analyzed again).
+``jobs`` misses stand still (nothing analyzed again).  Every request
+carries its system inline; the cache is keyed by the system's content,
+so re-sending it is all a warm request needs.
 
 By default the script starts a private in-process daemon on a free
 port, so it is runnable standalone::
@@ -57,8 +59,8 @@ def main(base_url: str = None) -> None:
 
     system = system_to_dict(figure4_system(calibrated=True))
 
-    # 1. Cold analyze: the system travels inline; the daemon registers
-    #    it under its content digest and analyzes chain sigma_c.
+    # 1. Cold analyze: the system travels inline, and the daemon
+    #    analyzes chain sigma_c.
     request = {"system": system, "chain": "sigma_c", "ks": [3, 76, 250]}
     started = time.perf_counter()
     cold = post(base_url, "/analyze", request)
@@ -66,35 +68,31 @@ def main(base_url: str = None) -> None:
     job = cold["jobs"][0]
     print(f"cold analyze ({cold_s:.3f}s): {job['status']}, dmm={job['dmm']}")
 
-    # 2. Warm analyze: byte-identical answer, zero recomputation.  The
-    #    system can now be referenced by digest alone — no payload.
-    by_digest = dict(request, system_digest=cold["system_digest"])
-    by_digest.pop("system")
+    # 2. Warm analyze: the same request again.  Byte-identical answer,
+    #    served from the jobs cache: the jobs misses stand still.
+    misses = get(base_url, "/cache/stats")["cache"]["jobs"]["misses"]
     started = time.perf_counter()
-    warm = post(base_url, "/analyze", by_digest)
+    warm = post(base_url, "/analyze", request)
     warm_s = time.perf_counter() - started
-    assert warm["jobs"] == cold["jobs"], "warm response must be identical"
-    print(f"warm analyze ({warm_s:.3f}s): identical jobs, by digest only")
+    assert warm == cold, "warm response must be identical"
+    new_misses = get(base_url, "/cache/stats")["cache"]["jobs"]["misses"] - misses
+    assert new_misses == 0, "a warm repeat must analyze nothing"
+    print(f"warm analyze ({warm_s:.3f}s): identical jobs, {new_misses} new jobs misses")
 
-    # 3. Every chain, by digest: without "chain" the daemon analyzes
-    #    each typical chain with a deadline of the warm system; the
-    #    sigma_c result of step 1 is served from the cache.
-    both = post(
-        base_url,
-        "/analyze",
-        {"system_digest": cold["system_digest"], "ks": [3, 76, 250]},
-    )
+    # 3. Every chain: without "chain" the daemon analyzes each typical
+    #    chain with a deadline; the sigma_c result of step 1 is served
+    #    from the cache.
+    both = post(base_url, "/analyze", {"system": system, "ks": [3, 76, 250]})
     chains = [job["chain"] for job in both["jobs"]]
     print(f"both chains: {chains}, statuses {both['status_counts']}")
 
-    # 4. The warm-state ledger.
+    # 4. The ledger.
     stats = get(base_url, "/cache/stats")
     service = stats["service"]
-    jobs_cache = stats["cache"].get("jobs", {})
+    jobs_cache = stats["cache"]["jobs"]
     print(
-        f"stats: {service['requests']} requests, {service['computes']} computes, "
-        f"{service['systems']} warm system(s); "
-        f"jobs cache {jobs_cache.get('hits', 0)}h/{jobs_cache.get('misses', 0)}m"
+        f"stats: {service['requests']} requests, {service['computes']} computes; "
+        f"jobs cache {jobs_cache['hits']}h/{jobs_cache['misses']}m"
     )
 
     if server is not None:

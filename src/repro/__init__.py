@@ -36,7 +36,7 @@ from .runner import (AnalysisCache, AnalysisJob, BatchExecutionError,
                      BatchResult, BatchRunner, JobResult)
 from .service import (AnalysisOptions, AnalysisRequest, AnalysisResponse,
                       AnalysisService, RequestError, ServiceClient,
-                      ServiceError, UnknownSystemError)
+                      ServiceError)
 from . import api
 
 __version__ = "1.3.0"
@@ -66,5 +66,4 @@ __all__ = [
     # service
     "AnalysisOptions", "AnalysisRequest", "AnalysisResponse",
     "AnalysisService", "RequestError", "ServiceClient", "ServiceError",
-    "UnknownSystemError",
 ]

@@ -41,7 +41,6 @@ from .service import (
     RequestError,
     ServiceClient,
     ServiceError,
-    UnknownSystemError,
     serve_forever,
     start_server,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "RequestError",
     "ServiceClient",
     "ServiceError",
-    "UnknownSystemError",
     "serve_forever",
     "start_server",
 ]

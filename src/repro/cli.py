@@ -18,11 +18,12 @@ Subcommands::
         alias, and ``--shards``/``--server`` are second spellings of
         ``--workers``/``--worker``.
     repro serve [--host H] [--port P] [--workers N]
-        Long-lived analysis daemon (HTTP/JSON): keeps systems and
-        caches hot across requests and runs up to N computes
-        concurrently; see POST /analyze, POST /shard/run (the chunk
-        route of ``batch --worker URL``), GET /cache/stats,
-        GET /healthz.  ``repro shard-worker`` is an alias.
+        Long-lived analysis daemon (HTTP/JSON): keeps its job cache
+        hot across requests and runs up to N computes concurrently;
+        each request carries its system inline.  See POST /analyze,
+        POST /shard/run (the chunk route of ``batch --worker URL``),
+        GET /cache/stats, GET /healthz.  ``repro shard-worker`` is an
+        alias.
     repro corpus {generate,verify}
         Seeded benchmark corpora: generate a reproducible population
         of systems (same seed, same manifest digest — on any host)
@@ -771,9 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         aliases=["shard-worker"],
-        help="long-lived analysis daemon keeping systems and caches "
-        "hot across HTTP/JSON requests (also the remote worker of "
-        "`repro batch --worker URL`)",
+        help="long-lived analysis daemon keeping its job cache hot "
+        "across HTTP/JSON requests, each carrying its system inline "
+        "(also the remote worker of `repro batch --worker URL`)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787)

@@ -4,9 +4,9 @@ Two layers:
 
 * :class:`AnalysisService` — the in-process facade.  Typed
   :class:`AnalysisRequest` / :class:`AnalysisResponse` dataclasses wrap
-  per-chain TWCA jobs behind one entrypoint that owns warm state:
-  loaded systems keyed by content digest and the (optionally
-  persistent) result cache.
+  per-chain TWCA jobs behind one entrypoint whose only warm state is
+  the (optionally persistent) result cache, keyed by each system's
+  content digest.  Every request carries its system inline.
 * ``repro serve`` — a stdlib HTTP/JSON server (:func:`serve_forever`,
   :func:`start_server`) exposing ``POST /analyze``,
   ``POST /shard/run``, ``GET /cache/stats`` and ``GET /healthz``.
@@ -27,7 +27,6 @@ from .api import (
     AnalysisRequest,
     AnalysisResponse,
     RequestError,
-    UnknownSystemError,
 )
 from .core import AnalysisService
 from .http import (
@@ -49,7 +48,6 @@ __all__ = [
     "RequestError",
     "ServiceClient",
     "ServiceError",
-    "UnknownSystemError",
     "serve_forever",
     "start_server",
 ]

@@ -4,25 +4,20 @@ invocation.
 
 :class:`AnalysisService` runs per-chain TWCA jobs
 (:func:`repro.runner.jobs.run_chain_job`) and chunks of pre-built batch
-jobs behind one request/response entrypoint and keeps two kinds of
-state hot across calls:
-
-* **loaded systems**, keyed by content digest — a client can send a
-  system once and reference it by digest forever after.  A wire request
-  registers the system its ``from_dict`` parsed (no second parse);
-* **the result cache** (in-memory, or persistent under
-  ``options.cache_dir``) — whole job results keyed by job content
-  identity, so a repeated request analyzes nothing.
+jobs behind one request/response entrypoint.  Its one piece of warm
+state is **the result cache** (in-memory, or persistent under
+``options.cache_dir``): whole job results keyed by job content
+identity, whose first part is the system's content digest.  A job's
+result depends only on that content, so a repeated request analyzes
+nothing, and the service keeps no system once its request is answered.
 
 Concurrency model: the service is thread-safe and built for the
 threaded HTTP front.  Every request is one compute on a bounded
 :class:`~concurrent.futures.ThreadPoolExecutor` (``workers``, surfaced
-as ``repro serve --workers``), and computes genuinely overlap:
-concurrent analyses share only the registered systems, whose lazily
-built state (compiled staircase kernels, cached chain constants) comes
-out the same whichever request builds it, the shared
-:class:`~repro.runner.cache.AnalysisCache` is locked internally, and
-each job records its own cache lookup outcome — so nothing is
+as ``repro serve --workers``), and computes genuinely overlap: each
+analyzes its own parsed system, and they share only the
+:class:`~repro.runner.cache.AnalysisCache`, which is locked internally.
+Each job records its own cache lookup outcome — so nothing is
 serialized globally, no request changes process-global state, and the
 per-job cache records of overlapping computes still sum to the cache's
 own counters.  A repeated request is answered by the cache: one that
@@ -32,12 +27,12 @@ its own compute starts.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..model import System
 from ..model.serialization import system_from_json
 from ..runner.batch import BatchExecutionError, _build_cache, execute_jobs
 from ..runner.cache import AnalysisCache
@@ -47,17 +42,11 @@ from ..runner.jobs import (
     default_chain_names,
     run_chain_job,
 )
-from .api import (
-    AnalysisOptions,
-    AnalysisRequest,
-    AnalysisResponse,
-    RequestError,
-    UnknownSystemError,
-)
+from .api import AnalysisOptions, AnalysisRequest, AnalysisResponse, RequestError
 
 
 class AnalysisService:
-    """Long-lived analysis facade with warm systems and caches.
+    """Long-lived analysis facade over one result cache.
 
     Parameters
     ----------
@@ -89,7 +78,6 @@ class AnalysisService:
             self.cache: Optional[AnalysisCache] = cache
         else:
             self.cache = _build_cache(self.options.use_cache, self.options.cache_dir)
-        self._systems: Dict[str, System] = {}
         self._lock = threading.Lock()
         # Threads spawn lazily on first submit, so a service that
         # never computes never pays for the pool.
@@ -103,7 +91,7 @@ class AnalysisService:
     def close(self) -> None:
         """Shut the compute pool down (idempotent).  In-flight computes
         finish; the service stays usable for everything that does not
-        need the pool (registry, stats)."""
+        need the pool (stats)."""
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "AnalysisService":
@@ -111,42 +99,6 @@ class AnalysisService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Warm system registry
-    # ------------------------------------------------------------------
-    def register_system(self, system: System) -> str:
-        """Keep ``system`` warm and return its content digest — the
-        handle later requests can pass as ``system_digest``."""
-        digest = system.content_digest()
-        with self._lock:
-            self._systems[digest] = system
-        return digest
-
-    def system_for(self, request: AnalysisRequest) -> System:
-        """Resolve the request's system: the warm instance when the
-        digest is known, else register the inline payload (the system
-        :meth:`AnalysisRequest.from_dict` parsed, or a parse).
-        :class:`UnknownSystemError` for an unregistered reference."""
-        digest = request.system_identity
-        with self._lock:
-            system = self._systems.get(digest)
-        if system is not None:
-            return system
-        if request.system_json is None:
-            raise UnknownSystemError(
-                f"unknown system_digest {request.system_digest!r}; "
-                "send the request once with the system inline to register it"
-            )
-        system = getattr(request, "_system", None)
-        if system is None:
-            system = system_from_json(request.system_json)
-        # The request carries the canonical serialization, so the digest
-        # is already content-true; seed it to skip the re-hash.
-        system.__dict__["_content_digest"] = digest
-        with self._lock:
-            self._systems[digest] = system
-        return system
 
     # ------------------------------------------------------------------
     # The request/response entrypoint
@@ -157,17 +109,15 @@ class AnalysisService:
         HTTP threads pile in."""
         with self._lock:
             self.counters["requests"] += 1
-        system_digest, jobs = self._executor.submit(self._execute, request).result()
-        return AnalysisResponse(
-            request_digest=request.digest, system_digest=system_digest, jobs=jobs
-        )
+        system_digest, jobs = self._compute(self._execute, request)
+        return AnalysisResponse(system_digest=system_digest, jobs=jobs)
 
     def run_jobs(self, jobs: Sequence[AnalysisJob]) -> List[JobResult]:
         """Execute pre-built :class:`AnalysisJob` units under the
         service cache — the ``POST /shard/run`` compute path.
 
         Jobs carry all their own parameters (the coordinator built
-        them), so unlike :meth:`analyze` there is no request resolution:
+        them), so unlike :meth:`analyze` there is no chain selection:
         the chunk runs as one compute on the pool, through the serial
         runner's loop (:func:`~repro.runner.batch.execute_jobs`, one
         parse per system), and the results come back in submission
@@ -182,10 +132,8 @@ class AnalysisService:
             raise RequestError("shard run requires at least one job")
         with self._lock:
             self.counters["requests"] += 1
-            self.counters["computes"] += 1
-            self._executing += 1
         try:
-            return self._executor.submit(execute_jobs, jobs, self.cache).result()
+            return self._compute(execute_jobs, jobs, self.cache)
         except BatchExecutionError as exc:
             job, cause, system = exc.job, exc.cause, exc.system
             if system is None and isinstance(
@@ -200,16 +148,38 @@ class AnalysisService:
                     f"system {system.name!r}"
                 ) from cause
             raise cause from None
-        finally:
+
+    def _compute(self, work: Callable[..., Any], *args: Any) -> Any:
+        """Run ``work(*args)`` as one compute on the bounded pool.  The
+        one definition of ``computes`` and ``inflight`` for both routes:
+        a compute counts from when it starts on a pool thread, not
+        while it waits in the pool's queue."""
+
+        def counted() -> Any:
             with self._lock:
-                self._executing -= 1
+                self.counters["computes"] += 1
+                self._executing += 1
+            try:
+                return work(*args)
+            finally:
+                with self._lock:
+                    self._executing -= 1
+
+        return self._executor.submit(counted).result()
 
     def _execute(self, request: AnalysisRequest) -> Tuple[str, List[JobResult]]:
-        """One actual compute: resolve the system, select the chains,
-        run the per-chain jobs under the service cache.  Runs on the
-        compute pool; overlapping computes are safe — see the module
+        """One actual compute: parse the system, select the chains, run
+        the per-chain jobs under the service cache.  Runs on the compute
+        pool; overlapping computes are safe — see the module
         docstring."""
-        system = self.system_for(request)
+        # A wire request carries the system its from_dict parsed.
+        system = getattr(request, "_system", None)
+        if system is None:
+            system = system_from_json(request.system_json)
+        # ``system_json`` is the canonical serialization, so its hash is
+        # the content digest; seed it to skip the re-serialization.
+        digest = hashlib.sha256(request.system_json.encode("utf-8")).hexdigest()
+        system.__dict__["_content_digest"] = digest
         if request.chain is not None:
             if request.chain not in system:
                 raise RequestError(
@@ -222,25 +192,18 @@ class AnalysisService:
             names = default_chain_names(system)
         cache = self.cache if request.use_cache else None
         label = request.label or system.name
-        with self._lock:
-            self.counters["computes"] += 1
-            self._executing += 1
-        try:
-            jobs = [
-                run_chain_job(
-                    system,
-                    name,
-                    ks=request.ks,
-                    enumeration=request.enumeration,
-                    label=label,
-                    cache=cache,
-                )
-                for name in names
-            ]
-        finally:
-            with self._lock:
-                self._executing -= 1
-        return system.content_digest(), jobs
+        jobs = [
+            run_chain_job(
+                system,
+                name,
+                ks=request.ks,
+                enumeration=request.enumeration,
+                label=label,
+                cache=cache,
+            )
+            for name in names
+        ]
+        return digest, jobs
 
     # ------------------------------------------------------------------
     # Observability
@@ -252,12 +215,12 @@ class AnalysisService:
         executing right now (``inflight``)."""
         with self._lock:
             service: Dict[str, Any] = dict(self.counters)
-            # The service neither coalesces nor merges requests; these
-            # keys read 0 and stay because perfbench's traced run
-            # reads them.
+            # The service neither coalesces nor merges requests, nor
+            # keeps systems; these keys read 0 and stay because
+            # perfbench's traced run reads them.
             service["coalesced"] = 0
             service["merged"] = 0
-            service["systems"] = len(self._systems)
+            service["systems"] = 0
             service["workers"] = self.workers
             service["inflight"] = self._executing
         service["uptime"] = time.time() - self.started_at

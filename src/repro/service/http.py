@@ -4,7 +4,7 @@
 :class:`~repro.service.core.AnalysisService`, exposing:
 
 * ``POST /analyze`` — one :class:`~repro.service.api.AnalysisRequest`
-  body; the response is the deterministic
+  body, its system always inline; the response is the deterministic
   :class:`~repro.service.api.AnalysisResponse` payload.
 * ``POST /shard/run`` — ``{"jobs": [...]}`` of
   :class:`~repro.runner.jobs.AnalysisJob` wire dicts; the response is
@@ -13,12 +13,16 @@
   (``repro batch --worker URL``); ``repro shard-worker`` is an alias
   of ``repro serve``.
 * ``GET /cache/stats`` — the result cache's counters (``{"jobs": ...}``)
-  plus service request accounting (requests, computes, systems).
+  plus service request accounting (requests, computes, the pool bound
+  and the computes in flight).
 * ``GET /healthz`` — liveness and version.
 
 Malformed requests are answered with structured ``400`` bodies
 (``{"error": ...}``); unknown paths with ``404``; anything else that
-escapes the service is a ``500`` naming the exception.
+escapes the service is a ``500`` naming the exception.  A connection
+that stays silent for :attr:`AnalysisRequestHandler.timeout` seconds —
+idle between requests, or stalled inside one — is closed, which frees
+its handler thread.
 
 :class:`ServiceClient` is the matching ``urllib`` client used by the
 CLI's ``--server`` mode and :mod:`examples.serve_client`.
@@ -41,6 +45,10 @@ from ..runner.retry import NO_RETRY, RetryPolicy
 from .api import AnalysisOptions, AnalysisRequest, RequestError
 from .core import AnalysisService
 
+#: Bytes per read of a request body: the declared ``Content-Length``
+#: is only a bound, so a huge declaration allocates nothing up front.
+BODY_PIECE = 64 * 1024
+
 
 class AnalysisRequestHandler(BaseHTTPRequestHandler):
     """Request/response plumbing only: parse, dispatch to the service,
@@ -52,6 +60,11 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
     # body waits for the client's delayed ACK on a kept-alive
     # connection (~40 ms per request).
     disable_nagle_algorithm = True
+    # Seconds any socket read or write may wait.  A handler thread
+    # lives as long as its connection, so a client that goes silent —
+    # idle on a kept-alive connection, or stalled mid-body — must not
+    # pin one forever.  Tests lower it.
+    timeout = 30.0
 
     @property
     def service(self) -> AnalysisService:
@@ -113,8 +126,10 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes:
         """The validated request body: ``Content-Length`` must be a
         non-negative integer and the connection must actually deliver
-        that many bytes — a short read (client died mid-upload) is a
-        structured 400, not a confusing truncated-JSON parse error."""
+        that many bytes — a short read (the client died mid-upload, or
+        stalled longer than :attr:`timeout`) is a structured 400, not a
+        confusing truncated-JSON parse error, and closes the
+        connection.  The body is read in :data:`BODY_PIECE` pieces."""
         length = self.headers.get("Content-Length")
         if length is None:
             raise RequestError("missing Content-Length header")
@@ -124,13 +139,26 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
             raise RequestError(f"bad Content-Length: {length!r}") from exc
         if expected < 0:
             raise RequestError(f"bad Content-Length: {length!r} (negative)")
-        raw = self.rfile.read(expected)
-        if len(raw) < expected:
+        pieces: List[bytes] = []
+        received = 0
+        try:
+            while received < expected:
+                piece = self.rfile.read(min(expected - received, BODY_PIECE))
+                if not piece:
+                    break
+                pieces.append(piece)
+                received += len(piece)
+        except TimeoutError:
+            pass  # a stall past the socket timeout ends the body early
+        if received < expected:
+            # The rest of the body may still arrive; it must not be
+            # read as the next request.
+            self.close_connection = True
             raise RequestError(
                 f"short request body: Content-Length declared {expected} "
-                f"bytes but only {len(raw)} arrived"
+                f"bytes but only {received} arrived"
             )
-        return raw
+        return b"".join(pieces)
 
     def _read_json(self) -> Any:
         try:

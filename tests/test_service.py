@@ -2,6 +2,7 @@
 in-process facade's warm state, the HTTP daemon and CLI-vs-server
 export equality."""
 
+import gc
 import http.client
 import importlib.util
 import json
@@ -11,24 +12,26 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
+import repro.service.api as service_api
 from repro.cli import main
 from repro.model.serialization import system_to_json
 from repro.runner import BatchResult, BatchRunner
 from repro.service import (
     AnalysisOptions,
     AnalysisRequest,
+    AnalysisRequestHandler,
     AnalysisService,
     RequestError,
     ServiceClient,
     ServiceError,
-    UnknownSystemError,
     start_server,
 )
 from repro.synth import figure4_system
-from repro.synth.corpus import CorpusSpec, generate_corpus
+from repro.synth.corpus import CorpusSpec, generate_corpus, generate_entry
 
 
 @pytest.fixture()
@@ -65,46 +68,37 @@ def _post_raw(url, path, body, content_type="application/json"):
         return exc.code, dict(exc.headers), exc.read().decode()
 
 
+#: A valid inline system for request-validation cases.
+SYSTEM = {"system": system_to_json(figure4_system())}
+
+
 class TestRequestValidation:
-    def test_round_trip_preserves_digest(self, system):
+    def test_round_trip_preserves_digest(self, service, system):
+        """A request survives its wire form field for field, and the
+        service answers it for the same system content."""
         request = AnalysisRequest.from_system(
             system, chain="sigma_c", ks=(3, 76), label="case"
         )
         clone = AnalysisRequest.from_dict(request.to_dict())
         assert clone == request
-        assert clone.digest == request.digest
-
-    def test_inline_and_by_digest_share_identity(self, system):
-        inline = AnalysisRequest.from_system(system, chain="sigma_c")
-        by_ref = AnalysisRequest(
-            system_digest=system.content_digest(), chain="sigma_c"
-        )
-        assert inline.system_identity == by_ref.system_identity
-        assert inline.digest == by_ref.digest
-
-    def test_digest_covers_ks_and_chain(self, system):
-        a = AnalysisRequest.from_system(system, chain="sigma_c", ks=(3,))
-        b = AnalysisRequest.from_system(system, chain="sigma_c", ks=(76, 250))
-        c = AnalysisRequest.from_system(system, chain="sigma_d", ks=(3,))
-        assert a.digest != b.digest
-        assert a.digest != c.digest
+        assert service.analyze(clone).system_digest == system.content_digest()
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({}, "exactly one of"),
+            ({}, "'system' is required"),
             ({"system": 5}, "'system' must be"),
             ({"system": "{broken", "chain": "c"}, "not valid JSON"),
             ({"system": {"nope": 1}}, "invalid system"),
-            ({"system_digest": "d", "ks": []}, "at least one"),
-            ({"system_digest": "d", "ks": [0]}, ">= 1"),
-            ({"system_digest": "d", "ks": 3}, "'ks' must be a list"),
-            ({"system_digest": "d", "backend": "dp"}, "unknown request"),
-            ({"system_digest": "d", "enumeration": "eager"}, "unknown enumeration"),
-            ({"system_digest": "d", "kernel": "numpy"}, "unknown request fields"),
-            ({"system_digest": "d", "chain": ""}, "'chain' must be"),
-            ({"system_digest": "d", "use_cache": "yes"}, "'use_cache'"),
-            ({"system_digest": "d", "surprise": 1}, "unknown request fields"),
+            (dict(SYSTEM, ks=[]), "at least one"),
+            (dict(SYSTEM, ks=[0]), ">= 1"),
+            (dict(SYSTEM, ks=3), "'ks' must be a list"),
+            (dict(SYSTEM, backend="dp"), "unknown request"),
+            (dict(SYSTEM, enumeration="eager"), "unknown enumeration"),
+            (dict(SYSTEM, kernel="numpy"), "unknown request fields"),
+            (dict(SYSTEM, chain=""), "'chain' must be"),
+            (dict(SYSTEM, use_cache="yes"), "'use_cache'"),
+            (dict(SYSTEM, surprise=1), "unknown request fields"),
         ],
     )
     def test_malformed_requests_rejected(self, data, message):
@@ -112,10 +106,14 @@ class TestRequestValidation:
             AnalysisRequest.from_dict(data)
 
     def test_both_system_forms_rejected(self, system):
-        with pytest.raises(RequestError, match="exactly one"):
-            AnalysisRequest(
-                system_json=system_to_json(system), system_digest="abc"
-            )
+        """The system travels inline only: a ``system_digest`` beside it
+        is an unknown field, not a second identity."""
+        body = dict(
+            AnalysisRequest.from_system(system).to_dict(),
+            system_digest=system.content_digest(),
+        )
+        with pytest.raises(RequestError, match=r"\['system_digest'\]"):
+            AnalysisRequest.from_dict(body)
 
 
 class TestAnalysisService:
@@ -145,17 +143,14 @@ class TestAnalysisService:
         assert after["jobs"]["hits"] == stats["jobs"]["hits"] + 1
         assert after["jobs"]["misses"] == stats["jobs"]["misses"]
 
-    def test_unknown_system_digest(self, service):
-        with pytest.raises(UnknownSystemError, match="unknown system_digest"):
-            service.analyze(AnalysisRequest(system_digest="0" * 64))
-
-    def test_register_system_enables_by_digest_requests(self, service, system):
-        digest = service.register_system(system)
-        response = service.analyze(
-            AnalysisRequest(system_digest=digest, chain="sigma_c", ks=(3,))
-        )
-        assert response.jobs[0].dmm == {3: 3}
-        assert response.system_digest == digest
+    def test_unknown_system_digest(self, service, system):
+        """A system's digest is no handle, not even right after the
+        service analyzed it: ``system_digest`` is an unknown field."""
+        request = AnalysisRequest.from_system(system, chain="sigma_c", ks=(3,))
+        digest = service.analyze(request).system_digest
+        body = {"system_digest": digest, "chain": "sigma_c", "ks": [3]}
+        with pytest.raises(RequestError, match=r"\['system_digest'\]"):
+            AnalysisRequest.from_dict(body)
 
     def test_unknown_chain_is_a_request_error(self, service, system):
         with pytest.raises(RequestError, match="no chain named"):
@@ -269,11 +264,45 @@ class TestHttpServer:
         assert "wcet must be finite" in json.loads(text)["error"]
 
     def test_unknown_system_digest_is_a_400(self, server):
-        status, _, text = _post_raw(
-            server.url, "/analyze", {"system_digest": "f" * 64}
-        )
-        assert status == 400
-        assert "unknown system_digest" in json.loads(text)["error"]
+        """Every ``/analyze`` request carries its system inline: a
+        by-digest body names ``system_digest`` as an unknown field, and
+        a body without ``system`` is a 400 too."""
+        for body, error in (
+            ({"system_digest": "f" * 64}, "unknown request fields: ['system_digest']"),
+            ({"chain": "sigma_c"}, "'system' is required"),
+        ):
+            status, _, text = _post_raw(server.url, "/analyze", body)
+            assert status == 400
+            assert error in json.loads(text)["error"]
+
+    def test_no_system_outlives_its_response(self, server, monkeypatch):
+        """The daemon keeps no system between requests: once each of 50
+        distinct inline requests is answered, the system its body
+        parsed is garbage."""
+        parsed = []
+        original = service_api.system_from_dict
+
+        def recorded(data):
+            system = original(data)
+            parsed.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(service_api, "system_from_dict", recorded)
+        spec = CorpusSpec(count=50, seed=2017)
+        bodies = [
+            AnalysisRequest.from_system(generate_entry(spec, index)).to_dict()
+            for index in range(spec.count)
+        ]
+        for index, body in enumerate(bodies):
+            status, _, _ = _post_raw(server.url, "/analyze", body)
+            assert status == 200
+            assert len(parsed) == index + 1
+            # The handler thread may still be unwinding its frame.
+            deadline = time.monotonic() + 5
+            while parsed[-1]() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.01)
+            assert parsed[-1]() is None, f"request {index}'s system is alive"
 
     def test_unknown_paths_are_404(self, server):
         client = ServiceClient(server.url)
@@ -361,6 +390,67 @@ class TestHttpServer:
         error = json.loads(text)["error"]
         assert "short request body" in error
         assert "4096" in error
+
+    def test_huge_declared_length_is_a_400(self, server):
+        """A declared length is only a bound: a 10^12-byte declaration
+        with a 2-byte body is the same structured 400 as a short body
+        (no up-front allocation of the declared size), and the daemon
+        answers the next request."""
+        status, text = self._raw_http(
+            server,
+            b"POST /analyze HTTP/1.1\r\n"
+            b"Host: test\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 1000000000000\r\nConnection: close\r\n",
+            body=b"{}",
+            cut_body=True,
+        )
+        assert status == 400
+        error = json.loads(text)["error"]
+        assert "short request body" in error
+        assert "1000000000000" in error
+        assert ServiceClient(server.url).health()["status"] == "ok"
+
+    def test_stalled_body_is_a_400(self, server, monkeypatch):
+        """A client that stops partway through its body, without
+        hanging up, gets the short-body 400 once the handler's socket
+        timeout passes, and its connection is closed."""
+        monkeypatch.setattr(AnalysisRequestHandler, "timeout", 0.5)
+        status, text = self._raw_http(
+            server,
+            b"POST /analyze HTTP/1.1\r\n"
+            b"Host: test\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 4096\r\n",
+            body=b'{"chain": "sig',
+        )
+        assert status == 400
+        assert "short request body" in json.loads(text)["error"]
+
+    def test_idle_connections_close_and_free_their_threads(self, server, monkeypatch):
+        """A connection that sends nothing is closed after the handler's
+        socket timeout, and its handler thread ends with it."""
+        # The daemon's own timeout is finite; the test only shortens it.
+        assert 0 < AnalysisRequestHandler.timeout < float("inf")
+        monkeypatch.setattr(AnalysisRequestHandler, "timeout", 0.5)
+
+        def handler_threads():
+            return sum(
+                "process_request_thread" in thread.name
+                for thread in threading.enumerate()
+            )
+
+        baseline = handler_threads()
+        host, port = server.server_address[:2]
+        sockets = [socket.create_connection((host, port), timeout=10) for _ in range(5)]
+        try:
+            for sock in sockets:
+                assert sock.recv(1) == b"", "the daemon kept an idle connection"
+        finally:
+            for sock in sockets:
+                sock.close()
+        deadline = time.monotonic() + 10
+        while handler_threads() > baseline and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert handler_threads() <= baseline
 
     def test_identical_concurrent_requests_one_analysis(
         self, server, service, system, monkeypatch
@@ -563,5 +653,6 @@ def test_serve_client_example_runs(capsys):
     spec.loader.exec_module(module)
     module.main()
     out = capsys.readouterr().out
+    assert "warm analyze" in out and "0 new jobs misses" in out
     assert "both chains: ['sigma_d', 'sigma_c']" in out
-    assert "stats: 3 requests, 3 computes, 1 warm system(s)" in out
+    assert "stats: 3 requests, 3 computes; jobs cache 2h/2m" in out

@@ -7,9 +7,11 @@ sum to the shared cache's counters."""
 import json
 import sys
 import threading
+import time
 
 import pytest
 
+import repro.service.core as service_core
 from repro.runner import AnalysisCache, BatchRunner, job_result_key, merge_stats
 from repro.service import AnalysisRequest, AnalysisService, ServiceClient, start_server
 from repro.synth import figure4_system, labeled_random_systems
@@ -94,6 +96,43 @@ class TestServiceConcurrency:
             fire_threads(worker, WORKERS)
             assert service.counters["computes"] == WORKERS
         assert len(set(payloads)) == 1
+
+    def test_queued_chunk_is_neither_computing_nor_in_flight(self, monkeypatch):
+        """``computes`` and ``inflight`` mean the same on both routes: a
+        compute counts once it starts on a pool thread.  With one worker
+        held inside an ``/analyze`` compute, a ``/shard/run`` chunk
+        queued behind it is a request, not a compute."""
+        entered, release = threading.Event(), threading.Event()
+        original = service_core.run_chain_job
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert release.wait(30), "test never released the compute"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service_core, "run_chain_job", gated)
+        request = distinct_requests(1)[0]
+        chunk = BatchRunner(ks=KS).jobs_for([figure4_system()])
+        with AnalysisService(workers=1) as service:
+            threads = [
+                threading.Thread(target=service.analyze, args=(request,)),
+                threading.Thread(target=service.run_jobs, args=(chunk,)),
+            ]
+            threads[0].start()
+            assert entered.wait(30), "the analyze compute never started"
+            threads[1].start()
+            deadline = time.monotonic() + 30
+            while service.counters["requests"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            held = service.cache_stats()["service"]
+            release.set()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            drained = service.cache_stats()["service"]
+        counters = ("requests", "computes", "inflight")
+        assert [held[name] for name in counters] == [2, 1, 1]
+        assert [drained[name] for name in counters] == [2, 2, 0]
 
     def test_workers_validated_and_surfaced(self):
         with pytest.raises(ValueError, match="workers"):

@@ -12,7 +12,7 @@
   the shard failure names the job;
 * one weakly-hard ``analyze_twca`` builds one interference structure
   from scratch and derives the typical one from it;
-* the daemon registers the system a wire request's ``from_dict``
+* the daemon analyzes the system a wire request's ``from_dict``
   parsed, without parsing it again.
 """
 
@@ -242,29 +242,37 @@ def service_parses(monkeypatch):
 
 
 class TestServiceParsesOnce:
-    def test_wire_request_registers_its_parse(self, service_parses):
+    def test_wire_request_analyzes_its_parse(self, service_parses, monkeypatch):
+        analyzed = []
+        original = service_core.run_chain_job
+
+        def recorded(system, *args, **kwargs):
+            analyzed.append(system)
+            return original(system, *args, **kwargs)
+
+        monkeypatch.setattr(service_core, "run_chain_job", recorded)
         system = figure4_system()
         wire = AnalysisRequest.from_system(system).to_dict()
         request = AnalysisRequest.from_dict(wire)
         with AnalysisService() as service:
-            registered = service.system_for(request)
-            assert service_parses == []
-            assert registered.content_digest() == request.system_identity
-            assert registered.content_digest() == system.content_digest()
-            assert service.system_for(request) is registered
+            response = service.analyze(request)
+        assert service_parses == []
+        assert len(analyzed) == 2
+        assert all(parsed is request._system for parsed in analyzed)
+        assert response.system_digest == system.content_digest()
 
-    def test_in_process_request_parses_on_registration(self, service_parses):
+    def test_in_process_request_parses_once(self, service_parses):
         request = AnalysisRequest.from_system(figure4_system())
         with AnalysisService() as service:
-            service.system_for(request)
+            response = service.analyze(request)
         assert len(service_parses) == 1
+        assert response.job_count == 2
 
     def test_request_identity_unchanged(self):
         system = figure4_system()
         built = AnalysisRequest.from_system(system, ks=(3, 76))
         wire = AnalysisRequest.from_dict(built.to_dict())
         assert wire == built
-        assert wire.digest == built.digest
         assert wire.to_dict() == built.to_dict()
         assert pickle.dumps(wire) == pickle.dumps(built)
         assert pickle.loads(pickle.dumps(wire)) == built
