@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.analysis import (active_segments, enumerate_combinations,
+from repro.analysis import (active_segments, iter_combinations,
                             overload_active_segments, segments)
 from repro.synth import figure1_system
 
@@ -23,8 +23,8 @@ def compute_structures():
         "segments": [s.task_names for s in segments(sigma_a, sigma_b)],
         "active": [s.task_names
                    for s in active_segments(sigma_a, sigma_b)],
-        "combinations": enumerate_combinations(
-            overload_active_segments(system, sigma_b)),
+        "combinations": list(iter_combinations(
+            overload_active_segments(system, sigma_b))),
     }
 
 

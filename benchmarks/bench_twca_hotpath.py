@@ -2,6 +2,10 @@
 enumeration, cold vs warm-started fixed points, and ``criterion_load``
 window scans.
 
+The exhaustive side is the test oracle
+``oracles.combinations.exhaustive_twca``: the analysis' own Steps 1-4,
+then every combination materialized and classified one by one.
+
 This is the running entry in the perf trajectory started by PR 3: it
 measures the compounding optimisations of the combination-schedulability
 pipeline (lazy dominance-pruned enumeration, signature-memoized exact
@@ -41,9 +45,9 @@ Gates (0 disables each):
   activations) >= 3x faster than the scalar event loop, with identical
   latencies, miss flags, (m,k) windows and busy windows at full scale
   and byte-identical trace exports on a sub-run;
-* DMM curves and deterministic batch exports must be byte-identical
-  between the optimized and the reference paths (always asserted —
-  identity is never noise).
+* DMM curves must be identical between the optimized path and the
+  oracle, and the pruned batch export must carry the oracle's status,
+  counts and DMM (always asserted — identity is never noise).
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ import time
 from pathlib import Path
 
 from conftest import run_once
+from oracles.combinations import exhaustive_twca
 from oracles.spp_loop import whole_horizon
 
 from repro import PeriodicModel, SporadicModel, SystemBuilder, analyze_twca
@@ -378,30 +383,30 @@ def run_hotpath(tmp_base: Path):
     chain = system["victim"]
 
     pruned, pruned_s = time_once(lambda: analyze_twca(system, chain))
-    exhaustive, exhaustive_s = time_once(
-        lambda: analyze_twca(
-            system, chain, enumeration="exhaustive", max_combinations=200_000
-        )
-    )
+    exhaustive, exhaustive_s = time_once(lambda: exhaustive_twca(system, chain))
     pruned_dmm, pruned_dmm_s = time_once(lambda: pruned.dmm_curve(KS))
     eager_dmm, eager_dmm_s = time_once(lambda: exhaustive.dmm_curve(KS))
     assert pruned_dmm == eager_dmm, "DMM curves diverged between modes"
     assert pruned.combination_count == exhaustive.combination_count >= 10_000
     assert pruned.unschedulable_count == exhaustive.unschedulable_count > 0
 
-    # Deterministic batch exports must be byte-identical across modes
-    # (the runner-level face of the same guarantee).
+    # Every job of the batch export must carry the oracle's
+    # classification (the runner-level face of the same guarantee).
     export_pruned = (
         BatchRunner(workers=1, use_cache=False, ks=KS)
         .run_systems([system])
         .to_json()
     )
-    export_eager = (
-        BatchRunner(workers=1, use_cache=False, ks=KS, enumeration="exhaustive")
-        .run_systems([system])
-        .to_json()
-    )
-    assert export_pruned == export_eager, "batch exports diverged between modes"
+    for job in json.loads(export_pruned)["jobs"]:
+        if job["chain"] == chain.name:
+            eager, curve = exhaustive, eager_dmm
+        else:
+            eager = exhaustive_twca(system, system[job["chain"]])
+            curve = eager.dmm_curve(KS)
+        assert job["status"] == eager.status.value, job["chain"]
+        assert job["combinations"] == eager.combination_count, job["chain"]
+        assert job["unschedulable"] == eager.unschedulable_count, job["chain"]
+        assert job["dmm"] == {str(k): v for k, v in curve.items()}, job["chain"]
 
     # Persistent-cache warm path: the second run of the same job list
     # must be served whole from the jobs category.

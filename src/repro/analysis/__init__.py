@@ -8,25 +8,12 @@ from .busy_window import (
     criterion_loads,
     typical_busy_time,
 )
-from .certificates import (
-    CertificateError,
-    DmmCertificate,
-    LatencyCertificate,
-    check_dmm_certificate,
-    check_latency_certificate,
-    dmm_certificate,
-    latency_certificate,
-)
 from .combinations import (
     Combination,
     CombinationSearchResult,
-    count_combinations,
-    enumerate_combinations,
     iter_combinations,
-    iter_combinations_by_cost,
     overload_active_segments,
     search_combinations,
-    split_by_schedulability,
 )
 from .dmm import DeadlineMissModel, dominates
 from .exceptions import AnalysisError, BusyWindowDivergence, NotAnalyzable
@@ -74,12 +61,8 @@ __all__ = [
     "Combination",
     "CombinationSearchResult",
     "overload_active_segments",
-    "count_combinations",
-    "enumerate_combinations",
     "iter_combinations",
-    "iter_combinations_by_cost",
     "search_combinations",
-    "split_by_schedulability",
     "GuaranteeStatus",
     "ChainTwcaResult",
     "analyze_twca",
@@ -91,13 +74,6 @@ __all__ = [
     "PathResult",
     "analyze_path",
     "path_dmm",
-    "CertificateError",
-    "LatencyCertificate",
-    "DmmCertificate",
-    "latency_certificate",
-    "check_latency_certificate",
-    "dmm_certificate",
-    "check_dmm_certificate",
     "StageLatencyResult",
     "analyze_stage_latencies",
 ]

@@ -15,29 +15,27 @@ both the Eq. (5) threshold and the exact Def. 10 re-check depend only on
 a combination's *cost signature* — the per-chain summed WCET of its
 members — and both are **monotone** in that signature: adding cost never
 turns an unschedulable combination schedulable.  This module therefore
-offers, besides the classic materializing :func:`enumerate_combinations`:
+offers:
 
-* :func:`iter_combinations` — the same set, streamed lazily;
-* :func:`iter_combinations_by_cost` — streamed best-first (cheapest
-  combination first) through a heap over the per-chain choice lattice;
-* :func:`count_combinations` — the set size in closed form;
-* :func:`search_combinations` — a dominance-pruned search that counts
-  the unschedulable combinations and collects the inclusion-minimal ones
-  *without* visiting every member: per chain the choices are sorted by
-  cost and the schedulability frontier is located by binary search,
-  while whole cones of the lattice are settled by evaluating their
-  cheapest and costliest signatures only.  It is one depth-first walk
-  that asks the predicate about one signature at a time.
+* :func:`search_combinations` — the analysis' one classification: a
+  dominance-pruned search that counts the unschedulable combinations
+  and collects the inclusion-minimal ones *without* visiting every
+  member: per chain the choices are sorted by cost and the
+  schedulability frontier is located by binary search, while whole
+  cones of the lattice are settled by evaluating their cheapest and
+  costliest signatures only.  It is one depth-first walk that asks the
+  predicate about one signature at a time;
+* :func:`iter_combinations` — the whole set, streamed lazily, for
+  reports that list the combinations of small systems.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ..model import System, TaskChain
 from .segments import ActiveSegment, active_segments
@@ -175,108 +173,16 @@ def per_chain_choices(
     return named
 
 
-def count_combinations(segments_by_chain: Dict[str, List[ActiveSegment]]) -> int:
-    """Number of Def. 9 combinations, in closed form (the per-chain
-    choice-count product minus the excluded all-empty assignment)."""
-    product = 1
-    for _, choices in per_chain_choices(segments_by_chain):
-        product *= len(choices)
-    return product - 1
-
-
 def iter_combinations(
     segments_by_chain: Dict[str, List[ActiveSegment]],
 ) -> Iterator[Combination]:
     """All non-empty combinations per Def. 9, streamed lazily in the
-    classic product order (the order :func:`enumerate_combinations`
-    always used)."""
+    product order of the per-chain choice lists."""
     choice_lists = [choices for _, choices in per_chain_choices(segments_by_chain)]
     for assignment in itertools.product(*choice_lists):
         members = tuple(itertools.chain.from_iterable(assignment))
         if members:
             yield Combination(members)
-
-
-def iter_combinations_by_cost(
-    segments_by_chain: Dict[str, List[ActiveSegment]],
-) -> Iterator[Combination]:
-    """All non-empty combinations, streamed best-first: non-decreasing
-    total cost, ties broken deterministically.
-
-    Works on the choice lattice: per chain the choices are sorted by
-    cost, and a heap walks the product in cost order, generating each
-    assignment exactly once (a vector's unique parent decrements its
-    rightmost non-zero coordinate).  Memory is bounded by the frontier,
-    never the full combination count.
-    """
-    chains = per_chain_choices(segments_by_chain)
-    if not chains:
-        return
-    sorted_choices: List[List[Choice]] = [
-        sorted(choices, key=lambda c: (_choice_cost(c), tuple(s.key for s in c)))
-        for _, choices in chains
-    ]
-    costs = [[_choice_cost(c) for c in choices] for choices in sorted_choices]
-    d = len(sorted_choices)
-    start = (0,) * d
-    heap: List[Tuple[float, Tuple[int, ...]]] = [(0.0, start)]
-    while heap:
-        cost, indices = heapq.heappop(heap)
-        members = tuple(
-            itertools.chain.from_iterable(
-                sorted_choices[i][indices[i]] for i in range(d)
-            )
-        )
-        if members:
-            yield Combination(members)
-        rightmost = 0
-        for position in range(d - 1, -1, -1):
-            if indices[position]:
-                rightmost = position
-                break
-        for position in range(rightmost, d):
-            bumped = indices[position] + 1
-            if bumped >= len(sorted_choices[position]):
-                continue
-            child = indices[:position] + (bumped,) + indices[position + 1 :]
-            child_cost = cost - costs[position][bumped - 1] + costs[position][bumped]
-            heapq.heappush(heap, (child_cost, child))
-
-
-def enumerate_combinations(
-    segments_by_chain: Dict[str, List[ActiveSegment]],
-    max_count: int = 100_000,
-) -> List[Combination]:
-    """All non-empty combinations per Def. 9, materialized.
-
-    Raises ``ValueError`` when the combination count would exceed
-    ``max_count`` (use :func:`search_combinations` / the streaming
-    iterators for such systems).
-    """
-    expected = 1
-    for _, choices in per_chain_choices(segments_by_chain):
-        expected *= len(choices)
-        if expected > max_count:
-            raise ValueError(
-                f"combination count exceeds {max_count}; "
-                "enumerate_combinations is not applicable"
-            )
-    return list(iter_combinations(segments_by_chain))
-
-
-def split_by_schedulability(
-    combinations: Iterable[Combination], min_slack: float
-) -> Tuple[List[Combination], List[Combination]]:
-    """Partition combinations into (schedulable, unschedulable) using the
-    Eq. (5) threshold: unschedulable iff ``cost > min_slack``."""
-    schedulable: List[Combination] = []
-    unschedulable: List[Combination] = []
-    for combo in combinations:
-        if combo.cost > min_slack:
-            unschedulable.append(combo)
-        else:
-            schedulable.append(combo)
-    return schedulable, unschedulable
 
 
 @dataclass

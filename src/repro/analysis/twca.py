@@ -15,16 +15,12 @@ per-active-segment capacities ``Omega^a_b(k)`` of Lemma 4; the optimum is
 scaled by ``N_b`` (Lemma 3) and clamped to ``k``.
 
 Combination schedulability is a pure monotone function of the per-chain
-cost signature, so the default ``enumeration="pruned"`` mode never
-materializes the exponential combination set: it runs the
-dominance-pruned frontier search of
+cost signature, so the analysis never materializes the exponential
+combination set: it runs the dominance-pruned frontier search of
 :func:`repro.analysis.combinations.search_combinations`, memoizes the
 exact Def. 10 verdict per signature for the one analysis run, and keeps
 only counts plus the inclusion-minimal representatives the packing ILP
-needs.  ``enumeration="exhaustive"``
-restores the classic materializing pipeline; both modes classify every
-combination identically, so counts, DMM curves and exports are
-byte-identical.
+needs.
 
 One analysis builds one interference structure from scratch and derives
 the typical one from it (see :mod:`repro.analysis.busy_window`); the
@@ -51,7 +47,6 @@ from .busy_window import _InterferenceModel, criterion_loads
 from .combinations import (
     Combination,
     CostSignature,
-    enumerate_combinations,
     iter_combinations,
     overload_active_segments,
     search_combinations,
@@ -59,9 +54,6 @@ from .combinations import (
 from .exceptions import BusyWindowDivergence, NotAnalyzable
 from .latency import LatencyResult, analyze_latency
 from .segments import ActiveSegment
-
-#: The supported combination-pipeline modes of :func:`analyze_twca`.
-ENUMERATION_MODES: Tuple[str, ...] = ("pruned", "exhaustive")
 
 
 class GuaranteeStatus(enum.Enum):
@@ -80,8 +72,7 @@ class ChainTwcaResult:
     Combination artifacts are kept as counts plus the inclusion-minimal
     unschedulable representatives (all the Theorem 3 packing consumes);
     the full ``combinations`` / ``unschedulable`` lists remain available
-    as lazily materialized properties for reports and tests, identical
-    in content to the historic eager fields.
+    as lazily materialized properties for reports and tests.
     """
 
     system: System
@@ -95,8 +86,7 @@ class ChainTwcaResult:
     active_segments: Dict[str, List[ActiveSegment]] = field(default_factory=dict)
     combination_count: int = 0
     unschedulable_count: int = 0
-    minimal: Optional[List[Combination]] = None
-    enumeration: str = "pruned"
+    minimal: List[Combination] = field(default_factory=list)
     exact_criterion: bool = True
     search_checks: int = 0
     search_nodes: int = 0
@@ -226,22 +216,14 @@ class ChainTwcaResult:
         return min(k, self.n_b * packed)
 
     def minimal_unschedulable(self) -> List[Combination]:
-        """Inclusion-minimal unschedulable combinations.
+        """Inclusion-minimal unschedulable combinations, as the frontier
+        search collected them (empty unless weakly-hard).
 
         Restricting the packing to these preserves the Theorem 3
         optimum: any packed superset can be replaced by a minimal
         subset, keeping the count while only freeing capacity.  This
         shrinks the ILP substantially when many overload chains exist.
-        The pruned pipeline collects them directly during the frontier
-        search; otherwise they are filtered from the full list once.
         """
-        if self.minimal is None:
-            key_sets = [c.key_set for c in self.unschedulable]
-            self.minimal = [
-                combo
-                for combo, keys in zip(self.unschedulable, key_sets)
-                if not any(other < keys for other in key_sets)
-            ]
         return self.minimal
 
     def packing_program(self, omegas: Mapping[str, float]) -> IntegerProgram:
@@ -321,9 +303,7 @@ def analyze_twca(
     system: System,
     target: TaskChain,
     *,
-    max_combinations: int = 100_000,
     exact_criterion: bool = True,
-    enumeration: str = "pruned",
 ) -> ChainTwcaResult:
     """Run the complete Sec. V analysis for ``target`` within ``system``.
 
@@ -335,23 +315,12 @@ def analyze_twca(
     distance, because its fixed evaluation window ``delta(q) + D``
     admits interference the real busy window never sees.
 
-    ``enumeration`` selects the combination pipeline: ``"pruned"`` (the
-    default) runs the lazy dominance-pruned frontier search and ignores
-    ``max_combinations`` (it never materializes the set);
-    ``"exhaustive"`` enumerates every combination eagerly and raises
-    ``ValueError`` beyond ``max_combinations``.  Both modes produce
-    identical classifications, counts and DMM curves.
-
     Raises
     ------
     NotAnalyzable
         If ``target`` has no finite deadline or is itself an overload
         chain.
     """
-    if enumeration not in ENUMERATION_MODES:
-        raise ValueError(
-            f"enumeration must be one of {ENUMERATION_MODES}, got {enumeration!r}"
-        )
     if not target.has_deadline:
         raise NotAnalyzable(f"chain {target.name!r} has no finite deadline")
     if target.overload:
@@ -371,7 +340,6 @@ def analyze_twca(
             chain_name=target.name,
             deadline=target.deadline,
             status=GuaranteeStatus.NO_GUARANTEE,
-            enumeration=enumeration,
         )
 
     if full.wcl <= target.deadline:
@@ -381,7 +349,6 @@ def analyze_twca(
             deadline=target.deadline,
             status=GuaranteeStatus.SCHEDULABLE,
             full_latency=full,
-            enumeration=enumeration,
         )
 
     # Step 2: typical latency (overload abstracted away).
@@ -400,7 +367,6 @@ def analyze_twca(
             status=GuaranteeStatus.NO_GUARANTEE,
             full_latency=full,
             typical_latency=typical,
-            enumeration=enumeration,
         )
 
     # Step 3: N_b (Lemma 3) and the Eq. (5) machinery.  The Eq. (5)
@@ -426,51 +392,28 @@ def analyze_twca(
         typical=typical,
     )
 
-    # Step 5: classify — frontier search by default, eager on request.
-    if enumeration == "exhaustive":
-        combos = enumerate_combinations(segments_by_chain, max_count=max_combinations)
-        unschedulable = [c for c in combos if verdict(c.signature)]
-        result = ChainTwcaResult(
-            system=system,
-            chain_name=target.name,
-            deadline=target.deadline,
-            status=GuaranteeStatus.WEAKLY_HARD,
-            full_latency=full,
-            typical_latency=typical,
-            n_b=n_b,
-            min_slack=slack,
-            active_segments=segments_by_chain,
-            combination_count=len(combos),
-            unschedulable_count=len(unschedulable),
-            enumeration=enumeration,
-            exact_criterion=exact_criterion,
-        )
-        result._combinations_cache = combos
-        result._unschedulable_cache = unschedulable
-    else:
-        search = search_combinations(segments_by_chain, verdict)
-        result = ChainTwcaResult(
-            system=system,
-            chain_name=target.name,
-            deadline=target.deadline,
-            status=GuaranteeStatus.WEAKLY_HARD,
-            full_latency=full,
-            typical_latency=typical,
-            n_b=n_b,
-            min_slack=slack,
-            active_segments=segments_by_chain,
-            combination_count=search.total,
-            unschedulable_count=search.unschedulable,
-            minimal=search.minimal,
-            enumeration=enumeration,
-            exact_criterion=exact_criterion,
-            search_checks=search.checks,
-            search_nodes=search.nodes,
-        )
-        # Keep the analysis-run verdict (with its warm memo) for the
-        # lazy views; the eager mode's materialized lists already
-        # answer everything, so it would only pin memory there.
-        result._membership = verdict
+    # Step 5: classify by the frontier search.
+    search = search_combinations(segments_by_chain, verdict)
+    result = ChainTwcaResult(
+        system=system,
+        chain_name=target.name,
+        deadline=target.deadline,
+        status=GuaranteeStatus.WEAKLY_HARD,
+        full_latency=full,
+        typical_latency=typical,
+        n_b=n_b,
+        min_slack=slack,
+        active_segments=segments_by_chain,
+        combination_count=search.total,
+        unschedulable_count=search.unschedulable,
+        minimal=search.minimal,
+        exact_criterion=exact_criterion,
+        search_checks=search.checks,
+        search_nodes=search.nodes,
+    )
+    # Keep the analysis-run verdict (with its warm memo) for the lazy
+    # views.
+    result._membership = verdict
     return result
 
 

@@ -50,7 +50,7 @@ import sys
 import urllib.error
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .analysis import analyze_latency, analyze_twca
+from .analysis import AnalysisError, analyze_latency, analyze_twca
 from .report.histogram import figure5_panel
 from .report.tables import (
     dmm_table,
@@ -70,7 +70,7 @@ from .runner import (
     run_sharded,
 )
 from .runner.batch import load_systems
-from .runner.jobs import DEFAULT_KS
+from .runner.jobs import DEFAULT_KS, default_chain_names
 from .service import (
     AnalysisOptions,
     AnalysisRequest,
@@ -85,12 +85,6 @@ from .synth.corpus import CorpusError, CorpusManifest, CorpusSpec, generate_corp
 
 #: The shared analysis flags, with their ``add_argument`` settings.
 _ANALYSIS_FLAG_SPECS: Dict[str, Dict[str, Any]] = {
-    "--exhaustive": dict(
-        action="store_true",
-        help="materialize and test every overload combination instead "
-        "of the lazy dominance-pruned frontier search (reference "
-        "path; exports are identical, only slower)",
-    ),
     "--cache-dir": dict(
         metavar="DIR",
         help="persistent result cache shared by all workers and later "
@@ -106,9 +100,8 @@ _ANALYSIS_FLAG_SPECS: Dict[str, Dict[str, Any]] = {
 
 #: The shared analysis flags each subcommand reads (and so accepts).
 ANALYSIS_FLAGS: Dict[str, Tuple[str, ...]] = {
-    "analyze": ("--exhaustive", "--no-cache"),
-    "experiment": ("--exhaustive",),
-    "batch": ("--exhaustive", "--cache-dir", "--no-cache"),
+    "analyze": ("--no-cache",),
+    "batch": ("--cache-dir", "--no-cache"),
     "serve": ("--cache-dir", "--no-cache"),
 }
 
@@ -126,7 +119,6 @@ def analysis_options(args: argparse.Namespace) -> AnalysisOptions:
     return AnalysisOptions(
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
-        exhaustive=getattr(args, "exhaustive", False),
     )
 
 
@@ -233,20 +225,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             system,
             chain=args.chain,
             ks=tuple(args.k) if args.k else DEFAULT_KS,
-            enumeration=options.enumeration,
             use_cache=options.use_cache,
         )
         payload = _service_client(args).analyze(request)
         jobs = [JobResult.from_dict(job) for job in payload["jobs"]]
+        errors = [job.error for job in jobs if job.status == "error"]
+        for error in errors:
+            print(f"error: {error}", file=sys.stderr)
+        if errors:
+            return 2
         print(_jobs_summary(jobs))
         return 0
-    names = (
-        [args.chain]
-        if args.chain
-        else [c.name for c in system.typical_chains if c.has_deadline]
-    )
-    for name in names:
-        result = analyze_twca(system, system[name], enumeration=options.enumeration)
+    for name in [args.chain] if args.chain else default_chain_names(system):
+        try:
+            result = analyze_twca(system, system[name])
+        except AnalysisError as exc:
+            # A chain the analysis rejects (no finite deadline, an
+            # overload chain) is bad input, like an unknown one.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(twca_summary(result))
         if args.k:
             print(dmm_table(result, args.k))
@@ -283,7 +280,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    enumeration = analysis_options(args).enumeration
     if args.which == "table1":
         system = figure4_system(calibrated=args.calibrated)
         results = {
@@ -296,7 +292,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.which == "table2":
         for calibrated in (False, True):
             system = figure4_system(calibrated=calibrated)
-            result = analyze_twca(system, system["sigma_c"], enumeration=enumeration)
+            result = analyze_twca(system, system["sigma_c"])
             mode = "calibrated" if calibrated else "printed parameters"
             print(f"Table II ({mode}):")
             print(dmm_table(result, args.k or [3, 76, 250]))
@@ -307,7 +303,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         values = {"sigma_c": [], "sigma_d": []}
         for system in random_systems(base, args.samples, rng):
             for name in values:
-                result = analyze_twca(system, system[name], enumeration=enumeration)
+                result = analyze_twca(system, system[name])
                 values[name].append(0 if result.is_schedulable else result.dmm(10))
         for name in ("sigma_c", "sigma_d"):
             print(figure5_panel(values[name], name))
@@ -424,7 +420,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             setattr(args, dest, value)
     runner = BatchRunner(
         ks=tuple(args.k) if args.k else DEFAULT_KS,
-        enumeration=options.enumeration,
         # Only the in-process run reads the parent's cache: workers
         # build their own, and a daemon's cache policy is its own.
         use_cache=options.use_cache and in_process,
@@ -647,10 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="regenerate a paper artifact")
     experiment.add_argument("which", choices=("table1", "table2", "figure5"))
-    experiment.add_argument("--samples", type=int, default=1000)
+    experiment.add_argument("--samples", type=at_least(1), default=1000)
     experiment.add_argument("--seed", type=int, default=2017)
     experiment.add_argument("--k", type=window_size, nargs="*")
-    add_analysis_options(experiment, "experiment")
     experiment.set_defaults(func=_cmd_experiment)
 
     batch = sub.add_parser(
@@ -867,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.set_defaults(func=_cmd_cache)
 
     report = sub.add_parser("report", help="emit the markdown reproduction report")
-    report.add_argument("--samples", type=int, default=200)
+    report.add_argument("--samples", type=at_least(1), default=200)
     report.add_argument("--seed", type=int, default=2017)
     report.add_argument("--output", help="write to a file instead of stdout")
     report.set_defaults(func=_cmd_report)

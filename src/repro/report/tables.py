@@ -72,7 +72,7 @@ def twca_summary(result: ChainTwcaResult) -> str:
             f"slack S* = {result.min_slack:g})"
         )
         # Listing every unschedulable combination would materialize the
-        # full (potentially exponential) set the pruned pipeline never
+        # full (potentially exponential) set the frontier search never
         # built; past a modest size, show the inclusion-minimal
         # witnesses the search already collected instead.
         if result.combination_count <= 10_000:

@@ -7,7 +7,9 @@ processes through :func:`repro.runner.shard.run_sharded`
 worker, or behind ``POST /shard/run`` — runs through one loop,
 :func:`execute_jobs`, under an :class:`~repro.runner.cache.AnalysisCache`,
 so the deterministic export of a batch is byte-identical regardless of
-the worker count — parallelism only changes wall-clock time.
+the worker count — parallelism only changes wall-clock time.  A job is
+a system, a chain and its window sizes: every job runs the one
+combination pipeline, the frontier search of ``analyze_twca``.
 
 The cache holds whole job results (:mod:`repro.runner.cache`): a job
 whose content identity was analyzed before is served its stored result.
@@ -240,11 +242,6 @@ class BatchRunner:
         identical.
     ks:
         DMM window sizes evaluated per job (overridable per job).
-    enumeration:
-        Combination pipeline mode per job: ``"pruned"`` (default, the
-        lazy dominance-pruned frontier search) or ``"exhaustive"``
-        (eager enumeration; the classic reference path).  Both produce
-        byte-identical deterministic exports.
     cache:
         Explicit in-process cache for the serial path and
         :meth:`analyze`/:meth:`evaluate_dmm`; overrides the
@@ -265,7 +262,6 @@ class BatchRunner:
         workers: int = 1,
         *,
         ks: Tuple[int, ...] = DEFAULT_KS,
-        enumeration: str = "pruned",
         cache: Optional[AnalysisCache] = None,
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
@@ -274,7 +270,6 @@ class BatchRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.ks = tuple(ks)
-        self.enumeration = enumeration
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.use_cache = use_cache
         if cache is not None:
@@ -306,9 +301,7 @@ class BatchRunner:
             names = chains if chains is not None else default_chain_names(system)
             if not names:
                 continue
-            first = AnalysisJob.from_system(
-                system, names[0], ks=job_ks, enumeration=self.enumeration, label=label
-            )
+            first = AnalysisJob.from_system(system, names[0], ks=job_ks, label=label)
             jobs.append(first)
             jobs.extend(replace(first, chain_name=name) for name in names[1:])
         return jobs
@@ -408,7 +401,6 @@ class BatchRunner:
                 system,
                 chain_name,
                 ks=job_ks,
-                enumeration=self.enumeration,
                 label=system.name,
                 cache=self.cache,
             )

@@ -3,7 +3,7 @@
 Jobs carry the system as canonical JSON rather than a live object so
 they pickle cheaply and identically across process boundaries, and so a
 job is itself content-addressed: :func:`job_result_key` is the (system
-digest, chain, parameters) tuple the result cache keys on, and equal
+digest, chain, window sizes) tuple the result cache keys on, and equal
 jobs are the same work unit.
 :func:`run_chain_job` is the single execution path of the serial
 runner, the shard workers and the service — one cache lookup per job,
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..analysis.exceptions import AnalysisError
-from ..analysis.twca import ENUMERATION_MODES, analyze_twca
+from ..analysis.twca import analyze_twca
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
 from .cache import CATEGORY, AnalysisCache
@@ -64,7 +64,6 @@ class AnalysisJob:
     system_json: str
     chain_name: str
     ks: Tuple[int, ...] = DEFAULT_KS
-    enumeration: str = "pruned"
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -72,11 +71,6 @@ class AnalysisJob:
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"'{name}' must be a string")
         object.__setattr__(self, "ks", checked_ks(self.ks))
-        if self.enumeration not in ENUMERATION_MODES:
-            raise ValueError(
-                f"unknown enumeration {self.enumeration!r}; "
-                f"choose from {list(ENUMERATION_MODES)}"
-            )
 
     @classmethod
     def from_system(
@@ -85,7 +79,6 @@ class AnalysisJob:
         chain_name: str,
         *,
         ks: Tuple[int, ...] = DEFAULT_KS,
-        enumeration: str = "pruned",
         label: str = "",
     ) -> "AnalysisJob":
         """Build a job from a live system (serialized canonically)."""
@@ -93,7 +86,6 @@ class AnalysisJob:
             system_json=canonical_system_json(system),
             chain_name=chain_name,
             ks=ks,
-            enumeration=enumeration,
             label=label or system.name,
         )
 
@@ -116,7 +108,6 @@ class AnalysisJob:
             "system_json": self.system_json,
             "chain_name": self.chain_name,
             "ks": list(self.ks),
-            "enumeration": self.enumeration,
             "label": self.label,
         }
 
@@ -124,7 +115,7 @@ class AnalysisJob:
     def from_dict(cls, data: Dict[str, Any]) -> "AnalysisJob":
         """Inverse of :meth:`to_dict`; rejects unknown fields so wire
         drift between coordinator and worker versions fails loudly."""
-        known = {"system_json", "chain_name", "ks", "enumeration", "label"}
+        known = {"system_json", "chain_name", "ks", "label"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown AnalysisJob fields: {sorted(unknown)}")
@@ -137,7 +128,6 @@ class AnalysisJob:
             system_json=system_json,
             chain_name=chain_name,
             ks=data.get("ks", DEFAULT_KS),
-            enumeration=data.get("enumeration", "pruned"),
             label=data.get("label", ""),
         )
 
@@ -244,7 +234,6 @@ def analyze_system_job(
     chain_name: str,
     *,
     ks: Tuple[int, ...] = DEFAULT_KS,
-    enumeration: str = "pruned",
     label: str = "",
 ) -> JobResult:
     """Run one TWCA and summarize it as a :class:`JobResult`.
@@ -257,7 +246,7 @@ def analyze_system_job(
     chain = system[chain_name]
     start = time.perf_counter()
     try:
-        result = analyze_twca(system, chain, enumeration=enumeration)
+        result = analyze_twca(system, chain)
     except AnalysisError as exc:
         return JobResult(
             label=label,
@@ -293,9 +282,8 @@ def job_result_key(
     system: System,
     chain_name: str,
     ks: Tuple[int, ...],
-    enumeration: str,
 ) -> Optional[Hashable]:
-    """The content identity of one (system, chain, parameters) work
+    """The content identity of one (system, chain, window sizes) work
     unit — the result cache key.  ``None`` when the system has no
     canonical digest (user-defined event models, or an object without
     ``content_digest``), in which case result reuse is skipped rather
@@ -304,7 +292,7 @@ def job_result_key(
         digest = system.content_digest()
     except (TypeError, AttributeError):
         return None
-    return (digest, chain_name, tuple(ks), enumeration)
+    return (digest, chain_name, tuple(ks))
 
 
 def run_chain_job(
@@ -312,7 +300,6 @@ def run_chain_job(
     chain_name: str,
     *,
     ks: Tuple[int, ...] = DEFAULT_KS,
-    enumeration: str = "pruned",
     label: str = "",
     cache: Optional[AnalysisCache] = None,
 ) -> JobResult:
@@ -335,7 +322,7 @@ def run_chain_job(
     key = None
     # A missing chain raises below without counting a cache lookup.
     if cache is not None and chain_name in system:
-        key = job_result_key(system, chain_name, ks, enumeration)
+        key = job_result_key(system, chain_name, ks)
     start = time.perf_counter()
     hit, from_disk = (None, False) if key is None else cache.lookup(key)
     if hit is not None:
@@ -350,13 +337,7 @@ def run_chain_job(
             packing={},
         )
     else:
-        result = analyze_system_job(
-            system,
-            chain_name,
-            ks=ks,
-            enumeration=enumeration,
-            label=label,
-        )
+        result = analyze_system_job(system, chain_name, ks=ks, label=label)
         if key is None:
             return result
         cache.store(
@@ -386,7 +367,6 @@ def execute_job(
         job.system() if system is None else system,
         job.chain_name,
         ks=job.ks,
-        enumeration=job.enumeration,
         label=job.label,
         cache=cache,
     )

@@ -3,10 +3,11 @@
 One analysis — in-process through :class:`~repro.service.core.AnalysisService`
 or over HTTP through ``repro serve`` — is described by an
 :class:`AnalysisRequest`: the system (always inline, as its canonical
-serialization), a chain selector, the DMM window sizes, the combination
-pipeline and the cache policy.  The service keeps no system between
-requests; its job cache, keyed by the system's content digest, is what
-makes a repeated request cheap.
+serialization), a chain selector, the DMM window sizes and the cache
+policy.  There is no pipeline switch: every request runs the one
+frontier search, and a body naming a mode is an unknown field.  The
+service keeps no system between requests; its job cache, keyed by the
+system's content digest, is what makes a repeated request cheap.
 
 :class:`AnalysisResponse` carries the resulting per-chain
 :class:`~repro.runner.jobs.JobResult` payloads.  Its deterministic
@@ -23,7 +24,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.twca import ENUMERATION_MODES
 from ..model import System
 from ..model.serialization import canonical_system_json, system_from_dict
 from ..runner.jobs import DEFAULT_KS, JobResult, checked_ks
@@ -38,19 +38,13 @@ class AnalysisOptions:
     """The analysis knobs shared by every analyzing entrypoint.
 
     One dataclass carries the shared argparse options
-    (``--cache-dir``/``--no-cache``/``--exhaustive``) of every
-    subcommand that reads them — and configures an
-    :class:`~repro.service.core.AnalysisService` the same way.
+    (``--cache-dir``/``--no-cache``) of every subcommand that reads them
+    — and configures an :class:`~repro.service.core.AnalysisService` the
+    same way.
     """
 
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    exhaustive: bool = False
-
-    @property
-    def enumeration(self) -> str:
-        """The combination-pipeline mode implied by ``exhaustive``."""
-        return "exhaustive" if self.exhaustive else "pruned"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -71,7 +65,6 @@ class AnalysisRequest:
     system_json: str
     chain: Optional[str] = None
     ks: Tuple[int, ...] = DEFAULT_KS
-    enumeration: str = "pruned"
     use_cache: bool = True
     label: str = ""
 
@@ -85,11 +78,6 @@ class AnalysisRequest:
             object.__setattr__(self, "ks", checked_ks(self.ks))
         except (TypeError, ValueError) as exc:
             raise RequestError(str(exc)) from None
-        _require(
-            self.enumeration in ENUMERATION_MODES,
-            f"unknown enumeration {self.enumeration!r}; "
-            f"choose from {list(ENUMERATION_MODES)}",
-        )
         _require(isinstance(self.use_cache, bool), "'use_cache' must be a boolean")
         _require(isinstance(self.label, str), "'label' must be a string")
 
@@ -113,7 +101,7 @@ class AnalysisRequest:
         silently dropped.
         """
         _require(isinstance(data, Mapping), "request body must be a JSON object")
-        known = {"system", "chain", "ks", "enumeration", "use_cache", "label"}
+        known = {"system", "chain", "ks", "use_cache", "label"}
         unknown = sorted(set(data) - known)
         _require(not unknown, f"unknown request fields: {unknown}")
 
@@ -142,7 +130,6 @@ class AnalysisRequest:
             system_json=canonical_system_json(system),
             chain=data.get("chain"),
             ks=tuple(ks),
-            enumeration=data.get("enumeration", "pruned"),
             use_cache=data.get("use_cache", True),
             label=data.get("label", ""),
         )
@@ -163,7 +150,6 @@ class AnalysisRequest:
         return {
             "chain": self.chain,
             "ks": list(self.ks),
-            "enumeration": self.enumeration,
             "use_cache": self.use_cache,
             "label": self.label,
             "system": json.loads(self.system_json),

@@ -51,8 +51,8 @@ class AnalysisService:
     Parameters
     ----------
     options:
-        The shared analysis knobs (combination pipeline, cache policy);
-        defaults to :class:`AnalysisOptions`'s defaults.
+        The shared analysis knobs (the cache policy); defaults to
+        :class:`AnalysisOptions`'s defaults.
     cache:
         Explicit cache instance; overrides the ``options`` cache
         policy (used by tests and embedders sharing a cache).
@@ -193,14 +193,7 @@ class AnalysisService:
         cache = self.cache if request.use_cache else None
         label = request.label or system.name
         jobs = [
-            run_chain_job(
-                system,
-                name,
-                ks=request.ks,
-                enumeration=request.enumeration,
-                label=label,
-                cache=cache,
-            )
+            run_chain_job(system, name, ks=request.ks, label=label, cache=cache)
             for name in names
         ]
         return digest, jobs

@@ -1,8 +1,8 @@
 """Machine-checkable certificates for analysis results.
 
 A schedulability analysis is only as trustworthy as its implementation.
-This module extracts, for every bound the library reports, a small
-*certificate* that an independent checker (also here, but deliberately
+This oracle extracts, for every bound the library reports, a small
+*certificate* that an independent checker (also here, deliberately
 sharing no code with the analyses) can re-verify:
 
 * :class:`LatencyCertificate` — for a WCL claim: the busy-window depth
@@ -25,10 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from ..ilp import solve
-from ..model import System
-from .latency import LatencyResult
-from .twca import ChainTwcaResult, GuaranteeStatus
+from repro.analysis.interference import is_deferred
+from repro.analysis.latency import LatencyResult
+from repro.analysis.segments import critical_segment, header_segment, segments
+from repro.analysis.twca import ChainTwcaResult, GuaranteeStatus
+from repro.ilp import solve
+from repro.model import System
 
 
 class CertificateError(AssertionError):
@@ -61,18 +63,13 @@ def latency_certificate(result: LatencyResult) -> LatencyCertificate:
     )
 
 
-def check_latency_certificate(
-    system: System, certificate: LatencyCertificate
-) -> None:
+def check_latency_certificate(system: System, certificate: LatencyCertificate) -> None:
     """Re-verify a latency certificate against the raw system model.
 
     Independent of the analysis code: re-evaluates Theorem 1's sum at
     each claimed busy time (a fixed point must satisfy ``f(B) <= B``),
     re-checks the Theorem 2 stopping rule and the WCL arithmetic.
     """
-    from .interference import is_deferred
-    from .segments import critical_segment, header_segment, segments
-
     target = system[certificate.chain_name]
     interferers = [
         c
@@ -90,9 +87,9 @@ def check_latency_certificate(
             if not is_deferred(chain, target):
                 total += chain.activation.eta_plus(horizon) * chain.total_wcet
             elif chain.is_asynchronous:
-                total += chain.activation.eta_plus(horizon) * header_segment(
-                    chain, target
-                ).wcet + sum(s.wcet for s in segments(chain, target))
+                header = header_segment(chain, target).wcet
+                body = sum(s.wcet for s in segments(chain, target))
+                total += chain.activation.eta_plus(horizon) * header + body
             else:
                 crit = critical_segment(chain, target)
                 total += crit.wcet if crit else 0.0
@@ -164,8 +161,7 @@ def dmm_certificate(result: ChainTwcaResult, k: int) -> DmmCertificate:
     if combos and not any(math.isinf(o) for o in omegas.values()):
         values = solve(result.packing_program(omegas)).values
     packing = tuple(
-        (combo.keys, combo.cost, int(value))
-        for combo, value in zip(combos, values)
+        (combo.keys, combo.cost, int(value)) for combo, value in zip(combos, values)
     )
     capacities = tuple(
         (name, omegas[name], tuple(seg.key for seg in result.active_segments[name]))
@@ -225,63 +221,3 @@ def check_dmm_certificate(system: System, certificate: DmmCertificate) -> None:
         raise CertificateError(
             f"bound {certificate.bound} != min(k, n_b * packed) = {expected}"
         )
-
-
-# ----------------------------------------------------------------------
-# JSON round-trips (external auditing)
-# ----------------------------------------------------------------------
-def dmm_certificate_to_dict(certificate: DmmCertificate) -> dict:
-    """Serialize a DMM certificate to a JSON-ready dict."""
-    return {
-        "chain": certificate.chain_name,
-        "k": certificate.k,
-        "bound": certificate.bound,
-        "status": certificate.status,
-        "n_b": certificate.n_b,
-        "wcl": None if math.isinf(certificate.wcl) else certificate.wcl,
-        "packing": [
-            {
-                "segments": [list(key) for key in keys],
-                "cost": cost,
-                "uses": uses,
-            }
-            for keys, cost, uses in certificate.packing
-        ],
-        "capacities": [
-            {
-                "chain": name,
-                "omega": omega,
-                "segments": [list(key) for key in keys],
-            }
-            for name, omega, keys in certificate.capacities
-        ],
-    }
-
-
-def dmm_certificate_from_dict(data: dict) -> DmmCertificate:
-    """Inverse of :func:`dmm_certificate_to_dict`."""
-    wcl = data.get("wcl")
-    return DmmCertificate(
-        chain_name=data["chain"],
-        k=data["k"],
-        bound=data["bound"],
-        status=data["status"],
-        n_b=data.get("n_b", 0),
-        wcl=math.inf if wcl is None else wcl,
-        packing=tuple(
-            (
-                tuple((key[0], key[1]) for key in entry["segments"]),
-                entry["cost"],
-                entry["uses"],
-            )
-            for entry in data.get("packing", [])
-        ),
-        capacities=tuple(
-            (
-                entry["chain"],
-                entry["omega"],
-                tuple((key[0], key[1]) for key in entry["segments"]),
-            )
-            for entry in data.get("capacities", [])
-        ),
-    )

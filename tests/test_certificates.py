@@ -4,12 +4,11 @@ import dataclasses
 
 import pytest
 
+from oracles.certificates import (CertificateError, check_dmm_certificate,
+                                 check_latency_certificate, dmm_certificate,
+                                 latency_certificate)
+
 from repro import analyze_latency, analyze_twca
-from repro.analysis.certificates import (CertificateError,
-                                         check_dmm_certificate,
-                                         check_latency_certificate,
-                                         dmm_certificate,
-                                         latency_certificate)
 
 
 class TestLatencyCertificates:
@@ -130,36 +129,3 @@ class TestDmmCertificates:
         forged = dataclasses.replace(certificate, bound=3)
         with pytest.raises(CertificateError):
             check_dmm_certificate(system, forged)
-
-
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_verification(self, figure4):
-        import json
-        from repro.analysis.certificates import (
-            dmm_certificate_from_dict, dmm_certificate_to_dict)
-        result = analyze_twca(figure4, figure4["sigma_c"])
-        certificate = dmm_certificate(result, 10)
-        payload = json.dumps(dmm_certificate_to_dict(certificate))
-        restored = dmm_certificate_from_dict(json.loads(payload))
-        assert restored == certificate
-        check_dmm_certificate(figure4, restored)
-
-    def test_round_trip_vacuous(self):
-        import json
-        from repro import PeriodicModel, SporadicModel, SystemBuilder
-        from repro.analysis.certificates import (
-            dmm_certificate_from_dict, dmm_certificate_to_dict)
-        system = (
-            SystemBuilder("doomed")
-            .chain("victim", PeriodicModel(100), deadline=20)
-            .task("victim.a", priority=1, wcet=30)
-            .chain("isr", SporadicModel(1000), overload=True)
-            .task("isr.t", priority=2, wcet=5)
-            .build()
-        )
-        result = analyze_twca(system, system["victim"])
-        certificate = dmm_certificate(result, 7)
-        data = json.loads(json.dumps(
-            dmm_certificate_to_dict(certificate)))
-        restored = dmm_certificate_from_dict(data)
-        check_dmm_certificate(system, restored)

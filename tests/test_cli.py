@@ -33,11 +33,15 @@ class TestAnalyze:
 @pytest.mark.parametrize("argv, named", [
     (["analyze", "--system", "missing.json"], "missing.json"),
     (["analyze", "--chain", "sigma_zz"], "sigma_zz"),
+    (["analyze", "--chain", "sigma_a"],
+     "error: chain 'sigma_a' has no finite deadline"),
     (["simulate", "--system", "missing.json"], "missing.json"),
-], ids=["analyze-file", "analyze-chain", "simulate-file"])
+], ids=["analyze-file", "analyze-chain", "analyze-rejected-chain",
+        "simulate-file"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, argv, named, capsys):
-    """A missing system file or an unknown chain is a clean ``error:
-    ...`` naming it and exit 2, not a traceback."""
+    """A missing system file, an unknown chain or one the analysis
+    rejects (Fig. 4's overload chain has no deadline) is a clean
+    ``error: ...`` naming it and exit 2, not a traceback."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -167,11 +171,14 @@ class TestBatch:
         assert capsys.readouterr().out == cached
 
     def test_exhaustive_export_identical(self, capsys):
+        """One combination pipeline: ``--exhaustive`` is a usage error,
+        not a second way to the same export."""
         args = ["batch", "--random", "3", "--seed", "17", "--json"]
-        assert main(args) == 0
-        pruned = capsys.readouterr().out
-        assert main(args + ["--exhaustive"]) == 0
-        assert capsys.readouterr().out == pruned
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--exhaustive"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --exhaustive" in err
 
     @pytest.mark.parametrize("argv", [
         ["batch", "--workers", "0"], ["shard", "--shards", "0"]])
@@ -404,7 +411,9 @@ class TestParser:
         (["shard"], "--limit", 0),
         (["corpus", "verify", "corpus-dir"], "--limit", 0),
         (["batch"], "--random", 0),
-        (["shard"], "--random", 0)])
+        (["shard"], "--random", 0),
+        (["report"], "--samples", 1),
+        (["experiment", "figure5"], "--samples", 1)])
     def test_bad_count_is_a_usage_error(self, command, flag, minimum,
                                         capsys):
         for value in (str(minimum - 1), "-5", "2.5", "ten"):

@@ -3,29 +3,29 @@ pipeline and the warm-started fixed points.
 
 The contracts under test:
 
-* the pruned frontier search classifies exactly the set the exhaustive
-  pipeline classifies — same counts, same unschedulable set, same
-  inclusion-minimal representatives, same DMM curves — on randomized
-  systems, for serial and parallel runners, with and without a
-  persistent cache directory;
-* the streaming iterators enumerate the same multiset as the classic
-  materializing enumeration (cost-ordered for the best-first variant);
+* the pruned frontier search classifies exactly the set the eager
+  oracle (``oracles.combinations.exhaustive_twca``) classifies — same
+  counts, same unschedulable set, same inclusion-minimal
+  representatives, same DMM curves — on randomized systems, and the
+  batch exports of serial and parallel runners, with and without a
+  persistent cache directory, carry the oracle's numbers;
+* the lazy iterator streams the whole combination set, as many members
+  as the search counts;
 * warm-started Kleene iterations land on the bit-identical busy-time
   breakdown (``iterations`` is the one diagnostic allowed to differ).
 """
 
+import json
 import math
 import random
 
 import pytest
+from oracles.combinations import exhaustive_twca
 
 from repro import PeriodicModel, SporadicModel, SystemBuilder, analyze_twca
 from repro.analysis import (
     busy_time,
-    count_combinations,
-    enumerate_combinations,
     iter_combinations,
-    iter_combinations_by_cost,
     overload_active_segments,
     search_combinations,
 )
@@ -54,7 +54,8 @@ def combo_key_sets(combos):
 
 
 class TestPrunedMatchesExhaustive:
-    """The acceptance differential: both modes classify identically."""
+    """The acceptance differential: the frontier search and the eager
+    oracle classify identically."""
 
     @pytest.mark.parametrize("seed", range(0, 40, 4))
     def test_counts_sets_and_dmm_curves(self, seed):
@@ -63,7 +64,7 @@ class TestPrunedMatchesExhaustive:
             if not chain.has_deadline:
                 continue
             pruned = analyze_twca(system, chain)
-            eager = analyze_twca(system, chain, enumeration="exhaustive")
+            eager = exhaustive_twca(system, chain)
             assert pruned.status is eager.status
             assert pruned.combination_count == eager.combination_count
             assert pruned.unschedulable_count == eager.unschedulable_count
@@ -82,9 +83,7 @@ class TestPrunedMatchesExhaustive:
             if not chain.has_deadline:
                 continue
             pruned = analyze_twca(system, chain, exact_criterion=False)
-            eager = analyze_twca(
-                system, chain, exact_criterion=False, enumeration="exhaustive"
-            )
+            eager = exhaustive_twca(system, chain, exact_criterion=False)
             assert pruned.unschedulable_count == eager.unschedulable_count
             assert pruned.dmm_curve(KS) == eager.dmm_curve(KS)
 
@@ -98,8 +97,11 @@ class TestPrunedMatchesExhaustive:
         assert len(result.unschedulable) == 1
 
     def test_rejects_unknown_enumeration_mode(self, figure4):
-        with pytest.raises(ValueError):
-            analyze_twca(figure4, figure4["sigma_c"], enumeration="psychic")
+        """The frontier search is the one pipeline: no mode is known,
+        and naming one is an error rather than silently ignored."""
+        for mode in ("pruned", "exhaustive"):
+            with pytest.raises(TypeError, match="enumeration"):
+                analyze_twca(figure4, figure4["sigma_c"], enumeration=mode)
 
     def test_results_stay_picklable(self, figure4):
         """The signature-verdict closure must not break pickling of
@@ -155,7 +157,7 @@ class TestSearchAgainstBruteForce:
         system = random_system(seed, overload_chains=1 + seed % 4)
         target = system.typical_chains[0]
         segments = overload_active_segments(system, target)
-        combos = enumerate_combinations(segments)
+        combos = list(iter_combinations(segments))
         rng = random.Random(seed * 101)
         weights = {name: rng.choice([0.5, 1.0, 2.0]) for name in segments}
         costs = sorted(
@@ -180,7 +182,8 @@ class TestSearchAgainstBruteForce:
         target = system.typical_chains[0]
         segments = overload_active_segments(system, target)
         result = search_combinations(segments, lambda signature: True)
-        assert result.unschedulable == result.total == count_combinations(segments)
+        total = len(list(iter_combinations(segments)))
+        assert result.unschedulable == result.total == total
         assert all(len(combo) == 1 for combo in result.minimal)
 
     def test_nothing_flagged_is_cheap(self):
@@ -197,38 +200,33 @@ class TestSearchAgainstBruteForce:
 class TestStreamingIterators:
     @pytest.mark.parametrize("seed", (0, 4, 9))
     def test_lazy_iterator_matches_eager_enumeration(self, seed):
+        """The stream holds as many distinct members as the search
+        counts, each within one segment per chain (Def. 9)."""
         system = random_system(seed, overload_chains=2)
         target = system.typical_chains[0]
         segments = overload_active_segments(system, target)
-        eager = enumerate_combinations(segments)
         lazy = list(iter_combinations(segments))
-        assert [c.keys for c in lazy] == [c.keys for c in eager]
-        assert count_combinations(segments) == len(eager)
-
-    @pytest.mark.parametrize("seed", (1, 6, 13))
-    def test_best_first_stream_is_cost_ordered_and_complete(self, seed):
-        system = random_system(seed, overload_chains=3)
-        target = system.typical_chains[0]
-        segments = overload_active_segments(system, target)
-        streamed = list(iter_combinations_by_cost(segments))
-        costs = [c.cost for c in streamed]
-        assert costs == sorted(costs)
-        assert combo_key_sets(streamed) == combo_key_sets(
-            enumerate_combinations(segments)
-        )
-        assert len(streamed) == count_combinations(segments)
+        assert len(lazy) == search_combinations(segments, lambda s: False).total
+        assert len(combo_key_sets(lazy)) == len(lazy)
+        for combo in lazy:
+            per_chain = {}
+            for segment in combo.segments:
+                per_chain.setdefault(segment.chain_name, set()).add(
+                    segment.segment_index
+                )
+            assert all(len(indices) == 1 for indices in per_chain.values())
 
     def test_streams_are_lazy(self, figure4):
         segments = overload_active_segments(figure4, figure4["sigma_c"])
-        first = next(iter_combinations_by_cost(segments))
-        assert first.cost == min(
-            c.cost for c in enumerate_combinations(segments)
-        )
+        stream = iter_combinations(segments)
+        assert iter(stream) is stream
+        assert next(stream).keys == list(iter_combinations(segments))[0].keys
 
 
 class TestRunnerDifferential:
-    """Pruned and exhaustive pipelines export byte-identically through
-    the batch runner, serial and parallel, cached and uncached."""
+    """The batch runner's exports carry the eager oracle's numbers,
+    serial and parallel, cached and uncached, and are byte-identical
+    across those modes."""
 
     def _systems(self):
         return [random_system(seed) for seed in (201, 202, 203)]
@@ -240,31 +238,33 @@ class TestRunnerDifferential:
             .run_systems(systems)
             .to_json()
         )
+        expected = []
+        for system in systems:
+            for chain in system.typical_chains:
+                if chain.has_deadline:
+                    eager = exhaustive_twca(system, chain)
+                    expected.append(
+                        (
+                            eager.status.value,
+                            eager.combination_count,
+                            eager.unschedulable_count,
+                            {str(k): v for k, v in eager.dmm_curve(KS).items()},
+                        )
+                    )
+        exported = [
+            (job["status"], job["combinations"], job["unschedulable"], job["dmm"])
+            for job in json.loads(reference)["jobs"]
+        ]
+        assert exported == expected
         for workers in (1, 2):
             for cache_dir in (None, tmp_path / f"cache-{workers}"):
-                for enumeration in ("pruned", "exhaustive"):
-                    runner = BatchRunner(
-                        workers=workers,
-                        ks=KS,
-                        enumeration=enumeration,
-                        cache_dir=None if cache_dir is None else str(cache_dir),
-                    )
-                    exported = runner.run_systems(systems).to_json()
-                    assert exported == reference, (workers, cache_dir, enumeration)
-
-    def test_modes_do_not_share_job_results(self, tmp_path):
-        """The jobs category keys on the enumeration mode, so a warm
-        pruned run never serves an exhaustive request (identical
-        payloads, but the key must be honest about parameters)."""
-        systems = self._systems()[:1]
-        cache_dir = tmp_path / "cache"
-        pruned = BatchRunner(workers=1, ks=KS, cache_dir=str(cache_dir))
-        pruned.run_systems(systems)
-        eager = BatchRunner(
-            workers=1, ks=KS, cache_dir=str(cache_dir), enumeration="exhaustive"
-        )
-        batch = eager.run_systems(systems)
-        assert batch.job_hits == 0
+                runner = BatchRunner(
+                    workers=workers,
+                    ks=KS,
+                    cache_dir=None if cache_dir is None else str(cache_dir),
+                )
+                exported = runner.run_systems(systems).to_json()
+                assert exported == reference, (workers, cache_dir)
 
 
 class TestWarmStartedFixedPoints:
@@ -312,7 +312,7 @@ class TestWarmStartedFixedPoints:
 
 class TestHandBuiltFrontier:
     """A hand-checkable many-chain system: the pruned search must agree
-    with exhaustive enumeration while evaluating far fewer members."""
+    with the eager oracle while evaluating far fewer members."""
 
     def _system(self, overload_count=10):
         builder = SystemBuilder("frontier")
@@ -333,9 +333,7 @@ class TestHandBuiltFrontier:
         system = self._system(10)
         chain = system["victim"]
         pruned = analyze_twca(system, chain)
-        eager = analyze_twca(
-            system, chain, enumeration="exhaustive", max_combinations=2**11
-        )
+        eager = exhaustive_twca(system, chain)
         assert pruned.combination_count == 2**10 - 1
         assert pruned.combination_count == eager.combination_count
         assert pruned.unschedulable_count == eager.unschedulable_count
@@ -348,12 +346,12 @@ class TestHandBuiltFrontier:
         assert pruned.search_checks < pruned.combination_count / 4
 
     def test_pruned_mode_ignores_max_combinations(self):
+        """The search has no materialization cap to set: a 4,095-member
+        lattice is classified whole, and the cap is no parameter."""
         system = self._system(12)
         chain = system["victim"]
-        with pytest.raises(ValueError):
-            analyze_twca(
-                system, chain, enumeration="exhaustive", max_combinations=100
-            )
-        result = analyze_twca(system, chain, max_combinations=100)
+        with pytest.raises(TypeError, match="max_combinations"):
+            analyze_twca(system, chain, max_combinations=100)
+        result = analyze_twca(system, chain)
         assert result.combination_count == 2**12 - 1
         assert math.isfinite(result.min_slack)

@@ -1,11 +1,18 @@
 """Tests for combination enumeration (Def. 9) and the Eq. (5) split."""
 
-import pytest
-
 from repro import PeriodicModel, SporadicModel, SystemBuilder
-from repro.analysis import (Combination, enumerate_combinations,
-                            overload_active_segments,
-                            split_by_schedulability)
+from repro.analysis import (Combination, iter_combinations,
+                            overload_active_segments, search_combinations)
+
+
+def all_combinations(segments_by_chain):
+    return list(iter_combinations(segments_by_chain))
+
+
+def above(threshold):
+    """The Eq. (5) cost threshold as a signature predicate: flagged iff
+    the summed cost exceeds ``threshold``."""
+    return lambda signature: sum(cost for _, cost in signature) > threshold
 
 
 class TestFigure1Example:
@@ -14,7 +21,7 @@ class TestFigure1Example:
 
     def test_four_combinations(self, figure1):
         segs = overload_active_segments(figure1, figure1["sigma_b"])
-        combos = enumerate_combinations(segs)
+        combos = all_combinations(segs)
         assert len(combos) == 4
         names = sorted(tuple(sorted(seg.task_names[0]
                                     for seg in combo.segments))
@@ -28,7 +35,7 @@ class TestFigure1Example:
 
     def test_cross_segment_pairs_excluded(self, figure1):
         segs = overload_active_segments(figure1, figure1["sigma_b"])
-        combos = enumerate_combinations(segs)
+        combos = all_combinations(segs)
         for combo in combos:
             indices = {seg.segment_index for seg in combo.segments}
             assert len(indices) == 1  # same-segment restriction
@@ -49,14 +56,8 @@ class TestEnumeration:
     def test_power_set_for_single_segment_chains(self):
         system = self._system(3)
         segs = overload_active_segments(system, system["victim"])
-        combos = enumerate_combinations(segs)
+        combos = all_combinations(segs)
         assert len(combos) == 2 ** 3 - 1
-
-    def test_max_count_guard(self):
-        system = self._system(8)
-        segs = overload_active_segments(system, system["victim"])
-        with pytest.raises(ValueError):
-            enumerate_combinations(segs, max_count=100)
 
     def test_no_overload_chains_means_no_combinations(self, figure1):
         # figure1's sigma_b is typical; a system with no overload at all:
@@ -66,30 +67,29 @@ class TestEnumeration:
             .task("a.t", priority=1, wcet=1)
             .build()
         )
-        assert enumerate_combinations(
+        assert all_combinations(
             overload_active_segments(system, system["a"])) == []
 
 
 class TestSplit:
     def test_threshold_split(self, figure1):
         segs = overload_active_segments(figure1, figure1["sigma_b"])
-        combos = enumerate_combinations(segs)
-        schedulable, unschedulable = split_by_schedulability(combos, 1.5)
-        # Costs are 2 (a1+a2), 1 (a3), 1 (a5), 3 (a1+a2+a3).
-        assert sorted(c.cost for c in schedulable) == [1, 1]
-        assert sorted(c.cost for c in unschedulable) == [2, 3]
+        result = search_combinations(segs, above(1.5))
+        # Costs are 2 (a1+a2), 1 (a3), 1 (a5), 3 (a1+a2+a3): the two
+        # above 1.5 are unschedulable, and {a1+a2} is the minimal one.
+        assert (result.total, result.unschedulable) == (4, 2)
+        assert [c.cost for c in result.minimal] == [2]
 
     def test_zero_slack_rejects_all(self, figure1):
         segs = overload_active_segments(figure1, figure1["sigma_b"])
-        combos = enumerate_combinations(segs)
-        _, unschedulable = split_by_schedulability(combos, 0)
-        assert len(unschedulable) == len(combos)
+        result = search_combinations(segs, above(0))
+        assert result.unschedulable == result.total == 4
 
     def test_unschedulability_monotone_under_inclusion(self, figure1):
         """A superset combination is never cheaper: the Eq. (5) threshold
         preserves the knapsack monotonicity."""
         segs = overload_active_segments(figure1, figure1["sigma_b"])
-        combos = enumerate_combinations(segs)
+        combos = all_combinations(segs)
         by_keys = {frozenset(c.keys): c for c in combos}
         for combo in combos:
             for other_keys, other in by_keys.items():

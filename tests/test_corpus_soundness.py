@@ -4,8 +4,9 @@ For 100 UUniFast systems at utilization 0.5-0.7 and 100 WATERS-profile
 systems at 0.7-0.9 (``CorpusSpec(seed=2017)``, the populations of the
 end-to-end benchmark), every typical chain with a deadline must satisfy:
 
-* the pruned search and the exhaustive pipeline agree on the status,
-  the unschedulable count and dmm(1), dmm(5), dmm(10);
+* the pruned search and the eager oracle
+  (``oracles.combinations.exhaustive_twca``) agree on the status, the
+  unschedulable count and dmm(1), dmm(5), dmm(10);
 * the critical-instant simulation stays within the Theorem 2 worst-case
   latency, and its windowed miss counts within dmm(k).
 
@@ -16,6 +17,7 @@ or Def. 10 verdict on realistic systems shows up here.
 import math
 
 import pytest
+from oracles.combinations import exhaustive_twca
 
 from repro import analyze_twca
 from repro.sim import simulate_worst_case
@@ -47,7 +49,7 @@ def test_pruned_search_matches_exhaustive(family):
     for system in corpus_slice(family):
         for chain in deadline_chains(system):
             pruned = analyze_twca(system, chain)
-            exhaustive = analyze_twca(system, chain, enumeration="exhaustive")
+            exhaustive = exhaustive_twca(system, chain)
             assert (
                 pruned.status,
                 pruned.unschedulable_count,

@@ -14,8 +14,8 @@ The contracts under test:
 * the simplex is a pure function of its data on randomized LPs: same
   statuses, objectives, values and pivot counts however the data is
   typed and in whatever order an rhs schedule is solved;
-* deterministic batch exports are byte-identical across cache states,
-  worker counts and enumeration modes.
+* deterministic batch exports are byte-identical across cache states
+  and worker counts.
 """
 
 import random
@@ -40,6 +40,7 @@ from repro.kernel import kernel_name
 from repro.runner import BatchRunner
 from repro.synth import GeneratorConfig, generate_feasible_system
 
+from oracles.combinations import exhaustive_twca
 from oracles.def10 import exact_unschedulable_scalar
 
 
@@ -341,13 +342,13 @@ class TestBatchedKleene:
 
     @pytest.mark.parametrize("seed", (2, 9, 21))
     def test_analyze_twca_identical_across_kernels(self, seed):
-        """The pruned search (memoized Def. 10 checks) and the exhaustive
-        pipeline (one check per combination) agree end to end."""
+        """The pruned search (memoized Def. 10 checks) and the eager
+        oracle (one check per combination) agree end to end."""
         system = random_system(seed, overload_chains=2)
         for chain in system.typical_chains:
             outcomes = []
-            for enumeration in ("pruned", "exhaustive"):
-                result = analyze_twca(system, chain, enumeration=enumeration)
+            for analyze in (analyze_twca, exhaustive_twca):
+                result = analyze(system, chain)
                 outcomes.append(
                     (
                         result.status,

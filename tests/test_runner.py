@@ -281,7 +281,7 @@ class TestJobsAndResults:
         assert job1 != job3
 
         def key(job):
-            return job_result_key(job.system(), job.chain_name, job.ks, job.enumeration)
+            return job_result_key(job.system(), job.chain_name, job.ks)
 
         assert key(job1) == key(job2)
         assert key(job1) != key(job3)

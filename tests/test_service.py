@@ -21,7 +21,6 @@ from repro.cli import main
 from repro.model.serialization import system_to_json
 from repro.runner import BatchResult, BatchRunner
 from repro.service import (
-    AnalysisOptions,
     AnalysisRequest,
     AnalysisRequestHandler,
     AnalysisService,
@@ -94,7 +93,7 @@ class TestRequestValidation:
             (dict(SYSTEM, ks=[0]), ">= 1"),
             (dict(SYSTEM, ks=3), "'ks' must be a list"),
             (dict(SYSTEM, backend="dp"), "unknown request"),
-            (dict(SYSTEM, enumeration="eager"), "unknown enumeration"),
+            (dict(SYSTEM, enumeration="pruned"), "'enumeration'"),
             (dict(SYSTEM, kernel="numpy"), "unknown request fields"),
             (dict(SYSTEM, chain=""), "'chain' must be"),
             (dict(SYSTEM, use_cache="yes"), "'use_cache'"),
@@ -175,18 +174,6 @@ class TestAnalysisService:
         # service sees it; an in-process caller reaches this check.
         with pytest.raises(RequestError, match="at least one job"):
             service.run_jobs([])
-
-    def test_exhaustive_option_is_byte_identical(self, system):
-        pruned = AnalysisService(AnalysisOptions())
-        exhaustive = AnalysisService(AnalysisOptions(exhaustive=True))
-        request = {"chain": "sigma_c", "ks": (3, 76)}
-        a = pruned.analyze(
-            AnalysisRequest.from_system(system, enumeration="pruned", **request)
-        )
-        b = exhaustive.analyze(
-            AnalysisRequest.from_system(system, enumeration="exhaustive", **request)
-        )
-        assert [j.to_dict() for j in a.jobs] == [j.to_dict() for j in b.jobs]
 
 
 class TestHttpServer:
@@ -499,10 +486,10 @@ class TestHttpServer:
 
 #: The shared analysis flags each subcommand must accept (and no more).
 ANALYSIS_FLAG_TABLE = {
-    "analyze": {"--exhaustive", "--no-cache"},
-    "experiment": {"--exhaustive"},
-    "batch": {"--exhaustive", "--cache-dir", "--no-cache"},
-    "shard": {"--exhaustive", "--cache-dir", "--no-cache"},
+    "analyze": {"--no-cache"},
+    "experiment": set(),
+    "batch": {"--cache-dir", "--no-cache"},
+    "shard": {"--cache-dir", "--no-cache"},
     "serve": {"--cache-dir", "--no-cache"},
     "shard-worker": {"--cache-dir", "--no-cache"},
     "simulate": set(),
@@ -527,6 +514,16 @@ class TestCliIntegration:
         local = capsys.readouterr().out
         assert main(args + ["--server", server.url]) == 0
         assert capsys.readouterr().out == local
+
+    def test_analyze_rejected_chain_via_server_exits_2(self, server, capsys):
+        """A chain the analysis rejects comes back as an ``error`` job:
+        ``error: ...`` naming why and exit 2, as in-process."""
+        argv = ["analyze", "--chain", "sigma_a", "--server", server.url]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "chain 'sigma_a' has no finite deadline" in captured.err
+        assert captured.out == ""
 
     def test_analyze_via_server_prints_summary(self, server, capsys):
         assert main(["analyze", "--chain", "sigma_c", "--k", "3",
@@ -624,7 +621,8 @@ class TestCliIntegration:
     @pytest.mark.parametrize("command", sorted(ANALYSIS_FLAG_TABLE))
     def test_analysis_flags_per_subcommand(self, command, flag, capsys):
         """Each subcommand accepts exactly the shared analysis flags it
-        reads; any other is argparse's usage error."""
+        reads; any other is argparse's usage error.  ``--exhaustive``
+        is gone from every subcommand."""
         from repro.cli import analysis_options, build_parser
 
         argv = [command] + (["table1"] if command == "experiment" else [])
@@ -637,9 +635,6 @@ class TestCliIntegration:
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             return
         options = analysis_options(parser.parse_args(argv))
-        assert options.enumeration == (
-            "exhaustive" if flag == "--exhaustive" else "pruned"
-        )
         assert options.use_cache is (flag != "--no-cache")
         assert options.cache_dir == ("DIR" if flag == "--cache-dir" else None)
 

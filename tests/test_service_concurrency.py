@@ -283,7 +283,7 @@ class TestSharedCacheAccounting:
 
 
 class TestContentKey:
-    PARAMS = ("sigma_c", (1, 10), "pruned")
+    PARAMS = ("sigma_c", (1, 10))
 
     def test_object_without_content_digest_is_uncacheable(self):
         assert job_result_key(object(), *self.PARAMS) is None

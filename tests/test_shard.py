@@ -535,7 +535,7 @@ class TestRemoteWorkers:
             ("ks", "ab", "integers >= 1"),
             ("ks", [True], "integers >= 1"),
             ("ks", [2.5], "integers >= 1"),
-            ("enumeration", "weird", "unknown enumeration"),
+            ("enumeration", "pruned", "'enumeration'"),
             ("max_combinations", "x", "'max_combinations'"),
             ("exact_criterion", "yes", "'exact_criterion'"),
             ("label", 7, "'label'"),

@@ -20,11 +20,18 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
+
+# The certificate checkers are test oracles: ``tests`` goes on the path
+# the way ``benchmarks/conftest.py`` puts it there.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from oracles.certificates import (check_dmm_certificate,
+                                  check_latency_certificate, dmm_certificate,
+                                  latency_certificate)
 
 from repro import analyze_latency, analyze_twca
-from repro.analysis import (analyze_stage_latencies, check_dmm_certificate,
-                            check_latency_certificate, dmm_certificate,
-                            latency_certificate)
+from repro.analysis import analyze_stage_latencies
 from repro.sim import (Simulator, randomized_activations,
                        simulate_worst_case, worst_case_activations)
 from repro.synth import (AutomotiveConfig, GeneratorConfig,
